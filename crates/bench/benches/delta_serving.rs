@@ -7,7 +7,8 @@
 //! regime the serving tier exists for.
 //!
 //! Two measurements, both persisted as `quality` records into the `--save-json` document
-//! (the committed `BENCH_PR7.json`):
+//! (`baseline/README.md`, "Reconciling the anomalies", relates them to the runner's
+//! `core.export_*` and `serve.*_bytes*` metrics):
 //!
 //! * `delta_serving/republish` — `republish_ns` (incremental rank-sorted export via the
 //!   dirty-set splice) vs `full_export_ns` (the full `O(m log m)` rebuild, which doubles as

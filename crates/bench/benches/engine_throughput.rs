@@ -286,9 +286,9 @@ fn bench_ingest_queue(c: &mut Criterion) {
 /// Telemetry pass: one *instrumented* run of the sharded pipeline per `flush_every` setting,
 /// outside the timing loops, capturing the stage-attributed view — per-shard flush phases
 /// (coalesce / classify / apply / export / publish), submit-side queue latency quantiles,
-/// drain sizes — into the `--save-json` document's `"telemetry"` array. This is the
-/// `BENCH_PR6.json` breakdown: it says *where* the milliseconds of the timing entries above
-/// go, at the cost of running with recording on (so its absolute numbers sit slightly above
+/// drain sizes — into the `--save-json` document's `"telemetry"` array. It says *where* the
+/// milliseconds of the timing entries above go (the `baseline` runner's traced run reports
+/// the same breakdown per workload, see `baseline/README.md`), at the cost of running with recording on (so its absolute numbers sit slightly above
 /// the untraced entries).
 fn capture_pipeline_telemetry(_c: &mut Criterion) {
     let local = block_local_stream();

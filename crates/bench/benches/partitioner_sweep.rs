@@ -16,9 +16,10 @@
 //!   serialized work on the critical path;
 //! * a `quality/<p>_shards_<k>` record — `spill_routing_share`, `edge_cut_share`, and the
 //!   per-shard `event_load_ratio` (max/min routed events across the routed shards), captured
-//!   into the `--save-json` document via the shim's `record_quality`. The committed
-//!   `BENCH_PR5.json` pins the acceptance numbers: greedy ≤ 0.25 spill share at 4 shards
-//!   (vs ~0.75 for hash) with a load ratio ≤ 2.
+//!   into the `--save-json` document via the shim's `record_quality`. The acceptance
+//!   numbers: greedy ≤ 0.25 spill share at 4 shards (vs ~0.75 for hash) with a load ratio
+//!   ≤ 2; `engine.spill_routing_share` in `baseline/results/` tracks the greedy share on
+//!   the `durable_wire` workload.
 
 use criterion::{
     criterion_group, criterion_main, record_quality, record_telemetry_json, BenchmarkId, Criterion,

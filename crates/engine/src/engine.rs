@@ -123,6 +123,22 @@ pub struct FlushReport {
     pub phases: FlushPhases,
 }
 
+impl FlushReport {
+    /// The report of a flush that applied nothing and left the engine at `epoch`.
+    pub(crate) fn noop(epoch: u64) -> Self {
+        FlushReport {
+            epoch,
+            ops_applied: 0,
+            changes: Vec::new(),
+            promoted: Vec::new(),
+            fast_path: 0,
+            fallback: 0,
+            duration: Duration::ZERO,
+            phases: FlushPhases::default(),
+        }
+    }
+}
+
 /// Running counters owned by the engine (the coalescer keeps its own).
 #[derive(Clone, Debug, Default)]
 struct Counters {
@@ -278,16 +294,7 @@ impl ClusteringEngine {
         }
         let batch = self.coalescer.drain();
         if batch.is_empty() {
-            return Ok(FlushReport {
-                epoch: self.epoch,
-                ops_applied: 0,
-                changes: Vec::new(),
-                promoted: Vec::new(),
-                fast_path: 0,
-                fallback: 0,
-                duration: Duration::ZERO,
-                phases: FlushPhases::default(),
-            });
+            return Ok(FlushReport::noop(self.epoch));
         }
         let _span = self.telemetry.span("engine.flush");
         let mut phases = FlushPhases {
@@ -318,7 +325,7 @@ impl ClusteringEngine {
         // Fault checkpoint (torn): the buffer is drained and the deletion batch is already
         // applied, but the epoch has not advanced and no snapshot was published — the panic
         // leaves this engine mid-flush with the last good view still served. The service
-        // quarantines it and rebuilds from the event journal.
+        // quarantines it and rebuilds it from its shard log.
         if let Some(fault) = injected_torn {
             fault.fire();
         }

@@ -1,9 +1,9 @@
 //! The concurrent ingest pipeline: handles in front, one driver behind.
 //!
-//! The PR-2 facade made the service's *data plane* shardable, but its surface stayed
-//! synchronous `&mut self`: one writer serialized submits against flushes, and no reader could
-//! hold a snapshot while updates streamed in. This module splits that surface into three
-//! cooperating pieces:
+//! A [`ClusterService`] owns shard engines that only a single writer may touch, yet a serving
+//! deployment has many producers and many readers. This module puts three cooperating pieces
+//! around the service so that producers never wait on a flush and readers never wait on the
+//! writer:
 //!
 //! * **[`IngestHandle`]** — the write side. Clonable, shareable across producer threads, and
 //!   backed by a *bounded* MPSC submission queue so [`IngestHandle::submit`] never blocks on a
@@ -14,9 +14,8 @@
 //!   to make room before falling back to blocking.
 //! * **[`FlusherDriver`]** — the single writer. It owns the [`ClusterService`] (and with it the
 //!   shard engines), drains the queue, routes each event through the service's
-//!   [`Partitioner`](crate::Partitioner), applies the configured
-//!   [`FlushPolicy`], and fans dirty-shard flushes out over the
-//!   work-stealing pool exactly as [`ClusterService`] always has. Run it inline
+//!   [`Partitioner`](crate::Partitioner), applies the configured [`FlushPolicy`], and fans
+//!   dirty-shard flushes out over the work-stealing pool. Run it inline
 //!   ([`pump`](FlusherDriver::pump) per tick) or park it on a dedicated thread
 //!   ([`run_until_closed`](FlusherDriver::run_until_closed)).
 //! * **[`ReadHandle`]** — the read side. Clonable and `&self` all the way down: every call to
@@ -25,13 +24,12 @@
 //!   for its epoch vector no matter how far the driver advances afterwards.
 //!
 //! Because validation happens when the driver routes an event into its home shard (not at
-//! submit time — the queue decouples producers from the shard state), invalid events no longer
+//! submit time — the queue decouples producers from the shard state), invalid events do not
 //! bounce back to the submitting call: they are collected per drain in
-//! [`DrainReport::rejected`] and the rest of the batch proceeds. Everything else is unchanged
-//! by construction: the driver replays the queue in submission order into the exact same
-//! routing + coalescing + flush machinery the synchronous API used, so the published
-//! clusterings are bit-identical to the pre-redesign sequential path (pinned by
-//! `tests/tests/ingest_pipeline.rs`).
+//! [`DrainReport::rejected`] and the rest of the batch proceeds. The driver replays the queue
+//! in submission order into the service's routing + coalescing + flush machinery, so the
+//! published clusterings are bit-identical to a single engine fed the same stream sequentially
+//! (pinned by `tests/tests/ingest_pipeline.rs`).
 
 use crate::delta::SyncResponse;
 use crate::faults::FaultPlan;
@@ -834,8 +832,7 @@ impl FlusherDriver {
         total.flushes.absorb(final_flush);
         // The retiring driver leaves the durable layer at a clean cut: WAL synced and a
         // final checkpoint covering everything (no-ops on non-durable services).
-        self.service.durable_sync_drain()?;
-        self.service.maybe_checkpoint(true)?;
+        self.service.settle_durable(true)?;
         Ok(total)
     }
 
@@ -846,8 +843,7 @@ impl FlusherDriver {
     /// taken here.
     pub fn flush(&mut self) -> Result<ServiceFlushReport, ServiceError> {
         let report = self.service.flush_direct()?;
-        self.service.durable_sync_drain()?;
-        self.service.maybe_checkpoint(false)?;
+        self.service.settle_durable(false)?;
         Ok(report)
     }
 
@@ -858,8 +854,7 @@ impl FlusherDriver {
     /// torn engine's state must never be captured).
     pub fn checkpoint(&mut self) -> Result<bool, ServiceError> {
         self.service.flush_direct()?;
-        self.service.durable_sync_drain()?;
-        self.service.maybe_checkpoint(true)
+        self.service.settle_durable(true)
     }
 
     /// Grows the vertex set of every shard by `k` isolated vertices, publishing the grown
@@ -874,7 +869,7 @@ impl FlusherDriver {
         self.service.shard_health()
     }
 
-    /// Rebuilds a quarantined shard by replaying its event journal (see
+    /// Rebuilds a quarantined shard from its log — image plus replayed suffix (see
     /// [`ClusterService::recover_shard`] for the exact semantics and the bit-identity
     /// guarantee).
     pub fn recover_shard(&mut self, id: ShardId) -> Result<RecoveryReport, ServiceError> {
@@ -913,8 +908,7 @@ impl FlusherDriver {
         // WAL appends to disk per the fsync policy, then take a checkpoint if one is due —
         // it only fires at quiescent points, so under `Manual` it waits for an explicit
         // [`flush`](Self::flush).
-        self.service.durable_sync_drain()?;
-        self.service.maybe_checkpoint(false)?;
+        self.service.settle_durable(false)?;
         Ok(report)
     }
 }

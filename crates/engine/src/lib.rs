@@ -25,8 +25,7 @@
 //!   permitting) in a router-owned append-only [`AssignmentTable`]. Either way an edge routes
 //!   to one shard forever, so per-shard validation and oracle equivalence are preserved while
 //!   the spill share on community-structured streams collapses from ~`1 − 1/k` to roughly the
-//!   true cross-community rate (see the README's "Partitioning" section and
-//!   `BENCH_PR5.json`).
+//!   true cross-community rate (see the README's "Partitioning" section).
 //! * **Update coalescing** ([`coalesce`]): edge events ([`GraphUpdate`]) are buffered and
 //!   deduplicated per edge — an insert followed by a delete annihilates, repeated re-weights
 //!   collapse to one, delete + insert becomes a re-weight — then split into homogeneous
@@ -100,10 +99,19 @@
 //! [`FlusherDriver::run_until_closed`] and stop it with [`IngestHandle::close`] — see the
 //! [`ingest`] module docs and `examples/concurrent_ingest.rs`.
 //!
-//! Migrating from the synchronous `&mut self` surface: [`ClusterService::single_shard`] is
-//! still the drop-in successor of `ClusteringEngine::new`, the old `submit`/`flush`/`snapshot`
-//! methods remain as a deprecated shim delegating to the same internals, and the README's
-//! "Concurrent ingest" section has a call-by-call migration table.
+//! [`ClusterService::single_shard`] is the one-engine, no-spill configuration for callers
+//! that do not need sharding.
+//!
+//! ## Fault tolerance
+//!
+//! Every shard flush runs under `catch_unwind`: a torn shard is quarantined (its last
+//! published epoch keeps serving, stale-flagged) while the rest of the service carries on, and
+//! [`ClusterService::recover_shard`] rebuilds it from its private log — an image of the
+//! shard's live edges plus the suffix of events routed since. Boot recovery of a
+//! [durable](ServiceBuilder::durable) service takes the same rebuild path from the
+//! checkpoint's images, then replays the write-ahead log's tail. The per-shard log is folded
+//! back into its image as the stream advances, so its memory is bounded by the live edges,
+//! not by the length of the stream.
 
 #![warn(missing_docs)]
 

@@ -117,7 +117,7 @@ pub struct Metrics {
     /// Shards the service has quarantined after a torn flush panic (a lifetime count of
     /// quarantine events, not a gauge of currently quarantined shards).
     pub shards_quarantined: u64,
-    /// Quarantined shards rebuilt by journal replay (`ClusterService::recover_shard`).
+    /// Quarantined shards rebuilt from their log (`ClusterService::recover_shard`).
     pub shard_recoveries: u64,
     /// Wire exchanges retried by a `WireSubscriber` after a failed attempt. Zero on
     /// service-side metrics — the counter lives in the subscriber; wire clients fold their

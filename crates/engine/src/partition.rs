@@ -41,6 +41,16 @@ impl ShardId {
     pub fn is_spill(&self) -> bool {
         matches!(self, ShardId::Spill)
     }
+
+    /// The id of engine slot `index` on a service with `num_shards` routed shards: routed
+    /// shards first, the spill shard last.
+    pub(crate) fn of_slot(index: usize, num_shards: usize) -> Self {
+        if index < num_shards {
+            ShardId::Routed(index)
+        } else {
+            ShardId::Spill
+        }
+    }
 }
 
 impl std::fmt::Display for ShardId {

@@ -9,12 +9,21 @@
 //!
 //! Flat clusterings are memoised per `(snapshot, threshold)`: the first query at a threshold
 //! pays one union-find pass, repeats are a map lookup returning a shared `Arc`.
+//!
+//! A sharded service serves a [`ServiceSnapshot`]: one [`EngineSnapshot`] per shard, merged
+//! lazily (and memoised the same way) into the answers a single engine would give.
 
+use crate::delta::merge_flat_clusterings;
+use crate::partition::ShardId;
+use crate::service::ShardHealth;
 use dynsld::{DendrogramSnapshot, FlatClustering};
 use dynsld_forest::{VertexId, Weight};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
+
+#[cfg(doc)]
+use crate::{Metrics, ReadHandle};
 
 /// Shared cache-effectiveness counters, aggregated across all snapshots of one engine.
 #[derive(Debug, Default)]
@@ -168,6 +177,192 @@ impl EngineSnapshot {
     /// The single-linkage merge distance between `u` and `v`, or `None` if disconnected.
     pub fn merge_height_between(&self, u: VertexId, v: VertexId) -> Option<Weight> {
         self.inner.dendro.merge_height_between(u, v)
+    }
+}
+
+#[derive(Debug)]
+struct ServiceSnapshotInner {
+    /// The service revision: how many merged views have been published before this one.
+    /// Strictly increasing by one per publish — the anchor of the delta protocol.
+    revision: u64,
+    /// Per-shard snapshots, routed shards first, spill shard last.
+    shards: Vec<EngineSnapshot>,
+    /// Per-shard health at publish time, aligned with `shards`. A quarantined entry means
+    /// that shard's snapshot is its last pre-panic publication — served stale, by design.
+    health: Vec<ShardHealth>,
+    /// Merged flat clusterings by threshold, shared across every clone of this view.
+    merged: ThresholdCache,
+}
+
+/// An immutable merged view over one [`EngineSnapshot`] per shard.
+///
+/// Cheap to clone (`Arc`), `Send + Sync`, and frozen: it keeps answering from the per-shard
+/// states it was built from, no matter what the service does afterwards. Merged flat
+/// clusterings are computed lazily — the first query at a threshold pays one union-find pass
+/// over the per-shard clusterings, repeats hit a per-snapshot cache. Because the shard edge
+/// sets partition the graph's edges, the merged answers are *exactly* those of a single
+/// engine fed the same stream.
+#[derive(Clone, Debug)]
+pub struct ServiceSnapshot {
+    inner: Arc<ServiceSnapshotInner>,
+}
+
+impl ServiceSnapshot {
+    pub(crate) fn merge(
+        shards: Vec<EngineSnapshot>,
+        revision: u64,
+        health: Vec<ShardHealth>,
+    ) -> Self {
+        debug_assert!(!shards.is_empty());
+        debug_assert_eq!(shards.len(), health.len());
+        // Healthy shards must agree on the vertex set; a quarantined shard may lag behind
+        // (vertex growth after its panic is logged, not applied to the torn engine).
+        debug_assert!(
+            {
+                let healthy_n: Vec<usize> = shards
+                    .iter()
+                    .zip(&health)
+                    .filter(|(_, h)| !h.is_quarantined())
+                    .map(|(s, _)| s.num_vertices())
+                    .collect();
+                healthy_n.windows(2).all(|w| w[0] == w[1])
+            },
+            "healthy shards must agree on the vertex set"
+        );
+        ServiceSnapshot {
+            inner: Arc::new(ServiceSnapshotInner {
+                revision,
+                shards,
+                health,
+                merged: ThresholdCache::default(),
+            }),
+        }
+    }
+
+    /// The service revision of this view: 0 for the initial (empty) publication, then +1 per
+    /// publish. Two views of one service with equal revisions are the same view; the delta
+    /// protocol ([`ReadHandle::sync_from`]) is anchored on it.
+    pub fn revision(&self) -> u64 {
+        self.inner.revision
+    }
+
+    /// The per-shard epoch vector this view was taken at (routed shards first, spill last).
+    pub fn epochs(&self) -> Vec<u64> {
+        self.inner
+            .shards
+            .iter()
+            .map(EngineSnapshot::epoch)
+            .collect()
+    }
+
+    /// The per-shard snapshots backing this view, in shard order.
+    pub fn shard_snapshots(&self) -> &[EngineSnapshot] {
+        &self.inner.shards
+    }
+
+    /// Number of vertices. With a quarantined shard in the view this is the *largest*
+    /// per-shard vertex count: a stale shard that panicked before a vertex-set growth lags
+    /// behind its healthy siblings, and merged answers are sized for the grown set (the
+    /// stale shard simply contributes no edges among the vertices it has never seen).
+    pub fn num_vertices(&self) -> usize {
+        self.inner
+            .shards
+            .iter()
+            .map(EngineSnapshot::num_vertices)
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Per-shard health at publish time, aligned with [`ServiceSnapshot::shard_snapshots`].
+    pub fn shard_health(&self) -> &[ShardHealth] {
+        &self.inner.health
+    }
+
+    /// Whether any shard in this view is quarantined — i.e. whether some of the merged
+    /// answers come from a last-known-good state rather than the live stream. Strict
+    /// readers reject such views ([`ReadHandle::snapshot_strict`]); availability-first
+    /// readers serve them and count [`Metrics::stale_reads_served`].
+    pub fn is_stale(&self) -> bool {
+        self.inner.health.iter().any(ShardHealth::is_quarantined)
+    }
+
+    /// The quarantined shards in this view, by id (empty when fresh).
+    pub fn stale_shards(&self) -> Vec<ShardId> {
+        let num_shards = self.inner.health.len().saturating_sub(1).max(1);
+        self.inner
+            .health
+            .iter()
+            .enumerate()
+            .filter(|(_, h)| h.is_quarantined())
+            .map(|(idx, _)| ShardId::of_slot(idx, num_shards))
+            .collect()
+    }
+
+    /// Number of alive graph edges across all shards (the shard edge sets are disjoint, so
+    /// this is exactly the full graph's edge count).
+    pub fn num_graph_edges(&self) -> usize {
+        self.inner
+            .shards
+            .iter()
+            .map(EngineSnapshot::num_graph_edges)
+            .sum()
+    }
+
+    /// Number of connected components of the full graph (all shards merged).
+    pub fn num_components(&self) -> usize {
+        self.flat_clustering(f64::INFINITY).num_clusters()
+    }
+
+    /// The merged flat clustering at threshold `tau`, memoised per snapshot. Labels are
+    /// canonical within one (epoch vector, `tau`) pair: numbered by smallest member vertex,
+    /// member lists sorted ascending.
+    pub fn flat_clustering(&self, tau: Weight) -> Arc<FlatClustering> {
+        if self.inner.shards.len() == 1 {
+            // Single shard: the engine's own (already canonical, already cached) clustering.
+            return self.inner.shards[0].flat_clustering(tau);
+        }
+        if let Some(hit) = self.inner.merged.lookup(tau) {
+            return hit;
+        }
+        // Compute outside the lock (racing readers compute equal values; first commit wins).
+        let computed = self.merge_clustering(tau);
+        self.inner.merged.commit(tau, computed)
+    }
+
+    /// One union-find pass over the per-shard clusterings: since the shard edge sets
+    /// partition the graph's edges, gluing per-shard clusters together yields exactly the
+    /// connected components of the full graph restricted to edges of weight `<= tau`. The
+    /// glue itself is [`merge_flat_clusterings`], shared with the `dynsld-serve` mirror so
+    /// replayed views are bit-identical to served ones.
+    fn merge_clustering(&self, tau: Weight) -> FlatClustering {
+        let parts: Vec<Arc<FlatClustering>> = self
+            .inner
+            .shards
+            .iter()
+            .map(|shard| shard.flat_clustering(tau))
+            .collect();
+        merge_flat_clusterings(parts.iter().map(Arc::as_ref), self.num_vertices())
+    }
+
+    /// The cluster label of `v` at threshold `tau` (canonical per epoch vector and `tau`).
+    pub fn cluster_id(&self, v: VertexId, tau: Weight) -> usize {
+        self.flat_clustering(tau).labels[v.index()]
+    }
+
+    /// Size of the cluster containing `v` at threshold `tau`.
+    pub fn cluster_size(&self, v: VertexId, tau: Weight) -> usize {
+        let clustering = self.flat_clustering(tau);
+        clustering.clusters[clustering.labels[v.index()]].len()
+    }
+
+    /// Whether `u` and `v` share a cluster at threshold `tau`.
+    pub fn same_cluster(&self, u: VertexId, v: VertexId, tau: Weight) -> bool {
+        self.flat_clustering(tau).same_cluster(u, v)
+    }
+
+    /// Number of clusters at threshold `tau`.
+    pub fn num_clusters(&self, tau: Weight) -> usize {
+        self.flat_clustering(tau).num_clusters()
     }
 }
 

@@ -14,8 +14,7 @@
 //! write every measurement taken in the process — id, mean ns/op, iteration
 //! count, derived throughput — to `<path>` as a single JSON document. The file
 //! is rewritten after each benchmark group with the accumulated results, so it
-//! is complete whenever the process exits normally. This is how the repo's
-//! committed `BENCH_PR*.json` trajectory files are produced. Benches can also
+//! is complete whenever the process exits normally. Benches can also
 //! attach non-timing scalars (e.g. a partitioner's spill share) to the same
 //! document with [`record_quality`].
 //!

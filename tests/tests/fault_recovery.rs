@@ -1,6 +1,6 @@
 //! Fault isolation and recovery: an injected panic mid-flush must quarantine exactly one
 //! shard while the service keeps serving (stale-flagged) and accepting ingest, and
-//! journal-replay recovery must land **bit-identical** to a no-fault oracle fed the same
+//! recovery from the shard's log must land **bit-identical** to a no-fault oracle fed the same
 //! stream — canonical labels AND sorted member lists, across shard counts × flush policies
 //! × partitioners. The wire half: a subscriber must survive a server kill/restart and
 //! injected torn writes mid-delta-chain with zero divergence from the published view.
@@ -127,6 +127,94 @@ proptest! {
             &format!("seed={seed} spec={spec} policy={policy:?} stale={stale:?}"),
         );
     }
+}
+
+/// The shard log's two halves, both exercised: the vertex set grows, a later flush folds the
+/// log (so the growth lands in the image's vertex count), the vertex set grows again (a
+/// `Grow` entry in the suffix), and only then does shard 0 tear. Recovery must replay exactly
+/// the events routed since the fold — not the whole history — and still land bit-identical
+/// to the oracle, on the grown vertex set.
+fn fold_between_growth_and_quarantine(greedy: bool) {
+    use dynsld_engine::GraphUpdate;
+    use dynsld_forest::VertexId;
+    let n = 24;
+    let build = |faults: FaultPlan| {
+        let builder = ServiceBuilder::new().vertices(n).shards(2).faults(faults);
+        let builder = if greedy {
+            builder.stateful_partitioner(GreedyPartitioner::default())
+        } else {
+            builder.partitioner(HashPartitioner)
+        };
+        builder.build().expect("valid configuration")
+    };
+    let stream = GraphWorkloadBuilder::new(n)
+        .weight_scale(8.0)
+        .churn_stream(2 * n, 360, 5);
+    let parts: Vec<&[_]> = stream.chunks(120).collect();
+    let spec = "flush_panic=shard:0,flush:3";
+    let mut faulted = build(FaultPlan::parse(spec).expect("valid spec")).into_driver();
+    let mut oracle = build(FaultPlan::disabled()).into_driver();
+    let shard0_load = |driver: &FlusherDriver| driver.service().shard_event_loads()[0].1;
+    let mut load_at_fold = 0;
+    for driver in [&mut faulted, &mut oracle] {
+        let ingest = driver.service().ingest_handle();
+        ingest.submit_all(parts[0].iter().copied()).unwrap();
+        drain(driver);
+        driver.add_vertices(3);
+        // Shard 0's second flush: its suffix has outgrown its image, so the log folds here.
+        ingest.submit_all(parts[1].iter().copied()).unwrap();
+        drain(driver);
+        load_at_fold = shard0_load(driver);
+        driver.add_vertices(2);
+        // Shard 0's third flush tears (on the faulted service).
+        ingest.submit_all(parts[2].iter().copied()).unwrap();
+        drain(driver);
+        // While quarantined: an edge on the newest vertex that routes to shard 0, so the
+        // replay needs the image's vertex count *and* the suffix's `Grow` to accept it.
+        let newest = VertexId((n + 4) as u32);
+        let partner = (0..n as u32)
+            .map(VertexId)
+            .find(|&v| driver.service().route(v, newest) == ShardId::Routed(0))
+            .expect("some vertex pairs with the newest one on shard 0");
+        ingest
+            .submit(GraphUpdate::Insert {
+                u: partner,
+                v: newest,
+                weight: 0.5,
+            })
+            .unwrap();
+        drain(driver);
+    }
+    assert_eq!(
+        faulted.service().published().stale_shards(),
+        vec![ShardId::Routed(0)]
+    );
+    let since_fold = shard0_load(&faulted) - load_at_fold;
+    let report = faulted
+        .recover_shard(ShardId::Routed(0))
+        .expect("replay of a valid stream");
+    assert!(report.rejected.is_empty(), "{:?}", report.rejected);
+    assert_eq!(
+        report.events_replayed as u64, since_fold,
+        "only the suffix since the fold is replayed, not shard 0's whole history"
+    );
+    assert!(load_at_fold > 0 && since_fold > 0);
+    assert_views_bit_identical(
+        &faulted.service().published(),
+        &oracle.service().published(),
+        &format!("fold between growth and quarantine, greedy={greedy}"),
+    );
+    assert_eq!(faulted.service().published().num_vertices(), n + 5);
+}
+
+#[test]
+fn fold_between_growth_and_quarantine_hash_partitioner() {
+    fold_between_growth_and_quarantine(false);
+}
+
+#[test]
+fn fold_between_growth_and_quarantine_greedy_partitioner() {
+    fold_between_growth_and_quarantine(true);
 }
 
 /// A torn flush leaves the service serving the shard's last-published epoch, flagged stale:
