@@ -16,6 +16,12 @@
 //! * `delta_serving/payload` — `delta_bytes` (one small publish step encoded as a wire
 //!   patch) vs `full_snapshot_bytes` (the same state as a full wire snapshot), and
 //!   `delta_bytes_ratio`. Acceptance: ratio ≤ 0.10.
+//! * `delta_serving/publish_vs_m` — one single-event publish (submit → pump → flush, which
+//!   splices the export and builds the `SnapshotDelta`) plus an explicit
+//!   `SnapshotDelta::between` over the last two views, at m ∈ {1 k, 8 k, 64 k} live edges of
+//!   a sub-critical graph (n = 2.5 m). Exports share every chunk a publish leaves alone, so
+//!   both lines should stay flat in m; `chunks_shared_share` in the quality record says how
+//!   much of the export each publish carried over.
 //! * `delta_serving/faults` — the six robustness counters after a scripted
 //!   quarantine/recover round and a torn-write wire exchange, with the subscriber's
 //!   client-side [`WireStats`](dynsld_serve::WireStats) folded in through
@@ -25,7 +31,7 @@ use criterion::{
     black_box, criterion_group, criterion_main, record_quality, BenchmarkId, Criterion,
 };
 use dynsld_engine::{
-    FaultPlan, FlushPolicy, GreedyPartitioner, Metrics, ServiceBuilder, SyncResponse,
+    FaultPlan, FlushPolicy, GreedyPartitioner, Metrics, ServiceBuilder, SnapshotDelta, SyncResponse,
 };
 use dynsld_forest::workload::{GraphUpdate, GraphWorkloadBuilder};
 use dynsld_forest::VertexId;
@@ -297,5 +303,101 @@ fn bench_delta_serving(c: &mut Criterion) {
     );
 }
 
-criterion_group!(benches, bench_delta_serving);
+/// A one-shard service holding the first `m` edges of a sub-critical sliding-window stream,
+/// and those edges: deleting one and inserting it back is a valid single-event publish
+/// forever, so the timed loop never runs out of stream.
+fn trickle_service(
+    m: usize,
+) -> (
+    dynsld_engine::IngestHandle,
+    dynsld_engine::ReadHandle,
+    dynsld_engine::FlusherDriver,
+    Vec<GraphUpdate>,
+) {
+    let edges = GraphWorkloadBuilder::new(m * 5 / 2).sliding_window_stream(m, m, 11);
+    assert_eq!(edges.len(), m);
+    let service = ServiceBuilder::new()
+        .vertices(m * 5 / 2)
+        .shards(1)
+        .flush_policy(FlushPolicy::Manual)
+        .delta_ring(16)
+        .build()
+        .expect("valid configuration");
+    let ingest = service.ingest_handle();
+    let read = service.read_handle();
+    let mut driver = service.into_driver();
+    // Below the queue's capacity: the submitting thread is also the one that drains it.
+    for chunk in edges.chunks(512) {
+        ingest
+            .submit_all(chunk.iter().copied())
+            .expect("valid stream");
+        driver.pump().expect("validated stream");
+        driver.flush().expect("validated stream");
+    }
+    (ingest, read, driver, edges)
+}
+
+/// The `step`-th event of the endless toggle stream over `edges`: delete edge `k`, then
+/// insert it back, for `k = 0, 1, …` cyclically.
+fn toggle(edges: &[GraphUpdate], step: usize) -> GraphUpdate {
+    let insert = edges[(step / 2) % edges.len()];
+    match insert {
+        GraphUpdate::Insert { u, v, .. } if step.is_multiple_of(2) => GraphUpdate::Delete { u, v },
+        _ => insert,
+    }
+}
+
+fn bench_publish_vs_m(c: &mut Criterion) {
+    let mut group = c.benchmark_group("delta_serving/publish_vs_m");
+    for m in [1_000usize, 8_000, 64_000] {
+        let (ingest, read, mut driver, edges) = trickle_service(m);
+        let mut step = 0;
+        let mut publish = |step: &mut usize| {
+            ingest.submit(toggle(&edges, *step)).expect("valid event");
+            *step += 1;
+            driver.pump().expect("validated stream");
+            driver.flush().expect("validated stream");
+        };
+        group.bench_function(BenchmarkId::new("flush", m), |b| {
+            b.iter(|| {
+                publish(&mut step);
+                black_box(read.revision())
+            })
+        });
+        group.bench_function(BenchmarkId::new("delta_between", m), |b| {
+            let before = read.snapshot();
+            publish(&mut step);
+            let after = read.snapshot();
+            b.iter(|| black_box(SnapshotDelta::between(&before, &after, &[]).num_changes()))
+        });
+        // How much of the export a publish carries over, from the pointers themselves.
+        let before = read.snapshot();
+        publish(&mut step);
+        let after = read.snapshot();
+        let old = before.shard_snapshots()[0].dendrogram().nodes.chunks();
+        let new = after.shard_snapshots()[0].dendrogram().nodes.chunks();
+        let shared = new
+            .iter()
+            .filter(|chunk| old.iter().any(|o| std::sync::Arc::ptr_eq(o, chunk)))
+            .count();
+        record_quality(
+            format!("delta_serving/publish_vs_m/{m}"),
+            &[
+                (
+                    "tree_edges",
+                    after.shard_snapshots()[0].num_tree_edges() as f64,
+                ),
+                ("chunks", new.len() as f64),
+                ("chunks_shared_share", shared as f64 / new.len() as f64),
+                (
+                    "delta_changes",
+                    SnapshotDelta::between(&before, &after, &[]).num_changes() as f64,
+                ),
+            ],
+        );
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_delta_serving, bench_publish_vs_m);
 criterion_main!(benches);

@@ -73,7 +73,7 @@ pub use cartesian::CartesianTree;
 pub use dendrogram::Dendrogram;
 pub use dynsld::{DynSld, DynSldError, DynSldOptions, ForestBackend, UpdateStats, UpdateStrategy};
 pub use queries::FlatClustering;
-pub use snapshot::{DendrogramSnapshot, ExportStats, SnapshotNode};
+pub use snapshot::{DendrogramSnapshot, ExportStats, RankedNodes, SnapshotNode};
 pub use static_sld::{static_sld_kruskal, static_sld_parallel};
 
 // Re-export the building-block crates so downstream users need a single dependency.

@@ -2,15 +2,42 @@
 //!
 //! [`DynSld`] is a mutable structure whose queries partly require `&mut self` (the link-cut
 //! trees splay on reads), so it cannot be shared with concurrent readers. A
-//! [`DendrogramSnapshot`] is a flat, self-contained copy of the current dendrogram — one record
-//! per alive edge with endpoints, weight, and dendrogram parent, sorted by rank — that answers
-//! the common clustering queries *immutably* (`&self`), is `Send + Sync`, and is cheap to ship
+//! [`DendrogramSnapshot`] is a self-contained copy of the current dendrogram — one record per
+//! alive edge with endpoints, weight, and dendrogram parent, in rank order — that answers the
+//! common clustering queries *immutably* (`&self`), is `Send + Sync`, and is cheap to ship
 //! across threads. The serving layer (`dynsld-engine`) publishes one snapshot per ingest epoch
 //! so that readers never observe a half-applied batch.
+//!
+//! # The record sequence: [`RankedNodes`]
+//!
+//! The records live in a persistent chunked sequence: a vector of `Arc<[SnapshotNode]>`
+//! chunks whose concatenation is strictly rank-sorted. Chunk invariants, kept by every
+//! constructor (the fields are private):
+//!
+//! * no chunk is empty and no chunk holds more than `2 * CHUNK` records;
+//! * a sequence of two or more chunks has no chunk below `CHUNK / 2` records (a lone chunk
+//!   may be any size up to `2 * CHUNK`; the empty sequence has no chunk).
+//!
+//! An export after a small change ([`DynSld::export_snapshot_incremental`]) *splices*: it
+//! clones the chunk-pointer vector and rewrites only the chunks a changed rank key lands in
+//! (plus at most one neighbour when a rewritten run falls below `CHUNK / 2`), each at most
+//! once — `O(m / CHUNK + k * CHUNK + k log m)` for `k` changed records instead of `Θ(m)`.
+//! Every other chunk is the *same allocation* in the previous snapshot, the new snapshot and
+//! the exporter's cache, so cloning a snapshot copies pointers, and a consumer comparing two
+//! snapshots can skip a chunk both hold ([`Arc::ptr_eq`]) without reading it.
+//!
+//! Sharing is sound because nothing is ever written through a published chunk: a chunk is
+//! immutable from the moment it is sealed (a splice builds new chunks, it never edits one),
+//! and an edge record is immutable per id per export window — the exporter re-reads exactly
+//! the ids marked dirty since the last export, and a record of a non-dirty id is provably
+//! unchanged (weight and endpoints are fixed for the lifetime of an id; every parent change,
+//! deletion and id reuse marks the id). A held snapshot therefore keeps answering for its
+//! version however many later exports share its chunks.
 
 use crate::dynsld::DynSld;
 use crate::queries::FlatClustering;
-use dynsld_forest::{EdgeId, VertexId, Weight};
+use dynsld_forest::{EdgeId, RankKey, VertexId, Weight};
+use std::sync::Arc;
 
 /// One dendrogram node in a snapshot: an input-forest edge plus its dendrogram parent.
 #[derive(Copy, Clone, Debug, PartialEq)]
@@ -25,6 +52,248 @@ pub struct SnapshotNode {
     pub weight: Weight,
     /// Dendrogram parent, if any.
     pub parent: Option<EdgeId>,
+}
+
+impl SnapshotNode {
+    /// The record's position in rank order: `(weight, edge id)` ascending, total on all
+    /// floats (`-0.0` ranks before `0.0`).
+    pub fn rank_key(&self) -> RankKey {
+        RankKey::new(self.weight, self.edge)
+    }
+}
+
+/// Target chunk length of [`RankedNodes`]: chunks are split above twice this and merged
+/// below half of it. Unit tests shrink it so that a few dozen records already exercise
+/// splits, merges and multi-chunk splices.
+const CHUNK: usize = if cfg!(test) { 4 } else { 64 };
+const CHUNK_MIN: usize = CHUNK / 2;
+const CHUNK_MAX: usize = 2 * CHUNK;
+
+/// A persistent rank-ordered sequence of [`SnapshotNode`]s (see the [module docs](self) for
+/// the chunk invariants). Cloning copies one pointer per chunk; equality is by content,
+/// whatever the chunk boundaries.
+#[derive(Clone, Debug, Default)]
+pub struct RankedNodes {
+    chunks: Vec<Arc<[SnapshotNode]>>,
+    len: usize,
+}
+
+impl PartialEq for RankedNodes {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.iter().eq(other.iter())
+    }
+}
+
+impl RankedNodes {
+    /// Chunks a rank-sorted record list. The caller vouches for the order: consumers merge
+    /// linearly and the splice binary-searches chunk heads.
+    pub fn from_sorted(nodes: &[SnapshotNode]) -> RankedNodes {
+        let mut builder = RankedNodesBuilder::with_chunk_capacity(nodes.len() / CHUNK + 1);
+        builder.seal_evenly(nodes);
+        builder.finish()
+    }
+
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the sequence holds no record.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The records in rank order.
+    pub fn iter(&self) -> impl Iterator<Item = &SnapshotNode> + Clone + '_ {
+        self.chunks.iter().flat_map(|chunk| chunk.iter())
+    }
+
+    /// The chunks in rank order. Two sequences holding the same `Arc` hold the same records
+    /// there — consumers walking two related snapshots use it to skip the unchanged bulk.
+    pub fn chunks(&self) -> &[Arc<[SnapshotNode]>] {
+        &self.chunks
+    }
+
+    /// A flat copy of the records.
+    pub fn to_vec(&self) -> Vec<SnapshotNode> {
+        let mut out = Vec::with_capacity(self.len);
+        for chunk in &self.chunks {
+            out.extend_from_slice(chunk);
+        }
+        out
+    }
+
+    /// The chunk at or after `from` that `key` lands in: the last one whose head is `<= key`
+    /// (the first chunk for a key below every head). Requires a non-empty sequence.
+    fn landing_chunk(&self, from: usize, key: RankKey) -> usize {
+        let heads_at_or_below = self.chunks[from..].partition_point(|c| c[0].rank_key() <= key);
+        from + heads_at_or_below.saturating_sub(1)
+    }
+
+    /// The sequence with `edits` applied, plus the number of chunks it had to allocate; all
+    /// other chunks are shared with `self`. The edits are sorted by key, one per key.
+    fn splice(&self, edits: &[Edit]) -> (RankedNodes, usize) {
+        if edits.is_empty() {
+            return (self.clone(), 0);
+        }
+        let mut builder = RankedNodesBuilder::with_chunk_capacity(self.chunks.len() + 1);
+        if self.chunks.is_empty() {
+            // Everything is new.
+            for edit in edits {
+                builder.extend_from_slice(edit.put.as_slice());
+            }
+            return builder.finish_counted();
+        }
+        let mut edits = edits.iter().peekable();
+        let mut next = 0;
+        while let Some(first) = edits.peek() {
+            // Every outstanding key is at or above the head of chunk `next`: the previous
+            // round consumed everything below it.
+            let at = self.landing_chunk(next, first.key);
+            for chunk in &self.chunks[next..at] {
+                builder.share(chunk);
+            }
+            // This chunk takes every key below the next chunk's head; between two keys its
+            // records are copied as one run.
+            let upper = self.chunks.get(at + 1).map(|c| c[0].rank_key());
+            let mut rest: &[SnapshotNode] = &self.chunks[at];
+            while let Some(edit) = edits.next_if(|e| upper.is_none_or(|u| e.key < u)) {
+                let run = rest.iter().take_while(|n| n.rank_key() < edit.key).count();
+                builder.extend_from_slice(&rest[..run]);
+                rest = &rest[run..];
+                let replaces = rest.first().is_some_and(|n| n.rank_key() == edit.key);
+                rest = &rest[usize::from(replaces)..];
+                match edit.put {
+                    Some(node) => builder.push(node),
+                    // The exporter took the key from the export being spliced.
+                    None => debug_assert!(replaces, "{:?} is not in the export", edit.key),
+                }
+            }
+            builder.extend_from_slice(rest);
+            next = at + 1;
+        }
+        for chunk in &self.chunks[next..] {
+            builder.share(chunk);
+        }
+        builder.finish_counted()
+    }
+}
+
+/// One change to a [`RankedNodes`]: the record at `key`, if there is one, goes, and `put`, if
+/// any, takes that place in rank order (`put.rank_key() == key`).
+#[derive(Copy, Clone, Debug)]
+struct Edit {
+    key: RankKey,
+    put: Option<SnapshotNode>,
+}
+
+/// Builds a [`RankedNodes`] front to back from single records and from whole chunks of an
+/// existing sequence, keeping the chunk invariants. The one constructor behind
+/// [`RankedNodes::from_sorted`], the exporter's splice and delta replay.
+#[derive(Debug, Default)]
+pub struct RankedNodesBuilder {
+    chunks: Vec<Arc<[SnapshotNode]>>,
+    len: usize,
+    /// Records appended since the last seal, not yet in a chunk.
+    pending: Vec<SnapshotNode>,
+    /// How many of `chunks` this builder allocated (the rest were shared in).
+    sealed: usize,
+    /// Whether the last of `chunks` is one of those.
+    last_sealed: bool,
+}
+
+impl RankedNodesBuilder {
+    /// An empty builder with room for `chunks` chunk pointers.
+    pub fn with_chunk_capacity(chunks: usize) -> RankedNodesBuilder {
+        RankedNodesBuilder {
+            chunks: Vec::with_capacity(chunks),
+            ..RankedNodesBuilder::default()
+        }
+    }
+
+    /// Appends one record (rank above everything appended so far).
+    pub fn push(&mut self, node: SnapshotNode) {
+        self.pending.push(node);
+        if self.pending.len() > CHUNK_MAX {
+            self.seal_pending();
+        }
+    }
+
+    /// Appends a run of records (ranks ascending, above everything appended so far).
+    fn extend_from_slice(&mut self, nodes: &[SnapshotNode]) {
+        self.pending.extend_from_slice(nodes);
+        if self.pending.len() > CHUNK_MAX {
+            self.seal_pending();
+        }
+    }
+
+    /// Appends a whole chunk of an existing sequence (ranks above everything appended so
+    /// far) without copying it — unless the records pushed just before it are too few to
+    /// stand as a chunk of their own, in which case the run absorbs it.
+    pub fn share(&mut self, chunk: &Arc<[SnapshotNode]>) {
+        let stands_alone = chunk.len() >= CHUNK_MIN;
+        if stands_alone && self.pending.len() >= CHUNK_MIN {
+            self.seal_pending();
+        }
+        if stands_alone && self.pending.is_empty() {
+            self.chunks.push(Arc::clone(chunk));
+            self.len += chunk.len();
+            self.last_sealed = false;
+        } else {
+            self.pending.extend_from_slice(chunk);
+        }
+    }
+
+    /// The finished sequence.
+    pub fn finish(self) -> RankedNodes {
+        self.finish_counted().0
+    }
+
+    /// The finished sequence and the number of its chunks this builder allocated.
+    fn finish_counted(mut self) -> (RankedNodes, usize) {
+        if !self.pending.is_empty() && self.pending.len() < CHUNK_MIN {
+            // A short tail cannot stand alone next to other chunks: it joins the last one.
+            if let Some(last) = self.chunks.pop() {
+                self.len -= last.len();
+                self.sealed -= usize::from(self.last_sealed);
+                let mut joined = last.to_vec();
+                joined.append(&mut self.pending);
+                self.pending = joined;
+            }
+        }
+        self.seal_pending();
+        let nodes = RankedNodes {
+            chunks: self.chunks,
+            len: self.len,
+        };
+        (nodes, self.sealed)
+    }
+
+    /// Seals `records` as chunks of `CHUNK..2 * CHUNK` records each, evenly sized (one
+    /// chunk, of any size, for fewer than `2 * CHUNK` records; none for none).
+    fn seal_evenly(&mut self, records: &[SnapshotNode]) {
+        if records.is_empty() {
+            return;
+        }
+        let pieces = (records.len() / CHUNK).max(1);
+        let (base, longer) = (records.len() / pieces, records.len() % pieces);
+        let mut rest = records;
+        for piece in 0..pieces {
+            let (head, tail) = rest.split_at(base + usize::from(piece < longer));
+            self.chunks.push(Arc::from(head));
+            rest = tail;
+        }
+        self.len += records.len();
+        self.sealed += pieces;
+        self.last_sealed = true;
+    }
+
+    fn seal_pending(&mut self) {
+        let pending = std::mem::take(&mut self.pending);
+        self.seal_evenly(&pending);
+        self.pending = pending;
+        self.pending.clear();
+    }
 }
 
 /// Path-compressing find over a flat parent array — the union-find primitive shared by the
@@ -43,10 +312,10 @@ fn find(parent: &mut [u32], x: u32) -> u32 {
     root
 }
 
-/// A flat, immutable copy of a [`DynSld`] dendrogram at one structural version.
+/// An immutable copy of a [`DynSld`] dendrogram at one structural version.
 ///
-/// Nodes are sorted by rank (`(weight, edge id)` ascending), so a prefix of the node list is
-/// exactly the set of merges performed up to any threshold — threshold queries are prefix
+/// Nodes are sorted by rank (`(weight, edge id)` ascending), so a prefix of the node sequence
+/// is exactly the set of merges performed up to any threshold — threshold queries are prefix
 /// scans, and flat clusterings are a single union-find pass over the prefix.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DendrogramSnapshot {
@@ -55,7 +324,7 @@ pub struct DendrogramSnapshot {
     /// Number of vertices of the input forest.
     pub num_vertices: usize,
     /// All alive dendrogram nodes, sorted by rank.
-    pub nodes: Vec<SnapshotNode>,
+    pub nodes: RankedNodes,
 }
 
 impl DendrogramSnapshot {
@@ -69,6 +338,24 @@ impl DendrogramSnapshot {
         self.num_vertices - self.nodes.len()
     }
 
+    /// Union-find over the merges of weight `<= tau`, every root the smallest vertex of its
+    /// cluster.
+    fn merged_up_to(&self, tau: Weight) -> Vec<u32> {
+        let mut parent: Vec<u32> = (0..self.num_vertices as u32).collect();
+        // Nodes are rank-sorted, so the merges below the threshold are a prefix.
+        for node in self.nodes.iter() {
+            if node.weight > tau {
+                break;
+            }
+            let a = find(&mut parent, node.u.0);
+            let b = find(&mut parent, node.v.0);
+            // Union by smaller root id keeps the representative canonical (the smallest
+            // vertex of the cluster), which makes labels deterministic.
+            parent[a.max(b) as usize] = a.min(b);
+        }
+        parent
+    }
+
     /// The flat clustering at threshold `tau` (all merges of weight `<= tau` applied).
     ///
     /// Labels are canonical: clusters are numbered by their smallest member vertex, in
@@ -76,21 +363,7 @@ impl DendrogramSnapshot {
     /// produce identical `FlatClustering` values. `O(n α(n))`.
     pub fn flat_clustering(&self, tau: Weight) -> FlatClustering {
         let n = self.num_vertices;
-        let mut parent: Vec<u32> = (0..n as u32).collect();
-        // Nodes are rank-sorted, so the merges below the threshold are a prefix.
-        for node in &self.nodes {
-            if node.weight > tau {
-                break;
-            }
-            let a = find(&mut parent, node.u.0);
-            let b = find(&mut parent, node.v.0);
-            if a != b {
-                // Union by smaller root id keeps the representative canonical (the smallest
-                // vertex of the cluster), which makes labels deterministic.
-                let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-                parent[hi as usize] = lo;
-            }
-        }
+        let mut parent = self.merged_up_to(tau);
         let mut labels = vec![usize::MAX; n];
         let mut clusters: Vec<Vec<VertexId>> = Vec::new();
         for x in 0..n as u32 {
@@ -109,15 +382,16 @@ impl DendrogramSnapshot {
         FlatClustering { labels, clusters }
     }
 
-    /// Whether `s` and `t` are in the same cluster at threshold `tau`, by bounded union-find.
-    /// `O(m α(n))` worst case — snapshots trade per-query speed for immutability; hot paths
-    /// should go through a cached [`FlatClustering`].
+    /// Whether `s` and `t` are in the same cluster at threshold `tau`: one union-find pass
+    /// over the merges below the threshold, then the two roots compared. `O(m α(n))` worst
+    /// case — snapshots trade per-query speed for immutability; hot paths should go through
+    /// a cached [`FlatClustering`].
     pub fn threshold_connected(&self, s: VertexId, t: VertexId, tau: Weight) -> bool {
         if s == t {
             return true;
         }
-        let clustering = self.flat_clustering(tau);
-        clustering.same_cluster(s, t)
+        let mut parent = self.merged_up_to(tau);
+        find(&mut parent, s.0) == find(&mut parent, t.0)
     }
 
     /// The single-linkage merge distance between `s` and `t` — the weight at which they first
@@ -128,7 +402,7 @@ impl DendrogramSnapshot {
         }
         let n = self.num_vertices;
         let mut parent: Vec<u32> = (0..n as u32).collect();
-        for node in &self.nodes {
+        for node in self.nodes.iter() {
             let a = find(&mut parent, node.u.0);
             let b = find(&mut parent, node.v.0);
             if a != b {
@@ -155,6 +429,11 @@ pub struct ExportStats {
     pub full_rebuilds: u64,
     /// Total dendrogram records re-exported by the splice path (dirty and still alive).
     pub nodes_respliced: u64,
+    /// Total chunks the splice path allocated (see [`RankedNodes`]).
+    pub chunks_rewritten: u64,
+    /// Total chunks the splice path carried over from the previous export unchanged — the
+    /// same allocation in both snapshots.
+    pub chunks_shared: u64,
 }
 
 /// Tracks which dendrogram records may differ from the last exported snapshot.
@@ -167,9 +446,11 @@ pub struct ExportStats {
 /// bounded: past [`ExportTracker::DIRTY_CAP`] it overflows and the next export rebuilds fully.
 ///
 /// Membership is a generation-stamped slot array, not a hash set: `stamp[e] == generation`
-/// means `e` is dirty in the current export window. `touch` dedups with one indexed load, the
-/// splice's drop-stale walk tests each cached record with one indexed load (no hashing on the
-/// `O(m)` path), and invalidation after an export is a single `generation += 1`.
+/// means `e` is dirty in the current export window. `touch` dedups with one indexed load and
+/// invalidation after an export is a single `generation += 1`. A second slot array,
+/// `exported`, holds the weight each edge id had in the cached export (bit-exact; `None` when
+/// the id has no record there), so the splice knows a dirty edge's previous rank key without
+/// looking at the cached records.
 #[derive(Clone, Debug)]
 pub(crate) struct ExportTracker {
     dirty: Vec<EdgeId>,
@@ -177,7 +458,8 @@ pub(crate) struct ExportTracker {
     generation: u64,
     overflowed: bool,
     cached_version: u64,
-    cached_nodes: Option<Vec<SnapshotNode>>,
+    cached_nodes: Option<RankedNodes>,
+    exported: Vec<Option<Weight>>,
     stats: ExportStats,
 }
 
@@ -191,6 +473,7 @@ impl Default for ExportTracker {
             overflowed: false,
             cached_version: 0,
             cached_nodes: None,
+            exported: Vec::new(),
             stats: ExportStats::default(),
         }
     }
@@ -207,27 +490,21 @@ impl ExportTracker {
         if self.overflowed {
             return;
         }
+        let slot = e.index();
+        if slot >= self.stamp.len() {
+            self.stamp.resize(slot + 1, 0);
+        }
+        if self.stamp[slot] == self.generation {
+            return;
+        }
         if self.dirty.len() >= Self::DIRTY_CAP {
             self.overflowed = true;
             self.dirty = Vec::new();
             return;
         }
-        let slot = e.index();
-        if slot >= self.stamp.len() {
-            self.stamp.resize(slot + 1, 0);
-        }
-        if self.stamp[slot] != self.generation {
-            self.stamp[slot] = self.generation;
-            self.dirty.push(e);
-        }
+        self.stamp[slot] = self.generation;
+        self.dirty.push(e);
     }
-}
-
-/// Rank order of snapshot records: `(weight, edge id)` ascending, total on all floats.
-fn rank_cmp(a: &SnapshotNode, b: &SnapshotNode) -> std::cmp::Ordering {
-    a.weight
-        .total_cmp(&b.weight)
-        .then_with(|| a.edge.cmp(&b.edge))
 }
 
 impl DynSld {
@@ -242,99 +519,109 @@ impl DynSld {
         }
     }
 
-    /// The full rank-sorted export — shared by the oracle path and the incremental fallback.
+    /// The full rank-sorted record list — shared by the oracle path and the incremental
+    /// fallback, which chunk it.
     fn rebuild_nodes(&self) -> Vec<SnapshotNode> {
         let mut nodes: Vec<SnapshotNode> = self
             .dendrogram()
             .nodes()
             .map(|e| self.snapshot_node(e))
             .collect();
-        nodes.sort_by(rank_cmp);
+        nodes.sort_by_key(SnapshotNode::rank_key);
         nodes
     }
 
-    /// Exports a flat immutable snapshot of the current dendrogram (see
-    /// [`DendrogramSnapshot`]). `O(m log m)` — always a full rebuild; this is the oracle that
+    /// Exports an immutable snapshot of the current dendrogram (see [`DendrogramSnapshot`]).
+    /// `O(m log m)` — always a full rebuild; this is the oracle that
     /// [`export_snapshot_incremental`](Self::export_snapshot_incremental) is tested against and
     /// falls back to.
     pub fn export_snapshot(&self) -> DendrogramSnapshot {
         DendrogramSnapshot {
             version: self.version(),
             num_vertices: self.num_vertices(),
-            nodes: self.rebuild_nodes(),
+            nodes: RankedNodes::from_sorted(&self.rebuild_nodes()),
         }
     }
 
     /// Exports a snapshot, reusing the previous export where possible.
     ///
     /// Cost is proportional to the records touched since the last export, not `O(m log m)`:
-    /// unchanged calls clone the cached node list; small dirty sets are re-exported and spliced
-    /// into the cached rank order in one linear merge pass; anything else (cold cache, dirty-set
-    /// overflow, or a dirty set large enough that sorting from scratch is comparable) falls back
-    /// to the full rebuild. The result is bit-identical to
-    /// [`export_snapshot`](Self::export_snapshot) at every version — pinned by oracle tests.
+    /// unchanged calls clone the cached chunk list; small dirty sets are re-exported and
+    /// spliced into the cached rank order, rewriting only the chunks they land in and sharing
+    /// the rest with the previous export; anything else (cold cache, dirty-set overflow, or a
+    /// dirty set large enough that sorting from scratch is comparable) falls back to the full
+    /// rebuild. The result is bit-identical to [`export_snapshot`](Self::export_snapshot) at
+    /// every version — pinned by oracle tests.
     pub fn export_snapshot_incremental(&mut self) -> DendrogramSnapshot {
         let version = self.version();
         let num_vertices = self.num_vertices();
-        if self.export.cached_nodes.is_some() && self.export.cached_version == version {
-            // No structural change since the last export (mutations always bump the version).
-            debug_assert!(self.export.dirty.is_empty() && !self.export.overflowed);
-            self.export.stats.cache_hits += 1;
-            let nodes = self.export.cached_nodes.clone().unwrap();
-            return DendrogramSnapshot {
-                version,
-                num_vertices,
-                nodes,
-            };
-        }
-        // Splice only when the dirty set is clearly small relative to the cached export; at a
-        // quarter of `m` the re-sort of the dirty records stops paying for itself.
-        let splice = match &self.export.cached_nodes {
-            Some(nodes) if !self.export.overflowed => {
-                self.export.dirty.len() <= nodes.len() / 4 + 16
+        let cached = match self.export.cached_nodes.take() {
+            Some(nodes) if self.export.cached_version == version => {
+                // No structural change since the last export (mutations always bump the
+                // version).
+                debug_assert!(self.export.dirty.is_empty() && !self.export.overflowed);
+                self.export.stats.cache_hits += 1;
+                self.export.cached_nodes = Some(nodes.clone());
+                return DendrogramSnapshot {
+                    version,
+                    num_vertices,
+                    nodes,
+                };
             }
-            _ => false,
-        };
-        let nodes = if splice {
-            let dirty = std::mem::take(&mut self.export.dirty);
-            let cached = self.export.cached_nodes.take().unwrap();
-            // Re-export the dirty records that are still alive (a dirty id may have been
-            // deleted, or deleted and recycled — the live structure is authoritative).
-            let mut fresh: Vec<SnapshotNode> = dirty
-                .iter()
-                .filter(|&&e| self.dendro.contains(e))
-                .map(|&e| self.snapshot_node(e))
-                .collect();
-            fresh.sort_by(rank_cmp);
-            self.export.stats.incremental_splices += 1;
-            self.export.stats.nodes_respliced += fresh.len() as u64;
-            // One merge pass: cached records of dirty edges are dropped (stale, detected by
-            // one stamp load each), fresh records take their rank-ordered places.
-            let generation = self.export.generation;
-            let stamp = &self.export.stamp;
-            let mut out = Vec::with_capacity(cached.len() + fresh.len());
-            let mut fresh_iter = fresh.iter().peekable();
-            for node in cached
-                .iter()
-                .filter(|n| stamp.get(n.edge.index()).copied() != Some(generation))
+            // Splice only when the dirty set is clearly small relative to the cached export;
+            // at a quarter of `m` the re-sort of the dirty records stops paying for itself.
+            Some(nodes)
+                if !self.export.overflowed && self.export.dirty.len() <= nodes.len() / 4 + 16 =>
             {
-                while let Some(f) = fresh_iter.peek() {
-                    if rank_cmp(f, node) == std::cmp::Ordering::Less {
-                        out.push(**f);
-                        fresh_iter.next();
-                    } else {
-                        break;
-                    }
-                }
-                out.push(*node);
+                Some(nodes)
             }
-            out.extend(fresh_iter.copied());
-            out
+            _ => None,
+        };
+        let nodes = if let Some(cached) = cached {
+            let mut dirty = std::mem::take(&mut self.export.dirty);
+            if self.export.exported.len() < self.export.stamp.len() {
+                self.export.exported.resize(self.export.stamp.len(), None);
+            }
+            // Each dirty id gives up the key it was exported under, and — if it is still
+            // alive (a dirty id may have been deleted, or deleted and recycled; the live
+            // structure is authoritative) — gets a fresh record. A record that kept its
+            // weight is replaced in place: one edit, not two.
+            let mut edits: Vec<Edit> = Vec::with_capacity(dirty.len());
+            let mut respliced = 0;
+            for &e in &dirty {
+                let put = self.dendro.contains(e).then(|| self.snapshot_node(e));
+                let slot = &mut self.export.exported[e.index()];
+                let was = slot.take().map(|weight| RankKey::new(weight, e));
+                let now = put.map(|node| node.rank_key());
+                *slot = put.map(|node| node.weight);
+                respliced += u64::from(put.is_some());
+                if was != now {
+                    edits.extend(was.map(|key| Edit { key, put: None }));
+                }
+                edits.extend(now.map(|key| Edit { key, put }));
+            }
+            edits.sort_unstable_by_key(|edit| edit.key);
+            let (nodes, rewritten) = cached.splice(&edits);
+            let stats = &mut self.export.stats;
+            stats.incremental_splices += 1;
+            stats.nodes_respliced += respliced;
+            stats.chunks_rewritten += rewritten as u64;
+            stats.chunks_shared += (nodes.chunks().len() - rewritten) as u64;
+            dirty.clear();
+            self.export.dirty = dirty;
+            nodes
         } else {
             self.export.dirty.clear();
             self.export.overflowed = false;
             self.export.stats.full_rebuilds += 1;
-            self.rebuild_nodes()
+            let nodes = self.rebuild_nodes();
+            let exported = &mut self.export.exported;
+            exported.clear();
+            exported.resize(self.forest.edge_id_bound(), None);
+            for node in &nodes {
+                exported[node.edge.index()] = Some(node.weight);
+            }
+            RankedNodes::from_sorted(&nodes)
         };
         // One bump un-dirties every stamped slot for the next export window.
         self.export.generation += 1;
@@ -358,6 +645,9 @@ mod tests {
     use super::*;
     use crate::dynsld::DynSldOptions;
     use dynsld_forest::Forest;
+    use proptest::collection;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn v(i: u32) -> VertexId {
         VertexId(i)
@@ -372,6 +662,60 @@ mod tests {
         DynSld::from_forest(f, DynSldOptions::default())
     }
 
+    /// Asserts the chunk invariants of the module docs.
+    fn assert_chunk_invariants(nodes: &RankedNodes) {
+        let chunks = nodes.chunks();
+        assert_eq!(nodes.len(), chunks.iter().map(|c| c.len()).sum::<usize>());
+        assert_eq!(nodes.is_empty(), chunks.is_empty());
+        for chunk in chunks {
+            assert!(
+                !chunk.is_empty() && chunk.len() <= CHUNK_MAX,
+                "{}",
+                chunk.len()
+            );
+            assert!(
+                chunks.len() == 1 || chunk.len() >= CHUNK_MIN,
+                "{}",
+                chunk.len()
+            );
+        }
+        let keys: Vec<RankKey> = nodes.iter().map(SnapshotNode::rank_key).collect();
+        assert!(
+            keys.windows(2).all(|w| w[0] < w[1]),
+            "not strictly rank-sorted"
+        );
+    }
+
+    /// The chunks of `old` that a splice over `keys` may rewrite: the one each key lands in,
+    /// the one after it (absorbed when the rewritten run is short) and the one before it
+    /// (joined by a short tail).
+    fn may_rewrite(old: &RankedNodes, keys: &[RankKey]) -> BTreeSet<usize> {
+        let mut out = BTreeSet::new();
+        if old.is_empty() {
+            return out;
+        }
+        for &key in keys {
+            let at = old.landing_chunk(0, key);
+            out.extend([at.saturating_sub(1), at, at + 1]);
+        }
+        out
+    }
+
+    /// Asserts that every chunk of `old` outside [`may_rewrite`] is the same allocation in
+    /// `new`.
+    fn assert_untouched_chunks_shared(old: &RankedNodes, new: &RankedNodes, keys: &[RankKey]) {
+        let rewritable = may_rewrite(old, keys);
+        for (i, chunk) in old.chunks().iter().enumerate() {
+            if !rewritable.contains(&i) {
+                assert!(
+                    new.chunks().iter().any(|c| Arc::ptr_eq(c, chunk)),
+                    "chunk {i} of {} holds no spliced key but was not shared",
+                    old.chunks().len()
+                );
+            }
+        }
+    }
+
     #[test]
     fn snapshot_is_rank_sorted_and_counts_components() {
         let d = example();
@@ -381,6 +725,7 @@ mod tests {
         assert_eq!(s.num_components(), 1);
         let weights: Vec<f64> = s.nodes.iter().map(|x| x.weight).collect();
         assert_eq!(weights, vec![1.0, 2.0, 3.0, 4.0, 5.0]);
+        assert_chunk_invariants(&s.nodes);
     }
 
     #[test]
@@ -430,6 +775,36 @@ mod tests {
         let disconnected = DynSld::new(2).export_snapshot();
         assert_eq!(disconnected.merge_height_between(v(0), v(1)), None);
         assert!(!disconnected.threshold_connected(v(0), v(1), f64::INFINITY));
+    }
+
+    #[test]
+    fn threshold_connected_agrees_with_the_flat_clustering() {
+        let inst = dynsld_forest::gen::random_tree(120, 5);
+        let mut d = DynSld::from_forest(inst.build_forest(), DynSldOptions::default());
+        // Cut a few edges so that some pairs are disconnected at every threshold.
+        let cut: Vec<(VertexId, VertexId)> = d
+            .forest()
+            .edges()
+            .step_by(17)
+            .map(|(_, data)| (data.u, data.v))
+            .collect();
+        for (a, b) in cut {
+            d.delete(a, b).unwrap();
+        }
+        let s = d.export_snapshot();
+        let mut taus: Vec<f64> = s.nodes.iter().step_by(9).map(|n| n.weight).collect();
+        taus.extend([f64::NEG_INFINITY, f64::INFINITY]);
+        for tau in taus {
+            let clustering = s.flat_clustering(tau);
+            for i in 0..120u32 {
+                let (a, b) = (v(i), v((i * 53 + 7) % 120));
+                assert_eq!(
+                    s.threshold_connected(a, b, tau),
+                    clustering.same_cluster(a, b),
+                    "({a:?}, {b:?}) at tau={tau}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -485,7 +860,8 @@ mod tests {
     fn incremental_export_oracle_under_random_churn() {
         // Mixed sequential/batch inserts, deletes, re-weights (delete+insert on the same pair)
         // and vertex growth, with exports interleaved at random points. Every incremental
-        // export must be bit-identical to the full-rebuild oracle.
+        // export must be bit-identical to the full-rebuild oracle, and every splice must
+        // share the chunks its dirty keys stay clear of with the export before it.
         let mut seed: u64 = 0x9e3779b97f4a7c15;
         let mut rng = move || {
             seed ^= seed << 13;
@@ -500,6 +876,7 @@ mod tests {
             let mut n: usize = 24;
             let mut d = DynSld::with_options(n, DynSldOptions::with_strategy(strategy));
             let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
+            let mut previous: Option<DendrogramSnapshot> = None;
             for step in 0..400 {
                 match rng() % 10 {
                     0..=4 => {
@@ -548,13 +925,37 @@ mod tests {
                     }
                 }
                 if step % 7 == 0 {
+                    // The keys this export will splice: each dirty id's exported key and, if
+                    // it is still alive, its current one.
+                    let mut keys: Vec<RankKey> = Vec::new();
+                    for &e in &d.export.dirty {
+                        if let Some(Some(weight)) = d.export.exported.get(e.index()) {
+                            keys.push(RankKey::new(*weight, e));
+                        }
+                        if d.dendro.contains(e) {
+                            keys.push(RankKey::new(d.forest.weight(e), e));
+                        }
+                    }
+                    let splices_before = d.export_stats().incremental_splices;
                     let incremental = d.export_snapshot_incremental();
                     let full = d.export_snapshot();
                     assert_eq!(incremental, full, "divergence at step {step}");
+                    assert_chunk_invariants(&incremental.nodes);
+                    if let Some(previous) = &previous {
+                        if d.export_stats().incremental_splices > splices_before {
+                            assert_untouched_chunks_shared(
+                                &previous.nodes,
+                                &incremental.nodes,
+                                &keys,
+                            );
+                        }
+                    }
+                    previous = Some(incremental);
                 }
             }
             let stats = d.export_stats();
             assert!(stats.incremental_splices > 0, "splice path never exercised");
+            assert!(stats.chunks_shared > 0, "no splice shared a chunk");
             let incremental = d.export_snapshot_incremental();
             assert_eq!(incremental, d.export_snapshot());
         }
@@ -573,5 +974,93 @@ mod tests {
         assert_eq!(s, d.export_snapshot());
         assert_eq!(d.export_stats().full_rebuilds, 2);
         assert_eq!(d.export_stats().incremental_splices, 0);
+    }
+
+    #[test]
+    fn retouching_a_dirty_edge_at_the_cap_does_not_overflow() {
+        let mut tracker = ExportTracker::default();
+        for e in 0..ExportTracker::DIRTY_CAP as u32 {
+            tracker.touch(EdgeId(e));
+        }
+        assert_eq!(tracker.dirty.len(), ExportTracker::DIRTY_CAP);
+        assert!(!tracker.overflowed);
+        // Exactly at the cap: every already-dirty edge is still a no-op...
+        tracker.touch(EdgeId(0));
+        tracker.touch(EdgeId(ExportTracker::DIRTY_CAP as u32 - 1));
+        assert_eq!(tracker.dirty.len(), ExportTracker::DIRTY_CAP);
+        assert!(!tracker.overflowed);
+        // ...and only a new one tips it over.
+        tracker.touch(EdgeId(ExportTracker::DIRTY_CAP as u32));
+        assert!(tracker.overflowed);
+        assert!(tracker.dirty.is_empty());
+    }
+
+    /// Weights with duplicates and both zeros (`-0.0` ranks strictly below `0.0`).
+    const WEIGHTS: [f64; 6] = [-0.0, 0.0, 1.0, 1.0, 2.5, 7.0];
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+        /// Random splices against a sorted-map model: each step names some edge ids and, per
+        /// id, whether it is alive afterwards and at which weight — covering inserts,
+        /// removals, re-weights and re-parents of the same id, no-ops, empty splices and
+        /// bursts large enough to split one chunk into many or drain a run of chunks.
+        #[test]
+        fn ranked_nodes_splices_match_a_sorted_model(
+            ids in 1u32..160,
+            steps in collection::vec(
+                collection::vec((0u32..160, 0usize..WEIGHTS.len(), any::<bool>()), 0..40),
+                1..30,
+            ),
+        ) {
+            let mut model: BTreeMap<RankKey, SnapshotNode> = BTreeMap::new();
+            let mut key_of_id: BTreeMap<u32, RankKey> = BTreeMap::new();
+            let mut nodes = RankedNodes::default();
+            for (round, step) in steps.iter().enumerate() {
+                // Last mention of an id in a step wins, as in a dirty set.
+                let mut wanted: BTreeMap<u32, Option<f64>> = BTreeMap::new();
+                for &(id, weight, alive) in step {
+                    wanted.insert(id % ids, alive.then_some(WEIGHTS[weight]));
+                }
+                let mut edits: BTreeMap<RankKey, Option<SnapshotNode>> = BTreeMap::new();
+                for (&id, &weight) in &wanted {
+                    if let Some(old) = key_of_id.remove(&id) {
+                        model.remove(&old);
+                        edits.insert(old, None);
+                    }
+                    if let Some(weight) = weight {
+                        let node = SnapshotNode {
+                            edge: EdgeId(id),
+                            u: v(id),
+                            v: v(id + 1),
+                            weight,
+                            parent: (round % 3 != 0).then_some(EdgeId(round as u32)),
+                        };
+                        key_of_id.insert(id, node.rank_key());
+                        model.insert(node.rank_key(), node);
+                        edits.insert(node.rank_key(), Some(node));
+                    }
+                }
+                let keys: Vec<RankKey> = edits.keys().copied().collect();
+                let edits: Vec<Edit> = edits
+                    .into_iter()
+                    .map(|(key, put)| Edit { key, put })
+                    .collect();
+                let (next, rewritten) = nodes.splice(&edits);
+                let expected: Vec<SnapshotNode> = model.values().copied().collect();
+                prop_assert_eq!(next.to_vec(), expected.clone());
+                prop_assert_eq!(&next, &RankedNodes::from_sorted(&expected));
+                assert_chunk_invariants(&next);
+                assert_chunk_invariants(&RankedNodes::from_sorted(&expected));
+                assert_untouched_chunks_shared(&nodes, &next, &keys);
+                let shared = next
+                    .chunks()
+                    .iter()
+                    .filter(|c| nodes.chunks().iter().any(|old| Arc::ptr_eq(old, c)))
+                    .count();
+                prop_assert_eq!(shared + rewritten, next.chunks().len());
+                nodes = next;
+            }
+        }
     }
 }

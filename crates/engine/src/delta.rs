@@ -13,18 +13,11 @@
 //! owns the delta representation and the in-process sync protocol ([`SyncResponse`]).
 
 use crate::service::ServiceSnapshot;
-use dynsld::snapshot::{DendrogramSnapshot, SnapshotNode};
+use dynsld::snapshot::{DendrogramSnapshot, RankedNodesBuilder, SnapshotNode};
 use dynsld::FlatClustering;
 use dynsld_forest::{Dsu, EdgeId, VertexId, Weight};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
-
-/// Rank order of snapshot records — the order [`DendrogramSnapshot::nodes`] is sorted in.
-fn rank_cmp(a: &SnapshotNode, b: &SnapshotNode) -> std::cmp::Ordering {
-    a.weight
-        .total_cmp(&b.weight)
-        .then_with(|| a.edge.cmp(&b.edge))
-}
 
 /// The difference between two rank-sorted exports of **one shard**.
 ///
@@ -49,8 +42,14 @@ pub struct ShardDelta {
 }
 
 impl ShardDelta {
-    /// Diffs two rank-sorted exports of the same shard in one linear walk (no sorting, no
+    /// Diffs two rank-sorted exports of the same shard in one merge walk (no sorting, no
     /// per-record hashing of the unchanged majority).
+    ///
+    /// Whenever both sides are about to enter the *same chunk allocation* the walk steps over
+    /// it without reading it: an incremental export shares every chunk its changes stayed
+    /// clear of with the export before it, so consecutive publishes diff in
+    /// `O(m / chunk + changed chunks)`. Exports that share nothing (after a full rebuild or a
+    /// shard recovery) are walked record by record; the result is the same either way.
     pub fn diff(
         old: &DendrogramSnapshot,
         new: &DendrogramSnapshot,
@@ -59,44 +58,73 @@ impl ShardDelta {
     ) -> ShardDelta {
         let mut upserts: Vec<SnapshotNode> = Vec::new();
         let mut removed_candidates: Vec<EdgeId> = Vec::new();
-        let (mut i, mut j) = (0, 0);
-        while i < old.nodes.len() && j < new.nodes.len() {
-            let (a, b) = (&old.nodes[i], &new.nodes[j]);
-            match rank_cmp(a, b) {
-                std::cmp::Ordering::Equal => {
-                    // Same edge at the same rank; only the parent can have changed.
-                    if a != b {
-                        upserts.push(*b);
+        let mut old_chunks = old.nodes.chunks().iter().peekable();
+        let mut new_chunks = new.nodes.chunks().iter().peekable();
+        // The unread rest of the chunk each side is in (empty: on a chunk boundary).
+        let (mut a, mut b): (&[SnapshotNode], &[SnapshotNode]) = (&[], &[]);
+        loop {
+            if a.is_empty() && b.is_empty() {
+                if let (Some(x), Some(y)) = (old_chunks.peek(), new_chunks.peek()) {
+                    if Arc::ptr_eq(x, y) {
+                        old_chunks.next();
+                        new_chunks.next();
+                        continue;
                     }
-                    i += 1;
-                    j += 1;
                 }
-                std::cmp::Ordering::Less => {
-                    // `a`'s (weight, edge) pair is gone — deleted, or re-weighted (in which
-                    // case the same id reappears as an upsert and is filtered below).
-                    removed_candidates.push(a.edge);
-                    i += 1;
+            }
+            if a.is_empty() {
+                a = old_chunks.next().map_or(a, |chunk| &chunk[..]);
+            }
+            if b.is_empty() {
+                b = new_chunks.next().map_or(b, |chunk| &chunk[..]);
+            }
+            if a.is_empty() || b.is_empty() {
+                // One export is read to the end: what is left of the other is all news.
+                if a.is_empty() && b.is_empty() {
+                    break;
                 }
-                std::cmp::Ordering::Greater => {
-                    upserts.push(*b);
-                    j += 1;
+                removed_candidates.extend(a.iter().map(|n| n.edge));
+                upserts.extend_from_slice(b);
+                (a, b) = (&[], &[]);
+                continue;
+            }
+            while let (Some(x), Some(y)) = (a.first(), b.first()) {
+                match x.rank_key().cmp(&y.rank_key()) {
+                    std::cmp::Ordering::Equal => {
+                        // Same edge at the same rank; only the parent can have changed.
+                        if x != y {
+                            upserts.push(*y);
+                        }
+                        (a, b) = (&a[1..], &b[1..]);
+                    }
+                    std::cmp::Ordering::Less => {
+                        // `x`'s (weight, edge) pair is gone — deleted, or re-weighted (in
+                        // which case the same id reappears as an upsert and is filtered
+                        // below).
+                        removed_candidates.push(x.edge);
+                        a = &a[1..];
+                    }
+                    std::cmp::Ordering::Greater => {
+                        upserts.push(*y);
+                        b = &b[1..];
+                    }
                 }
             }
         }
-        removed_candidates.extend(old.nodes[i..].iter().map(|n| n.edge));
-        upserts.extend(new.nodes[j..].iter().copied());
-        let upserted: HashSet<EdgeId> = upserts.iter().map(|n| n.edge).collect();
-        let removed = removed_candidates
-            .into_iter()
-            .filter(|e| !upserted.contains(e))
-            .collect();
+        if !removed_candidates.is_empty() {
+            let upserted: HashSet<EdgeId> = upserts.iter().map(|n| n.edge).collect();
+            removed_candidates.retain(|e| !upserted.contains(e));
+        }
+        // A delta outlives the publish by the depth of the ring: hold no growth slack.
+        upserts.shrink_to_fit();
+        removed_candidates.shrink_to_fit();
         ShardDelta {
             epoch,
             version: new.version,
             num_vertices: new.num_vertices,
             num_graph_edges,
             upserts,
-            removed,
+            removed: removed_candidates,
         }
     }
 
@@ -106,7 +134,10 @@ impl ShardDelta {
     }
 
     /// Replays this delta onto the shard's previous export, reproducing the next export bit
-    /// for bit (rank order, `version`, `num_vertices` included). One linear merge pass.
+    /// for bit (rank order, `version`, `num_vertices` included). One linear merge pass — the
+    /// delta names removed records by id, so every base record is looked at — that copies
+    /// only the chunks it changes: a base chunk with no stale record and no upsert landing
+    /// inside it is carried over as the same allocation.
     pub fn apply_to(&self, base: &DendrogramSnapshot) -> DendrogramSnapshot {
         let nodes = if self.is_noop() {
             base.nodes.clone()
@@ -117,21 +148,28 @@ impl ShardDelta {
                 .chain(self.upserts.iter().map(|n| &n.edge))
                 .copied()
                 .collect();
-            let mut out = Vec::with_capacity(base.nodes.len() + self.upserts.len());
+            let chunks = base.nodes.chunks();
+            let mut out = RankedNodesBuilder::with_chunk_capacity(chunks.len() + 1);
             let mut fresh = self.upserts.iter().peekable();
-            for node in base.nodes.iter().filter(|n| !stale.contains(&n.edge)) {
-                while let Some(f) = fresh.peek() {
-                    if rank_cmp(f, node) == std::cmp::Ordering::Less {
-                        out.push(**f);
-                        fresh.next();
-                    } else {
-                        break;
-                    }
+            for chunk in chunks {
+                let last = chunk[chunk.len() - 1].rank_key();
+                let untouched = fresh.peek().is_none_or(|f| f.rank_key() > last)
+                    && !chunk.iter().any(|n| stale.contains(&n.edge));
+                if untouched {
+                    out.share(chunk);
+                    continue;
                 }
-                out.push(*node);
+                for node in chunk.iter().filter(|n| !stale.contains(&n.edge)) {
+                    while let Some(f) = fresh.next_if(|f| f.rank_key() < node.rank_key()) {
+                        out.push(*f);
+                    }
+                    out.push(*node);
+                }
             }
-            out.extend(fresh.copied());
-            out
+            for f in fresh {
+                out.push(*f);
+            }
+            out.finish()
         };
         DendrogramSnapshot {
             version: self.version,
@@ -391,6 +429,10 @@ pub fn merge_flat_clusterings<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dynsld::{DynSld, RankedNodes};
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn node(edge: u32, u: u32, v: u32, weight: f64, parent: Option<u32>) -> SnapshotNode {
         SnapshotNode {
@@ -403,11 +445,60 @@ mod tests {
     }
 
     fn snap(version: u64, n: usize, mut nodes: Vec<SnapshotNode>) -> DendrogramSnapshot {
-        nodes.sort_by(rank_cmp);
+        nodes.sort_by_key(SnapshotNode::rank_key);
         DendrogramSnapshot {
             version,
             num_vertices: n,
-            nodes,
+            nodes: RankedNodes::from_sorted(&nodes),
+        }
+    }
+
+    /// The record-by-record diff over flat copies that [`ShardDelta::diff`] replaced — the
+    /// reference the chunk-skipping walk is pinned against.
+    fn diff_reference(
+        old: &DendrogramSnapshot,
+        new: &DendrogramSnapshot,
+        epoch: u64,
+        num_graph_edges: usize,
+    ) -> ShardDelta {
+        let (old_nodes, new_nodes) = (old.nodes.to_vec(), new.nodes.to_vec());
+        let mut upserts: Vec<SnapshotNode> = Vec::new();
+        let mut removed_candidates: Vec<EdgeId> = Vec::new();
+        let (mut i, mut j) = (0, 0);
+        while i < old_nodes.len() && j < new_nodes.len() {
+            let (a, b) = (&old_nodes[i], &new_nodes[j]);
+            match a.rank_key().cmp(&b.rank_key()) {
+                std::cmp::Ordering::Equal => {
+                    if a != b {
+                        upserts.push(*b);
+                    }
+                    i += 1;
+                    j += 1;
+                }
+                std::cmp::Ordering::Less => {
+                    removed_candidates.push(a.edge);
+                    i += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    upserts.push(*b);
+                    j += 1;
+                }
+            }
+        }
+        removed_candidates.extend(old_nodes[i..].iter().map(|n| n.edge));
+        upserts.extend(new_nodes[j..].iter().copied());
+        let upserted: HashSet<EdgeId> = upserts.iter().map(|n| n.edge).collect();
+        let removed = removed_candidates
+            .into_iter()
+            .filter(|e| !upserted.contains(e))
+            .collect();
+        ShardDelta {
+            epoch,
+            version: new.version,
+            num_vertices: new.num_vertices,
+            num_graph_edges,
+            upserts,
+            removed,
         }
     }
 
@@ -447,6 +538,69 @@ mod tests {
         let delta = ShardDelta::diff(&s, &s, 1, 1);
         assert!(delta.is_noop());
         assert_eq!(delta.apply_to(&s), s);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// `diff` against the flat reference on the three kinds of pair a service produces:
+        /// consecutive incremental exports (chunks shared), an incremental export against a
+        /// full rebuild of the same state (equal records, nothing shared), and a recovered
+        /// shard (same edges re-inserted into a fresh structure: other ids, other parents'
+        /// ids, nothing shared). `upserts` and `removed` must match, order included, and
+        /// replaying the delta must land on the new export.
+        #[test]
+        fn diff_matches_the_flat_reference(
+            n in 2000usize..3000,
+            seed in any::<u64>(),
+            churn in 1usize..6,
+        ) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut sld = DynSld::new(n);
+            let mut live: Vec<(VertexId, VertexId, f64)> = Vec::new();
+            let mut mutate = |sld: &mut DynSld, live: &mut Vec<(VertexId, VertexId, f64)>, k| {
+                for _ in 0..k {
+                    if !live.is_empty() && rng.gen_range(0..3) == 0 {
+                        let (u, v, _) = live.swap_remove(rng.gen_range(0..live.len()));
+                        sld.delete(u, v).unwrap();
+                    } else {
+                        let (u, v) = (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32));
+                        // Few distinct weights: ties are broken by edge id.
+                        let weight = f64::from(rng.gen_range(0..12u32)) / 4.0;
+                        if sld.insert(VertexId(u), VertexId(v), weight).is_ok() {
+                            live.push((VertexId(u), VertexId(v), weight));
+                        }
+                    }
+                }
+            };
+            mutate(&mut sld, &mut live, n);
+            let old = sld.export_snapshot_incremental();
+            mutate(&mut sld, &mut live, churn);
+            let shared = sld.export_snapshot_incremental();
+            let rebuilt = sld.export_snapshot();
+            let mut recovered = DynSld::new(n);
+            live.sort_by_key(|a| (a.0, a.1));
+            for &(u, v, weight) in &live {
+                recovered.insert(u, v, weight).unwrap();
+            }
+            let recovered = recovered.export_snapshot_incremental();
+            // A handful of updates on a thousand-odd records is always a splice (or, when
+            // every drawn update was rejected, a cache hit): the pair shares chunks.
+            prop_assert_eq!(sld.export_stats().full_rebuilds, 1);
+            let shares = |a: &Arc<[SnapshotNode]>| {
+                shared.nodes.chunks().iter().any(|b| Arc::ptr_eq(a, b))
+            };
+            prop_assert!(old.nodes.chunks().iter().any(shares));
+            for new in [&shared, &rebuilt, &recovered, &old] {
+                let delta = ShardDelta::diff(&old, new, 3, live.len());
+                prop_assert_eq!(&delta, &diff_reference(&old, new, 3, live.len()));
+                prop_assert_eq!(&delta.apply_to(&old), new);
+            }
+            // And in the other direction, where the shared chunks sit on the new side.
+            let back = ShardDelta::diff(&shared, &old, 4, live.len());
+            prop_assert_eq!(&back, &diff_reference(&shared, &old, 4, live.len()));
+            prop_assert_eq!(&back.apply_to(&shared), &old);
+        }
     }
 
     #[test]

@@ -74,7 +74,9 @@ pub struct FlushPhases {
     pub replacement: Duration,
     /// Mutating the MSF/dendrogram: `batch_insert`/`batch_delete`, fallbacks, promotions.
     pub apply: Duration,
-    /// `export_snapshot` — walking the dendrogram into the immutable snapshot form.
+    /// `export_snapshot_incremental` — re-reading the records dirtied since the last flush
+    /// and splicing them into the previous export's chunk list (a full re-sort only when the
+    /// dirty set is large or the cache is cold).
     pub export: Duration,
     /// Wrapping the export into an [`EngineSnapshot`] and swapping it in.
     pub publish: Duration,
@@ -776,5 +778,127 @@ mod tests {
         let m = engine.metrics();
         assert_eq!(m.snapshot_cache_misses, 1);
         assert_eq!(m.snapshot_cache_hits, 1);
+    }
+
+    /// The `sparse_trickle` shape of `baseline/`: a sliding window of 8 000 random edges
+    /// over 20 000 vertices, sub-critical, so nearly every edge is an MSF edge and an event
+    /// re-parents a record or two.
+    fn trickle_stream(extra: usize, seed: u64) -> (Vec<GraphUpdate>, usize) {
+        let window = 8_000;
+        let stream = dynsld_forest::workload::GraphWorkloadBuilder::new(20_000)
+            .sliding_window_stream(window + extra, window, seed);
+        (stream, window)
+    }
+
+    #[test]
+    fn single_event_flush_rewrites_a_few_chunks_and_shares_the_rest() {
+        let (stream, window) = trickle_stream(400, 11);
+        let mut engine = ClusteringEngine::new(20_000);
+        engine.submit_all(stream[..window].iter().copied()).unwrap();
+        engine.flush().unwrap();
+        let mut previous = engine.snapshot();
+        assert!(previous.num_tree_edges() > 7_900);
+        let mut stats = engine.graph().sld().export_stats();
+        let (mut rewritten_total, mut keys_total) = (0, 0);
+        for &event in &stream[window..] {
+            engine.submit(event).unwrap();
+            engine.flush().unwrap();
+            let current = engine.snapshot();
+            let after = engine.graph().sld().export_stats();
+            assert_eq!(after.incremental_splices, stats.incremental_splices + 1);
+            assert_eq!(after.full_rebuilds, stats.full_rebuilds);
+            let rewritten = (after.chunks_rewritten - stats.chunks_rewritten) as usize;
+            let shared = (after.chunks_shared - stats.chunks_shared) as usize;
+            // The keys the splice moved: one per re-exported record, one per record that
+            // only left (a single-event flush never re-weights, so an id does not do both).
+            let delta = crate::delta::ShardDelta::diff(
+                previous.dendrogram(),
+                current.dendrogram(),
+                current.epoch(),
+                current.num_graph_edges(),
+            );
+            let keys =
+                (after.nodes_respliced - stats.nodes_respliced) as usize + delta.removed.len();
+            assert!(
+                rewritten <= 2 * keys + 2,
+                "{rewritten} chunks rewritten for {keys} keys"
+            );
+            // The counters describe the snapshots: what the exporter calls shared is the
+            // same allocation on both sides, and that is at least nine chunks in ten.
+            let (old_chunks, new_chunks) = (
+                previous.dendrogram().nodes.chunks(),
+                current.dendrogram().nodes.chunks(),
+            );
+            assert_eq!(rewritten + shared, new_chunks.len());
+            let old_ptrs: std::collections::HashSet<*const dynsld::SnapshotNode> =
+                old_chunks.iter().map(|c| c.as_ptr()).collect();
+            let same_allocation = new_chunks
+                .iter()
+                .filter(|c| old_ptrs.contains(&c.as_ptr()))
+                .count();
+            assert_eq!(same_allocation, shared);
+            assert!(
+                10 * shared >= 9 * new_chunks.len(),
+                "only {shared} of {} chunks shared",
+                new_chunks.len()
+            );
+            rewritten_total += rewritten;
+            keys_total += keys;
+            previous = current;
+            stats = after;
+        }
+        // Not vacuous: events did move records, and chunks were rewritten for them.
+        assert!(keys_total >= stream.len() - window);
+        assert!(rewritten_total >= stream.len() - window);
+    }
+
+    #[test]
+    fn held_snapshots_stay_frozen_across_thousands_of_flushes() {
+        use dynsld::UpdateStrategy;
+        let (stream, window) = trickle_stream(1_000, 5);
+        for strategy in [UpdateStrategy::Sequential, UpdateStrategy::Parallel] {
+            let mut engine =
+                ClusteringEngine::with_options(20_000, DynSldOptions::with_strategy(strategy));
+            engine.submit_all(stream[..window].iter().copied()).unwrap();
+            engine.flush().unwrap();
+            // A holder keeps the snapshot and the deep copy taken when it was published.
+            let hold = |engine: &ClusteringEngine| {
+                let snapshot = engine.snapshot();
+                let copy = snapshot.dendrogram().nodes.to_vec();
+                (snapshot, copy)
+            };
+            let still_frozen = |(snapshot, copy): &(EngineSnapshot, Vec<dynsld::SnapshotNode>)| {
+                snapshot.dendrogram().nodes.iter().eq(copy.iter())
+            };
+            let (released, wait) = std::sync::mpsc::channel::<()>();
+            let first = hold(&engine);
+            std::thread::scope(|scope| {
+                // One holder lives on another thread for the whole run.
+                let remote = scope.spawn(move || {
+                    wait.recv().expect("the writer signals when it is done");
+                    still_frozen(&first)
+                });
+                let mut held = Vec::new();
+                let timed = &stream[window..];
+                assert_eq!(timed.len(), 2_000);
+                for (i, &event) in timed.iter().enumerate() {
+                    if i % 97 == 0 {
+                        held.push(hold(&engine));
+                    }
+                    engine.submit(event).unwrap();
+                    engine.flush().unwrap();
+                }
+                assert_eq!(
+                    engine.graph().sld().export_stats().incremental_splices,
+                    2_000,
+                    "{strategy:?}: every flush splices, so held chunks are shared onwards"
+                );
+                released.send(()).expect("the holder is waiting");
+                assert!(remote.join().expect("holder thread"), "{strategy:?}");
+                assert!(held.iter().all(still_frozen), "{strategy:?}");
+                // Held views of different epochs really are different states.
+                assert_ne!(held[0].1, held[held.len() - 1].1);
+            });
+        }
     }
 }

@@ -5,6 +5,7 @@
 use super::*;
 use crate::engine::{EngineError, FlushReport};
 use crate::faults::InjectedFault;
+use crate::snapshot::EngineSnapshot;
 use rayon::prelude::*;
 use std::panic::AssertUnwindSafe;
 use std::time::Instant;
@@ -77,12 +78,16 @@ impl ClusterService {
     /// visible, so any reader that observes the new revision can find its delta in the ring
     /// (until it ages out).
     pub(super) fn refresh_published(&mut self) {
-        let current: Vec<u64> = self.engines.iter().map(ClusteringEngine::epoch).collect();
         let old = self.shared.published();
+        let same_epochs = old
+            .shard_snapshots()
+            .iter()
+            .map(EngineSnapshot::epoch)
+            .eq(self.engines.iter().map(ClusteringEngine::epoch));
         // Health transitions republish even at an unchanged epoch vector: a quarantine must
         // make the staleness flag visible to readers, and a recovery whose rebuilt epoch
         // happens to collide with the stale one must still replace the served export.
-        if old.epochs() == current && old.shard_health() == self.health.as_slice() {
+        if same_epochs && old.shard_health() == self.health.as_slice() {
             return;
         }
         let new = self.merged_view(old.revision() + 1);

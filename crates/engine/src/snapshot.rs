@@ -1,8 +1,9 @@
 //! Epoch-tagged immutable read views.
 //!
 //! The engine's write path owns the mutable structures exclusively; readers never touch them.
-//! Instead, every flush publishes an [`EngineSnapshot`] — an `Arc` around a flat
-//! [`DendrogramSnapshot`] export plus an epoch tag and a per-snapshot query cache. Cloning a
+//! Instead, every flush publishes an [`EngineSnapshot`] — an `Arc` around a rank-ordered
+//! [`DendrogramSnapshot`] export (which shares every record chunk the flush left alone with
+//! the export before it) plus an epoch tag and a per-snapshot query cache. Cloning a
 //! snapshot is one atomic increment, the clone is `Send + Sync`, and everything it answers is
 //! computed from data frozen at publish time: a reader holding epoch `e` sees exactly the
 //! state after flush `e`, no matter how many batches the writer applies concurrently.

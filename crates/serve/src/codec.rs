@@ -6,7 +6,7 @@
 //! [`crate::json`] for the round-trip guarantees the mirror's bit-identity rests on).
 
 use crate::json::{parse, Value};
-use dynsld::{DendrogramSnapshot, SnapshotNode};
+use dynsld::{DendrogramSnapshot, RankedNodes, SnapshotNode};
 use dynsld_engine::{Patch, ServiceSnapshot, ShardDelta, SnapshotDelta, ThresholdRelabel};
 use dynsld_forest::{EdgeId, VertexId};
 use std::sync::Arc;
@@ -77,8 +77,8 @@ fn node_value(n: &SnapshotNode) -> Value {
     ])
 }
 
-fn nodes_value(nodes: &[SnapshotNode]) -> Value {
-    Value::Arr(nodes.iter().map(node_value).collect())
+fn nodes_value<'a>(nodes: impl Iterator<Item = &'a SnapshotNode>) -> Value {
+    Value::Arr(nodes.map(node_value).collect())
 }
 
 /// Encodes a head probe (`{"kind":"head",...}`).
@@ -109,7 +109,7 @@ pub fn encode_snapshot(snapshot: &ServiceSnapshot) -> String {
                     "num_graph_edges".into(),
                     Value::Int(shard.num_graph_edges() as i64),
                 ),
-                ("nodes".into(), nodes_value(&dendro.nodes)),
+                ("nodes".into(), nodes_value(dendro.nodes.iter())),
             ])
         })
         .collect();
@@ -131,7 +131,7 @@ fn shard_delta_value(shard: &ShardDelta) -> Value {
             "num_graph_edges".into(),
             Value::Int(shard.num_graph_edges as i64),
         ),
-        ("upserts".into(), nodes_value(&shard.upserts)),
+        ("upserts".into(), nodes_value(shard.upserts.iter())),
         (
             "removed".into(),
             Value::Arr(
@@ -341,7 +341,7 @@ pub fn decode_message(text: &str) -> Result<WireMessage, CodecError> {
                 shards.push(DendrogramSnapshot {
                     version: get_u64(shard, "version")?,
                     num_vertices: get_usize(shard, "num_vertices")?,
-                    nodes: decode_nodes(shard, "nodes")?,
+                    nodes: RankedNodes::from_sorted(&decode_nodes(shard, "nodes")?),
                 });
                 num_graph_edges.push(get_usize(shard, "num_graph_edges")?);
             }

@@ -75,7 +75,8 @@ impl Clone for Mirror {
 }
 
 impl Mirror {
-    /// Builds a mirror from an in-process service snapshot.
+    /// Builds a mirror from an in-process service snapshot. The mirror shares the view's
+    /// record chunks (cloning an export copies chunk pointers, not records).
     pub fn from_snapshot(snapshot: &ServiceSnapshot) -> Mirror {
         Mirror {
             revision: snapshot.revision(),
