@@ -5,11 +5,13 @@
 //! benchmark measures those operations on the substrates this reproduction uses:
 //! the link-cut tree and Euler-tour tree (which provide the `O(log n)` sequential operations the
 //! DynSLD updates charge to the dynamic-tree structure), and the RC forest (construction, batch
-//! connectivity, and recontraction-based link/cut — see DESIGN.md substitution 3).
+//! connectivity, and recontraction-based link/cut — see README.md, "Deviations from the paper",
+//! substitution 3), plus the Euler-tour tree's batched find-representative round against the same
+//! questions asked one `connected` call at a time.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dynsld_bench::{config, K_SWEEP, N_SWEEP};
-use dynsld_dyntree::{EulerTourForest, LinkCutTree};
+use dynsld_dyntree::{EulerTourForest, LinkCutTree, RoundTable};
 use dynsld_forest::gen::{self, WeightOrder};
 use dynsld_forest::{EdgeId, RankKey, VertexId};
 use dynsld_rctree::RcForest;
@@ -77,6 +79,44 @@ fn bench_sequential_ops(c: &mut Criterion) {
     group.finish();
 }
 
+/// `k` "same component as the anchor?" questions on one 20 000-vertex tree — what a deletion
+/// asks about its spine — as one representative round and as `k` separate `connected` calls.
+/// The round's per-question cost falls with `k` (the `log(1 + n/k)` of Table 1's batch
+/// column); the separate calls stay at two root walks each.
+fn bench_repr_round(c: &mut Criterion) {
+    let mut group = c.benchmark_group("table1/ett_repr_round");
+    let n = 20_000usize;
+    let inst = gen::random_tree(n, 7);
+    let mut ett = EulerTourForest::new(n);
+    for (i, &(a, b, _)) in inst.edges.iter().enumerate() {
+        ett.link(a, b, EdgeId(i as u32));
+    }
+    let mut rng = SmallRng::seed_from_u64(2);
+    let mut memo = RoundTable::new();
+    let anchor = VertexId(0);
+    for k in [64usize, 1_024, 16_384] {
+        let queries: Vec<VertexId> = (0..k)
+            .map(|_| VertexId(rng.gen_range(0..n as u32)))
+            .collect();
+        group.bench_with_input(BenchmarkId::new("one_round", k), &k, |bench, _| {
+            bench.iter(|| {
+                let mut round = ett.repr_round(&mut memo);
+                let side = round.repr(anchor);
+                queries.iter().filter(|&&q| round.repr(q) == side).count()
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("k_x_connected", k), &k, |bench, _| {
+            bench.iter(|| {
+                queries
+                    .iter()
+                    .filter(|&&q| ett.connected(q, anchor))
+                    .count()
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_rc_forest(c: &mut Criterion) {
     let mut group = c.benchmark_group("table1/rc_forest");
     for &n in N_SWEEP {
@@ -129,6 +169,6 @@ fn bench_rc_forest(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_sequential_ops, bench_rc_forest
+    targets = bench_sequential_ops, bench_repr_round, bench_rc_forest
 }
 criterion_main!(benches);

@@ -1,7 +1,8 @@
 //! Shared helpers for the DynSLD benchmark harness.
 //!
 //! Every benchmark target in `benches/` regenerates one table / theorem / section of the paper
-//! (see DESIGN.md §3 for the experiment index and EXPERIMENTS.md for recorded results). The
+//! (see the "Benchmarks" section of README.md for the index; the numbers of record come from the
+//! `baseline/` package). The
 //! helpers here keep the measurement configuration consistent and small enough that
 //! `cargo bench --workspace` completes in minutes while still exposing the asymptotic *shapes*
 //! the paper claims.

@@ -8,19 +8,21 @@
 //!   merged into their star center with the `SLD-Merge` spine-merge primitive, and the star is
 //!   contracted.
 //!
-//!   *Deviations (DESIGN.md, substitution 6):* the paper contracts a maximal independent set of
+//!   *Deviations (README.md, "Deviations from the paper", substitution 6):* the paper contracts a maximal independent set of
 //!   degree-1 **and** degree-2 incidence vertices per round and merges the grouped sub-spines of
 //!   a star in parallel; this implementation contracts leaves only and merges the spines of one
 //!   star sequentially, which preserves the `O(k·h)`-type work bound and exact correctness but
 //!   not the `O(log n log k log(kh))` span.
 //!
 //! * **Batch deletion** (`Batch-Delete`): the connectivity structures are updated for the whole
-//!   batch first, then the spine-unmerge of every deleted edge is *planned* against the original
-//!   dendrogram and the post-batch connectivity (these plans are independent and read-only, and
-//!   assignments that overlap provably agree — Section 3.3), and finally all plans are
-//!   committed.
+//!   batch first, then the union of the affected spines is labelled with post-batch components
+//!   in one round of find-representative queries ([`crate::sides`]), the spine-unmerge of every
+//!   deleted edge is *planned* against the original dendrogram and those labels (the plans are
+//!   independent and read-only, and assignments that overlap provably agree — Section 3.3), and
+//!   finally all plans are committed.
 
 use crate::dynsld::{DynSld, DynSldError};
+use crate::sides::Cut;
 use dynsld_forest::{Dsu, EdgeId, VertexId, Weight};
 use rayon::prelude::*;
 use std::collections::HashMap;
@@ -158,43 +160,31 @@ impl DynSld {
 
         self.stats.begin_update();
         // ---- phase 1: update the connectivity structures for the whole batch ---------------
-        // One record per deleted edge: (edge, u, v, e*_u, e*_v).
-        type DeleteInfo = (EdgeId, VertexId, VertexId, Option<EdgeId>, Option<EdgeId>);
-        let infos: Vec<DeleteInfo> = ids
-            .iter()
-            .map(|&e| {
-                let (u, v, eu, ev) = self.register_delete(e);
-                (e, u, v, eu, ev)
-            })
-            .collect();
+        let cuts: Vec<Cut> = ids.iter().map(|&e| self.register_delete(e)).collect();
 
         // ---- phase 2: plan every spine unmerge against the original dendrogram -------------
-        // The plans are independent read-only computations (the paper runs them concurrently);
-        // assignments of overlapping spines agree, so they can simply be concatenated.
+        // The union of the affected spines is labelled once with post-batch components; the
+        // plans are then independent read-only computations (the paper runs them concurrently)
+        // that keep the nodes carrying their side's label. Assignments of overlapping spines
+        // agree, so the plans can simply be concatenated.
+        let side_labels = self.label_spines(&cuts);
         let plans: Vec<Vec<(EdgeId, Option<EdgeId>)>> = {
             let dendro = &self.dendro;
-            let conn = &self.conn;
-            let forest = &self.forest;
-            infos
-                .par_iter()
-                .map(|&(_, u, v, e_star_u, e_star_v)| {
+            let sides = &self.sides;
+            cuts.par_iter()
+                .zip(side_labels.par_iter())
+                .map(|(cut, sides_of_cut)| {
                     let mut plan = Vec::new();
-                    for (anchor, estar) in [(u, e_star_u), (v, e_star_v)] {
-                        let Some(start) = estar else { continue };
-                        let spine = dendro.spine(start);
-                        let filtered: Vec<EdgeId> = spine
-                            .into_iter()
-                            .filter(|&f| {
-                                // Deleted edges are already gone from the forest; everything
-                                // else is kept iff it lies on the anchor's side of the cuts.
-                                forest.contains_edge(f)
-                                    && conn.connected(forest.endpoints(f).0, anchor)
-                            })
-                            .collect();
-                        for i in 0..filtered.len() {
-                            let new_parent = filtered.get(i + 1).copied();
-                            if dendro.parent(filtered[i]) != new_parent {
-                                plan.push((filtered[i], new_parent));
+                    for (e_star, &side) in cut.e_star.into_iter().zip(sides_of_cut) {
+                        // Deleted edges carry a label no side has, so one comparison drops
+                        // them along with the nodes on other sides of the cuts.
+                        let mut kept = std::iter::successors(e_star, |&f| dendro.parent(f))
+                            .filter(|&f| sides.label(f) == Some(side));
+                        let mut node = kept.next();
+                        while let Some(f) = node {
+                            node = kept.next();
+                            if dendro.parent(f) != node {
+                                plan.push((f, node));
                             }
                         }
                     }

@@ -8,6 +8,7 @@
 //!
 //! The individual update algorithms live in sibling modules:
 //! * [`crate::seq`] — sequential `O(h)` insertion and `O(h log(1 + n/h))` deletion (Theorem 1.1),
+//! * [`crate::sides`] — the side assignment every deletion algorithm shares,
 //! * [`crate::outsens`] — output-sensitive insertion (Theorem 1.2),
 //! * [`crate::par`] — parallel insertion/deletion (Theorem 1.3),
 //! * [`crate::outsens_par`] — parallel output-sensitive insertion (Theorem 1.4),
@@ -16,6 +17,7 @@
 //! * [`crate::cartesian`] — dynamic Cartesian trees (Section 6.2).
 
 use crate::dendrogram::Dendrogram;
+use crate::sides::{Cut, SideScratch};
 use crate::snapshot::ExportTracker;
 use crate::static_sld;
 use dynsld_dyntree::{EulerTourForest, LctNodeId, LinkCutTree};
@@ -49,8 +51,8 @@ pub enum UpdateStrategy {
 /// work a deletion's replacement search performs.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
 pub enum ForestBackend {
-    /// Scan the non-tree edges incident to the smaller side of the cut:
-    /// `O(min-side non-tree degree · log n)` per tree-edge deletion. The default.
+    /// Enumerate the smaller side of the cut and scan the non-tree edges incident to it:
+    /// `O(min-side size + min-side non-tree degree)` per tree-edge deletion. The default.
     #[default]
     Scan,
     /// Holm–de Lichtenberg–Thorup-style level structure: edges carry levels and the search
@@ -233,6 +235,8 @@ pub struct DynSld {
     pub(crate) dendro: Dendrogram,
     /// Euler-tour forest over the input (connectivity, component sizes, member iteration).
     pub(crate) conn: EulerTourForest,
+    /// Scratch of the deletions' side assignment over `conn` (see [`crate::sides`]).
+    pub(crate) sides: SideScratch,
     /// Link-cut tree over the input forest (vertex nodes + keyed edge nodes) for path-maximum
     /// (threshold) queries.
     pub(crate) input_lct: LinkCutTree,
@@ -264,6 +268,7 @@ impl DynSld {
             forest: Forest::new(n),
             dendro: Dendrogram::new(),
             conn: EulerTourForest::new(n),
+            sides: SideScratch::default(),
             input_lct,
             input_vertex_node,
             input_edge_node: Vec::new(),
@@ -309,6 +314,7 @@ impl DynSld {
             forest,
             dendro,
             conn,
+            sides: SideScratch::default(),
             input_lct,
             input_vertex_node,
             input_edge_node,
@@ -487,16 +493,13 @@ impl DynSld {
     /// Performs the bookkeeping common to every deletion algorithm *before* the dendrogram is
     /// repaired: removes the edge from the forest and from the connectivity/path structures
     /// (so connectivity queries reflect the post-deletion components) and returns the
-    /// characteristic edges `e*_u` and `e*_v` of the two sides.
-    pub(crate) fn register_delete(
-        &mut self,
-        e: EdgeId,
-    ) -> (VertexId, VertexId, Option<EdgeId>, Option<EdgeId>) {
+    /// [`Cut`], which carries the characteristic edges `e*_u` and `e*_v` of the two sides.
+    pub(crate) fn register_delete(&mut self, e: EdgeId) -> Cut {
         self.version += 1;
         self.export.touch(e);
         let (u, v) = self.forest.endpoints(e);
-        let e_star_u = self.forest.min_incident_excluding(u, e);
-        let e_star_v = self.forest.min_incident_excluding(v, e);
+        let rank = self.forest.rank(e);
+        let e_star = [u, v].map(|x| self.forest.min_incident_excluding(x, e));
         self.conn.cut(e);
         let en = self.input_edge_node[e.index()].expect("edge node exists");
         let un = self.input_vertex_node[u.index()];
@@ -504,7 +507,13 @@ impl DynSld {
         self.input_lct.cut_edge(en, un);
         self.input_lct.cut_edge(en, vn);
         self.forest.delete_edge(e);
-        (u, v, e_star_u, e_star_v)
+        Cut {
+            e,
+            rank,
+            u,
+            v,
+            e_star,
+        }
     }
 
     fn ensure_input_edge_node(&mut self, e: EdgeId, key: RankKey) -> LctNodeId {

@@ -66,6 +66,7 @@ pub mod outsens_par;
 pub mod par;
 pub mod queries;
 pub mod seq;
+pub mod sides;
 pub mod snapshot;
 pub mod static_sld;
 

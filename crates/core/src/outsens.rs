@@ -8,7 +8,8 @@
 //!
 //! With the RC-tree machinery of the paper the `c` queries cost `O(c log(1 + n/c))` in total;
 //! with the link-cut tree substrate used here each query is `O(log n)` amortized, giving
-//! `O(c log n)` — the same output-sensitive shape (see DESIGN.md, substitution 4).
+//! `O(c log n)` — the same output-sensitive shape (see README.md, "Deviations from the paper",
+//! substitution 4).
 
 use crate::dynsld::{DynSld, DynSldError};
 use dynsld_forest::{EdgeId, RankKey, VertexId, Weight};

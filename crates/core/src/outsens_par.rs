@@ -7,7 +7,7 @@
 //! rank ranges do not interleave terminate immediately with at most one change, so the number of
 //! recorded changes is `O(c + log h)` and the total planning work is `O((c + log h) log n)`.
 //!
-//! Deviation from the paper (documented in DESIGN.md, substitutions 3–4): the paper performs the
+//! Deviation from the paper (README.md, "Deviations from the paper", substitutions 3–4): the paper performs the
 //! divide-and-conquer on an RC tree of the dendrogram, whose queries are read-only and
 //! worst-case `O(log n)`, so the two recursive calls run in parallel and the overall depth is
 //! `O(log n log h)`. Our substrate is a splay-based link-cut tree whose queries restructure the

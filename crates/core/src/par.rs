@@ -6,16 +6,19 @@
 //!   into the first spine by binary search, the second spine is combined with the result using
 //!   the work-efficient parallel merge of `dynsld-parallel`, and the parent-pointer changes are
 //!   derived from the merged order in parallel before being committed.
-//! * **Deletion**: the two characteristic spines are extracted, the connectivity side of every
-//!   spine node is determined with independent (read-only, parallelisable) connectivity queries,
-//!   each side is compacted with a parallel filter, and the relink is committed.
+//! * **Deletion**: the nodes of the two characteristic spines are assigned to their side of the
+//!   cut by the routine every deletion algorithm shares ([`crate::sides`]: one memoised round
+//!   of find-representative queries — sequential, because the memo is what makes the batch
+//!   cheap), the pointer changes of each side are derived with a parallel filter, and the
+//!   relink is committed.
 //!
 //! The committed pointer writes are exactly the structural changes, so the work matches the
 //! sequential algorithm up to the cost of the parallel primitives. Note on depth: the paper
 //! extracts spines through an RC tree of the dendrogram in `O(log n)` depth; here spines are
 //! extracted by walking parent pointers (`O(h)` span for the extraction step) — the work bound
 //! and the merge/filter structure are as in the paper, the extraction span is not (see
-//! DESIGN.md, substitution 3).
+//! README.md, "Deviations from the paper", substitution 2; substitution 7 covers the deletion's
+//! sequential side assignment).
 
 use crate::dynsld::{DynSld, DynSldError};
 use dynsld_forest::{EdgeId, VertexId, Weight};
@@ -93,34 +96,9 @@ impl DynSld {
     /// Parallel edge deletion addressed by edge id.
     pub fn delete_edge_parallel(&mut self, e: EdgeId) {
         self.stats.begin_update();
-        let (u, v, e_star_u, e_star_v) = self.register_delete(e);
-        let spine_u = e_star_u.map(|eu| self.dendro.spine(eu)).unwrap_or_default();
-        let spine_v = e_star_v.map(|ev| self.dendro.spine(ev)).unwrap_or_default();
-        self.stats.last_spine_nodes += spine_u.len() + spine_v.len();
-        self.stats.last_tree_queries += spine_u.len() + spine_v.len();
-
-        // Batch connectivity queries + order-preserving parallel filter (read-only plan phase).
-        let (filtered_u, filtered_v) = {
-            let conn = &self.conn;
-            let forest = &self.forest;
-            let keep = |anchor: VertexId| {
-                move |f: &EdgeId| -> Option<EdgeId> {
-                    if *f == e {
-                        return None;
-                    }
-                    let (a, _) = forest.endpoints(*f);
-                    if conn.connected(a, anchor) {
-                        Some(*f)
-                    } else {
-                        None
-                    }
-                }
-            };
-            let fu = par_filter_map(&spine_u, keep(u));
-            let fv = par_filter_map(&spine_v, keep(v));
-            (fu, fv)
-        };
-        // Plan the pointer changes from the filtered orders (again read-only, in parallel).
+        let cut = self.register_delete(e);
+        let sides = self.cut_sides(&cut);
+        // Plan the pointer changes from the two side orders (read-only, in parallel).
         let changes = {
             let dendro = &self.dendro;
             let plan = |seq: &[EdgeId]| -> Vec<(EdgeId, Option<EdgeId>)> {
@@ -135,8 +113,8 @@ impl DynSld {
                     }
                 })
             };
-            let mut all = plan(&filtered_u);
-            all.extend(plan(&filtered_v));
+            let [mut all, side_v] = sides.map(|side| plan(&side));
+            all.extend(side_v);
             all
         };
         for (node, parent) in changes {

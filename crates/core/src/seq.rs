@@ -3,11 +3,11 @@
 //! * **Insertion** in `O(h)`: the new edge node is merged into the spine of `e*_u` (the
 //!   minimum-rank edge incident to `u` in `T_u`), and the resulting spine is merged with the
 //!   spine of `e*_v` — the two applications of the `SLD-Merge` primitive of Algorithm 1/2.
-//! * **Deletion** in `O(h log(1 + n/h))`: deletion is the reverse of insertion. The two
-//!   characteristic spines are collected, each node is assigned to the side of the cut that
-//!   contains its endpoints (connectivity queries against the Euler-tour forest, which has
-//!   already been updated to reflect the deletion), and each filtered spine is relinked in
-//!   order (Algorithm 2, `Delete`).
+//! * **Deletion** in `O(h log(1 + n/h))`: deletion is the reverse of insertion. Every node on
+//!   the two characteristic spines is assigned to the side of the cut that contains its edge —
+//!   the `h` connectivity questions are answered as one batch of find-representative queries
+//!   against the Euler-tour forest, which has already been updated to reflect the deletion (see
+//!   [`crate::sides`]) — and each side is relinked in spine order (Algorithm 2, `Delete`).
 
 use crate::dynsld::{DynSld, DynSldError};
 use dynsld_forest::{EdgeId, VertexId, Weight};
@@ -48,44 +48,16 @@ impl DynSld {
     /// Sequential deletion addressed by edge id.
     pub fn delete_edge_seq(&mut self, e: EdgeId) {
         self.stats.begin_update();
-        // Collect the two characteristic spines *before* touching the dendrogram.
-        // (`register_delete` must run first so that connectivity reflects the deletion, but it
-        // does not modify the dendrogram.)
-        let (u, v, e_star_u, e_star_v) = self.register_delete(e);
-        let spine_u = e_star_u.map(|eu| self.dendro.spine(eu)).unwrap_or_default();
-        let spine_v = e_star_v.map(|ev| self.dendro.spine(ev)).unwrap_or_default();
-        self.stats.last_spine_nodes += spine_u.len() + spine_v.len();
-
-        let filtered_u = self.filter_side(&spine_u, e, u);
-        let filtered_v = self.filter_side(&spine_v, e, v);
-        self.relink(&filtered_u);
-        self.relink(&filtered_v);
+        // `register_delete` runs first so that connectivity reflects the deletion; it does not
+        // modify the dendrogram, which the side assignment still reads in its old shape.
+        let cut = self.register_delete(e);
+        let [side_u, side_v] = self.cut_sides(&cut);
+        self.relink(&side_u);
+        self.relink(&side_v);
         self.destroy_node(e);
     }
 
-    /// Keeps the spine nodes whose edge lies in the component of `anchor` (both endpoints are in
-    /// the same component for every edge except the deleted edge `deleted`, which is dropped).
-    pub(crate) fn filter_side(
-        &mut self,
-        spine: &[EdgeId],
-        deleted: EdgeId,
-        anchor: VertexId,
-    ) -> Vec<EdgeId> {
-        let mut out = Vec::with_capacity(spine.len());
-        for &f in spine {
-            if f == deleted {
-                continue;
-            }
-            self.stats.last_tree_queries += 1;
-            let (a, _) = self.forest.endpoints(f);
-            if self.conn.connected(a, anchor) {
-                out.push(f);
-            }
-        }
-        out
-    }
-
-    /// Relinks a filtered spine: each node's parent becomes the next node, the last node becomes
+    /// Relinks one side of a cut: each node's parent becomes the next node, the last node becomes
     /// a root.
     pub(crate) fn relink(&mut self, seq: &[EdgeId]) {
         for i in 0..seq.len() {

@@ -11,7 +11,8 @@
 //!   half on the lower half's contracted components *in parallel*, then stitch the lower-half
 //!   component roots below the minimum-rank upper-half edge incident to their component.
 //!   `O(n log n)` work. (The paper's optimal static algorithm \[19\] achieves `O(n log h)`; this
-//!   simpler algorithm serves as the parallel static-recomputation baseline — see DESIGN.md.)
+//!   simpler algorithm serves as the parallel static-recomputation baseline — see README.md,
+//!   "Deviations from the paper", substitution 1.)
 
 use crate::dendrogram::Dendrogram;
 use dynsld_forest::{Dsu, EdgeId, Forest, RankKey, VertexId};

@@ -13,7 +13,22 @@
 //! * component sizes and member iteration (cluster report / flat clustering fallbacks, MSF
 //!   replacement-edge search on the smaller side),
 //! * stable component representatives within a single query round.
+//!
+//! # Batched representative queries
+//!
+//! A deletion asks "which side of the cut?" for every node of a spine, and the paper charges
+//! those `k` questions as **one batch**: `O(k log(1 + n/k))` on a balanced tree, because the
+//! root paths of `k` nodes share all but `O(log(1 + n/k))` of their nodes each. Answered one at
+//! a time with [`EulerTourForest::connected`] they cost two full root walks per question.
+//! [`EulerTourForest::repr_round`] is the batch form: a [`ReprRound`] answers
+//! [`repr`](ReprRound::repr) by climbing only until it meets a treap node already resolved in
+//! this round and then stamps the climbed path, so the round as a whole visits each node of the
+//! union of the root paths once, and a repeated vertex costs `O(1)`. The memo lives in a
+//! caller-owned [`RoundTable`] (8 bytes per treap node, reused across rounds), and the round
+//! borrows the forest immutably — no [`link`](EulerTourForest::link) or
+//! [`cut`](EulerTourForest::cut) can invalidate an answer that is still in use.
 
+use crate::round::RoundTable;
 use dynsld_forest::{EdgeId, VertexId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -351,12 +366,78 @@ impl EulerTourForest {
         self.free.push(second);
     }
 
-    /// Batch connectivity queries: for each pair, returns whether the two vertices are connected.
+    /// Starts a batch of representative queries that memoises in `memo` (see the
+    /// [module docs](self#batched-representative-queries)). `memo` is scratch: its previous
+    /// contents are forgotten, and it may be reused with any forest.
     ///
-    /// Queries are read-only and independent, so callers may also evaluate them in parallel via
-    /// `dynsld-parallel`; this convenience method evaluates them sequentially.
-    pub fn batch_connected(&self, pairs: &[(VertexId, VertexId)]) -> Vec<bool> {
-        pairs.iter().map(|&(u, v)| self.connected(u, v)).collect()
+    /// The round holds `&self`, so the borrow checker rejects a structural update while its
+    /// answers are live:
+    ///
+    /// ```compile_fail
+    /// use dynsld_dyntree::{EulerTourForest, RoundTable};
+    /// use dynsld_forest::{EdgeId, VertexId};
+    /// let mut ett = EulerTourForest::new(2);
+    /// let mut memo = RoundTable::new();
+    /// let mut round = ett.repr_round(&mut memo);
+    /// let before = round.repr(VertexId(0));
+    /// ett.link(VertexId(0), VertexId(1), EdgeId(0)); // error: `ett` is borrowed by `round`
+    /// assert_eq!(round.repr(VertexId(1)), before);
+    /// ```
+    pub fn repr_round<'a>(&'a self, memo: &'a mut RoundTable) -> ReprRound<'a> {
+        memo.begin_round(self.nodes.len());
+        ReprRound {
+            ett: self,
+            memo,
+            visits: 0,
+        }
+    }
+}
+
+/// One batch of component-representative queries against an [`EulerTourForest`]; created by
+/// [`EulerTourForest::repr_round`].
+#[derive(Debug)]
+pub struct ReprRound<'a> {
+    ett: &'a EulerTourForest,
+    /// Treap node -> the treap root it resolved to in this round.
+    memo: &'a mut RoundTable,
+    visits: u64,
+}
+
+impl ReprRound<'_> {
+    /// The representative of `v`'s component: the value of
+    /// [`EulerTourForest::component_repr`], as the treap's native `u32` node index. Two
+    /// vertices have equal representatives iff they are connected.
+    pub fn repr(&mut self, v: VertexId) -> u32 {
+        let nodes = &self.ett.nodes;
+        let start = self.ett.vertex_node[v.index()];
+        // Climb until a node resolved earlier in this round, or the treap root.
+        let mut top = start;
+        let root = loop {
+            self.visits += 1;
+            if let Some(root) = self.memo.get(top as usize) {
+                break root;
+            }
+            match nodes[top as usize].parent {
+                NONE => break top,
+                parent => top = parent,
+            }
+        };
+        // Stamp the climbed path, so the next query that reaches it stops there.
+        let mut t = start;
+        loop {
+            self.memo.set(t as usize, root);
+            if t == top {
+                break;
+            }
+            t = nodes[t as usize].parent;
+        }
+        root
+    }
+
+    /// Treap nodes visited while climbing so far in this round — the round's work measure
+    /// (the stamping pass revisits the same nodes and is not counted again).
+    pub fn visits(&self) -> u64 {
+        self.visits
     }
 }
 
@@ -535,14 +616,138 @@ mod tests {
         assert_eq!(left.len(), 25);
     }
 
+    /// Asserts that a fresh round over `ett` agrees with `component_repr` on `queries`, in
+    /// the given order (repeats included).
+    fn assert_round_matches(ett: &EulerTourForest, memo: &mut RoundTable, queries: &[VertexId]) {
+        let mut round = ett.repr_round(memo);
+        for &q in queries {
+            assert_eq!(round.repr(q) as usize, ett.component_repr(q), "repr of {q}");
+        }
+    }
+
     #[test]
-    fn batch_connected_matches_individual_queries() {
-        let mut ett = EulerTourForest::new(8);
+    fn repr_round_matches_component_repr_under_random_updates() {
+        let mut rng = SmallRng::seed_from_u64(0xc0ffee);
+        let mut n = 60usize;
+        let mut ett = EulerTourForest::with_seed(n, 5);
+        let mut memo = RoundTable::new();
+        let mut alive: Vec<EdgeId> = Vec::new();
+        let mut next_edge = 0u32;
+        for step in 0..1_500 {
+            match rng.gen_range(0..10) {
+                0 => {
+                    // New vertices stay isolated until a later link picks them.
+                    ett.add_vertices(3);
+                    n += 3;
+                }
+                1..=5 => {
+                    let (a, b) = (v(rng.gen_range(0..n as u32)), v(rng.gen_range(0..n as u32)));
+                    if !ett.connected(a, b) {
+                        ett.link(a, b, e(next_edge));
+                        alive.push(e(next_edge));
+                        next_edge += 1;
+                    }
+                }
+                _ if !alive.is_empty() => {
+                    let i = rng.gen_range(0..alive.len());
+                    ett.cut(alive.swap_remove(i));
+                }
+                _ => {}
+            }
+            // A fresh round after every mutation, in one of four query shapes.
+            let (a, b) = (v(rng.gen_range(0..n as u32)), v(rng.gen_range(0..n as u32)));
+            let queries: Vec<VertexId> = match step % 4 {
+                // Random vertices with repeats (isolated ones included).
+                0 => (0..40).map(|_| v(rng.gen_range(0..n as u32))).collect(),
+                // Every vertex of one component, twice over.
+                1 => {
+                    let members = ett.component_vertices(a);
+                    members.iter().chain(&members).copied().collect()
+                }
+                // Two components, interleaved.
+                2 => {
+                    let (ca, cb) = (ett.component_vertices(a), ett.component_vertices(b));
+                    (0..ca.len().max(cb.len()))
+                        .flat_map(|i| [ca[i % ca.len()], cb[i % cb.len()]])
+                        .collect()
+                }
+                // Every vertex of the forest.
+                _ => (0..n as u32).map(v).collect(),
+            };
+            assert_round_matches(&ett, &mut memo, &queries);
+        }
+    }
+
+    #[test]
+    fn repr_round_survives_round_counter_wrap_around() {
+        // Rounds MAX, then the wrap (stamps cleared), then ordinary rounds again: an answer
+        // stamped before the wrap must never be served after it.
+        let mut ett = EulerTourForest::with_seed(6, 1);
+        let mut memo = RoundTable::starting_at(u32::MAX - 1);
+        let all: Vec<VertexId> = (0..6).map(v).collect();
         ett.link(v(0), v(1), e(0));
-        ett.link(v(2), v(3), e(1));
-        ett.link(v(1), v(2), e(2));
-        ett.link(v(5), v(6), e(3));
-        let pairs = vec![(v(0), v(3)), (v(0), v(5)), (v(6), v(5)), (v(7), v(7))];
-        assert_eq!(ett.batch_connected(&pairs), vec![true, false, true, true]);
+        ett.link(v(1), v(2), e(1));
+        assert_round_matches(&ett, &mut memo, &all);
+        ett.cut(e(0));
+        ett.link(v(3), v(0), e(0));
+        assert_round_matches(&ett, &mut memo, &all);
+        ett.cut(e(1));
+        ett.link(v(4), v(5), e(1));
+        assert_round_matches(&ett, &mut memo, &all);
+        ett.link(v(2), v(5), e(2));
+        assert_round_matches(&ett, &mut memo, &all);
+    }
+
+    #[test]
+    fn repr_round_work_follows_the_batch_bound() {
+        // k distinct queries on one 20 000-vertex tree: the round visits the union of the k
+        // root paths, O(k log(1 + N/k)) treap nodes, while k independent root walks visit
+        // Θ(k log N).
+        let n = 20_000usize;
+        let tree = gen::random_tree(n, 4242);
+        let mut ett = EulerTourForest::with_seed(n, 17);
+        for (i, &(a, b, _)) in tree.edges.iter().enumerate() {
+            ett.link(a, b, EdgeId(i as u32));
+        }
+        let treap_size = ett.nodes.len() as f64; // one tour: n vertex nodes + 2(n - 1) arcs
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.shuffle(&mut SmallRng::seed_from_u64(99));
+        let mut memo = RoundTable::new();
+        for k in [16usize, 256, 4_096] {
+            let queries = &order[..k];
+            let mut round = ett.repr_round(&mut memo);
+            for &q in queries {
+                round.repr(v(q));
+            }
+            let batch_bound = 4.0 * k as f64 * (1.0 + (1.0 + treap_size / k as f64).log2());
+            assert!(
+                (round.visits() as f64) <= batch_bound,
+                "k = {k}: the round visited {} nodes, bound {batch_bound}",
+                round.visits()
+            );
+            // What k separate `component_repr` calls walk: every node from the vertex to the root.
+            let independent: usize = queries
+                .iter()
+                .map(|&q| {
+                    let mut t = ett.vertex_node[q as usize];
+                    let mut walked = 1;
+                    while ett.nodes[t as usize].parent != NONE {
+                        t = ett.nodes[t as usize].parent;
+                        walked += 1;
+                    }
+                    walked
+                })
+                .sum();
+            assert!(
+                independent as f64 >= k as f64 * treap_size.log2() / 2.0,
+                "k = {k}: independent walks visited only {independent} nodes"
+            );
+            // A second pass over the same vertices is one visit each.
+            let before = round.visits();
+            for &q in queries {
+                round.repr(v(q));
+            }
+            assert_eq!(round.visits() - before, k as u64);
+        }
     }
 }

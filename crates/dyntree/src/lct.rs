@@ -9,8 +9,8 @@
 //! * over the **dendrogram** (one LCT node per dendrogram node, keyed by the node's rank): the
 //!   *path weight search* (Definition 4.1) and *path median* (Definition 4.2) queries that power
 //!   the output-sensitive insertion algorithms of Section 4, in `O(log n)` amortized time per
-//!   query instead of the paper's `O(log n)` worst-case RC-tree implementation (see DESIGN.md,
-//!   substitution 3).
+//!   query instead of the paper's `O(log n)` worst-case RC-tree implementation (see README.md,
+//!   "Deviations from the paper", substitution 3).
 //!
 //! The structure is a standard splay-based LCT with lazy path reversal (`evert`), subtree sizes
 //! (for path length / k-th selection) and maximum-key aggregates per preferred path.

@@ -9,7 +9,8 @@
 //!    its endpoints (batch connectivity queries), and cluster-report / flat-clustering queries
 //!    iterate component members. Provided by [`EulerTourForest`] (Euler-tour trees over
 //!    randomized treaps): `link`, `cut`, `connected`, `component_size`, component iteration —
-//!    all `O(log n)` expected per operation.
+//!    all `O(log n)` expected per operation — and [`ReprRound`], `k` find-representative
+//!    queries in `O(k log(1 + n/k))` expected, memoised in a reusable [`RoundTable`].
 //!
 //! 2. **Path queries** over both the input forest (maximum-weight edge on a path, for threshold
 //!    queries and the dynamic MSF) and the dendrogram itself (the paper's new *path weight
@@ -22,8 +23,10 @@
 //! updates with polylogarithmic depth. This crate supplies the sequential work-efficient
 //! substrates (the `O(log n)`-per-operation costs that the DynSLD analysis charges to the
 //! dynamic-tree structure); the companion crate `dynsld-rctree` provides the RC-tree structure
-//! itself (parallel construction, path decomposition, batch queries). See DESIGN.md §1
-//! (substitution 3) for the rationale.
+//! itself (parallel construction, path decomposition, batch queries). See README.md,
+//! "Deviations from the paper" (substitution 3) for the rationale, and substitution 7 for the
+//! one batch operation this crate does provide: [`EulerTourForest::repr_round`], the
+//! `O(k log(1 + n/k))` batch of find-representative queries that deletions are charged for.
 
 //!
 //! Both structures implement the [`traits`] capability family — [`DynamicForest`] for
@@ -33,8 +36,10 @@
 
 pub mod euler;
 pub mod lct;
+pub mod round;
 pub mod traits;
 
-pub use euler::EulerTourForest;
+pub use euler::{EulerTourForest, ReprRound};
 pub use lct::{LctNodeId, LinkCutTree};
+pub use round::RoundTable;
 pub use traits::{ComponentOps, DynamicForest, ExpandableForest, PathOps};

@@ -20,7 +20,7 @@
 //! order (`(weight, endpoint pair)` — fully deterministic), and report per-edge [`MsfChange`]s
 //! in *input* order so callers can correlate outcomes with submissions.
 
-use crate::{component_members, pair, DynamicGraphClustering, MsfChange, ReplacementIndex};
+use crate::{pair, DynamicGraphClustering, MsfChange, ReplacementIndex};
 use dynsld::{DynSld, DynSldError};
 use dynsld_forest::{Dsu, VertexId, Weight};
 use std::collections::HashMap;
@@ -304,15 +304,21 @@ impl DynamicGraphClustering {
                 }
                 let mut candidates: Vec<(Weight, (VertexId, VertexId))> = Vec::new();
                 let mut candidate_seen = std::collections::HashSet::new();
+                self.pieces.begin_search(&self.sld);
                 for &(seed, local) in &seeds {
                     let root = tree_of_piece.find(local).0;
                     if largest_of_tree[&root].1 == local.0 {
                         continue; // largest piece of this tree: every candidate is reachable elsewhere
                     }
-                    for member in component_members(&self.sld, seed) {
+                    for member in self.pieces.enumerate(&self.sld, seed, local.0) {
                         for &(a, b) in &reserve[member.index()] {
                             self.counters.replacement_edges_scanned += 1;
-                            if self.sld.connected(a, b) || !candidate_seen.insert(pair(a, b)) {
+                            // Both endpoints in this piece: the edge crosses no cut. (The
+                            // other endpoint's piece may not be enumerated yet, or ever — it
+                            // is then a different one.)
+                            if self.pieces.piece(a) == self.pieces.piece(b)
+                                || !candidate_seen.insert(pair(a, b))
+                            {
                                 continue;
                             }
                             candidates.push((self.weights[&pair(a, b)], pair(a, b)));

@@ -22,9 +22,11 @@
 //! the `DYNSLD_MSF_BACKEND` environment variable):
 //!
 //! * [`ForestBackend::Scan`] scans the non-tree edges incident to the smaller side of the
-//!   cut: `O(min-side non-tree degree · log n)` per tree-edge deletion (DESIGN.md,
-//!   substitution 5 — the paper points to Holm–de Lichtenberg–Thorup \[33\] or the
-//!   batch-parallel MSF of Tseng et al. \[48\] for this component).
+//!   cut: `O(min-side size + min-side non-tree degree)` per tree-edge deletion — the side is
+//!   enumerated once and marked, so each crossing test is two table reads (README.md,
+//!   "Deviations from the paper", substitution 5 — the paper points to Holm–de
+//!   Lichtenberg–Thorup \[33\] or the batch-parallel MSF of Tseng et al. \[48\] for this
+//!   component).
 //! * [`ForestBackend::Hdt`] keeps an HDT-style level structure (see the `hdt` module):
 //!   edges carry levels, replacement search amortizes candidate examinations over level
 //!   promotions, and only the candidates stored at the levels a cut touches are examined.
@@ -37,6 +39,7 @@
 #![warn(missing_docs)]
 
 use dynsld::{DynSld, DynSldError, DynSldOptions};
+use dynsld_dyntree::RoundTable;
 use dynsld_forest::{VertexId, Weight};
 use std::collections::{HashMap, HashSet};
 
@@ -128,24 +131,51 @@ pub struct DynamicGraphClustering {
     pub(crate) index: ReplacementIndex,
     /// Scan-backend work counters (the HDT index keeps its own; both are drained together).
     pub(crate) counters: WorkCounters,
+    /// Scan-backend scratch: which piece of the current replacement search each vertex was
+    /// enumerated into.
+    pub(crate) pieces: PieceMarks,
 }
 
-/// The vertices of the MSF component of `sld` containing `v`.
-pub(crate) fn component_members(sld: &DynSld, v: VertexId) -> Vec<VertexId> {
-    // Walk the component through the forest adjacency (the component is a tree).
-    let mut seen = HashSet::new();
-    let mut stack = vec![v];
-    seen.insert(v);
-    let mut out = vec![v];
-    while let Some(x) = stack.pop() {
-        for (y, _) in sld.forest().neighbors(x) {
-            if seen.insert(y) {
-                out.push(y);
-                stack.push(y);
+/// The pieces a replacement search of the scan backend has enumerated: vertex -> piece id, for
+/// one search (8 bytes per vertex, reused). A search enumerates the small sides of its cuts
+/// anyway, so "does this reserve edge cross the cut?" is a lookup of its two endpoints here
+/// rather than a connectivity query against the Euler-tour forest.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct PieceMarks {
+    piece_of: RoundTable,
+}
+
+impl PieceMarks {
+    /// Starts a search: forgets every mark.
+    pub(crate) fn begin_search(&mut self, sld: &DynSld) {
+        self.piece_of.begin_round(sld.num_vertices());
+    }
+
+    /// Marks the vertices of the MSF component of `sld` containing `v` as piece `piece` and
+    /// returns them. The component must not have been enumerated in this search.
+    pub(crate) fn enumerate(&mut self, sld: &DynSld, v: VertexId, piece: u32) -> Vec<VertexId> {
+        // Walk the component through the forest adjacency (the component is a tree).
+        let mut stack = vec![v];
+        self.piece_of.set(v.index(), piece);
+        let mut out = vec![v];
+        while let Some(x) = stack.pop() {
+            for (y, _) in sld.forest().neighbors(x) {
+                if self.piece_of.get(y.index()).is_none() {
+                    self.piece_of.set(y.index(), piece);
+                    out.push(y);
+                    stack.push(y);
+                }
             }
         }
+        out
     }
-    out
+
+    /// The piece `v` was enumerated into, or `None` if its component has not been enumerated
+    /// in this search.
+    #[inline]
+    pub(crate) fn piece(&self, v: VertexId) -> Option<u32> {
+        self.piece_of.get(v.index())
+    }
 }
 
 /// Deterministic replacement-edge order: strictly cheaper wins, ties break on the
@@ -190,6 +220,7 @@ impl DynamicGraphClustering {
             weights: HashMap::new(),
             index,
             counters: WorkCounters::default(),
+            pieces: PieceMarks::default(),
         }
     }
 
@@ -410,13 +441,14 @@ impl DynamicGraphClustering {
                     v
                 };
                 let mut best: Option<(Weight, (VertexId, VertexId))> = None;
-                for member in component_members(&self.sld, small) {
+                self.pieces.begin_search(&self.sld);
+                for member in self.pieces.enumerate(&self.sld, small, 0) {
                     for &(a, b) in &reserve[member.index()] {
                         self.counters.replacement_edges_scanned += 1;
                         let w = self.weights[&pair(a, b)];
                         // The edge reconnects the cut iff exactly one endpoint lies on the
                         // small side.
-                        if self.sld.connected(a, small) != self.sld.connected(b, small)
+                        if self.pieces.piece(a) != self.pieces.piece(b)
                             && replacement_beats(best.as_ref(), w, pair(a, b))
                         {
                             best = Some((w, pair(a, b)));

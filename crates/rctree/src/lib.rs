@@ -18,7 +18,7 @@
 //! * [`RcForest::link`] / [`RcForest::cut`] — dynamic updates realized by **re-contracting the
 //!   affected component(s)** in parallel.
 //!
-//! **Substitution note (DESIGN.md, substitution 3).** The paper relies on the change-propagation
+//! **Substitution note (README.md, "Deviations from the paper", substitution 3).** The paper relies on the change-propagation
 //! RC trees of Anderson–Blelloch, whose links/cuts cost `O(log n)` and whose batch operations
 //! are work-efficient; re-contraction preserves all query semantics but costs work proportional
 //! to the affected component per update. For this reason the *dynamic* DynSLD algorithms in
