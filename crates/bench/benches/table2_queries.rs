@@ -5,6 +5,13 @@
 //! both). The cluster size |S| is controlled by the query threshold on a balanced instance, so
 //! the expected shape is: DynSLD cluster-size flat in |S|, baseline cluster-size growing
 //! linearly in |S|; cluster-report growing linearly for both.
+//!
+//! The `*_snapshot_*` rows ask a published export ([`dynsld::DendrogramSnapshot`]) instead of
+//! the live structure, on the same increasing path — its dendrogram is a chain (`h = n - 1`),
+//! the worst case of the snapshot's parent walk: `threshold_snapshot_walk` reads `|S| + 2`
+//! records (linear in |S|, where `threshold_dynsld` is flat), `num_clusters_snapshot` is a
+//! binary search (flat), and `threshold_snapshot_sweep` is what either cost before the point
+//! index — the whole flat clustering, `Θ(n)` whatever |S|.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dynsld::queries::msf_baseline;
@@ -28,6 +35,9 @@ fn bench_queries(c: &mut Criterion) {
     );
     let probe = VertexId(0);
     let far = VertexId((n - 1) as u32);
+    let snapshot = sld.export_snapshot();
+    // A full export builds its point index on the first point query; not part of a row.
+    snapshot.threshold_connected(probe, far, 0.0);
 
     let mut group = c.benchmark_group("table2");
     for &cluster_size in &[64usize, 1_024, 16_384] {
@@ -61,6 +71,21 @@ fn bench_queries(c: &mut Criterion) {
             BenchmarkId::new("threshold_msf_only", cluster_size),
             &tau,
             |b, &tau| b.iter(|| msf_baseline::threshold_connected(sld.forest(), probe, far, tau)),
+        );
+        group.bench_with_input(
+            BenchmarkId::new("threshold_snapshot_walk", cluster_size),
+            &tau,
+            |b, &tau| b.iter(|| snapshot.threshold_connected(probe, far, tau)),
+        );
+        group.bench_with_input(
+            BenchmarkId::new("num_clusters_snapshot", cluster_size),
+            &tau,
+            |b, &tau| b.iter(|| snapshot.num_clusters(tau)),
+        );
+        group.bench_with_input(
+            BenchmarkId::new("threshold_snapshot_sweep", cluster_size),
+            &tau,
+            |b, &tau| b.iter(|| snapshot.flat_clustering(tau).same_cluster(probe, far)),
         );
     }
     group.finish();

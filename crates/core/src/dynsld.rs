@@ -476,6 +476,11 @@ impl DynSld {
         self.export.touch(e);
         let e_star_u = self.forest.min_incident_excluding(u, e);
         let e_star_v = self.forest.min_incident_excluding(v, e);
+        for (x, e_star) in [(u, e_star_u), (v, e_star_v)] {
+            // The lowest edge at `x` is the new one unless an older one ranks below it.
+            let lowest = e_star.filter(|&s| self.forest.rank_lt(s, e)).unwrap_or(e);
+            self.export.touch_lowest(x, Some(lowest));
+        }
         self.dendro.add_node(e);
         if let Some(spine) = &mut self.spine {
             spine.ensure_node(e, RankKey::new(weight, e));
@@ -500,6 +505,9 @@ impl DynSld {
         let (u, v) = self.forest.endpoints(e);
         let rank = self.forest.rank(e);
         let e_star = [u, v].map(|x| self.forest.min_incident_excluding(x, e));
+        // With `e` gone, the characteristic edge of each side is its endpoint's lowest edge.
+        self.export.touch_lowest(u, e_star[0]);
+        self.export.touch_lowest(v, e_star[1]);
         self.conn.cut(e);
         let en = self.input_edge_node[e.index()].expect("edge node exists");
         let un = self.input_vertex_node[u.index()];

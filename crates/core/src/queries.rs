@@ -35,6 +35,11 @@ impl FlatClustering {
     pub fn same_cluster(&self, u: VertexId, v: VertexId) -> bool {
         self.labels[u.index()] == self.labels[v.index()]
     }
+
+    /// Number of vertices in the cluster of `v`.
+    pub fn cluster_size(&self, v: VertexId) -> usize {
+        self.clusters[self.labels[v.index()]].len()
+    }
 }
 
 /// A rank key that compares greater than every edge of weight `<= tau` and smaller than every

@@ -3,41 +3,72 @@
 //! [`DynSld`] is a mutable structure whose queries partly require `&mut self` (the link-cut
 //! trees splay on reads), so it cannot be shared with concurrent readers. A
 //! [`DendrogramSnapshot`] is a self-contained copy of the current dendrogram — one record per
-//! alive edge with endpoints, weight, and dendrogram parent, in rank order — that answers the
-//! common clustering queries *immutably* (`&self`), is `Send + Sync`, and is cheap to ship
-//! across threads. The serving layer (`dynsld-engine`) publishes one snapshot per ingest epoch
-//! so that readers never observe a half-applied batch.
+//! alive edge with endpoints, weight, and dendrogram parent, in rank order, plus a point index
+//! over those records — that answers the clustering queries *immutably* (`&self`), is
+//! `Send + Sync`, and is cheap to ship across threads. The serving layer (`dynsld-engine`)
+//! publishes one snapshot per ingest epoch so that readers never observe a half-applied batch.
+//!
+//! Four queries are native to the export and allocate nothing: `num_components` (`n - m`),
+//! `num_clusters(tau)` (a binary search for the end of the merged prefix), and
+//! `threshold_connected` / `merge_height_between`, which walk parent pointers from a vertex's
+//! lowest incident record — `O(depth)`, not the `O(log n)` of the live structure's path
+//! queries (Table 2), but with no sweep of the other `n + m - depth` records. Only
+//! `flat_clustering`, which has `Θ(n)` output, is a union-find pass over the prefix.
 //!
 //! # The record sequence: [`RankedNodes`]
 //!
-//! The records live in a persistent chunked sequence: a vector of `Arc<[SnapshotNode]>`
-//! chunks whose concatenation is strictly rank-sorted. Chunk invariants, kept by every
-//! constructor (the fields are private):
+//! The records live in a persistent chunked sequence: a list of `Arc<[SnapshotNode]>` chunks
+//! whose concatenation is strictly rank-sorted. Chunk invariants, kept by every constructor
+//! (the fields are private):
 //!
 //! * no chunk is empty and no chunk holds more than `2 * CHUNK` records;
 //! * a sequence of two or more chunks has no chunk below `CHUNK / 2` records (a lone chunk
 //!   may be any size up to `2 * CHUNK`; the empty sequence has no chunk).
 //!
 //! An export after a small change ([`DynSld::export_snapshot_incremental`]) *splices*: it
-//! clones the chunk-pointer vector and rewrites only the chunks a changed rank key lands in
+//! copies the chunk-pointer list and rewrites only the chunks a changed rank key lands in
 //! (plus at most one neighbour when a rewritten run falls below `CHUNK / 2`), each at most
 //! once — `O(m / CHUNK + k * CHUNK + k log m)` for `k` changed records instead of `Θ(m)`.
 //! Every other chunk is the *same allocation* in the previous snapshot, the new snapshot and
-//! the exporter's cache, so cloning a snapshot copies pointers, and a consumer comparing two
-//! snapshots can skip a chunk both hold ([`Arc::ptr_eq`]) without reading it.
+//! the exporter's cache, and those three hold the pointer list itself as one shared
+//! allocation: cloning a snapshot is two reference-count increments, and a consumer comparing
+//! two snapshots can skip a chunk both hold ([`Arc::ptr_eq`]) without reading it.
+//!
+//! # The point index
+//!
+//! Two persistent arrays of fixed-size (4 KiB) chunks, read by position, never searched:
+//!
+//! * by edge id: the `(weight, parent)` of the id's record, or "no record" — an id has a
+//!   record here iff it has one in the record sequence, with the same two fields, bit for bit;
+//! * by vertex: the lowest-ranked record the vertex is an endpoint of (the paper's `e*_v`,
+//!   `Forest::min_incident`), or none for an isolated vertex.
+//!
+//! Every chunk of an array is exactly full-length; slots past the last edge id or vertex are
+//! empty. The exporter advances the index next to the splice: one write per dirty edge id
+//! (the record it has just read) and one per endpoint of an inserted or deleted edge (noted
+//! by the update itself, which looks `e*` up anyway), each copying the chunk it lands in the
+//! first time and writing in place after that — so consecutive exports share every index
+//! chunk no changed id falls in, as they do record chunks. A full rebuild, delta replay and
+//! wire decoding build the same index from the records alone, in one pass over the rank
+//! order (a vertex's lowest record is the first that names it) — the latter two only when a
+//! point query asks for it.
 //!
 //! Sharing is sound because nothing is ever written through a published chunk: a chunk is
-//! immutable from the moment it is sealed (a splice builds new chunks, it never edits one),
+//! immutable from the moment it is sealed (a splice builds new chunks, it never edits one;
+//! the index writes in place only to chunks it allocated in the same export),
 //! and an edge record is immutable per id per export window — the exporter re-reads exactly
 //! the ids marked dirty since the last export, and a record of a non-dirty id is provably
 //! unchanged (weight and endpoints are fixed for the lifetime of an id; every parent change,
 //! deletion and id reuse marks the id). A held snapshot therefore keeps answering for its
 //! version however many later exports share its chunks.
 
+mod index;
+
 use crate::dynsld::DynSld;
 use crate::queries::FlatClustering;
 use dynsld_forest::{EdgeId, RankKey, VertexId, Weight};
-use std::sync::Arc;
+use index::{EdgeSlot, IndexWriter, PointIndex};
+use std::sync::{Arc, OnceLock};
 
 /// One dendrogram node in a snapshot: an input-forest edge plus its dendrogram parent.
 #[derive(Copy, Clone, Debug, PartialEq)]
@@ -62,6 +93,12 @@ impl SnapshotNode {
     }
 }
 
+/// Whether a threshold cut at `tau` applies a merge of weight `weight`: every merge but those
+/// the sweep's `weight > tau` test stops at — so all of them for a NaN `tau`.
+fn merges(weight: Weight, tau: Weight) -> bool {
+    weight.partial_cmp(&tau) != Some(std::cmp::Ordering::Greater)
+}
+
 /// Target chunk length of [`RankedNodes`]: chunks are split above twice this and merged
 /// below half of it. Unit tests shrink it so that a few dozen records already exercise
 /// splits, merges and multi-chunk splices.
@@ -70,11 +107,11 @@ const CHUNK_MIN: usize = CHUNK / 2;
 const CHUNK_MAX: usize = 2 * CHUNK;
 
 /// A persistent rank-ordered sequence of [`SnapshotNode`]s (see the [module docs](self) for
-/// the chunk invariants). Cloning copies one pointer per chunk; equality is by content,
-/// whatever the chunk boundaries.
+/// the chunk invariants). The chunk-pointer list sits behind one `Arc`, so cloning is one
+/// atomic increment; equality is by content, whatever the chunk boundaries.
 #[derive(Clone, Debug, Default)]
 pub struct RankedNodes {
-    chunks: Vec<Arc<[SnapshotNode]>>,
+    chunks: Arc<[Arc<[SnapshotNode]>]>,
     len: usize,
 }
 
@@ -117,10 +154,26 @@ impl RankedNodes {
     /// A flat copy of the records.
     pub fn to_vec(&self) -> Vec<SnapshotNode> {
         let mut out = Vec::with_capacity(self.len);
-        for chunk in &self.chunks {
+        for chunk in self.chunks.iter() {
             out.extend_from_slice(chunk);
         }
         out
+    }
+
+    /// How many records a threshold cut at `tau` merges: the length of the prefix before the
+    /// first record of weight `> tau` (all of them for a NaN `tau`, as in the sweep). Binary
+    /// search over the chunk heads and inside one chunk, plus one pass over the chunk-length
+    /// list; allocates nothing.
+    fn merged_at(&self, tau: Weight) -> usize {
+        let Some(at) = self
+            .chunks
+            .partition_point(|chunk| merges(chunk[0].weight, tau))
+            .checked_sub(1)
+        else {
+            return 0;
+        };
+        let before: usize = self.chunks[..at].iter().map(|chunk| chunk.len()).sum();
+        before + self.chunks[at].partition_point(|node| merges(node.weight, tau))
     }
 
     /// The chunk at or after `from` that `key` lands in: the last one whose head is `<= key`
@@ -263,7 +316,7 @@ impl RankedNodesBuilder {
         }
         self.seal_pending();
         let nodes = RankedNodes {
-            chunks: self.chunks,
+            chunks: Arc::from(self.chunks),
             len: self.len,
         };
         (nodes, self.sealed)
@@ -296,8 +349,8 @@ impl RankedNodesBuilder {
     }
 }
 
-/// Path-compressing find over a flat parent array — the union-find primitive shared by the
-/// snapshot queries.
+/// Path-compressing find over a flat parent array — the union-find primitive of the sweep
+/// behind [`DendrogramSnapshot::flat_clustering`].
 fn find(parent: &mut [u32], x: u32) -> u32 {
     let mut root = x;
     while parent[root as usize] != root {
@@ -315,9 +368,14 @@ fn find(parent: &mut [u32], x: u32) -> u32 {
 /// An immutable copy of a [`DynSld`] dendrogram at one structural version.
 ///
 /// Nodes are sorted by rank (`(weight, edge id)` ascending), so a prefix of the node sequence
-/// is exactly the set of merges performed up to any threshold — threshold queries are prefix
-/// scans, and flat clusterings are a single union-find pass over the prefix.
-#[derive(Clone, Debug, PartialEq)]
+/// is exactly the set of merges performed up to any threshold: counting clusters is a binary
+/// search, and a flat clustering is a single union-find pass over the prefix. Point queries
+/// walk parent pointers through the point index (see the [module docs](self)).
+///
+/// Equality compares `version`, `num_vertices` and the records; the index is derived from
+/// them. The fields are public to read — a snapshot is assembled with
+/// [`from_records`](Self::from_records), which is what keeps the index in step.
+#[derive(Clone, Debug)]
 pub struct DendrogramSnapshot {
     /// The [`DynSld::version`] at export time.
     pub version: u64,
@@ -325,9 +383,43 @@ pub struct DendrogramSnapshot {
     pub num_vertices: usize,
     /// All alive dendrogram nodes, sorted by rank.
     pub nodes: RankedNodes,
+    /// Set by the exporter, which advances it from the export before; built from `nodes` on
+    /// the first point query otherwise.
+    index: OnceLock<PointIndex>,
+}
+
+impl PartialEq for DendrogramSnapshot {
+    fn eq(&self, other: &Self) -> bool {
+        self.version == other.version
+            && self.num_vertices == other.num_vertices
+            && self.nodes == other.nodes
+    }
 }
 
 impl DendrogramSnapshot {
+    /// A snapshot of `nodes` over `num_vertices` vertices (every endpoint below it). Its point
+    /// index is built on the first point query — delta replay and wire decoding come through
+    /// here and pay nothing for views nobody walks.
+    pub fn from_records(version: u64, num_vertices: usize, nodes: RankedNodes) -> Self {
+        DendrogramSnapshot {
+            version,
+            num_vertices,
+            nodes,
+            index: OnceLock::new(),
+        }
+    }
+
+    fn index(&self) -> &PointIndex {
+        self.index.get_or_init(|| {
+            let edge_bound = self.nodes.iter().map(|node| node.edge.index() + 1).max();
+            PointIndex::from_records(
+                self.nodes.iter(),
+                self.num_vertices,
+                edge_bound.unwrap_or(0),
+            )
+        })
+    }
+
     /// Number of dendrogram nodes (= alive forest edges).
     pub fn num_edges(&self) -> usize {
         self.nodes.len()
@@ -336,6 +428,12 @@ impl DendrogramSnapshot {
     /// Number of connected components of the input forest (`n - m` for a forest).
     pub fn num_components(&self) -> usize {
         self.num_vertices - self.nodes.len()
+    }
+
+    /// Number of clusters at threshold `tau`: every merge of weight `<= tau` joins two.
+    /// `O(log m + m / chunk)`, no allocation.
+    pub fn num_clusters(&self, tau: Weight) -> usize {
+        self.num_vertices - self.nodes.merged_at(tau)
     }
 
     /// Union-find over the merges of weight `<= tau`, every root the smallest vertex of its
@@ -382,37 +480,88 @@ impl DendrogramSnapshot {
         FlatClustering { labels, clusters }
     }
 
-    /// Whether `s` and `t` are in the same cluster at threshold `tau`: one union-find pass
-    /// over the merges below the threshold, then the two roots compared. `O(m α(n))` worst
-    /// case — snapshots trade per-query speed for immutability; hot paths should go through
-    /// a cached [`FlatClustering`].
-    pub fn threshold_connected(&self, s: VertexId, t: VertexId, tau: Weight) -> bool {
-        if s == t {
-            return true;
+    /// The lowest-ranked record at `x` — id and slot — if `x` has an incident edge.
+    fn lowest(&self, x: VertexId) -> Option<(u32, EdgeSlot)> {
+        assert!(x.index() < self.num_vertices, "vertex {x} out of range");
+        let e = self.index().lowest(x)?;
+        Some((e, self.index().record(e)?))
+    }
+
+    /// The parent record of `at`. Every export gives a parent a higher rank than its children;
+    /// a record list that arrived over a wire and says otherwise ends the walk there (as at a
+    /// root) instead of sending it in circles.
+    fn parent(&self, (at, slot): (u32, EdgeSlot)) -> Option<(u32, EdgeSlot)> {
+        let parent = slot.parent()?;
+        let above = self.index().record(parent)?;
+        let outranks =
+            RankKey::new(above.weight, EdgeId(parent)) > RankKey::new(slot.weight, EdgeId(at));
+        outranks.then_some((parent, above))
+    }
+
+    /// The record defining the cluster of `x` at threshold `tau` — the last ancestor of `x`'s
+    /// lowest record with weight `<= tau`; none when `x` is a singleton there — and the number
+    /// of records the walk read.
+    fn cluster_root(&self, x: VertexId, tau: Weight) -> (Option<u32>, usize) {
+        let Some(mut at) = self.lowest(x) else {
+            return (None, 0);
+        };
+        let mut steps = 1;
+        if at.1.weight > tau {
+            return (None, steps);
         }
-        let mut parent = self.merged_up_to(tau);
-        find(&mut parent, s.0) == find(&mut parent, t.0)
+        while let Some(above) = self.parent(at) {
+            steps += 1;
+            if above.1.weight > tau {
+                break;
+            }
+            at = above;
+        }
+        (Some(at.0), steps)
+    }
+
+    /// Whether `s` and `t` are in the same cluster at threshold `tau`: both walk up from
+    /// their lowest record to the last ancestor of weight `<= tau` and compare. `O(depth)`,
+    /// no allocation.
+    pub fn threshold_connected(&self, s: VertexId, t: VertexId, tau: Weight) -> bool {
+        self.threshold_connected_counted(s, t, tau).0
+    }
+
+    /// [`threshold_connected`](Self::threshold_connected) plus the number of records the two
+    /// walks read — what a serving view charges against the cost of building the whole
+    /// clustering instead.
+    pub fn threshold_connected_counted(
+        &self,
+        s: VertexId,
+        t: VertexId,
+        tau: Weight,
+    ) -> (bool, usize) {
+        if s == t {
+            return (true, 0);
+        }
+        let (a, a_steps) = self.cluster_root(s, tau);
+        let (b, b_steps) = self.cluster_root(t, tau);
+        (a.is_some() && a == b, a_steps + b_steps)
     }
 
     /// The single-linkage merge distance between `s` and `t` — the weight at which they first
-    /// share a cluster — or `None` if they are in different components. `O(m α(n))`.
+    /// share a cluster — or `None` if they are in different components: the lowest common
+    /// ancestor of their lowest records, found by always stepping up from the lower-ranked of
+    /// the two (a parent outranks its children). `O(depth)`.
     pub fn merge_height_between(&self, s: VertexId, t: VertexId) -> Option<Weight> {
         if s == t {
             return Some(0.0);
         }
-        let n = self.num_vertices;
-        let mut parent: Vec<u32> = (0..n as u32).collect();
-        for node in self.nodes.iter() {
-            let a = find(&mut parent, node.u.0);
-            let b = find(&mut parent, node.v.0);
-            if a != b {
-                parent[a.max(b) as usize] = a.min(b);
-            }
-            if find(&mut parent, s.0) == find(&mut parent, t.0) {
-                return Some(node.weight);
+        let (mut a, mut b) = (self.lowest(s)?, self.lowest(t)?);
+        while a.0 != b.0 {
+            let a_is_lower =
+                RankKey::new(a.1.weight, EdgeId(a.0)) < RankKey::new(b.1.weight, EdgeId(b.0));
+            if a_is_lower {
+                a = self.parent(a)?;
+            } else {
+                b = self.parent(b)?;
             }
         }
-        None
+        Some(a.1.weight)
     }
 }
 
@@ -434,6 +583,11 @@ pub struct ExportStats {
     /// Total chunks the splice path carried over from the previous export unchanged — the
     /// same allocation in both snapshots.
     pub chunks_shared: u64,
+    /// Total point-index chunks the splice path copied (one per chunk a changed edge id or
+    /// vertex lands in).
+    pub index_chunks_rewritten: u64,
+    /// Total point-index chunks the splice path carried over from the previous export.
+    pub index_chunks_shared: u64,
 }
 
 /// Tracks which dendrogram records may differ from the last exported snapshot.
@@ -442,24 +596,28 @@ pub struct ExportStats {
 /// `set_parent` / `destroy_node`, each of which marks the touched edge id dirty here. A record
 /// of a *non-dirty* edge is provably unchanged: weight and endpoints are fixed for the lifetime
 /// of an edge id (re-weighting is delete + insert, and id recycling goes through
-/// `register_insert`), and every parent change goes through `set_parent`. The dirty set is
-/// bounded: past [`ExportTracker::DIRTY_CAP`] it overflows and the next export rebuilds fully.
+/// `register_insert`), and every parent change goes through `set_parent`. A vertex's lowest
+/// incident edge changes only when an edge at it comes or goes, so the first two funnels also
+/// note what it became at both endpoints (they have just looked it up). The dirty sets are
+/// bounded: past [`ExportTracker::DIRTY_CAP`] they overflow and the next export rebuilds fully.
 ///
-/// Membership is a generation-stamped slot array, not a hash set: `stamp[e] == generation`
+/// Edge membership is a generation-stamped slot array, not a hash set: `stamp[e] == generation`
 /// means `e` is dirty in the current export window. `touch` dedups with one indexed load and
-/// invalidation after an export is a single `generation += 1`. A second slot array,
-/// `exported`, holds the weight each edge id had in the cached export (bit-exact; `None` when
-/// the id has no record there), so the splice knows a dirty edge's previous rank key without
-/// looking at the cached records.
+/// invalidation after an export is a single `generation += 1`. The vertex list is an ordered
+/// log, not a set: the export replays it and the last entry of a vertex wins. The key a dirty
+/// edge was exported under is read from the cached export's point index.
 #[derive(Clone, Debug)]
 pub(crate) struct ExportTracker {
     dirty: Vec<EdgeId>,
     stamp: Vec<u64>,
     generation: u64,
+    /// What each endpoint's lowest incident edge became, in order of the updates.
+    dirty_vertices: Vec<(VertexId, Option<EdgeId>)>,
     overflowed: bool,
-    cached_version: u64,
-    cached_nodes: Option<RankedNodes>,
-    exported: Vec<Option<Weight>>,
+    /// The last export, point index included.
+    cached: Option<DendrogramSnapshot>,
+    /// Scratch of the splice path, kept for its capacity.
+    edits: Vec<Edit>,
     stats: ExportStats,
 }
 
@@ -470,10 +628,10 @@ impl Default for ExportTracker {
             stamp: Vec::new(),
             // Starts above the all-zero stamps so a fresh tracker has nothing dirty.
             generation: 1,
+            dirty_vertices: Vec::new(),
             overflowed: false,
-            cached_version: 0,
-            cached_nodes: None,
-            exported: Vec::new(),
+            cached: None,
+            edits: Vec::new(),
             stats: ExportStats::default(),
         }
     }
@@ -498,12 +656,30 @@ impl ExportTracker {
             return;
         }
         if self.dirty.len() >= Self::DIRTY_CAP {
-            self.overflowed = true;
-            self.dirty = Vec::new();
+            self.overflow();
             return;
         }
         self.stamp[slot] = self.generation;
         self.dirty.push(e);
+    }
+
+    /// Notes that an edge at `x` came or went and `lowest` is now the lowest-ranked edge there
+    /// — where the cached export may say otherwise.
+    pub(crate) fn touch_lowest(&mut self, x: VertexId, lowest: Option<EdgeId>) {
+        if self.overflowed {
+            return;
+        }
+        if self.dirty_vertices.len() >= 2 * Self::DIRTY_CAP {
+            self.overflow();
+            return;
+        }
+        self.dirty_vertices.push((x, lowest));
+    }
+
+    fn overflow(&mut self) {
+        self.overflowed = true;
+        self.dirty = Vec::new();
+        self.dirty_vertices = Vec::new();
     }
 }
 
@@ -536,102 +712,102 @@ impl DynSld {
     /// [`export_snapshot_incremental`](Self::export_snapshot_incremental) is tested against and
     /// falls back to.
     pub fn export_snapshot(&self) -> DendrogramSnapshot {
-        DendrogramSnapshot {
-            version: self.version(),
-            num_vertices: self.num_vertices(),
-            nodes: RankedNodes::from_sorted(&self.rebuild_nodes()),
-        }
+        DendrogramSnapshot::from_records(
+            self.version(),
+            self.num_vertices(),
+            RankedNodes::from_sorted(&self.rebuild_nodes()),
+        )
     }
 
     /// Exports a snapshot, reusing the previous export where possible.
     ///
     /// Cost is proportional to the records touched since the last export, not `O(m log m)`:
-    /// unchanged calls clone the cached chunk list; small dirty sets are re-exported and
-    /// spliced into the cached rank order, rewriting only the chunks they land in and sharing
-    /// the rest with the previous export; anything else (cold cache, dirty-set overflow, or a
-    /// dirty set large enough that sorting from scratch is comparable) falls back to the full
-    /// rebuild. The result is bit-identical to [`export_snapshot`](Self::export_snapshot) at
-    /// every version — pinned by oracle tests.
+    /// unchanged calls clone the cached export; small dirty sets are re-exported and spliced
+    /// into the cached rank order and point index, rewriting only the chunks they land in and
+    /// sharing the rest with the previous export; anything else (cold cache, dirty-set
+    /// overflow, or a dirty set large enough that sorting from scratch is comparable) falls
+    /// back to the full rebuild. The result is bit-identical to
+    /// [`export_snapshot`](Self::export_snapshot) at every version — pinned by oracle tests.
     pub fn export_snapshot_incremental(&mut self) -> DendrogramSnapshot {
         let version = self.version();
         let num_vertices = self.num_vertices();
-        let cached = match self.export.cached_nodes.take() {
-            Some(nodes) if self.export.cached_version == version => {
+        let edge_bound = self.forest.edge_id_bound();
+        let cached = match self.export.cached.take() {
+            Some(snapshot) if snapshot.version == version => {
                 // No structural change since the last export (mutations always bump the
                 // version).
                 debug_assert!(self.export.dirty.is_empty() && !self.export.overflowed);
                 self.export.stats.cache_hits += 1;
-                self.export.cached_nodes = Some(nodes.clone());
-                return DendrogramSnapshot {
-                    version,
-                    num_vertices,
-                    nodes,
-                };
+                self.export.cached = Some(snapshot.clone());
+                return snapshot;
             }
             // Splice only when the dirty set is clearly small relative to the cached export;
             // at a quarter of `m` the re-sort of the dirty records stops paying for itself.
-            Some(nodes)
-                if !self.export.overflowed && self.export.dirty.len() <= nodes.len() / 4 + 16 =>
+            Some(snapshot)
+                if !self.export.overflowed
+                    && self.export.dirty.len() <= snapshot.nodes.len() / 4 + 16 =>
             {
-                Some(nodes)
+                Some(snapshot)
             }
             _ => None,
         };
-        let nodes = if let Some(cached) = cached {
-            let mut dirty = std::mem::take(&mut self.export.dirty);
-            if self.export.exported.len() < self.export.stamp.len() {
-                self.export.exported.resize(self.export.stamp.len(), None);
-            }
+        let (nodes, index) = if let Some(cached) = cached {
+            let was_indexed = cached.index();
             // Each dirty id gives up the key it was exported under, and — if it is still
             // alive (a dirty id may have been deleted, or deleted and recycled; the live
             // structure is authoritative) — gets a fresh record. A record that kept its
             // weight is replaced in place: one edit, not two.
-            let mut edits: Vec<Edit> = Vec::with_capacity(dirty.len());
+            let mut edits = std::mem::take(&mut self.export.edits);
             let mut respliced = 0;
-            for &e in &dirty {
-                let put = self.dendro.contains(e).then(|| self.snapshot_node(e));
-                let slot = &mut self.export.exported[e.index()];
-                let was = slot.take().map(|weight| RankKey::new(weight, e));
-                let now = put.map(|node| node.rank_key());
-                *slot = put.map(|node| node.weight);
-                respliced += u64::from(put.is_some());
-                if was != now {
-                    edits.extend(was.map(|key| Edit { key, put: None }));
+            let advance = |index: &mut IndexWriter<'_>| {
+                for &e in &self.export.dirty {
+                    let put = self.dendro.contains(e).then(|| self.snapshot_node(e));
+                    let was = was_indexed.record(e.0).map(|s| RankKey::new(s.weight, e));
+                    let now = put.map(|node| node.rank_key());
+                    index.set_edge(e, put.as_ref());
+                    respliced += u64::from(put.is_some());
+                    if was != now {
+                        edits.extend(was.map(|key| Edit { key, put: None }));
+                    }
+                    edits.extend(now.map(|key| Edit { key, put }));
                 }
-                edits.extend(now.map(|key| Edit { key, put }));
-            }
+                for &(x, lowest) in &self.export.dirty_vertices {
+                    index.set_lowest(x, lowest);
+                }
+            };
+            let (index, index_rewritten, index_shared) =
+                was_indexed.advance(num_vertices, edge_bound, advance);
             edits.sort_unstable_by_key(|edit| edit.key);
-            let (nodes, rewritten) = cached.splice(&edits);
+            let (nodes, rewritten) = cached.nodes.splice(&edits);
             let stats = &mut self.export.stats;
             stats.incremental_splices += 1;
             stats.nodes_respliced += respliced;
             stats.chunks_rewritten += rewritten as u64;
             stats.chunks_shared += (nodes.chunks().len() - rewritten) as u64;
-            dirty.clear();
-            self.export.dirty = dirty;
-            nodes
+            stats.index_chunks_rewritten += index_rewritten as u64;
+            stats.index_chunks_shared += index_shared as u64;
+            edits.clear();
+            self.export.edits = edits;
+            (nodes, index)
         } else {
-            self.export.dirty.clear();
             self.export.overflowed = false;
             self.export.stats.full_rebuilds += 1;
             let nodes = self.rebuild_nodes();
-            let exported = &mut self.export.exported;
-            exported.clear();
-            exported.resize(self.forest.edge_id_bound(), None);
-            for node in &nodes {
-                exported[node.edge.index()] = Some(node.weight);
-            }
-            RankedNodes::from_sorted(&nodes)
+            let index = PointIndex::from_records(nodes.iter(), num_vertices, edge_bound);
+            (RankedNodes::from_sorted(&nodes), index)
         };
+        self.export.dirty.clear();
+        self.export.dirty_vertices.clear();
         // One bump un-dirties every stamped slot for the next export window.
         self.export.generation += 1;
-        self.export.cached_version = version;
-        self.export.cached_nodes = Some(nodes.clone());
-        DendrogramSnapshot {
+        let snapshot = DendrogramSnapshot {
             version,
             num_vertices,
             nodes,
-        }
+            index: OnceLock::from(index),
+        };
+        self.export.cached = Some(snapshot.clone());
+        snapshot
     }
 
     /// Running counters for the incremental-export paths taken so far.
@@ -699,6 +875,59 @@ mod tests {
             out.extend([at.saturating_sub(1), at, at + 1]);
         }
         out
+    }
+
+    /// Asserts that every point query of `s` gives the sweep's answer, at thresholds on and
+    /// between its weights. Under `cfg(test)` a few dozen records span many record and index
+    /// chunks, so this is where the chunk-boundary arithmetic of the native queries is pinned.
+    fn assert_point_queries_match_the_sweep(s: &DendrogramSnapshot) {
+        let vertices = || (0..s.num_vertices as u32).map(VertexId);
+        let mut taus: Vec<f64> = s.nodes.iter().step_by(3).map(|n| n.weight).collect();
+        taus.extend(taus.clone().iter().map(|w| w + 0.05));
+        taus.extend([f64::NEG_INFINITY, f64::INFINITY, f64::NAN]);
+        for tau in taus {
+            let sweep = s.flat_clustering(tau);
+            assert_eq!(s.num_clusters(tau), sweep.num_clusters(), "tau={tau}");
+            for (u, t) in vertices().zip(vertices().cycle().skip(5)) {
+                let same = s.threshold_connected(u, t, tau);
+                assert_eq!(same, sweep.same_cluster(u, t), "({u}, {t}) at tau={tau}");
+            }
+        }
+        // Merge heights against the prefix sweep: the weight of the first record, in rank
+        // order, after which the pair is connected.
+        for (u, t) in vertices().zip(vertices().cycle().skip(5)) {
+            let mut parent: Vec<u32> = (0..s.num_vertices as u32).collect();
+            let swept = s.nodes.iter().find_map(|node| {
+                let (a, b) = (find(&mut parent, node.u.0), find(&mut parent, node.v.0));
+                parent[a.max(b) as usize] = a.min(b);
+                (find(&mut parent, u.0) == find(&mut parent, t.0)).then_some(node.weight)
+            });
+            assert_eq!(s.merge_height_between(u, t), swept, "({u}, {t})");
+        }
+    }
+
+    #[test]
+    fn walks_over_malformed_records_stop_instead_of_looping() {
+        // What a faulty peer could send: a parent cycle, a parent with no record, an endpoint
+        // past the vertex count. Queries answer something and return; none panics or spins.
+        let node = |edge, u, t, weight, parent: Option<u32>| SnapshotNode {
+            edge: EdgeId(edge),
+            u: v(u),
+            v: v(t),
+            weight,
+            parent: parent.map(EdgeId),
+        };
+        let records = [
+            node(0, 0, 1, 1.0, Some(1)),
+            node(1, 1, 2, 2.0, Some(0)),
+            node(2, 3, 9, 3.0, Some(7)),
+        ];
+        let s = DendrogramSnapshot::from_records(1, 5, RankedNodes::from_sorted(&records));
+        assert!(s.threshold_connected(v(0), v(2), 2.0));
+        assert!(!s.threshold_connected(v(0), v(3), f64::INFINITY));
+        assert_eq!(s.merge_height_between(v(0), v(2)), Some(2.0));
+        assert_eq!(s.merge_height_between(v(2), v(3)), None);
+        assert_eq!(s.num_clusters(2.5), 3);
     }
 
     /// Asserts that every chunk of `old` outside [`may_rewrite`] is the same allocation in
@@ -876,7 +1105,7 @@ mod tests {
             let mut n: usize = 24;
             let mut d = DynSld::with_options(n, DynSldOptions::with_strategy(strategy));
             let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
-            let mut previous: Option<DendrogramSnapshot> = None;
+            let mut previous = d.export_snapshot_incremental();
             for step in 0..400 {
                 match rng() % 10 {
                     0..=4 => {
@@ -928,34 +1157,65 @@ mod tests {
                     // The keys this export will splice: each dirty id's exported key and, if
                     // it is still alive, its current one.
                     let mut keys: Vec<RankKey> = Vec::new();
+                    let cached = d.export.cached.as_ref().expect("exported before the loop");
                     for &e in &d.export.dirty {
-                        if let Some(Some(weight)) = d.export.exported.get(e.index()) {
-                            keys.push(RankKey::new(*weight, e));
+                        if let Some(slot) = cached.index().record(e.0) {
+                            keys.push(RankKey::new(slot.weight, e));
                         }
                         if d.dendro.contains(e) {
                             keys.push(RankKey::new(d.forest.weight(e), e));
                         }
                     }
-                    let splices_before = d.export_stats().incremental_splices;
+                    let dirty_edges: Vec<usize> =
+                        d.export.dirty.iter().map(|e| e.index()).collect();
+                    let dirty_vertices: Vec<usize> = d
+                        .export
+                        .dirty_vertices
+                        .iter()
+                        .map(|(x, _)| x.index())
+                        .collect();
+                    let stats_before = d.export_stats();
                     let incremental = d.export_snapshot_incremental();
                     let full = d.export_snapshot();
                     assert_eq!(incremental, full, "divergence at step {step}");
                     assert_chunk_invariants(&incremental.nodes);
-                    if let Some(previous) = &previous {
-                        if d.export_stats().incremental_splices > splices_before {
-                            assert_untouched_chunks_shared(
-                                &previous.nodes,
-                                &incremental.nodes,
-                                &keys,
-                            );
+                    // The index the exporter advanced is the index of the records it exported.
+                    let advanced = incremental
+                        .index
+                        .get()
+                        .expect("the exporter sets the index");
+                    assert!(advanced.same_content(full.index()), "index at step {step}");
+                    assert_point_queries_match_the_sweep(&incremental);
+                    let stats = d.export_stats();
+                    if stats.incremental_splices > stats_before.incremental_splices {
+                        assert_untouched_chunks_shared(&previous.nodes, &incremental.nodes, &keys);
+                        // Index chunks no dirty id lands in are the same allocation as before.
+                        let now = advanced.chunk_spans();
+                        let mut kept = 0;
+                        for (i, &(is_edge, from, to, at)) in
+                            previous.index().chunk_spans().iter().enumerate()
+                        {
+                            let dirty = if is_edge {
+                                &dirty_edges
+                            } else {
+                                &dirty_vertices
+                            };
+                            if !dirty.iter().any(|id| (from..to).contains(id)) {
+                                assert!(now.contains(&(is_edge, from, to, at)), "index chunk {i}");
+                                kept += 1;
+                            }
                         }
+                        assert!(
+                            stats.index_chunks_shared - stats_before.index_chunks_shared >= kept
+                        );
                     }
-                    previous = Some(incremental);
+                    previous = incremental;
                 }
             }
             let stats = d.export_stats();
             assert!(stats.incremental_splices > 0, "splice path never exercised");
             assert!(stats.chunks_shared > 0, "no splice shared a chunk");
+            assert!(stats.index_chunks_rewritten > 0 && stats.index_chunks_shared > 0);
             let incremental = d.export_snapshot_incremental();
             assert_eq!(incremental, d.export_snapshot());
         }

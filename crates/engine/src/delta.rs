@@ -171,11 +171,7 @@ impl ShardDelta {
             }
             out.finish()
         };
-        DendrogramSnapshot {
-            version: self.version,
-            num_vertices: self.num_vertices,
-            nodes,
-        }
+        DendrogramSnapshot::from_records(self.version, self.num_vertices, nodes)
     }
 }
 
@@ -446,11 +442,7 @@ mod tests {
 
     fn snap(version: u64, n: usize, mut nodes: Vec<SnapshotNode>) -> DendrogramSnapshot {
         nodes.sort_by_key(SnapshotNode::rank_key);
-        DendrogramSnapshot {
-            version,
-            num_vertices: n,
-            nodes: RankedNodes::from_sorted(&nodes),
-        }
+        DendrogramSnapshot::from_records(version, n, RankedNodes::from_sorted(&nodes))
     }
 
     /// The record-by-record diff over flat copies that [`ShardDelta::diff`] replaced — the

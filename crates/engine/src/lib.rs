@@ -147,7 +147,7 @@ pub use service::{
 // The durable layer's tuning vocabulary, re-exported so durable services can be configured
 // without depending on `dynsld-durable` directly.
 pub use dynsld_durable::FsyncPolicy;
-pub use snapshot::EngineSnapshot;
+pub use snapshot::{EngineSnapshot, ThresholdCache};
 
 // The event vocabulary is defined next to the workload generators so that generated streams
 // feed straight into the engine.

@@ -81,6 +81,47 @@ fn read_handle_clones_share_one_threshold_cache() {
 }
 
 #[test]
+fn point_queries_on_a_fresh_single_shard_view_build_no_clustering() {
+    // The read claim, as a count: a reader op of one `num_clusters` and four `same_cluster`
+    // on a fresh single-shard snapshot walks the export — no flat clustering is built (no
+    // cache miss), so the next publish has none to drop. `cluster_size` still sweeps.
+    let service = blocked(1, 8, FlushPolicy::Manual);
+    let ingest = service.ingest_handle();
+    let read = service.read_handle();
+    let mut driver = FlusherDriver::new(service);
+    for event in [
+        ins(0, 1, 1.0),
+        ins(4, 5, 2.0),
+        ins(1, 4, 3.0),
+        ins(6, 7, 0.5),
+    ] {
+        ingest.submit(event).unwrap();
+    }
+    driver.pump().unwrap();
+    driver.flush().unwrap();
+    let snapshot = read.snapshot();
+    assert_eq!(snapshot.num_clusters(2.5), 5); // {0,1} {4,5} {6,7} {2} {3}
+    assert!(snapshot.same_cluster(v(0), v(1), 2.5));
+    assert!(!snapshot.same_cluster(v(1), v(4), 2.5));
+    assert!(snapshot.same_cluster(v(0), v(5), 3.0));
+    assert!(!snapshot.same_cluster(v(2), v(3), f64::INFINITY));
+    assert_eq!(snapshot.num_components(), 4);
+    let metrics = driver.service().metrics();
+    assert_eq!(
+        (metrics.snapshot_cache_misses, metrics.snapshot_cache_hits),
+        (0, 0)
+    );
+    assert_eq!(snapshot.cluster_size(v(0), 3.0), 4);
+    assert!(snapshot.same_cluster(v(0), v(5), 3.0));
+    let metrics = driver.service().metrics();
+    assert_eq!(
+        (metrics.snapshot_cache_misses, metrics.snapshot_cache_hits),
+        (1, 1),
+        "a cached clustering answers the point queries at its threshold"
+    );
+}
+
+#[test]
 fn revision_advances_once_per_publish() {
     let service = blocked(2, 8, FlushPolicy::Manual);
     let ingest = service.ingest_handle();

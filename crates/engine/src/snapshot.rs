@@ -2,17 +2,23 @@
 //!
 //! The engine's write path owns the mutable structures exclusively; readers never touch them.
 //! Instead, every flush publishes an [`EngineSnapshot`] — an `Arc` around a rank-ordered
-//! [`DendrogramSnapshot`] export (which shares every record chunk the flush left alone with
-//! the export before it) plus an epoch tag and a per-snapshot query cache. Cloning a
-//! snapshot is one atomic increment, the clone is `Send + Sync`, and everything it answers is
-//! computed from data frozen at publish time: a reader holding epoch `e` sees exactly the
+//! [`DendrogramSnapshot`] export (which shares every record and index chunk the flush left
+//! alone with the export before it) plus an epoch tag and a per-snapshot query cache. Cloning
+//! a snapshot is one atomic increment, the clone is `Send + Sync`, and everything it answers
+//! is computed from data frozen at publish time: a reader holding epoch `e` sees exactly the
 //! state after flush `e`, no matter how many batches the writer applies concurrently.
 //!
-//! Flat clusterings are memoised per `(snapshot, threshold)`: the first query at a threshold
-//! pays one union-find pass, repeats are a map lookup returning a shared `Arc`.
+//! `num_clusters`, `same_cluster` and `merge_height_between` are answered on the export
+//! itself — a binary search, two parent walks, an LCA walk — and build nothing: a publish
+//! that nobody asked for a whole clustering has none to drop. `flat_clustering`, `cluster_id`
+//! and `cluster_size` build the flat clustering of their threshold with one union-find pass
+//! and memoise it per `(snapshot, threshold)`; once it is there, the point queries read it
+//! too. [`ThresholdCache`] is that memo and the rule for choosing between the two.
 //!
-//! A sharded service serves a [`ServiceSnapshot`]: one [`EngineSnapshot`] per shard, merged
-//! lazily (and memoised the same way) into the answers a single engine would give.
+//! A sharded service serves a [`ServiceSnapshot`]: one [`EngineSnapshot`] per shard. On one
+//! shard it answers exactly as that shard's snapshot does; on several, the union of the
+//! per-shard forests is not a forest, so every threshold query goes through the merged
+//! clustering (built lazily, memoised the same way).
 
 use crate::delta::merge_flat_clusterings;
 use crate::partition::ShardId;
@@ -20,7 +26,7 @@ use crate::service::ShardHealth;
 use dynsld::{DendrogramSnapshot, FlatClustering};
 use dynsld_forest::{VertexId, Weight};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 #[cfg(doc)]
@@ -33,41 +39,121 @@ pub(crate) struct CacheStats {
     pub(crate) misses: AtomicU64,
 }
 
-/// A per-snapshot memo of flat clusterings by threshold bit pattern — the one cache type
-/// behind both [`EngineSnapshot::flat_clustering`] and the service's merged view.
+/// A per-view memo of flat clusterings by threshold bit pattern, and the one place that
+/// decides how a view answers a threshold query — the read path of [`EngineSnapshot`],
+/// [`ServiceSnapshot`] and the `dynsld-serve` mirror:
+///
+/// 1. a clustering already cached for the threshold answers;
+/// 2. otherwise a view over a single export asks the export
+///    ([`DendrogramSnapshot::num_clusters`], [`DendrogramSnapshot::threshold_connected`]);
+/// 3. otherwise (several shards) the view builds, caches and reads the clustering.
+///
+/// `threshold_connected` walks `O(depth)` records, which on a degenerate dendrogram is
+/// `O(m)` — the cost of the sweep. So the cache counts the records its walks read, and a
+/// view that has spent more than one sweep's worth (`n + m`) on them answers `same_cluster`
+/// by route 3 from then on: it never pays more than twice what building every clustering it
+/// was asked about would have cost.
 ///
 /// The cache lives inside the snapshot's shared `Arc` allocation, so every clone of a
 /// published snapshot — every `ReadHandle`, every held copy — shares the *same* memo: a
 /// threshold cut is computed at most once per publication, never once per handle. Pinned by
 /// the `read_handle_clones_share_one_threshold_cache` test in `crate::service`.
 #[derive(Debug, Default)]
-pub(crate) struct ThresholdCache {
+pub struct ThresholdCache {
     map: Mutex<HashMap<u64, Arc<FlatClustering>>>,
+    /// Records read by walks on thresholds that had no clustering cached.
+    walked: AtomicUsize,
+    /// Where hits and misses are counted (an engine's snapshots share one).
+    stats: Option<Arc<CacheStats>>,
 }
 
 impl ThresholdCache {
+    fn with_stats(stats: Arc<CacheStats>) -> ThresholdCache {
+        ThresholdCache {
+            stats: Some(stats),
+            ..ThresholdCache::default()
+        }
+    }
+
     /// The cached clustering at `tau`, if any.
     ///
     /// Poisoning is recovered, not propagated: the lock only guards a memo map whose entries
     /// are immutable once inserted, so a reader that panicked mid-critical-section (e.g. an
     /// injected fault unwinding through a caught flush) cannot have left a torn value —
     /// worst case the cache misses and the clustering is recomputed.
-    pub(crate) fn lookup(&self, tau: Weight) -> Option<Arc<FlatClustering>> {
-        self.map
+    fn lookup(&self, tau: Weight) -> Option<Arc<FlatClustering>> {
+        let hit = self
+            .map
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .get(&tau.to_bits())
-            .cloned()
+            .cloned();
+        if let (Some(stats), Some(_)) = (&self.stats, &hit) {
+            stats.hits.fetch_add(1, Ordering::Relaxed);
+        }
+        hit
     }
 
-    /// Commits a clustering computed outside the lock; if a racing reader committed first,
-    /// theirs is kept (the values are equal) and returned.
-    pub(crate) fn commit(&self, tau: Weight, computed: FlatClustering) -> Arc<FlatClustering> {
+    /// The clustering at `tau`: the cached one, or `build`'s, cached from now on.
+    ///
+    /// `build` runs outside the lock: clustering construction is the expensive part, and two
+    /// racing readers computing the same threshold is harmless — the values are equal and
+    /// the cache keeps the first commit (the loser's computation is dropped).
+    pub fn get_or_build(
+        &self,
+        tau: Weight,
+        build: impl FnOnce() -> FlatClustering,
+    ) -> Arc<FlatClustering> {
+        if let Some(hit) = self.lookup(tau) {
+            return hit;
+        }
+        let computed = build();
+        if let Some(stats) = &self.stats {
+            stats.misses.fetch_add(1, Ordering::Relaxed);
+        }
         let mut map = self.map.lock().unwrap_or_else(PoisonError::into_inner);
         Arc::clone(
             map.entry(tau.to_bits())
                 .or_insert_with(|| Arc::new(computed)),
         )
+    }
+
+    /// Number of clusters at `tau` of a view whose only export is `export` (none: a view
+    /// over several shards) and whose `flat_clustering(tau)` is `sweep`.
+    pub fn num_clusters(
+        &self,
+        export: Option<&DendrogramSnapshot>,
+        tau: Weight,
+        sweep: impl FnOnce() -> Arc<FlatClustering>,
+    ) -> usize {
+        match (self.lookup(tau), export) {
+            (Some(hit), _) => hit.num_clusters(),
+            (None, Some(export)) => export.num_clusters(tau),
+            (None, None) => sweep().num_clusters(),
+        }
+    }
+
+    /// Whether `u` and `v` share a cluster at `tau`; parameters as for
+    /// [`num_clusters`](Self::num_clusters).
+    pub fn same_cluster(
+        &self,
+        export: Option<&DendrogramSnapshot>,
+        (u, v): (VertexId, VertexId),
+        tau: Weight,
+        sweep: impl FnOnce() -> Arc<FlatClustering>,
+    ) -> bool {
+        if let Some(hit) = self.lookup(tau) {
+            return hit.same_cluster(u, v);
+        }
+        if let Some(export) = export {
+            let one_sweep = export.num_vertices + export.num_edges();
+            if self.walked.load(Ordering::Relaxed) <= one_sweep {
+                let (same, steps) = export.threshold_connected_counted(u, v, tau);
+                self.walked.fetch_add(steps, Ordering::Relaxed);
+                return same;
+            }
+        }
+        sweep().same_cluster(u, v)
     }
 }
 
@@ -77,7 +163,6 @@ struct SnapshotInner {
     dendro: DendrogramSnapshot,
     num_graph_edges: usize,
     cache: ThresholdCache,
-    stats: Arc<CacheStats>,
 }
 
 /// An immutable, epoch-tagged view of the engine's clustering state.
@@ -100,8 +185,7 @@ impl EngineSnapshot {
                 epoch,
                 dendro,
                 num_graph_edges,
-                cache: ThresholdCache::default(),
-                stats,
+                cache: ThresholdCache::with_stats(stats),
             }),
         }
     }
@@ -141,16 +225,10 @@ impl EngineSnapshot {
     /// *all* clones of this snapshot, since the per-threshold cache lives inside the shared
     /// allocation.
     pub fn flat_clustering(&self, tau: Weight) -> Arc<FlatClustering> {
-        if let Some(hit) = self.inner.cache.lookup(tau) {
-            self.inner.stats.hits.fetch_add(1, Ordering::Relaxed);
-            return hit;
-        }
-        // Compute outside the lock: clustering construction is the expensive part, and two
-        // racing readers computing the same threshold is harmless — the values are equal and
-        // the cache keeps the first commit (the loser's computation is dropped).
-        let computed = self.inner.dendro.flat_clustering(tau);
-        self.inner.stats.misses.fetch_add(1, Ordering::Relaxed);
-        self.inner.cache.commit(tau, computed)
+        let inner = &*self.inner;
+        inner
+            .cache
+            .get_or_build(tau, || inner.dendro.flat_clustering(tau))
     }
 
     /// The cluster label of `v` at threshold `tau`. Labels are canonical within one
@@ -161,18 +239,24 @@ impl EngineSnapshot {
 
     /// Size of the cluster containing `v` at threshold `tau`.
     pub fn cluster_size(&self, v: VertexId, tau: Weight) -> usize {
-        let clustering = self.flat_clustering(tau);
-        clustering.clusters[clustering.labels[v.index()]].len()
+        self.flat_clustering(tau).cluster_size(v)
     }
 
-    /// Whether `u` and `v` share a cluster at threshold `tau`.
+    /// Whether `u` and `v` share a cluster at threshold `tau` (see [`ThresholdCache`] for how
+    /// it is answered).
     pub fn same_cluster(&self, u: VertexId, v: VertexId, tau: Weight) -> bool {
-        self.flat_clustering(tau).same_cluster(u, v)
+        let inner = &*self.inner;
+        let sweep = || self.flat_clustering(tau);
+        inner
+            .cache
+            .same_cluster(Some(&inner.dendro), (u, v), tau, sweep)
     }
 
-    /// Number of clusters at threshold `tau`.
+    /// Number of clusters at threshold `tau` (see [`ThresholdCache`]).
     pub fn num_clusters(&self, tau: Weight) -> usize {
-        self.flat_clustering(tau).num_clusters()
+        let inner = &*self.inner;
+        let sweep = || self.flat_clustering(tau);
+        inner.cache.num_clusters(Some(&inner.dendro), tau, sweep)
     }
 
     /// The single-linkage merge distance between `u` and `v`, or `None` if disconnected.
@@ -198,11 +282,12 @@ struct ServiceSnapshotInner {
 /// An immutable merged view over one [`EngineSnapshot`] per shard.
 ///
 /// Cheap to clone (`Arc`), `Send + Sync`, and frozen: it keeps answering from the per-shard
-/// states it was built from, no matter what the service does afterwards. Merged flat
-/// clusterings are computed lazily — the first query at a threshold pays one union-find pass
-/// over the per-shard clusterings, repeats hit a per-snapshot cache. Because the shard edge
-/// sets partition the graph's edges, the merged answers are *exactly* those of a single
-/// engine fed the same stream.
+/// states it was built from, no matter what the service does afterwards. Over one shard it
+/// answers as that shard's [`EngineSnapshot`] does. Over several, merged flat clusterings are
+/// computed lazily — the first query at a threshold pays one union-find pass over the
+/// per-shard clusterings, repeats hit a per-snapshot cache. Because the shard edge sets
+/// partition the graph's edges, the merged answers are *exactly* those of a single engine
+/// fed the same stream.
 #[derive(Clone, Debug)]
 pub struct ServiceSnapshot {
     inner: Arc<ServiceSnapshotInner>,
@@ -309,25 +394,34 @@ impl ServiceSnapshot {
             .sum()
     }
 
+    /// The only shard of a single-shard view.
+    fn only_shard(&self) -> Option<&EngineSnapshot> {
+        match self.inner.shards.as_slice() {
+            [only] => Some(only),
+            _ => None,
+        }
+    }
+
     /// Number of connected components of the full graph (all shards merged).
     pub fn num_components(&self) -> usize {
-        self.flat_clustering(f64::INFINITY).num_clusters()
+        match self.only_shard() {
+            Some(only) => only.num_components(),
+            None => self.flat_clustering(f64::INFINITY).num_clusters(),
+        }
     }
 
     /// The merged flat clustering at threshold `tau`, memoised per snapshot. Labels are
     /// canonical within one (epoch vector, `tau`) pair: numbered by smallest member vertex,
     /// member lists sorted ascending.
     pub fn flat_clustering(&self, tau: Weight) -> Arc<FlatClustering> {
-        if self.inner.shards.len() == 1 {
+        match self.only_shard() {
             // Single shard: the engine's own (already canonical, already cached) clustering.
-            return self.inner.shards[0].flat_clustering(tau);
+            Some(only) => only.flat_clustering(tau),
+            None => self
+                .inner
+                .merged
+                .get_or_build(tau, || self.merge_clustering(tau)),
         }
-        if let Some(hit) = self.inner.merged.lookup(tau) {
-            return hit;
-        }
-        // Compute outside the lock (racing readers compute equal values; first commit wins).
-        let computed = self.merge_clustering(tau);
-        self.inner.merged.commit(tau, computed)
     }
 
     /// One union-find pass over the per-shard clusterings: since the shard edge sets
@@ -352,18 +446,23 @@ impl ServiceSnapshot {
 
     /// Size of the cluster containing `v` at threshold `tau`.
     pub fn cluster_size(&self, v: VertexId, tau: Weight) -> usize {
-        let clustering = self.flat_clustering(tau);
-        clustering.clusters[clustering.labels[v.index()]].len()
+        self.flat_clustering(tau).cluster_size(v)
     }
 
-    /// Whether `u` and `v` share a cluster at threshold `tau`.
+    /// Whether `u` and `v` share a cluster at threshold `tau` (see [`ThresholdCache`]).
     pub fn same_cluster(&self, u: VertexId, v: VertexId, tau: Weight) -> bool {
-        self.flat_clustering(tau).same_cluster(u, v)
+        match self.only_shard() {
+            Some(only) => only.same_cluster(u, v, tau),
+            None => self.flat_clustering(tau).same_cluster(u, v),
+        }
     }
 
-    /// Number of clusters at threshold `tau`.
+    /// Number of clusters at threshold `tau` (see [`ThresholdCache`]).
     pub fn num_clusters(&self, tau: Weight) -> usize {
-        self.flat_clustering(tau).num_clusters()
+        match self.only_shard() {
+            Some(only) => only.num_clusters(tau),
+            None => self.flat_clustering(tau).num_clusters(),
+        }
     }
 }
 
@@ -415,6 +514,45 @@ mod tests {
         );
         let _ = snap.flat_clustering(1.5);
         assert_eq!(stats.hits.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.misses.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn a_view_that_walked_a_sweeps_worth_switches_to_cached_clusterings() {
+        // The increasing path: the dendrogram is a chain of height n - 1 and a walk from
+        // vertex 0 to the root reads every record — as much as the sweep it stands in for.
+        let n = 64u32;
+        let mut f = Forest::new(n as usize);
+        for i in 0..n - 1 {
+            f.insert_edge(v(i), v(i + 1), f64::from(i));
+        }
+        let sld = DynSld::from_forest(f, DynSldOptions::default());
+        let stats = Arc::new(CacheStats::default());
+        let snap = EngineSnapshot::publish(1, sld.export_snapshot(), 63, Arc::clone(&stats));
+        let sweep_cost = 2 * n as usize - 1; // n + m
+        let mut walked = 0;
+        let mut tau = 40.0;
+        // Fresh thresholds, each walked: answers are right and nothing is built...
+        while walked <= sweep_cost {
+            assert!(snap.same_cluster(v(0), v(1), tau));
+            assert_eq!(snap.num_clusters(tau), 63 - tau as usize);
+            assert_eq!(stats.misses.load(Ordering::Relaxed), 0);
+            // Both walks start at edge 0 and read up to the first record above `tau`.
+            walked += 2 * (tau as usize + 2);
+            tau += 1.0;
+        }
+        // ...until the walks add up to one sweep: the next fresh threshold is built once,
+        // cached, and read from then on.
+        assert!(snap.same_cluster(v(0), v(1), tau));
+        assert_eq!(stats.misses.load(Ordering::Relaxed), 1);
+        assert!(!snap.same_cluster(v(0), v(63), tau));
+        assert_eq!(snap.num_clusters(tau), 63 - tau as usize);
+        assert_eq!(stats.misses.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.hits.load(Ordering::Relaxed), 2);
+        // A threshold that was walked before the switch is swept after it: same answers.
+        assert!(snap.same_cluster(v(0), v(1), 40.0));
+        assert!(!snap.same_cluster(v(0), v(63), 40.0));
+        assert_eq!(snap.num_clusters(40.0), 23);
         assert_eq!(stats.misses.load(Ordering::Relaxed), 2);
     }
 

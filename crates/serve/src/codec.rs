@@ -338,11 +338,11 @@ pub fn decode_message(text: &str) -> Result<WireMessage, CodecError> {
             let mut shards = Vec::new();
             let mut num_graph_edges = Vec::new();
             for shard in get_arr(&value, "shards")? {
-                shards.push(DendrogramSnapshot {
-                    version: get_u64(shard, "version")?,
-                    num_vertices: get_usize(shard, "num_vertices")?,
-                    nodes: RankedNodes::from_sorted(&decode_nodes(shard, "nodes")?),
-                });
+                shards.push(DendrogramSnapshot::from_records(
+                    get_u64(shard, "version")?,
+                    get_usize(shard, "num_vertices")?,
+                    RankedNodes::from_sorted(&decode_nodes(shard, "nodes")?),
+                ));
                 num_graph_edges.push(get_usize(shard, "num_graph_edges")?);
             }
             if shards.is_empty() {

@@ -1,16 +1,16 @@
 //! A subscriber-side replica of the published service view.
 //!
 //! A [`Mirror`] holds the per-shard dendrogram exports at one service revision, advances by
-//! replaying [`Patch`] chains, and answers the same threshold queries the service answers —
-//! with the same canonical labels, because it merges per-shard clusterings through the exact
-//! function the service uses ([`merge_flat_clusterings`]). Replaying the delta chain
-//! `r → now` onto a mirror taken at `r` reproduces the served view bit for bit.
+//! replaying [`Patch`] chains, and answers the same threshold queries the service answers,
+//! the same way ([`ThresholdCache`]) — with the same canonical labels, because it merges
+//! per-shard clusterings through the exact function the service uses
+//! ([`merge_flat_clusterings`]). Replaying the delta chain `r → now` onto a mirror taken at
+//! `r` reproduces the served view bit for bit.
 
 use dynsld::{DendrogramSnapshot, FlatClustering};
-use dynsld_engine::{merge_flat_clusterings, Patch, ServiceSnapshot};
+use dynsld_engine::{merge_flat_clusterings, Patch, ServiceSnapshot, ThresholdCache};
 use dynsld_forest::{VertexId, Weight};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 use crate::codec::SnapshotParts;
 
@@ -58,7 +58,7 @@ pub struct Mirror {
     epochs: Vec<u64>,
     shards: Vec<DendrogramSnapshot>,
     num_graph_edges: Vec<usize>,
-    cache: Mutex<HashMap<u64, Arc<FlatClustering>>>,
+    cache: ThresholdCache,
 }
 
 impl Clone for Mirror {
@@ -69,7 +69,7 @@ impl Clone for Mirror {
             shards: self.shards.clone(),
             num_graph_edges: self.num_graph_edges.clone(),
             // The memo is per-replica state, not identity: start the clone cold.
-            cache: Mutex::new(HashMap::new()),
+            cache: ThresholdCache::default(),
         }
     }
 }
@@ -91,7 +91,7 @@ impl Mirror {
                 .iter()
                 .map(|s| s.num_graph_edges())
                 .collect(),
-            cache: Mutex::new(HashMap::new()),
+            cache: ThresholdCache::default(),
         }
     }
 
@@ -102,7 +102,7 @@ impl Mirror {
             epochs: parts.epochs,
             num_graph_edges: parts.num_graph_edges,
             shards: parts.shards,
-            cache: Mutex::new(HashMap::new()),
+            cache: ThresholdCache::default(),
         }
     }
 
@@ -132,10 +132,7 @@ impl Mirror {
         }
         self.revision = patch.to_revision;
         self.epochs = patch.to_epochs.clone();
-        self.cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
+        self.cache = ThresholdCache::default();
         Ok(())
     }
 
@@ -170,32 +167,26 @@ impl Mirror {
         self.num_graph_edges.iter().sum()
     }
 
+    /// The export of a single-shard mirror — the one shape point queries can walk.
+    fn only_shard(&self) -> Option<&DendrogramSnapshot> {
+        match self.shards.as_slice() {
+            [only] => Some(only),
+            _ => None,
+        }
+    }
+
     /// The merged flat clustering at threshold `tau` — canonically labeled exactly like
     /// [`ServiceSnapshot::flat_clustering`] at the same revision, and memoised per
     /// `(revision, tau)`.
     pub fn flat_clustering(&self, tau: Weight) -> Arc<FlatClustering> {
-        if let Some(hit) = self
-            .cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&tau.to_bits())
-        {
-            return Arc::clone(hit);
-        }
-        let parts: Vec<FlatClustering> =
-            self.shards.iter().map(|s| s.flat_clustering(tau)).collect();
-        let merged = if parts.len() == 1 {
-            parts.into_iter().next().expect("one part")
-        } else {
-            merge_flat_clusterings(parts.iter(), self.num_vertices())
-        };
-        let merged = Arc::new(merged);
-        self.cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .entry(tau.to_bits())
-            .or_insert(merged)
-            .clone()
+        self.cache.get_or_build(tau, || match self.only_shard() {
+            Some(only) => only.flat_clustering(tau),
+            None => {
+                let parts: Vec<FlatClustering> =
+                    self.shards.iter().map(|s| s.flat_clustering(tau)).collect();
+                merge_flat_clusterings(parts.iter(), self.num_vertices())
+            }
+        })
     }
 
     /// The cluster label of `v` at threshold `tau`.
@@ -205,16 +196,22 @@ impl Mirror {
 
     /// Whether `u` and `v` share a cluster at threshold `tau`.
     pub fn same_cluster(&self, u: VertexId, v: VertexId, tau: Weight) -> bool {
-        self.flat_clustering(tau).same_cluster(u, v)
+        let sweep = || self.flat_clustering(tau);
+        self.cache
+            .same_cluster(self.only_shard(), (u, v), tau, sweep)
     }
 
     /// Number of clusters at threshold `tau`.
     pub fn num_clusters(&self, tau: Weight) -> usize {
-        self.flat_clustering(tau).num_clusters()
+        let sweep = || self.flat_clustering(tau);
+        self.cache.num_clusters(self.only_shard(), tau, sweep)
     }
 
     /// Number of connected components (clusters at `tau = ∞`).
     pub fn num_components(&self) -> usize {
-        self.num_clusters(f64::INFINITY)
+        match self.only_shard() {
+            Some(only) => only.num_components(),
+            None => self.num_clusters(f64::INFINITY),
+        }
     }
 }

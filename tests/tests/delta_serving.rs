@@ -11,13 +11,20 @@ use dynsld_engine::{
     ServiceSnapshot, SyncResponse,
 };
 use dynsld_forest::workload::GraphWorkloadBuilder;
-use dynsld_serve::{Mirror, RefreshReason, Subscriber, SyncOutcome};
+use dynsld_forest::VertexId;
+use dynsld_serve::codec::{decode_message, encode_snapshot};
+use dynsld_serve::{Mirror, RefreshReason, Subscriber, SyncOutcome, WireMessage};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// Thresholds the service tracks in its deltas and the tests compare labels at.
 const TAUS: [f64; 3] = [2.0, 5.0, f64::INFINITY];
+
+/// Thresholds no one tracks, so neither side has a clustering cached for them: point queries
+/// there are answered on the exports themselves (on one shard), which on a mirror means an
+/// index built from replayed or decoded records.
+const POINT_TAUS: [f64; 3] = [1.0, 3.5, 6.5];
 
 fn drain(driver: &mut FlusherDriver) {
     driver.pump().expect("validated stream");
@@ -26,9 +33,40 @@ fn drain(driver: &mut FlusherDriver) {
 
 /// Asserts a replayed mirror answers exactly like a published view: same revision and
 /// epochs, bit-identical per-shard exports, identical labels and member lists at every
-/// threshold in [`TAUS`].
+/// threshold in [`TAUS`], and identical point answers — the sweep's — at [`POINT_TAUS`].
 fn assert_bit_identical(mirror: &Mirror, published: &ServiceSnapshot, context: &str) {
     assert_eq!(mirror.revision(), published.revision(), "{context}");
+    assert_eq!(
+        mirror.num_components(),
+        published.num_components(),
+        "{context}"
+    );
+    let n = published.num_vertices() as u32;
+    let pairs = || (0..n).map(|i| (VertexId(i), VertexId((i * 7 + 3) % n)));
+    // All point queries first: a clustering built for the check below would answer them.
+    let asked: Vec<(usize, usize, Vec<bool>, Vec<bool>)> = POINT_TAUS
+        .iter()
+        .map(|&tau| {
+            (
+                mirror.num_clusters(tau),
+                published.num_clusters(tau),
+                pairs()
+                    .map(|(u, v)| mirror.same_cluster(u, v, tau))
+                    .collect(),
+                pairs()
+                    .map(|(u, v)| published.same_cluster(u, v, tau))
+                    .collect(),
+            )
+        })
+        .collect();
+    for (&tau, (mirror_count, count, mirror_same, same)) in POINT_TAUS.iter().zip(asked) {
+        let sweep = published.flat_clustering(tau);
+        assert_eq!(mirror_count, sweep.num_clusters(), "{context}: tau={tau}");
+        assert_eq!(count, sweep.num_clusters(), "{context}: tau={tau}");
+        let swept: Vec<bool> = pairs().map(|(u, v)| sweep.same_cluster(u, v)).collect();
+        assert_eq!(mirror_same, swept, "{context}: mirror pairs at tau={tau}");
+        assert_eq!(same, swept, "{context}: served pairs at tau={tau}");
+    }
     assert_eq!(mirror.epochs(), published.epochs(), "{context}");
     assert_eq!(
         mirror.num_graph_edges(),
@@ -175,6 +213,13 @@ proptest! {
         let mut mirror = Mirror::from_snapshot(&base);
         mirror.apply(&patch).expect("chain is anchored at the mirror's revision");
         assert_bit_identical(&mirror, &now, "mirror replay");
+        // And so does a mirror decoded from the full view's wire payload.
+        let WireMessage::Snapshot(parts) =
+            decode_message(&encode_snapshot(&now)).expect("own payloads decode")
+        else {
+            panic!("a snapshot payload decodes to a snapshot");
+        };
+        assert_bit_identical(&Mirror::from_parts(parts), &now, "wire-decoded mirror");
     }
 
     /// A frequently-syncing subscriber rides deltas the whole way and stays bit-identical

@@ -196,6 +196,62 @@ fn snapshots_reflect_exactly_the_pre_batch_epoch() {
     assert_eq!(epochs, (0..held.len() as u64).collect::<Vec<_>>());
 }
 
+/// Point queries walk chunks that later exports keep sharing and advancing copies of: a
+/// snapshot held across 300 single-event publishes (the splice path, a few chunk copies each)
+/// still gives the answers recorded when it was current — which were checked against its own
+/// sweep then — without ever having built a clustering.
+#[test]
+fn held_snapshot_keeps_its_point_answers_across_later_publishes() {
+    let (n, window) = (3000usize, 1500);
+    let stream = GraphWorkloadBuilder::new(n)
+        .weight_scale(6.0)
+        .sliding_window_stream(window + 150, window, 23);
+    let mut engine = ClusteringEngine::new(n);
+    engine.submit_all(stream[..window].iter().copied()).unwrap();
+    engine.flush().unwrap();
+    let held = engine.snapshot();
+    let thresholds = [0.5, 2.0, 4.5, f64::INFINITY];
+    // Neighbours in the forest (joined above their edge's weight) and arbitrary pairs; few
+    // enough that both rounds of questions stay under the walk budget.
+    let records = &held.dendrogram().nodes;
+    let mut pairs: Vec<(VertexId, VertexId)> =
+        records.iter().step_by(75).map(|r| (r.u, r.v)).collect();
+    pairs.extend((0..20u32).map(|i| (VertexId(i * 71), VertexId((i * 937 + 11) % n as u32))));
+    let ask = |snap: &dynsld_engine::EngineSnapshot| {
+        let counts: Vec<usize> = thresholds.iter().map(|&t| snap.num_clusters(t)).collect();
+        let same: Vec<bool> = thresholds
+            .iter()
+            .flat_map(|&tau| pairs.iter().map(move |&(u, v)| (u, v, tau)))
+            .map(|(u, v, tau)| snap.same_cluster(u, v, tau))
+            .collect();
+        let heights: Vec<Option<u64>> = pairs
+            .iter()
+            .map(|&(u, v)| snap.merge_height_between(u, v).map(f64::to_bits))
+            .collect();
+        (counts, same, heights)
+    };
+    let recorded = ask(&held);
+    for &event in &stream[window..] {
+        engine.submit(event).unwrap();
+        engine.flush().unwrap();
+    }
+    assert_eq!(engine.snapshot().epoch(), held.epoch() + 300);
+    assert_eq!(ask(&held), recorded);
+    assert_eq!(
+        engine.metrics().snapshot_cache_misses,
+        0,
+        "a walk built a clustering"
+    );
+    // And the recorded answers are the sweep's.
+    for (i, &tau) in thresholds.iter().enumerate() {
+        let sweep = held.dendrogram().flat_clustering(tau);
+        assert_eq!(recorded.0[i], sweep.num_clusters());
+        for (j, &(u, v)) in pairs.iter().enumerate() {
+            assert_eq!(recorded.1[i * pairs.len() + j], sweep.same_cluster(u, v));
+        }
+    }
+}
+
 /// Concurrent readers on snapshot clones while the writer keeps flushing: every reader must
 /// see an internally consistent frozen state (partition covers all vertices; cluster count at
 /// +inf equals the component count; epoch never changes under its feet).

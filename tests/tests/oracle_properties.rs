@@ -3,7 +3,10 @@
 //! unique given the rank total order), keep the structural invariants, and keep all algorithm
 //! variants in agreement with each other.
 
-use dynsld::{static_sld_kruskal, static_sld_parallel, DynSld, DynSldOptions, UpdateStrategy};
+use dynsld::{
+    static_sld_kruskal, static_sld_parallel, DendrogramSnapshot, DynSld, DynSldOptions,
+    UpdateStrategy,
+};
 use dynsld_forest::gen::TreeInstance;
 use dynsld_forest::{Dsu, VertexId, Weight};
 use proptest::prelude::*;
@@ -107,8 +110,96 @@ fn all_strategies() -> Vec<(&'static str, DynSldOptions)> {
     ]
 }
 
+/// Weights with duplicates and both zeros (`-0.0` ranks strictly below `0.0` but a threshold
+/// at either merges both).
+const POINT_WEIGHTS: [f64; 7] = [-0.0, 0.0, 1.0, 1.0, 2.5, 2.5, 7.0];
+
+/// The prefix sweep `DendrogramSnapshot::merge_height_between` ran before the point index:
+/// merge in rank order, stop at the first record that connects the pair. Kept here as the
+/// reference the LCA walk is checked against.
+fn merge_height_sweep(s: &DendrogramSnapshot, a: VertexId, b: VertexId) -> Option<Weight> {
+    if a == b {
+        return Some(0.0);
+    }
+    let mut dsu = Dsu::new(s.num_vertices);
+    s.nodes.iter().find_map(|node| {
+        dsu.union(node.u, node.v);
+        dsu.connected(a, b).then_some(node.weight)
+    })
+}
+
+/// Every answer the snapshot gives natively equals the sweep's, at every threshold that can
+/// tell two clusterings apart and at the ones that cannot.
+fn check_point_queries(s: &DendrogramSnapshot) {
+    let mut taus = vec![f64::NEG_INFINITY, f64::INFINITY, f64::NAN];
+    for pair in POINT_WEIGHTS.windows(2) {
+        taus.extend([pair[0], (pair[0] + pair[1]) / 2.0]);
+    }
+    taus.extend([POINT_WEIGHTS[6], POINT_WEIGHTS[6] + 1.0]);
+    let vertices = || (0..s.num_vertices as u32).map(VertexId);
+    for tau in taus {
+        let sweep = s.flat_clustering(tau);
+        assert_eq!(s.num_clusters(tau), sweep.num_clusters(), "tau={}", tau);
+        for u in vertices() {
+            for v in vertices() {
+                assert_eq!(
+                    s.threshold_connected(u, v, tau),
+                    sweep.same_cluster(u, v),
+                    "({}, {}) at tau={}",
+                    u,
+                    v,
+                    tau
+                );
+            }
+        }
+    }
+    for u in vertices() {
+        for v in vertices() {
+            assert_eq!(
+                s.merge_height_between(u, v).map(f64::to_bits),
+                merge_height_sweep(s, u, v).map(f64::to_bits),
+                "merge height of ({}, {})",
+                u,
+                v
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// Snapshot point queries against the sweep after random churn: toggled edges (so ids
+    /// are recycled), duplicate weights and both zeros, vertex growth, isolated vertices,
+    /// exports interleaved so that the index under test is mostly a spliced one — and the
+    /// index a full export builds lazily from its records answers the same.
+    #[test]
+    fn snapshot_point_queries_match_the_sweep(
+        n in 2usize..14,
+        parallel in any::<bool>(),
+        ops in proptest::collection::vec((0usize..64, 0usize..64, 0usize..7, 0u8..9), 1..90),
+    ) {
+        let strategy = if parallel { UpdateStrategy::Parallel } else { UpdateStrategy::Sequential };
+        let mut sld = DynSld::with_options(n, DynSldOptions::with_strategy(strategy));
+        for (a, b, weight, kind) in ops {
+            let count = sld.num_vertices();
+            let (u, v) = (VertexId((a % count) as u32), VertexId((b % count) as u32));
+            match kind {
+                0..=5 if sld.forest().find_edge(u, v).is_some() => {
+                    sld.delete(u, v).unwrap();
+                }
+                // A rejected insertion (self loop, cycle) leaves the structure alone.
+                0..=5 => drop(sld.insert(u, v, POINT_WEIGHTS[weight])),
+                6 => drop(sld.add_vertices(1 + a % 3)),
+                _ => check_point_queries(&sld.export_snapshot_incremental()),
+            }
+        }
+        let spliced = sld.export_snapshot_incremental();
+        let rebuilt = sld.export_snapshot();
+        prop_assert_eq!(&spliced, &rebuilt);
+        check_point_queries(&spliced);
+        check_point_queries(&rebuilt);
+    }
 
     /// Every update strategy matches static recomputation after an arbitrary update sequence.
     #[test]
