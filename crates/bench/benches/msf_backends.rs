@@ -1,5 +1,5 @@
 //! Forest-backend head-to-head: the scan backend's exhaustive replacement search vs the
-//! HDT level-structured search (`DYNSLD_MSF_BACKEND`, PR 9), on the workloads where the
+//! HDT level-structured search (`DynSldOptions::msf_backend`), on the workloads where the
 //! two differ — tree-edge deletions. Both backends produce bit-identical `MsfChange`
 //! streams (pinned by `tests/tests/msf_backends.rs`), so this bench measures pure search
 //! cost: wall time per workload and, in the `quality` array, the per-backend

@@ -9,7 +9,7 @@
 //!   (uninstrumented) `engine_throughput/engine_flush_every_1` baseline, i.e. the one-branch
 //!   no-op really is a no-op.
 //! * `enabled` — a recording registry: spans into the per-thread rings, stage histograms,
-//!   counters. The gap to `disabled` is the opt-in price of `DYNSLD_TRACE=1`.
+//!   counters. The gap to `disabled` is the opt-in price of `Telemetry::enabled()`.
 //! * `enabled_amortised` — the same recording registry at `flush_every = 512`, showing the
 //!   toll fading once flushes batch.
 //!

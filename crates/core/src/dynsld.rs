@@ -45,10 +45,10 @@ pub enum UpdateStrategy {
 /// search when a tree edge is deleted.
 ///
 /// `DynSld` itself does not consult this option — it is carried here so one options value
-/// configures the whole stack (engine shards, journal-replay recovery, and the test suite's
-/// env-selected runs all construct through [`DynSldOptions`]). Both backends produce
-/// bit-identical MSF changes, dendrograms, and clusterings; they differ only in how much
-/// work a deletion's replacement search performs.
+/// configures the whole stack (engine shards and journal-replay recovery both construct
+/// through [`DynSldOptions`]). Both backends produce bit-identical MSF changes, dendrograms,
+/// and clusterings; they differ only in how much work a deletion's replacement search
+/// performs.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
 pub enum ForestBackend {
     /// Enumerate the smaller side of the cut and scan the non-tree edges incident to it:
@@ -61,21 +61,9 @@ pub enum ForestBackend {
     Hdt,
 }
 
-impl ForestBackend {
-    /// The backend selected by the `DYNSLD_MSF_BACKEND` environment variable (`scan` |
-    /// `hdt`, case-insensitive), or [`ForestBackend::Scan`] when unset or unrecognised.
-    /// [`DynSldOptions::default`] uses this, so the whole stack — engines, recovery
-    /// rebuilds, tests — flips backend under `DYNSLD_MSF_BACKEND=hdt`.
-    pub fn from_env() -> Self {
-        match std::env::var("DYNSLD_MSF_BACKEND") {
-            Ok(s) if s.eq_ignore_ascii_case("hdt") => ForestBackend::Hdt,
-            _ => ForestBackend::Scan,
-        }
-    }
-}
-
-/// Construction-time options for [`DynSld`].
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+/// Construction-time options for [`DynSld`]. The default is the sequential strategy, no
+/// spine index and the [`ForestBackend::Scan`] backend.
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
 pub struct DynSldOptions {
     /// Default algorithm used by [`DynSld::insert`] / [`DynSld::delete`].
     pub strategy: UpdateStrategy,
@@ -84,19 +72,8 @@ pub struct DynSldOptions {
     /// structural change.
     pub maintain_spine_index: bool,
     /// Replacement-search backend used by the graph layer (`dynsld-msf`); ignored by
-    /// forest-level `DynSld` usage. Defaults to `DYNSLD_MSF_BACKEND` (see
-    /// [`ForestBackend::from_env`]).
+    /// forest-level `DynSld` usage.
     pub msf_backend: ForestBackend,
-}
-
-impl Default for DynSldOptions {
-    fn default() -> Self {
-        DynSldOptions {
-            strategy: UpdateStrategy::Sequential,
-            maintain_spine_index: false,
-            msf_backend: ForestBackend::from_env(),
-        }
-    }
 }
 
 impl DynSldOptions {

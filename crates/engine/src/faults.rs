@@ -2,9 +2,9 @@
 //!
 //! A [`FaultPlan`] is a telemetry-style handle: a true no-op unless armed. The default
 //! ([`FaultPlan::disabled`]) carries no allocation and every checkpoint reduces to one branch
-//! on an `Option`, so production paths pay nothing for the hooks. An armed plan is built
-//! either explicitly ([`FaultPlan::parse`] + `ServiceBuilder::faults`) or from the
-//! environment ([`FaultPlan::from_env`], reading `DYNSLD_FAULTS=<spec>`).
+//! on an `Option`, so production paths pay nothing for the hooks. An armed plan is parsed
+//! from a spec string ([`FaultPlan::parse`]) and handed to `ServiceBuilder::faults` or the
+//! wire server's configuration.
 //!
 //! Every injection point is **deterministic**: rules trigger on exact per-site ordinals
 //! (shard *s*'s *n*-th non-empty flush, the server's *c*-th accepted connection, the queue's
@@ -14,12 +14,12 @@
 //! service hands the same plan to every shard and to the wire server, and the connection
 //! ordinal keeps counting across all of them.
 //!
-//! # Spec grammar (`DYNSLD_FAULTS`)
+//! # Spec grammar ([`FaultPlan::parse`])
 //!
 //! A spec is a `;`-separated list of rules. Each rule is `name=arg,arg,...` where an arg is
 //! `key:value` (or the bare flag `entry`). Unknown names, keys, or malformed integers are
-//! parse errors — [`FaultPlan::from_env`] reports them once on stderr and stays disabled
-//! rather than silently dropping rules.
+//! parse errors ([`FaultSpecError`] names the offending rule), never silently dropped
+//! rules.
 //!
 //! | rule | args | effect |
 //! |------|------|--------|
@@ -32,7 +32,7 @@
 //! | `wal_torn` | `at:<n>` **or** `every:<k>` | the matching WAL append is written as a *partial frame* — the on-disk shape of a crash mid-write — and the layer goes dead. The next open truncates the torn tail. |
 //! | `seed` | bare value: `seed=<u64>` | seeds the generator behind `prob:` triggers (default 0x5EED). |
 //!
-//! Example: `DYNSLD_FAULTS="flush_panic=shard:1,flush:3;torn_write=every:2,after:64;seed=7"`.
+//! Example: `flush_panic=shard:1,flush:3;torn_write=every:2,after:64;seed=7`.
 //!
 //! Connection ordinals are 1-based and count *accepted* connections in accept order;
 //! flush ordinals are 1-based and count each shard's non-empty flush attempts (retries
@@ -117,7 +117,7 @@ pub enum CheckpointWriteFault {
     Skip,
 }
 
-/// A malformed `DYNSLD_FAULTS` spec.
+/// A malformed fault spec (see [`FaultPlan::parse`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FaultSpecError {
     /// The rule text that failed to parse.
@@ -213,35 +213,8 @@ impl FaultPlan {
         FaultPlan { inner: None }
     }
 
-    /// Builds a plan from `DYNSLD_FAULTS`. Unset or empty means disabled; a malformed spec
-    /// is reported once on stderr and yields a disabled plan (a typo must not silently run
-    /// a *different* fault schedule).
-    pub fn from_env() -> FaultPlan {
-        match std::env::var("DYNSLD_FAULTS") {
-            Ok(spec) if !spec.trim().is_empty() => match FaultPlan::parse(&spec) {
-                Ok(plan) => plan,
-                Err(e) => {
-                    eprintln!("DYNSLD_FAULTS ignored: {e}");
-                    FaultPlan::disabled()
-                }
-            },
-            _ => FaultPlan::disabled(),
-        }
-    }
-
-    /// Like [`from_env`](Self::from_env), but a malformed `DYNSLD_FAULTS` is returned as a
-    /// typed error instead of being logged and ignored. `ServiceBuilder::build()` uses this
-    /// so a typo in the environment fails service construction loudly
-    /// (`ConfigError::BadFaultSpec`) rather than running a *different* fault schedule.
-    pub fn from_env_checked() -> Result<FaultPlan, FaultSpecError> {
-        match std::env::var("DYNSLD_FAULTS") {
-            Ok(spec) if !spec.trim().is_empty() => FaultPlan::parse(&spec),
-            _ => Ok(FaultPlan::disabled()),
-        }
-    }
-
-    /// Parses a fault spec (the `DYNSLD_FAULTS` grammar). An empty spec yields a disabled
-    /// plan.
+    /// Parses a fault spec (the grammar in the [module docs](self)). An empty spec yields a
+    /// disabled plan.
     pub fn parse(spec: &str) -> Result<FaultPlan, FaultSpecError> {
         let mut flush_rules = Vec::new();
         let mut conn_rules = Vec::new();

@@ -232,9 +232,9 @@ pub struct ClusterService {
     /// The authoritative vertex count. Tracked at the service level because a quarantined
     /// engine skips growths (they are logged and applied at recovery) and may lag.
     vertices: usize,
-    /// The per-engine options (parallel to `engines`, per-shard backend overrides resolved),
-    /// kept so recovery can rebuild an engine from scratch with its exact configuration.
-    shard_options: Vec<DynSldOptions>,
+    /// The options every engine was built with, kept so recovery can rebuild an engine from
+    /// scratch with its exact configuration.
+    options: DynSldOptions,
     /// The armed fault plan (disabled by default). Recovered engines are deliberately not
     /// re-armed: a plan describes one deterministic failure script, not a repeating schedule.
     faults: FaultPlan,
@@ -245,7 +245,7 @@ pub struct ClusterService {
     /// Lifetime count of successful shard recoveries.
     recoveries: u64,
     /// The durability layer (WAL + checkpoint store), present iff the service was built
-    /// with [`ServiceBuilder::durable`] or under `DYNSLD_DURABLE_DIR`.
+    /// with [`ServiceBuilder::durable`].
     durable: Option<DurableState>,
 }
 
@@ -322,8 +322,7 @@ impl ClusterService {
             .collect()
     }
 
-    /// The armed fault-injection plan (disabled unless set via [`ServiceBuilder::faults`] or
-    /// `DYNSLD_FAULTS`).
+    /// The armed fault-injection plan (disabled unless set via [`ServiceBuilder::faults`]).
     pub fn faults(&self) -> &FaultPlan {
         &self.faults
     }

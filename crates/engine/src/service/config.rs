@@ -3,8 +3,7 @@
 
 use super::recovery::rebuild_engine;
 use super::*;
-use crate::partition::{GreedyPartitioner, HashPartitioner, Partitioner, StatefulPartitioner};
-use dynsld::ForestBackend;
+use crate::partition::{HashPartitioner, Partitioner, StatefulPartitioner};
 use dynsld_durable::FsyncPolicy;
 use std::path::PathBuf;
 
@@ -29,32 +28,6 @@ pub enum FlushPolicy {
 enum PartitionerChoice {
     Pure(Arc<dyn Partitioner>),
     Stateful(Arc<dyn StatefulPartitioner>),
-}
-
-impl PartitionerChoice {
-    /// The builder default, selectable via the `DYNSLD_PARTITIONER` environment variable:
-    /// `greedy` picks [`GreedyPartitioner`] (the CI matrix uses this to run the whole suite
-    /// under stateful routing), `hash` or unset picks [`HashPartitioner`]. Any other value
-    /// falls back to [`HashPartitioner`] with a once-per-process warning on stderr — a
-    /// silently ignored typo would defeat the knob's whole purpose (running a test matrix
-    /// under stateful routing).
-    fn from_env() -> Self {
-        match std::env::var("DYNSLD_PARTITIONER").as_deref() {
-            Ok("greedy") => PartitionerChoice::Stateful(Arc::new(GreedyPartitioner::default())),
-            Ok("hash") | Err(_) => PartitionerChoice::Pure(Arc::new(HashPartitioner)),
-            Ok(other) => {
-                static WARNED: std::sync::Once = std::sync::Once::new();
-                let other = other.to_string();
-                WARNED.call_once(|| {
-                    eprintln!(
-                        "warning: DYNSLD_PARTITIONER={other:?} is not recognized \
-                         (expected \"hash\" or \"greedy\"); defaulting to HashPartitioner"
-                    );
-                });
-                PartitionerChoice::Pure(Arc::new(HashPartitioner))
-            }
-        }
-    }
 }
 
 /// Validated configuration for a [`ClusterService`]; built with the builder pattern.
@@ -82,15 +55,13 @@ pub struct ServiceBuilder {
     partitioner: PartitionerChoice,
     policy: FlushPolicy,
     options: DynSldOptions,
-    shard_backends: Vec<(usize, ForestBackend)>,
     threads: Option<usize>,
     queue_capacity: usize,
     backpressure: Backpressure,
-    telemetry: Option<Telemetry>,
+    telemetry: Telemetry,
     delta_ring: usize,
     tracked_thresholds: Vec<Weight>,
-    faults: Option<FaultPlan>,
-    faults_spec: Option<String>,
+    faults: FaultPlan,
     durable_dir: Option<PathBuf>,
     fsync: FsyncPolicy,
     checkpoint_every: u64,
@@ -101,18 +72,16 @@ impl Default for ServiceBuilder {
         ServiceBuilder {
             vertices: None,
             num_shards: 1,
-            partitioner: PartitionerChoice::from_env(),
+            partitioner: PartitionerChoice::Pure(Arc::new(HashPartitioner)),
             policy: FlushPolicy::Manual,
             options: DynSldOptions::default(),
-            shard_backends: Vec::new(),
             threads: None,
             queue_capacity: 1024,
             backpressure: Backpressure::Block,
-            telemetry: None,
+            telemetry: Telemetry::disabled(),
             delta_ring: 64,
             tracked_thresholds: Vec::new(),
-            faults: None,
-            faults_spec: None,
+            faults: FaultPlan::disabled(),
             durable_dir: None,
             fsync: FsyncPolicy::default(),
             checkpoint_every: 256,
@@ -121,12 +90,10 @@ impl Default for ServiceBuilder {
 }
 
 impl ServiceBuilder {
-    /// A builder with the defaults: one shard, [`HashPartitioner`] (overridable process-wide
-    /// with `DYNSLD_PARTITIONER=greedy`, which the CI matrix uses to run the whole test suite
-    /// under the stateful [`GreedyPartitioner`]), [`FlushPolicy::Manual`], default
-    /// [`DynSldOptions`], a 1024-slot submission queue with [`Backpressure::Block`]. An
-    /// explicit [`partitioner`](Self::partitioner) / [`stateful_partitioner`](Self::stateful_partitioner)
-    /// call always wins over the environment. The vertex count has no default — set it with
+    /// A builder with the defaults: one shard, [`HashPartitioner`], [`FlushPolicy::Manual`],
+    /// default [`DynSldOptions`], a 1024-slot submission queue with [`Backpressure::Block`],
+    /// disabled [`Telemetry`], a disabled [`FaultPlan`] and no durability. Nothing is read
+    /// from the environment. The vertex count has no default — set it with
     /// [`vertices`](Self::vertices).
     pub fn new() -> Self {
         Self::default()
@@ -160,7 +127,7 @@ impl ServiceBuilder {
     /// shard the first time the router sees it, and the pin holds for the service's lifetime
     /// — so edges still route to one shard forever and per-shard validation stays sound,
     /// while the *choice* of shard can follow the stream's locality. Pair with
-    /// [`GreedyPartitioner`] for the LDG-style greedy rule.
+    /// [`GreedyPartitioner`](crate::GreedyPartitioner) for the LDG-style greedy rule.
     pub fn stateful_partitioner(mut self, p: impl StatefulPartitioner + 'static) -> Self {
         self.partitioner = PartitionerChoice::Stateful(Arc::new(p));
         self
@@ -172,30 +139,12 @@ impl ServiceBuilder {
         self
     }
 
-    /// Dendrogram-maintenance options passed to every shard engine.
+    /// Dendrogram-maintenance options passed to every shard engine, including the MSF
+    /// replacement-search backend ([`DynSldOptions::msf_backend`]). Both backends are
+    /// bit-identical in results, so the backend is purely a performance policy; see the
+    /// `dynsld-msf` crate docs for the trade-off.
     pub fn options(mut self, options: DynSldOptions) -> Self {
         self.options = options;
-        self
-    }
-
-    /// The MSF replacement-search backend every shard engine uses (shorthand for setting
-    /// [`DynSldOptions::msf_backend`] through [`options`](Self::options)). Defaults to the
-    /// `DYNSLD_MSF_BACKEND` environment variable via [`DynSldOptions::default`]. Both
-    /// backends are bit-identical in results, so this is purely a performance policy; see
-    /// the `dynsld-msf` crate docs for the trade-off.
-    pub fn msf_backend(mut self, backend: ForestBackend) -> Self {
-        self.options.msf_backend = backend;
-        self
-    }
-
-    /// Overrides the MSF replacement-search backend for one shard engine. `shard` indexes
-    /// engines in shard order — routed shards `0..shards`, and on a multi-shard service the
-    /// spill shard last (index `shards`) — the same convention fault rules use. Because the
-    /// backends are bit-identical, shards can mix freely: a deletion-heavy shard can run
-    /// [`ForestBackend::Hdt`] while the rest keep the scan backend. Later overrides for the
-    /// same shard win; out-of-range indices are rejected at [`build`](Self::build) time.
-    pub fn shard_msf_backend(mut self, shard: usize, backend: ForestBackend) -> Self {
-        self.shard_backends.push((shard, backend));
         self
     }
 
@@ -233,10 +182,10 @@ impl ServiceBuilder {
     /// The [`Telemetry`] registry the built pipeline records into: queue submit/block-wait
     /// latency, drain sizes, routing time, and per-shard flush-phase histograms all land
     /// here, and [`ClusterService::telemetry`] exposes it for snapshots. Defaults to
-    /// [`Telemetry::from_env`] — a true no-op unless `DYNSLD_TRACE=1` — so instrumentation
-    /// costs one branch per site when nobody is looking.
+    /// [`Telemetry::disabled`], so instrumentation costs one branch per site when nobody is
+    /// looking.
     pub fn telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = Some(telemetry);
+        self.telemetry = telemetry;
         self
     }
 
@@ -270,21 +219,11 @@ impl ServiceBuilder {
     /// Arms a deterministic [`FaultPlan`] on the built pipeline: the plan is threaded to
     /// every shard engine (`flush_panic` rules; `shard:<s>` indexes engines in shard order,
     /// so on a sharded service the spill shard is `shard:<num_shards>`) and to the
-    /// submission queue (`queue_full` rules). Defaults to [`FaultPlan::from_env`] — a true
-    /// no-op unless `DYNSLD_FAULTS` is set — so the hooks cost one branch per site in
-    /// production.
+    /// submission queue (`queue_full` rules). Defaults to [`FaultPlan::disabled`], so the
+    /// hooks cost one branch per site in production. A plan given as a spec string comes
+    /// from [`FaultPlan::parse`].
     pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
-        self
-    }
-
-    /// Arms a fault plan given as its spec string, parsed (and validated) at
-    /// [`build`](Self::build) time: a malformed clause surfaces as
-    /// [`ConfigError::BadFaultSpec`] naming the offending rule instead of being silently
-    /// ignored. Equivalent to setting `DYNSLD_FAULTS`, but per-service and race-free under
-    /// concurrent tests. An explicit [`faults`](Self::faults) plan wins over a spec.
-    pub fn faults_spec(mut self, spec: impl Into<String>) -> Self {
-        self.faults_spec = Some(spec.into());
+        self.faults = plan;
         self
     }
 
@@ -295,12 +234,6 @@ impl ServiceBuilder {
     /// the published revision bumped past the checkpoint's so pre-crash cached validators
     /// never match. Pass the *same* directory across process restarts; state from a
     /// different configuration (other shard count/partitioner) is rejected at build.
-    ///
-    /// The `DYNSLD_DURABLE_DIR` environment variable arms durability process-wide for
-    /// services that did not call this: each such service gets a fresh unique subdirectory
-    /// (so independently built services never share a log), which exercises the durable
-    /// write path everywhere but — unlike an explicit `durable(dir)` — never recovers
-    /// anything.
     pub fn durable(mut self, dir: impl Into<PathBuf>) -> Self {
         self.durable_dir = Some(dir.into());
         self
@@ -356,38 +289,11 @@ impl ServiceBuilder {
         }
         // Routed shards, plus the spill shard as soon as there is more than one.
         let num_engines = self.num_shards + usize::from(self.num_shards > 1);
-        if let Some(&(shard, _)) = self
-            .shard_backends
-            .iter()
-            .find(|&&(shard, _)| shard >= num_engines)
-        {
-            return Err(ConfigError::ShardIndexOutOfRange {
-                shard,
-                engines: num_engines,
-            }
-            .into());
-        }
-        // Resolve the per-engine options up front (base options, then per-shard backend
-        // overrides, later overrides winning) and keep them: shard recovery rebuilds an
-        // engine from scratch and must reproduce its exact configuration.
-        let mut shard_options = vec![self.options; num_engines];
-        for &(shard, backend) in &self.shard_backends {
-            shard_options[shard].msf_backend = backend;
-        }
-        let telemetry = self.telemetry.unwrap_or_else(Telemetry::from_env);
-        // An explicit plan wins; then a builder-level spec string; then the environment.
-        // Spec strings (from either source) are parsed *here* so a malformed clause is a
-        // build-time ConfigError naming the offending rule, not a silently ignored plan.
-        let faults = match (self.faults, &self.faults_spec) {
-            (Some(plan), _) => plan,
-            (None, Some(spec)) => FaultPlan::parse(spec).map_err(ConfigError::BadFaultSpec)?,
-            (None, None) => FaultPlan::from_env_checked().map_err(ConfigError::BadFaultSpec)?,
-        };
-        let durable_dir = self.durable_dir.clone().or_else(env_durable_dir);
+        let (telemetry, faults) = (self.telemetry, self.faults);
         let engines = (0..num_engines)
             .map(|idx| {
                 let id = ShardId::of_slot(idx, self.num_shards);
-                let mut engine = rebuild_engine(id, shard_options[idx], &telemetry, n, &[])?;
+                let mut engine = rebuild_engine(id, self.options, &telemetry, n, &[])?;
                 engine.set_faults(faults.clone(), idx);
                 Ok(engine)
             })
@@ -425,26 +331,16 @@ impl ServiceBuilder {
             tracked_thresholds: self.tracked_thresholds,
             telemetry,
             vertices: n,
-            shard_options,
+            options: self.options,
             faults,
             panics_caught: 0,
             quarantines: 0,
             recoveries: 0,
             durable: None,
         };
-        if let Some(dir) = durable_dir {
+        if let Some(dir) = self.durable_dir {
             service.attach_durability(&dir, self.fsync, self.checkpoint_every.max(1))?;
         }
         Ok(service)
     }
-}
-
-/// Resolves `DYNSLD_DURABLE_DIR` to a fresh per-service subdirectory: services built under
-/// the env var (the CI soak mode) each get their own log, keyed by pid plus a process-local
-/// counter, so concurrently built services never interleave WAL segments.
-fn env_durable_dir() -> Option<PathBuf> {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let base = std::env::var_os("DYNSLD_DURABLE_DIR")?;
-    let unique = NEXT.fetch_add(1, Ordering::Relaxed);
-    Some(PathBuf::from(base).join(format!("svc-{}-{unique}", std::process::id())))
 }

@@ -3,7 +3,6 @@
 
 use crate::coalesce::RejectReason;
 use crate::engine::EngineError;
-use crate::faults::FaultSpecError;
 use crate::partition::ShardId;
 use dynsld::DynSldError;
 use dynsld_durable::DurableError;
@@ -31,17 +30,6 @@ pub enum ConfigError {
         /// The vertex count that was asked for.
         requested: usize,
     },
-    /// A [`ServiceBuilder::shard_msf_backend`] override named a shard index the built
-    /// service will not have.
-    ShardIndexOutOfRange {
-        /// The shard index the override named.
-        shard: usize,
-        /// How many engines the configuration builds (routed shards plus any spill shard).
-        engines: usize,
-    },
-    /// A fault spec ([`ServiceBuilder::faults_spec`] or the `DYNSLD_FAULTS` environment
-    /// variable) failed to parse; the inner [`FaultSpecError`] names the offending clause.
-    BadFaultSpec(FaultSpecError),
 }
 
 impl std::fmt::Display for ConfigError {
@@ -64,12 +52,6 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "vertex count {requested} exceeds the u32-indexed VertexId space"
             ),
-            ConfigError::ShardIndexOutOfRange { shard, engines } => write!(
-                f,
-                "shard_msf_backend({shard}, ..): the configuration builds {engines} engines \
-                 (routed shards first, spill shard last)"
-            ),
-            ConfigError::BadFaultSpec(err) => write!(f, "bad fault spec: {err}"),
         }
     }
 }

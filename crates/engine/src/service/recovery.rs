@@ -218,7 +218,7 @@ impl ClusterService {
             });
         }
         let (engine, events_replayed, rejected) =
-            self.logs[idx].rebuild(id, self.shard_options[idx], &self.telemetry)?;
+            self.logs[idx].rebuild(id, self.options, &self.telemetry)?;
         // A fresh log rather than a fold: the quarantine may have grown the suffix's
         // allocation far past its steady-state bound.
         self.logs[idx] = ShardLog::from_image(engine.num_vertices(), shard_image(&engine));
@@ -389,11 +389,8 @@ impl ClusterService {
             self.routed_events[idx] = image.edges.len() as u64;
             self.edge_inserts_routed += self.routed_events[idx];
             self.logs[idx] = ShardLog::from_image(n, image);
-            let (engine, _, _) = self.logs[idx].rebuild(
-                self.id_of(idx),
-                self.shard_options[idx],
-                &self.telemetry,
-            )?;
+            let (engine, _, _) =
+                self.logs[idx].rebuild(self.id_of(idx), self.options, &self.telemetry)?;
             self.engines[idx] = engine;
             self.health[idx] = ShardHealth::Healthy;
         }
@@ -404,7 +401,7 @@ impl ClusterService {
     }
 
     /// The durability layer's build-time recovery report — `Some` iff the service is
-    /// durable ([`ServiceBuilder::durable`] or `DYNSLD_DURABLE_DIR`).
+    /// durable ([`ServiceBuilder::durable`]).
     pub fn durability(&self) -> Option<&DurabilityReport> {
         self.durable.as_ref().map(|d| &d.report)
     }

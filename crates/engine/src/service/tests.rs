@@ -4,7 +4,6 @@ use super::*;
 use crate::coalesce::RejectReason;
 use crate::engine::FlushPhases;
 use crate::partition::{BlockPartitioner, GreedyPartitioner};
-use dynsld::ForestBackend;
 use dynsld_forest::workload::GraphUpdate;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -586,71 +585,6 @@ fn flush_reports_carry_wall_time_and_phase_totals() {
 }
 
 #[test]
-fn per_shard_msf_backend_is_configurable_and_validated() {
-    // An override naming a shard the configuration will not build is rejected whole.
-    let err = ServiceBuilder::new()
-        .vertices(8)
-        .shards(2)
-        .shard_msf_backend(3, ForestBackend::Hdt)
-        .build()
-        .unwrap_err();
-    assert_eq!(
-        err,
-        ServiceError::InvalidConfig(ConfigError::ShardIndexOutOfRange {
-            shard: 3,
-            engines: 3
-        })
-    );
-    // Mixed backends — HDT on shard 0, scan on shard 1 and the spill shard — must be
-    // observationally identical to an all-scan service on the same stream; only the work
-    // counters may differ.
-    let build = |mixed: bool| {
-        let mut builder = ServiceBuilder::new()
-            .vertices(8)
-            .shards(2)
-            .partitioner(BlockPartitioner { block_size: 4 })
-            .msf_backend(ForestBackend::Scan);
-        if mixed {
-            builder = builder.shard_msf_backend(0, ForestBackend::Hdt);
-        }
-        builder.build().expect("valid test configuration")
-    };
-    let stream = [
-        ins(0, 1, 1.0),
-        ins(1, 2, 2.0),
-        ins(0, 2, 9.0), // reserve edge on shard 0
-        ins(4, 5, 3.0),
-        ins(1, 5, 4.0), // cross-shard → spill
-        del(0, 1),      // shard-0 tree deletion: the HDT search promotes (0, 2)
-    ];
-    let mut views = Vec::new();
-    for mixed in [false, true] {
-        let svc = build(mixed);
-        let ingest = svc.ingest_handle();
-        for update in stream {
-            ingest.submit(update).unwrap();
-        }
-        let mut driver = FlusherDriver::new(svc);
-        driver.pump().unwrap();
-        driver.flush().unwrap();
-        views.push(driver.service().published());
-    }
-    assert_eq!(views[0].num_graph_edges(), views[1].num_graph_edges());
-    for tau in [0.5, 2.5, 9.5, f64::INFINITY] {
-        assert_eq!(views[0].num_clusters(tau), views[1].num_clusters(tau));
-        for i in 0..8u32 {
-            for j in (i + 1)..8u32 {
-                assert_eq!(
-                    views[0].same_cluster(VertexId(i), VertexId(j), tau),
-                    views[1].same_cluster(VertexId(i), VertexId(j), tau),
-                    "mixed-backend service diverged on ({i}, {j}) at tau={tau}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn builder_telemetry_instruments_the_whole_pipeline() {
     let telemetry = Telemetry::enabled();
     let svc = ServiceBuilder::new()
@@ -686,11 +620,9 @@ fn builder_telemetry_instruments_the_whole_pipeline() {
     assert!(snap.counter("engine.flushes").unwrap_or(0) >= 1);
     snap.trace.check_well_formed().unwrap();
     assert!(snap.trace.total_events() > 0);
-    // The default builder stays inert without the env opt-in.
+    // The default builder stays inert.
     let inert = blocked(2, 8, FlushPolicy::Manual);
-    if std::env::var("DYNSLD_TRACE").is_err() {
-        assert!(!inert.telemetry().is_enabled());
-    }
+    assert!(!inert.telemetry().is_enabled());
 }
 
 /// A 2-shard greedy service for the assignment tests below.
@@ -1078,16 +1010,13 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
-/// 2 routed shards + spill over 8 vertices, journaling into `dir`. The fault plan is
-/// pinned disabled so an ambient `DYNSLD_FAULTS` (CI's crash-injection suite runs)
-/// can't kill the journal these tests recover from.
+/// 2 routed shards + spill over 8 vertices, journaling into `dir`.
 fn durable_svc(dir: &Path, checkpoint_every: u64) -> ClusterService {
     ServiceBuilder::new()
         .vertices(8)
         .shards(2)
         .partitioner(BlockPartitioner { block_size: 4 })
         .flush_policy(FlushPolicy::Manual)
-        .faults(FaultPlan::disabled())
         .durable(dir)
         .checkpoint_every_records(checkpoint_every)
         .build()
@@ -1096,8 +1025,8 @@ fn durable_svc(dir: &Path, checkpoint_every: u64) -> ClusterService {
 
 #[test]
 fn bad_fault_specs_surface_as_config_errors() {
-    // Satellite pin: each malformed clause is rejected at build() as a typed
-    // ConfigError naming the offending rule, never a silently-disabled plan.
+    // Each malformed clause is rejected by `FaultPlan::parse` as a typed error naming the
+    // offending rule, never a silently-disabled plan.
     for (spec, bad_rule) in [
         ("crash", "crash"),                             // missing `=`
         ("crash=bogus:1", "crash=bogus:1"),             // unknown crash arg
@@ -1107,24 +1036,18 @@ fn bad_fault_specs_surface_as_config_errors() {
         ("frobnicate=1", "frobnicate=1"),               // unknown fault name
         ("flush_panic=shard:0", "flush_panic=shard:0"), // missing trigger
     ] {
-        let err = ServiceBuilder::new()
-            .vertices(4)
-            .faults_spec(spec)
-            .build()
-            .expect_err("malformed spec must not build");
-        let ServiceError::InvalidConfig(ConfigError::BadFaultSpec(detail)) = err else {
-            panic!("expected BadFaultSpec for `{spec}`, got {err:?}");
-        };
+        let detail = FaultPlan::parse(spec).expect_err("malformed spec must not parse");
         assert_eq!(detail.rule, bad_rule, "error must name the bad clause");
         assert!(!detail.reason.is_empty());
-        // The Display chain keeps the clause visible all the way up.
-        let rendered = ServiceError::InvalidConfig(ConfigError::BadFaultSpec(detail)).to_string();
+        // The Display keeps the clause visible.
+        let rendered = detail.to_string();
         assert!(rendered.contains(bad_rule), "{rendered}");
     }
     // A well-formed spec still builds.
+    let plan = FaultPlan::parse("crash=every:100;seed=7").expect("valid spec parses");
     ServiceBuilder::new()
         .vertices(4)
-        .faults_spec("crash=every:100;seed=7")
+        .faults(plan)
         .build()
         .expect("valid spec builds");
 }

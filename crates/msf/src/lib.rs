@@ -19,7 +19,7 @@
 //!
 //! How the replacement edge is *found* is a policy, selected by
 //! [`DynSldOptions::msf_backend`](dynsld::DynSldOptions) (a [`ForestBackend`], defaulting to
-//! the `DYNSLD_MSF_BACKEND` environment variable):
+//! [`ForestBackend::Scan`]):
 //!
 //! * [`ForestBackend::Scan`] scans the non-tree edges incident to the smaller side of the
 //!   cut: `O(min-side size + min-side non-tree degree)` per tree-edge deletion — the side is
@@ -199,8 +199,8 @@ pub(crate) fn replacement_beats(
 }
 
 impl DynamicGraphClustering {
-    /// Creates an empty graph on `n` vertices with default DynSLD options (including the
-    /// `DYNSLD_MSF_BACKEND`-selected forest backend).
+    /// Creates an empty graph on `n` vertices with default DynSLD options (so the
+    /// [`ForestBackend::Scan`] backend).
     pub fn new(n: usize) -> Self {
         Self::with_options(n, DynSldOptions::default())
     }

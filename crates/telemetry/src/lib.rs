@@ -18,9 +18,9 @@
 //!
 //! # Enabling
 //!
-//! Telemetry is off by default. Turn it on either explicitly
-//! (`Telemetry::enabled()`) or from the environment ([`Telemetry::from_env`] honours
-//! `DYNSLD_TRACE=1`). Handles are cheap to clone and all clones share the registry.
+//! Telemetry is off by default. Turn it on by passing an enabled handle
+//! ([`Telemetry::enabled`]) to whatever records into it. Handles are cheap to clone and all
+//! clones share the registry.
 //!
 //! ```
 //! use dynsld_telemetry::Telemetry;
@@ -173,14 +173,6 @@ impl Telemetry {
                 histograms: RwLock::new(HashMap::new()),
                 counters: RwLock::new(HashMap::new()),
             })),
-        }
-    }
-
-    /// Enabled iff `DYNSLD_TRACE` is set to `1` (or `true`); disabled otherwise.
-    pub fn from_env() -> Self {
-        match std::env::var("DYNSLD_TRACE") {
-            Ok(v) if v == "1" || v.eq_ignore_ascii_case("true") => Self::enabled(),
-            _ => Self::disabled(),
         }
     }
 

@@ -13,12 +13,11 @@
 //! outrun the driver, they wait for queue slots instead of dropping events — visible in the
 //! `queue_block_waits` counter at the end.
 //!
-//! **Telemetry.** With `DYNSLD_TRACE=1` (or `DYNSLD_TRACE_OUT=<path>`, which implies it) the
-//! pipeline records stage-latency histograms and a span trace while it runs; the example
-//! then prints the histogram table and, when `DYNSLD_TRACE_OUT` names a file, writes the
-//! trace there in Chrome trace-event JSON — load it in `chrome://tracing` or
-//! [Perfetto](https://ui.perfetto.dev) to see the driver's drains and every shard flush on
-//! a timeline.
+//! **Telemetry.** With `DYNSLD_TRACE_OUT=<path>` the pipeline records stage-latency
+//! histograms and a span trace while it runs; the example then prints the histogram table
+//! and writes the trace to `<path>` in Chrome trace-event JSON — load it in
+//! `chrome://tracing` or [Perfetto](https://ui.perfetto.dev) to see the driver's drains and
+//! every shard flush on a timeline.
 
 use dynsld_engine::{Backpressure, BlockPartitioner, FlushPolicy, ServiceBuilder};
 use dynsld_forest::workload::{GraphUpdate, GraphWorkloadBuilder};
@@ -58,7 +57,7 @@ fn main() {
     let telemetry = if trace_out.is_some() {
         Telemetry::enabled()
     } else {
-        Telemetry::from_env()
+        Telemetry::disabled()
     };
     let service = ServiceBuilder::new()
         .vertices(N)
@@ -172,9 +171,9 @@ fn main() {
         snap.num_clusters(25.0)
     );
 
-    if telemetry.is_enabled() {
+    if let Some(path) = trace_out {
         let t = telemetry.snapshot();
-        println!("\n--- telemetry (DYNSLD_TRACE) ---");
+        println!("\n--- telemetry ---");
         print!("{}", export::render_table(&t));
         println!(
             "queue depth: high watermark {}, last drain {}",
@@ -183,13 +182,11 @@ fn main() {
         t.trace
             .check_well_formed()
             .expect("span trace is balanced and monotone");
-        if let Some(path) = trace_out {
-            std::fs::write(&path, export::chrome_json(&t)).expect("trace file is writable");
-            println!(
-                "wrote {} trace events from {} threads to {path} (Chrome trace format)",
-                t.trace.total_events(),
-                t.trace.threads.len()
-            );
-        }
+        std::fs::write(&path, export::chrome_json(&t)).expect("trace file is writable");
+        println!(
+            "wrote {} trace events from {} threads to {path} (Chrome trace format)",
+            t.trace.total_events(),
+            t.trace.threads.len()
+        );
     }
 }

@@ -14,7 +14,9 @@
 //!
 //! With `DYNSLD_WIRE_OUT=<dir>` the example also performs raw socket exchanges against all
 //! three endpoints and writes the JSON bodies there (`head.json`, `snapshot.json`,
-//! `delta.json`) so external tooling can validate the wire payloads.
+//! `delta.json`) so external tooling can validate the wire payloads. With
+//! `DYNSLD_FAULTS=<spec>` (a `FaultPlan::parse` spec) the server injects those connection
+//! faults, and the example asserts the subscribers retried through them.
 
 use dynsld_engine::{FaultPlan, FlushPolicy, GreedyPartitioner, ServiceBuilder};
 use dynsld_forest::workload::GraphWorkloadBuilder;
@@ -162,15 +164,20 @@ fn main() {
         .expect("valid configuration");
     let ingest = service.ingest_handle();
     let read = service.read_handle();
-    // The server honours `DYNSLD_FAULTS` connection rules (`drop_conn`, `delay`,
-    // `torn_write`), so CI can run this example under injected wire faults and let the
-    // subscribers' retry loops absorb them.
+    // `DYNSLD_FAULTS` arms connection rules (`drop_conn`, `delay`, `torn_write`) on the
+    // server; the subscribers' retry loops must absorb them.
+    let fault_spec = std::env::var("DYNSLD_FAULTS").ok();
+    let faults = fault_spec
+        .as_deref()
+        .map_or_else(FaultPlan::disabled, |spec| {
+            FaultPlan::parse(spec).expect("DYNSLD_FAULTS is a valid fault spec")
+        });
     let server = DeltaServer::bind_with(
         "127.0.0.1:0",
         read.clone(),
         telemetry.clone(),
         ServerOptions {
-            faults: FaultPlan::from_env(),
+            faults,
             ..ServerOptions::default()
         },
     )
@@ -227,6 +234,7 @@ fn main() {
 
     // Every wire mirror must be bit-identical to the published view.
     let published = read.snapshot();
+    let mut retries = 0;
     for (i, handle) in subscriber_threads.into_iter().enumerate() {
         let (subscriber, unchanged, patched, refreshed) = handle.join().expect("subscriber");
         let mirror = subscriber.mirror().expect("at least one sync happened");
@@ -241,11 +249,15 @@ fn main() {
             "subscriber {i}: member lists diverged"
         );
         let stats = subscriber.stats();
+        retries += stats.retries;
         println!(
             "subscriber {i}: {unchanged} unchanged (304), {patched} patched, {refreshed} full, \
              {} wire retries, {} timeouts",
             stats.retries, stats.timeouts
         );
+    }
+    if fault_spec.is_some() {
+        assert!(retries > 0, "no injected wire fault fired");
     }
     println!(
         "published revision {}, {} clusters at tau={TAU}",

@@ -3,21 +3,13 @@
 //! record — must lose nothing that was durable and invent nothing that was not. The pin:
 //! rebuild the service from the same directory and its published view is **bit-identical**
 //! (canonical labels AND sorted member lists) to a no-crash oracle fed exactly the durable
-//! prefix of the stream, across shard counts × flush policies × partitioners × MSF
-//! backends, with vertex growth journaled mid-stream.
+//! prefix of the stream, under any drawn service configuration, with vertex growth
+//! journaled mid-stream.
 
-use dynsld::ForestBackend;
-use dynsld_engine::{
-    ClusterService, FaultPlan, FlushPolicy, FlusherDriver, GraphUpdate, GreedyPartitioner,
-    HashPartitioner, ServiceBuilder, ServiceSnapshot,
-};
+use dynsld_engine::{FaultPlan, FlushPolicy, FlusherDriver, GraphUpdate, ServiceBuilder};
 use dynsld_forest::workload::GraphWorkloadBuilder;
+use dynsld_tests::{assert_bit_identical, configs, drain, feed, TempDir, ENTRY_PANICS, TAUS};
 use proptest::prelude::*;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Thresholds the equivalence is checked at.
-const TAUS: [f64; 4] = [1.0, 2.0, 5.0, f64::INFINITY];
 
 /// The logical record stream a durable service journals: routed edge events plus vertex
 /// growth, in submission order — exactly the WAL's record order.
@@ -27,52 +19,16 @@ enum Op {
     Grow(usize),
 }
 
-fn unique_dir(tag: &str) -> PathBuf {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "dynsld-crash-{tag}-{}-{}",
-        std::process::id(),
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn drain(driver: &mut FlusherDriver) {
-    driver.pump().expect("validated stream");
-    driver
-        .flush()
-        .expect("flush isolates faults, never errors on them");
-}
-
-/// Labels and member lists of two published views must agree exactly at every threshold.
-fn assert_views_bit_identical(a: &ServiceSnapshot, b: &ServiceSnapshot, context: &str) {
-    assert_eq!(a.num_vertices(), b.num_vertices(), "{context}");
-    assert_eq!(a.num_graph_edges(), b.num_graph_edges(), "{context}");
-    for tau in TAUS {
-        let (ca, cb) = (a.flat_clustering(tau), b.flat_clustering(tau));
-        assert_eq!(
-            ca.labels, cb.labels,
-            "{context}: labels diverged at tau={tau}"
-        );
-        assert_eq!(
-            ca.clusters, cb.clusters,
-            "{context}: member lists diverged at tau={tau}"
-        );
-    }
-}
-
 /// Feeds the first `count` logical records through a service's normal batch paths,
 /// draining every `chunk` events so checkpoint opportunities recur mid-stream. The final
 /// clustering is a pure function of the surviving record prefix, so the oracle may use
 /// any drain pattern — this one is shared for symmetry.
 fn feed_prefix(driver: &mut FlusherDriver, ops: &[Op], count: usize, chunk: usize) {
-    let ingest = driver.service().ingest_handle();
     let mut since_drain = 0;
     for op in &ops[..count] {
         match *op {
             Op::Event(event) => {
-                ingest.submit(event).expect("queue open");
+                feed(driver, [event]);
                 since_drain += 1;
                 if since_drain >= chunk {
                     drain(driver);
@@ -96,28 +52,20 @@ proptest! {
     /// crash point — after the `c`-th WAL append, tearing the `c`-th WAL record, or
     /// corrupting a checkpoint write (with and without an older valid checkpoint to fall
     /// back to) — recovers on rebuild to exactly the state of a no-crash oracle fed the
-    /// durable prefix `ops[..records_durable]`, across shards × flush policies ×
-    /// partitioners × MSF backends.
+    /// durable prefix `ops[..records_durable]`, under any drawn configuration. Both lives
+    /// journal into one directory of their own; the oracle is the configuration as drawn.
     #[test]
     fn crash_anywhere_recovers_bit_identical_to_the_durable_prefix_oracle(
+        config in configs(),
         seed in 0u64..1 << 48,
         n in 6usize..32,
-        shards in 1usize..4,
         num_ops in 16usize..80,
-        policy_pick in 0usize..3,
-        greedy in any::<bool>(),
-        hdt in any::<bool>(),
         crash_mode in 0usize..4,
         crash_at in 1u64..48,
         growth in 0usize..3,
         ckpt_pick in 0usize..3,
         chunk in 3usize..9,
     ) {
-        let policy = match policy_pick {
-            0 => FlushPolicy::Manual,
-            1 => FlushPolicy::EveryNOps(1),
-            _ => FlushPolicy::EveryNOps(4),
-        };
         // The four pinned crash points. Checkpoint cadence is forced where the scenario
         // needs it: `mid_checkpoint` with cadence 1 corrupts a checkpoint that *has* valid
         // predecessors (recovery must fall back past the corrupt newest); with a sparser
@@ -128,29 +76,18 @@ proptest! {
             2 => (format!("wal_torn=at:{crash_at}"), [1, 8, u64::MAX][ckpt_pick]),
             _ => (format!("crash=mid_checkpoint:{}", 2 + crash_at % 4), 1),
         };
-        let build = |durable: Option<&PathBuf>, faults_spec: Option<&str>| {
-            let mut builder = ServiceBuilder::new()
-                .vertices(n)
-                .shards(shards)
-                .flush_policy(policy)
-                .msf_backend(if hdt { ForestBackend::Hdt } else { ForestBackend::Scan })
-                .checkpoint_every_records(checkpoint_every);
-            if let Some(dir) = durable {
-                builder = builder.durable(dir);
-            }
-            // An explicit plan always wins over `DYNSLD_FAULTS`, so CI's ambient
-            // crash-injection spec can't double-kill the first life or corrupt the
-            // recovery/oracle runs.
-            builder = match faults_spec {
-                Some(spec) => builder.faults_spec(spec),
-                None => builder.faults(FaultPlan::disabled()),
-            };
-            let builder = if greedy {
-                builder.stateful_partitioner(GreedyPartitioner::default())
-            } else {
-                builder.partitioner(HashPartitioner)
-            };
-            builder.build().expect("valid configuration")
+        // The lives take the configuration's entry panics but not its ambient crashes:
+        // their crash point is the one under test.
+        let dir = TempDir::new("crash-prop");
+        let life = |crash: &str| {
+            let entry = if config.entry_panics { ENTRY_PANICS } else { "" };
+            config
+                .builder(n)
+                .checkpoint_every_records(checkpoint_every)
+                .durable(dir.path())
+                .faults(FaultPlan::parse(&format!("{crash};{entry}")).expect("valid spec"))
+                .build()
+                .expect("valid configuration")
         };
 
         let stream = GraphWorkloadBuilder::new(n)
@@ -165,15 +102,14 @@ proptest! {
 
         // First life: journal the whole stream; the injected fault kills the process at
         // its crash point (everything after it is lost, exactly like a real crash).
-        let dir = unique_dir("prop");
         {
-            let mut driver = FlusherDriver::new(build(Some(&dir), Some(&spec)));
+            let mut driver = FlusherDriver::new(life(&spec));
             feed_prefix(&mut driver, &ops, ops.len(), chunk);
         }
 
         // Second life: recovery loads the newest valid checkpoint (falling back past a
         // corrupt one) and replays the WAL tail through the normal batch paths.
-        let recovered = build(Some(&dir), None);
+        let recovered = life("");
         let report = recovered.durability().expect("durable service").clone();
         prop_assert!(report.replay_rejected.is_empty(), "the stream was valid end-to-end");
         let durable = report.records_durable as usize;
@@ -202,19 +138,21 @@ proptest! {
             prop_assert!(report.checkpoint_lsn > 0, "an older valid checkpoint existed");
         }
 
-        // The oracle never crashed and was only ever shown the durable prefix.
-        let mut oracle = FlusherDriver::new(build(None, None));
+        // The oracle's engines never crashed (a durable configuration's own journal may
+        // die) and were only ever shown the durable prefix.
+        let oracle = config.builder(n).checkpoint_every_records(checkpoint_every);
+        let mut oracle = FlusherDriver::new(oracle.build().expect("valid configuration"));
         feed_prefix(&mut oracle, &ops, durable, chunk);
-        assert_views_bit_identical(
+        assert_bit_identical(
             &recovered.published(),
             &oracle.service().published(),
+            &TAUS,
             &format!(
-                "seed={seed} spec={spec} policy={policy:?} ckpt_every={checkpoint_every} \
-                 durable={durable}/{} report={report:?}",
+                "spec={spec} ckpt_every={checkpoint_every} durable={durable}/{} \
+                 report={report:?}",
                 ops.len()
             ),
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -225,14 +163,13 @@ proptest! {
 #[test]
 fn recovered_service_keeps_ingesting_checkpointing_and_recovering() {
     let n = 16;
-    let dir = unique_dir("relay");
+    let dir = TempDir::new("relay");
     let build = || {
         ServiceBuilder::new()
             .vertices(n)
             .shards(2)
             .flush_policy(FlushPolicy::Manual)
-            .faults(FaultPlan::disabled())
-            .durable(&dir)
+            .durable(dir.path())
             .checkpoint_every_records(4)
             .build()
             .expect("valid configuration")
@@ -282,12 +219,12 @@ fn recovered_service_keeps_ingesting_checkpointing_and_recovering() {
     oracle_ingest.submit_all(stream.iter().copied()).unwrap();
     drain(&mut oracle);
 
-    assert_views_bit_identical(
+    assert_bit_identical(
         &driver.service().published(),
         &oracle.service().published(),
+        &TAUS,
         "three-life relay",
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Recovery must bump the published revision past anything the first life served, so a
@@ -296,15 +233,14 @@ fn recovered_service_keeps_ingesting_checkpointing_and_recovering() {
 #[test]
 fn recovery_republishes_at_a_fresh_revision() {
     let n = 8;
-    let dir = unique_dir("revision");
+    let dir = TempDir::new("revision");
     let first_revision;
     {
         let service = ServiceBuilder::new()
             .vertices(n)
             .shards(2)
             .flush_policy(FlushPolicy::Manual)
-            .faults(FaultPlan::disabled())
-            .durable(&dir)
+            .durable(dir.path())
             .checkpoint_every_records(1)
             .build()
             .expect("valid configuration");
@@ -324,8 +260,7 @@ fn recovery_republishes_at_a_fresh_revision() {
         .vertices(n)
         .shards(2)
         .flush_policy(FlushPolicy::Manual)
-        .faults(FaultPlan::disabled())
-        .durable(&dir)
+        .durable(dir.path())
         .build()
         .expect("valid configuration");
     assert!(
@@ -338,18 +273,16 @@ fn recovery_republishes_at_a_fresh_revision() {
         report.checkpoint_lsn > 0,
         "checkpoints were written every record"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `ClusterService` must still build and serve when the durable directory is brand new
 /// (cold start) — recovery is strictly opt-in on finding artifacts, never an error.
 #[test]
 fn cold_start_on_an_empty_directory_is_not_a_recovery() {
-    let dir = unique_dir("cold");
+    let dir = TempDir::new("cold");
     let service = ServiceBuilder::new()
         .vertices(4)
-        .faults(FaultPlan::disabled())
-        .durable(&dir)
+        .durable(dir.path())
         .build()
         .expect("valid configuration");
     let report = service.durability().expect("durable");
@@ -358,12 +291,4 @@ fn cold_start_on_an_empty_directory_is_not_a_recovery() {
         "an empty directory has nothing to recover"
     );
     assert_eq!(report.records_durable, 0);
-    let _ = std::fs::remove_dir_all(&dir);
 }
-
-// The oracle equality above needs `ClusterService::published` and `durability` to be
-// callable from an integration test; keep a compile-time pin that they are public API.
-const _: fn(&ClusterService) = |svc| {
-    let _ = svc.published();
-    let _ = svc.durability();
-};

@@ -1,46 +1,31 @@
 //! Delta-serving correctness: replaying the delta chain `r0 → rN` onto the full snapshot
 //! taken at revision `r0` must be **bit-identical** to the full snapshot at `rN` — the
 //! per-shard dendrogram exports (records, order, versions), the canonical cluster labels,
-//! and the sorted member lists. The properties below drive that equivalence across shard
-//! counts, flush policies, greedy/hash partitioners, mixed churn with interleaved vertex
-//! growth, and the ring-ageout → full-snapshot fallback path.
+//! and the sorted member lists. The properties below drive that equivalence across drawn
+//! service configurations, mixed churn with interleaved vertex growth, and the ring-ageout →
+//! full-snapshot fallback path. The service tracks [`TAUS`] in its deltas.
 
 use dynsld::DendrogramSnapshot;
-use dynsld_engine::{
-    FlushPolicy, FlusherDriver, GreedyPartitioner, HashPartitioner, ServiceBuilder,
-    ServiceSnapshot, SyncResponse,
-};
+use dynsld_engine::{FlushPolicy, ServiceBuilder, ServiceSnapshot, SyncResponse};
 use dynsld_forest::workload::GraphWorkloadBuilder;
 use dynsld_forest::VertexId;
 use dynsld_serve::codec::{decode_message, encode_snapshot};
 use dynsld_serve::{Mirror, RefreshReason, Subscriber, SyncOutcome, WireMessage};
+use dynsld_tests::{assert_bit_identical, configs, drain, feed, TAUS};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Thresholds the service tracks in its deltas and the tests compare labels at.
-const TAUS: [f64; 3] = [2.0, 5.0, f64::INFINITY];
-
 /// Thresholds no one tracks, so neither side has a clustering cached for them: point queries
 /// there are answered on the exports themselves (on one shard), which on a mirror means an
 /// index built from replayed or decoded records.
-const POINT_TAUS: [f64; 3] = [1.0, 3.5, 6.5];
-
-fn drain(driver: &mut FlusherDriver) {
-    driver.pump().expect("validated stream");
-    driver.flush().expect("validated stream");
-}
+const POINT_TAUS: [f64; 3] = [1.5, 3.5, 6.5];
 
 /// Asserts a replayed mirror answers exactly like a published view: same revision and
 /// epochs, bit-identical per-shard exports, identical labels and member lists at every
 /// threshold in [`TAUS`], and identical point answers — the sweep's — at [`POINT_TAUS`].
-fn assert_bit_identical(mirror: &Mirror, published: &ServiceSnapshot, context: &str) {
+fn assert_mirror_matches(mirror: &Mirror, published: &ServiceSnapshot, context: &str) {
     assert_eq!(mirror.revision(), published.revision(), "{context}");
-    assert_eq!(
-        mirror.num_components(),
-        published.num_components(),
-        "{context}"
-    );
     let n = published.num_vertices() as u32;
     let pairs = || (0..n).map(|i| (VertexId(i), VertexId((i * 7 + 3) % n)));
     // All point queries first: a clustering built for the check below would answer them.
@@ -68,11 +53,6 @@ fn assert_bit_identical(mirror: &Mirror, published: &ServiceSnapshot, context: &
         assert_eq!(same, swept, "{context}: served pairs at tau={tau}");
     }
     assert_eq!(mirror.epochs(), published.epochs(), "{context}");
-    assert_eq!(
-        mirror.num_graph_edges(),
-        published.num_graph_edges(),
-        "{context}"
-    );
     for (i, (replayed, shard)) in mirror
         .shards()
         .iter()
@@ -85,18 +65,7 @@ fn assert_bit_identical(mirror: &Mirror, published: &ServiceSnapshot, context: &
             "{context}: shard {i} diverged"
         );
     }
-    for tau in TAUS {
-        let a = mirror.flat_clustering(tau);
-        let b = published.flat_clustering(tau);
-        assert_eq!(
-            a.labels, b.labels,
-            "{context}: labels diverged at tau={tau}"
-        );
-        assert_eq!(
-            a.clusters, b.clusters,
-            "{context}: member lists diverged at tau={tau}"
-        );
-    }
+    assert_bit_identical(mirror, published, &TAUS, context);
 }
 
 proptest! {
@@ -104,38 +73,23 @@ proptest! {
 
     /// The PR's acceptance property. A subscriber that captured the full view at `r0` and
     /// then syncs through delta chains only must end bit-identical to the current full
-    /// snapshot, across shards × flush policies × greedy/hash partitioners, through churn
-    /// and vertex growth. The tracked-threshold relabels must also replay the label vectors
-    /// exactly (nothing changed that was not reported changed).
+    /// snapshot, under any drawn configuration, through churn and vertex growth. The
+    /// tracked-threshold relabels must also replay the label vectors exactly (nothing
+    /// changed that was not reported changed).
     #[test]
     fn delta_chain_replay_is_bit_identical_to_full_snapshot(
+        config in configs(),
         seed in 0u64..1 << 48,
         n in 6usize..32,
-        shards in 1usize..4,
         num_ops in 16usize..160,
-        policy_pick in 0usize..4,
-        greedy in any::<bool>(),
         growth in 0usize..3,
     ) {
-        let policy = match policy_pick {
-            0 => FlushPolicy::Manual,
-            1 => FlushPolicy::EveryNOps(1),
-            2 => FlushPolicy::EveryNOps(4),
-            _ => FlushPolicy::OnRead,
-        };
-        let builder = ServiceBuilder::new()
-            .vertices(n)
-            .shards(shards)
-            .flush_policy(policy)
+        let service = config
+            .builder(n)
             .delta_ring(4096) // larger than any revision count this test can produce
-            .track_thresholds(TAUS);
-        let builder = if greedy {
-            builder.stateful_partitioner(GreedyPartitioner::default())
-        } else {
-            builder.partitioner(HashPartitioner)
-        };
-        let service = builder.build().expect("valid configuration");
-        let ingest = service.ingest_handle();
+            .track_thresholds(TAUS)
+            .build()
+            .expect("valid configuration");
         let read = service.read_handle();
         let mut driver = service.into_driver();
 
@@ -146,9 +100,7 @@ proptest! {
 
         // Capture the full view at some mid-stream revision r0.
         let split = stream.len() / 3;
-        for &update in &stream[..split] {
-            ingest.submit(update).expect("queue open");
-        }
+        feed(&mut driver, stream[..split].iter().copied());
         drain(&mut driver);
         let SyncResponse::Full(base) = read.sync_from(None) else {
             panic!("a sync without a base revision is always a full snapshot");
@@ -164,7 +116,7 @@ proptest! {
 
         // Keep churning, with random flush points and (maybe) vertex growth mid-stream.
         for (i, &update) in stream[split..].iter().enumerate() {
-            ingest.submit(update).expect("queue open");
+            feed(&mut driver, [update]);
             if rng.gen_bool(0.15) {
                 drain(&mut driver);
             }
@@ -212,14 +164,14 @@ proptest! {
         // The Mirror path (what subscribers actually run) agrees too.
         let mut mirror = Mirror::from_snapshot(&base);
         mirror.apply(&patch).expect("chain is anchored at the mirror's revision");
-        assert_bit_identical(&mirror, &now, "mirror replay");
+        assert_mirror_matches(&mirror, &now, "mirror replay");
         // And so does a mirror decoded from the full view's wire payload.
         let WireMessage::Snapshot(parts) =
             decode_message(&encode_snapshot(&now)).expect("own payloads decode")
         else {
             panic!("a snapshot payload decodes to a snapshot");
         };
-        assert_bit_identical(&Mirror::from_parts(parts), &now, "wire-decoded mirror");
+        assert_mirror_matches(&Mirror::from_parts(parts), &now, "wire-decoded mirror");
     }
 
     /// A frequently-syncing subscriber rides deltas the whole way and stays bit-identical
@@ -263,12 +215,12 @@ proptest! {
                     report.outcome,
                     SyncOutcome::Refreshed { reason: RefreshReason::AgedOut }
                 ));
-                assert_bit_identical(fresh.mirror().unwrap(), &read.snapshot(), "fresh");
+                assert_mirror_matches(fresh.mirror().unwrap(), &read.snapshot(), "fresh");
             }
         }
         drain(&mut driver);
         fresh.sync();
-        assert_bit_identical(fresh.mirror().unwrap(), &read.snapshot(), "fresh, final");
+        assert_mirror_matches(fresh.mirror().unwrap(), &read.snapshot(), "fresh, final");
 
         // The laggard slept through every publish; with a 2-deep ring it must refresh in
         // full once more than 2 revisions passed.
@@ -281,7 +233,7 @@ proptest! {
             ));
             aged_out = true;
         }
-        assert_bit_identical(laggard.mirror().unwrap(), &read.snapshot(), "laggard");
+        assert_mirror_matches(laggard.mirror().unwrap(), &read.snapshot(), "laggard");
         let metrics = driver.service().metrics();
         prop_assert_eq!(metrics.full_fallbacks, u64::from(aged_out));
         prop_assert!(metrics.deltas_served > 0 || behind == 0);

@@ -1,46 +1,20 @@
 //! Fault isolation and recovery: an injected panic mid-flush must quarantine exactly one
 //! shard while the service keeps serving (stale-flagged) and accepting ingest, and
 //! recovery from the shard's log must land **bit-identical** to a no-fault oracle fed the same
-//! stream — canonical labels AND sorted member lists, across shard counts × flush policies
-//! × partitioners. The wire half: a subscriber must survive a server kill/restart and
+//! stream — canonical labels AND sorted member lists, under any drawn service
+//! configuration. The wire half: a subscriber must survive a server kill/restart and
 //! injected torn writes mid-delta-chain with zero divergence from the published view.
 
 use dynsld_engine::{
     FaultPlan, FlushPolicy, FlusherDriver, GreedyPartitioner, HashPartitioner, ServiceBuilder,
-    ServiceSnapshot, ShardId,
+    ShardId,
 };
 use dynsld_forest::workload::GraphWorkloadBuilder;
 use dynsld_serve::{DeltaServer, ServerOptions, SyncOutcome, WireConfig, WireSubscriber};
 use dynsld_telemetry::Telemetry;
+use dynsld_tests::{assert_bit_identical, configs, drain, feed, TAUS};
 use proptest::prelude::*;
 use std::time::Duration;
-
-/// Thresholds the equivalence is checked at.
-const TAUS: [f64; 4] = [1.0, 2.0, 5.0, f64::INFINITY];
-
-fn drain(driver: &mut FlusherDriver) {
-    driver.pump().expect("validated stream");
-    driver
-        .flush()
-        .expect("flush isolates faults, never errors on them");
-}
-
-/// Labels and member lists of two published views must agree exactly at every threshold.
-fn assert_views_bit_identical(a: &ServiceSnapshot, b: &ServiceSnapshot, context: &str) {
-    assert_eq!(a.num_vertices(), b.num_vertices(), "{context}");
-    assert_eq!(a.num_graph_edges(), b.num_graph_edges(), "{context}");
-    for tau in TAUS {
-        let (ca, cb) = (a.flat_clustering(tau), b.flat_clustering(tau));
-        assert_eq!(
-            ca.labels, cb.labels,
-            "{context}: labels diverged at tau={tau}"
-        );
-        assert_eq!(
-            ca.clusters, cb.clusters,
-            "{context}: member lists diverged at tau={tau}"
-        );
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
@@ -48,60 +22,41 @@ proptest! {
     /// The PR's acceptance property. A service whose shard `s` panics torn (mid-batch) on
     /// its `f`-th flush keeps flushing every other shard, keeps accepting ingest into the
     /// quarantined shard (journaled), and after `recover_shard` is bit-identical to a
-    /// no-fault oracle fed the identical stream — across shards × flush policies ×
-    /// partitioners, with vertex growth landing while the shard is down.
+    /// no-fault oracle fed the identical stream — under any drawn configuration, with vertex
+    /// growth landing while the shard is down. ("No-fault" means no torn panic: the
+    /// configuration's own transparent faults are armed on both sides.)
     #[test]
     fn panic_quarantine_recover_is_bit_identical_to_oracle(
+        config in configs(),
         seed in 0u64..1 << 48,
         n in 6usize..32,
-        shards in 1usize..4,
         num_ops in 16usize..120,
-        policy_pick in 0usize..3,
-        greedy in any::<bool>(),
         panic_shard in 0usize..4,
         panic_flush in 1u64..4,
         growth in 0usize..3,
     ) {
-        let policy = match policy_pick {
-            0 => FlushPolicy::Manual,
-            1 => FlushPolicy::EveryNOps(1),
-            _ => FlushPolicy::EveryNOps(4),
-        };
-        let build = |faults: FaultPlan| {
-            let builder = ServiceBuilder::new()
-                .vertices(n)
-                .shards(shards)
-                .flush_policy(policy)
-                .faults(faults);
-            let builder = if greedy {
-                builder.stateful_partitioner(GreedyPartitioner::default())
-            } else {
-                builder.partitioner(HashPartitioner)
-            };
-            builder.build().expect("valid configuration")
-        };
         // `panic_shard` may exceed the engine count (then the rule never matches) or name
         // the spill shard — both are part of the property.
         let spec = format!("flush_panic=shard:{panic_shard},flush:{panic_flush}");
-        let faulted = build(FaultPlan::parse(&spec).expect("valid spec"));
-        let oracle = build(FaultPlan::disabled());
+        let faulted = config.builder(n).faults(config.faults_with(&spec));
+        let oracle = config.builder(n);
 
         let stream = GraphWorkloadBuilder::new(n)
             .weight_scale(8.0)
             .churn_stream(2 * n, num_ops, seed);
         let split = stream.len() / 2;
 
-        let mut services = [faulted.into_driver(), oracle.into_driver()];
+        let mut services =
+            [faulted, oracle].map(|b| b.build().expect("valid configuration").into_driver());
         for driver in &mut services {
-            let ingest = driver.service().ingest_handle();
-            ingest.submit_all(stream[..split].iter().copied()).expect("queue open");
+            feed(driver, stream[..split].iter().copied());
             drain(driver);
             // Growth mid-stream: while the faulted shard may already be quarantined, the
             // journal must carry the growth to the replay.
             if growth > 0 {
                 driver.add_vertices(growth);
             }
-            ingest.submit_all(stream[split..].iter().copied()).expect("queue open");
+            feed(driver, stream[split..].iter().copied());
             drain(driver);
         }
         let [mut faulted, oracle] = services;
@@ -121,10 +76,11 @@ proptest! {
             prop_assert_eq!(metrics.shard_recoveries, stale.len() as u64);
             prop_assert!(metrics.shard_panics_caught >= stale.len() as u64);
         }
-        assert_views_bit_identical(
+        assert_bit_identical(
             &faulted.service().published(),
             &oracle.service().published(),
-            &format!("seed={seed} spec={spec} policy={policy:?} stale={stale:?}"),
+            &TAUS,
+            &format!("spec={spec} stale={stale:?}"),
         );
     }
 }
@@ -199,9 +155,10 @@ fn fold_between_growth_and_quarantine(greedy: bool) {
         "only the suffix since the fold is replayed, not shard 0's whole history"
     );
     assert!(load_at_fold > 0 && since_fold > 0);
-    assert_views_bit_identical(
+    assert_bit_identical(
         &faulted.service().published(),
         &oracle.service().published(),
+        &TAUS,
         &format!("fold between growth and quarantine, greedy={greedy}"),
     );
     assert_eq!(faulted.service().published().num_vertices(), n + 5);
@@ -298,9 +255,10 @@ fn entry_panics_are_retried_transparently_across_a_whole_stream() {
     assert!(metrics.shard_panics_caught > 0, "the fault plan fired");
     assert_eq!(metrics.shards_quarantined, 0, "entry panics never tear");
     assert!(!faulted.service().published().is_stale());
-    assert_views_bit_identical(
+    assert_bit_identical(
         &faulted.service().published(),
         &oracle.service().published(),
+        &TAUS,
         "entry-retry stream",
     );
 }
@@ -342,7 +300,7 @@ fn recovering_a_healthy_shard_is_a_pinned_no_op() {
     assert_eq!(after.revision(), before.revision(), "no republish happened");
     assert_eq!(after.epochs(), before.epochs(), "no engine was rebuilt");
     assert_eq!(driver.service().metrics().shard_recoveries, 0);
-    assert_views_bit_identical(&before, &after, "healthy-shard no-op recovery");
+    assert_bit_identical(&before, &after, &TAUS, "healthy-shard no-op recovery");
 }
 
 /// Server killed mid-delta-chain: a subscriber that already mirrored revision `r0` syncs
@@ -420,11 +378,7 @@ fn subscriber_survives_server_restart_and_torn_writes_mid_chain() {
     let mirror = subscriber.mirror().expect("synced");
     assert_eq!(mirror.revision(), published.revision());
     assert_eq!(mirror.epochs(), published.epochs());
-    for tau in TAUS {
-        let (a, b) = (mirror.flat_clustering(tau), published.flat_clustering(tau));
-        assert_eq!(a.labels, b.labels, "labels diverged at tau={tau}");
-        assert_eq!(a.clusters, b.clusters, "member lists diverged at tau={tau}");
-    }
+    assert_bit_identical(mirror, &published, &TAUS, "wire replica");
     let stats = subscriber.stats();
     assert!(
         stats.retries >= 1,

@@ -8,18 +8,14 @@
 //! On top of that, the backpressure contract: `Backpressure::Fail` returns an error rather
 //! than blocking when the queue is full, `Block` parks the producer until the driver drains,
 //! and `Coalesce` absorbs redundant queued events in place.
-//!
-//! The `DYNSLD_QUEUE_CAP` environment variable (used by the CI matrix with value 1) overrides
-//! the queue capacity of every test that can make progress at any capacity, forcing the
-//! contended submit path on every event.
 
 use dynsld_engine::{
-    Backpressure, BlockPartitioner, ClusteringEngine, FlushPolicy, FlusherDriver, GraphUpdate,
-    HashPartitioner, IngestError, ServiceBuilder, ServiceSnapshot,
+    Backpressure, BlockPartitioner, ClusteringEngine, FlushPolicy, GraphUpdate, IngestError,
+    ServiceBuilder,
 };
-use dynsld_engine::{EngineSnapshot, IngestHandle};
 use dynsld_forest::workload::GraphWorkloadBuilder;
 use dynsld_forest::VertexId;
+use dynsld_tests::{assert_bit_identical, configs, drain, feed};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -45,59 +41,6 @@ fn rew(a: u32, b: u32, w: f64) -> GraphUpdate {
         u: v(a),
         v: v(b),
         weight: w,
-    }
-}
-
-/// The CI contended-path override: `DYNSLD_QUEUE_CAP=1` forces every submit through a full
-/// queue, so each test exercises the backpressure machinery on every event.
-fn queue_cap(default: usize) -> usize {
-    std::env::var("DYNSLD_QUEUE_CAP")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Bit-identical equivalence: identical edge counts and byte-for-byte identical canonical
-/// clusterings (labels *and* member lists) at every probed threshold. Both the engine
-/// snapshot and the merged service snapshot number clusters by smallest member in increasing
-/// vertex order, so equality is exact, not just observational.
-fn assert_bit_identical(
-    pipeline: &ServiceSnapshot,
-    oracle: &EngineSnapshot,
-    thresholds: &[f64],
-    context: &str,
-) {
-    assert_eq!(
-        pipeline.num_graph_edges(),
-        oracle.num_graph_edges(),
-        "{context}: edge counts diverged"
-    );
-    for &tau in thresholds {
-        let (a, b) = (pipeline.flat_clustering(tau), oracle.flat_clustering(tau));
-        assert_eq!(
-            a.labels, b.labels,
-            "{context}: cluster labels diverged at tau={tau}"
-        );
-        assert_eq!(
-            a.clusters, b.clusters,
-            "{context}: cluster members diverged at tau={tau}"
-        );
-    }
-}
-
-/// Submits one event through a `Fail`-mode handle, pumping the driver to make room when the
-/// queue is full — the single-threaded way to interleave handle submits with driver drains
-/// at any queue capacity (capacity 1 degenerates to pump-per-event, the fully contended
-/// path).
-fn submit_or_pump(ingest: &IngestHandle, driver: &mut FlusherDriver, event: GraphUpdate) {
-    loop {
-        match ingest.try_submit(event) {
-            Ok(()) => return,
-            Err(IngestError::QueueFull { .. }) => {
-                driver.pump().expect("validated stream cannot hard-fail");
-            }
-            Err(e) => panic!("unexpected ingest failure: {e}"),
-        }
     }
 }
 
@@ -129,10 +72,9 @@ fn interleaved_submits_and_drains_match_sequential_oracle() {
             .shards(shards)
             .threads(threads)
             .flush_policy(policy)
-            .queue_capacity(queue_cap(cap))
+            .queue_capacity(cap)
             .build()
             .expect("valid configuration");
-        let ingest = service.ingest_handle();
         let mut driver = service.into_driver();
         let mut oracle = ClusteringEngine::new(n);
 
@@ -141,26 +83,24 @@ fn interleaved_submits_and_drains_match_sequential_oracle() {
             .churn_stream(2 * n, 250, seed);
         let thresholds = [1.0, 3.5, 6.0, f64::INFINITY];
         for (i, &update) in stream.iter().enumerate() {
-            submit_or_pump(&ingest, &mut driver, update);
+            feed(&mut driver, [update]);
             oracle.submit(update).expect("generated stream is valid");
             if rng.gen_bool(0.06) {
                 // A sync point: everything queued is drained and flushed on both sides.
-                driver.pump().expect("validated stream");
-                driver.flush().expect("validated stream");
+                let view = drain(&mut driver);
                 oracle.flush().expect("validated stream");
                 assert_bit_identical(
-                    &driver.service().published(),
+                    &view,
                     &oracle.snapshot(),
                     &thresholds,
                     &format!("case {case}, after op {i}"),
                 );
             }
         }
-        driver.pump().expect("validated stream");
-        driver.flush().expect("validated stream");
+        let view = drain(&mut driver);
         oracle.flush().expect("validated stream");
         assert_bit_identical(
-            &driver.service().published(),
+            &view,
             &oracle.snapshot(),
             &thresholds,
             &format!("case {case}, final state"),
@@ -172,36 +112,15 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     /// The satellite property: any interleaving of handle submits and driver drains, under
-    /// `FlushPolicy::OnRead` or `EveryNOps` (the policies whose flush points the driver now
+    /// any drawn configuration (the flush policy decides which flush points the driver
     /// controls), yields a flat clustering identical to the single-shard sequential oracle.
     #[test]
     fn queued_policies_match_sequential_oracle(
+        config in configs(),
         seed in 0u64..1 << 48,
         n in 6usize..36,
-        shards in 1usize..5,
-        cap in 1usize..48,
-        every_n in 1usize..17,
-        on_read in any::<bool>(),
-        use_block_partitioner in any::<bool>(),
     ) {
-        let policy = if on_read {
-            FlushPolicy::OnRead
-        } else {
-            FlushPolicy::EveryNOps(every_n)
-        };
-        let builder = ServiceBuilder::new()
-            .vertices(n)
-            .shards(shards)
-            .flush_policy(policy)
-            .queue_capacity(queue_cap(cap));
-        let builder = if use_block_partitioner {
-            builder.partitioner(BlockPartitioner { block_size: 1 + n / shards.max(1) })
-        } else {
-            builder.partitioner(HashPartitioner)
-        };
-        let service = builder.build().expect("valid configuration");
-        let ingest = service.ingest_handle();
-        let mut driver = service.into_driver();
+        let mut driver = config.builder(n).build().expect("valid configuration").into_driver();
         let mut oracle = ClusteringEngine::new(n);
 
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x9E37);
@@ -209,17 +128,16 @@ proptest! {
             .weight_scale(8.0)
             .churn_stream(2 * n, 160, seed);
         for &update in &stream {
-            submit_or_pump(&ingest, &mut driver, update);
+            feed(&mut driver, [update]);
             oracle.submit(update).expect("generated stream is valid");
             if rng.gen_bool(0.1) {
                 driver.pump().expect("validated stream");
             }
         }
-        driver.pump().expect("validated stream");
-        driver.flush().expect("validated stream");
+        let view = drain(&mut driver);
         oracle.flush().expect("validated stream");
         assert_bit_identical(
-            &driver.service().published(),
+            &view,
             &oracle.snapshot(),
             &[0.5, 2.0, 4.5, 7.0, f64::INFINITY],
             "final state",
@@ -248,7 +166,7 @@ fn threaded_producers_match_sequential_oracle() {
             .shards(shards)
             .threads(threads)
             .flush_policy(FlushPolicy::EveryNOps(32))
-            .queue_capacity(queue_cap(cap))
+            .queue_capacity(cap)
             .backpressure(Backpressure::Block)
             .build()
             .expect("valid configuration");
@@ -292,7 +210,7 @@ fn threaded_producers_match_sequential_oracle() {
 fn fail_backpressure_errors_instead_of_blocking_when_full() {
     let service = ServiceBuilder::new()
         .vertices(8)
-        .queue_capacity(1) // deliberately not env-overridable: the arithmetic below needs 1
+        .queue_capacity(1) // the arithmetic below needs 1
         .backpressure(Backpressure::Fail)
         .build()
         .unwrap();
@@ -330,7 +248,7 @@ fn block_backpressure_waits_for_the_driver() {
         .churn_stream(2 * n, 400, 0xB10C);
     let service = ServiceBuilder::new()
         .vertices(n)
-        .queue_capacity(queue_cap(2)) // tiny: producers outrun the driver immediately
+        .queue_capacity(2) // tiny: producers outrun the driver immediately
         .backpressure(Backpressure::Block)
         .build()
         .unwrap();
@@ -362,7 +280,7 @@ fn block_backpressure_waits_for_the_driver() {
 fn coalesce_backpressure_absorbs_redundancy_in_place() {
     let service = ServiceBuilder::new()
         .vertices(4)
-        .queue_capacity(1) // deliberately fixed: the single-threaded flow relies on it
+        .queue_capacity(1) // the single-threaded flow relies on it
         .backpressure(Backpressure::Coalesce)
         .build()
         .unwrap();
@@ -407,19 +325,19 @@ fn on_read_policy_publishes_on_every_drain() {
         .vertices(8)
         .shards(2)
         .flush_policy(FlushPolicy::OnRead)
-        .queue_capacity(queue_cap(64))
+        .queue_capacity(64)
         .build()
         .unwrap();
     let ingest = service.ingest_handle();
     let reader = service.read_handle();
     let mut driver = service.into_driver();
 
-    submit_or_pump(&ingest, &mut driver, ins(0, 1, 1.0));
-    submit_or_pump(&ingest, &mut driver, ins(1, 2, 2.0));
-    // Nothing drained yet (unless the contended-path override forced pumps): the reader may
-    // or may not see the events. After one pump, it *must* see both.
+    ingest.submit(ins(0, 1, 1.0)).unwrap();
+    ingest.submit(ins(1, 2, 2.0)).unwrap();
+    // Nothing drained yet: the reader does not see the events. After one pump, it must.
+    assert_eq!(reader.snapshot().num_graph_edges(), 0);
     let report = driver.pump().unwrap();
-    assert!(report.flushes.ops_applied() > 0 || report.events_drained == 0);
+    assert!(report.flushes.ops_applied() > 0);
     let snap = reader.snapshot();
     assert_eq!(snap.num_graph_edges(), 2);
     assert!(snap.same_cluster(v(0), v(2), 2.0));
@@ -439,18 +357,17 @@ fn every_n_ops_policy_flushes_inside_the_drain() {
         .shards(2)
         .partitioner(BlockPartitioner { block_size: 4 })
         .flush_policy(FlushPolicy::EveryNOps(2))
-        .queue_capacity(queue_cap(64))
+        .queue_capacity(64)
         .build()
         .unwrap();
     let ingest = service.ingest_handle();
     let mut driver = service.into_driver();
 
     // Two events for shard 0 (threshold), one for shard 1 (stays buffered). The threshold
-    // flush fires inside whichever drain routes the second shard-0 event — visible in the
-    // epoch vector no matter how the contended-path override slices the drains.
-    for event in [ins(0, 1, 1.0), ins(1, 2, 1.0), ins(4, 5, 1.0)] {
-        submit_or_pump(&ingest, &mut driver, event);
-    }
+    // flush fires inside the drain that routes the second shard-0 event.
+    ingest
+        .submit_all([ins(0, 1, 1.0), ins(1, 2, 1.0), ins(4, 5, 1.0)])
+        .unwrap();
     driver.pump().unwrap();
     assert_eq!(
         driver.service().epochs(),
@@ -472,30 +389,19 @@ fn every_n_ops_policy_flushes_inside_the_drain() {
 fn invalid_events_surface_in_the_drain_report() {
     let service = ServiceBuilder::new()
         .vertices(4)
-        .queue_capacity(queue_cap(16))
+        .queue_capacity(16)
         .build()
         .unwrap();
     let ingest = service.ingest_handle();
     let mut driver = service.into_driver();
 
     // The delete targets an absent edge; the submit itself succeeds (validation is the
-    // driver's job now), the surrounding valid events still apply. Rejections are gathered
-    // across every drain, because the contended-path override slices the drains arbitrarily.
-    let mut rejected = Vec::new();
-    for event in [ins(0, 1, 1.0), del(2, 3), ins(1, 2, 2.0)] {
-        loop {
-            match ingest.try_submit(event) {
-                Ok(()) => break,
-                Err(IngestError::QueueFull { .. }) => {
-                    rejected.extend(driver.pump().unwrap().rejected);
-                }
-                Err(e) => panic!("queue unexpectedly closed: {e}"),
-            }
-        }
-    }
+    // driver's job now), the surrounding valid events still apply.
+    ingest
+        .submit_all([ins(0, 1, 1.0), del(2, 3), ins(1, 2, 2.0)])
+        .unwrap();
     ingest.close();
-    rejected.extend(driver.run_until_closed().unwrap().rejected);
-    assert_eq!(rejected.len(), 1);
+    assert_eq!(driver.run_until_closed().unwrap().rejected.len(), 1);
     let snap = driver.service().published();
     assert_eq!(snap.num_graph_edges(), 2);
     assert!(snap.same_cluster(v(0), v(2), 2.0));
@@ -519,21 +425,20 @@ fn telemetry_enabled_pipeline_is_bit_identical_to_disabled() {
             .vertices(n)
             .shards(3)
             .flush_policy(FlushPolicy::EveryNOps(7))
-            .queue_capacity(queue_cap(5))
+            .queue_capacity(5)
             .telemetry(telemetry)
             .build()
             .expect("valid configuration")
     };
     let traced = build(telemetry.clone());
     let untraced = build(Telemetry::disabled());
-    let (traced_ingest, untraced_ingest) = (traced.ingest_handle(), untraced.ingest_handle());
     let mut traced_driver = traced.into_driver();
     let mut untraced_driver = untraced.into_driver();
 
     let mut rng = SmallRng::seed_from_u64(0x0B5);
     for &update in &stream {
-        submit_or_pump(&traced_ingest, &mut traced_driver, update);
-        submit_or_pump(&untraced_ingest, &mut untraced_driver, update);
+        feed(&mut traced_driver, [update]);
+        feed(&mut untraced_driver, [update]);
         if rng.gen_bool(0.08) {
             traced_driver.pump().expect("validated stream");
             untraced_driver.pump().expect("validated stream");
@@ -549,12 +454,12 @@ fn telemetry_enabled_pipeline_is_bit_identical_to_disabled() {
         untraced_driver.service().published(),
     );
     assert_eq!(a.epochs(), b.epochs(), "epoch vectors diverged");
-    assert_eq!(a.num_graph_edges(), b.num_graph_edges());
-    for tau in [1.0, 3.0, 5.5, f64::INFINITY] {
-        let (ca, cb) = (a.flat_clustering(tau), b.flat_clustering(tau));
-        assert_eq!(ca.labels, cb.labels, "labels diverged at tau={tau}");
-        assert_eq!(ca.clusters, cb.clusters, "members diverged at tau={tau}");
-    }
+    assert_bit_identical(
+        &a,
+        &b,
+        &[1.0, 3.0, 5.5, f64::INFINITY],
+        "traced vs untraced",
+    );
 
     // The traced side really was recording, and its trace is structurally sound.
     let snap = telemetry.snapshot();
@@ -577,21 +482,21 @@ fn read_handles_pin_epochs_across_driver_progress() {
     let service = ServiceBuilder::new()
         .vertices(8)
         .shards(2)
-        .queue_capacity(queue_cap(64))
+        .queue_capacity(64)
         .build()
         .unwrap();
     let ingest = service.ingest_handle();
     let reader = service.read_handle();
     let mut driver = service.into_driver();
 
-    submit_or_pump(&ingest, &mut driver, ins(0, 4, 1.0));
+    ingest.submit(ins(0, 4, 1.0)).unwrap();
     driver.pump().unwrap();
     driver.flush().unwrap();
     let pinned = reader.snapshot();
     assert!(pinned.same_cluster(v(0), v(4), 1.0));
     let pinned_epochs = pinned.epochs();
 
-    submit_or_pump(&ingest, &mut driver, del(0, 4));
+    ingest.submit(del(0, 4)).unwrap();
     driver.pump().unwrap();
     driver.flush().unwrap();
     // The held snapshot is frozen; a fresh read moves on.

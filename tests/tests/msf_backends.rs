@@ -2,33 +2,28 @@
 //! observationally indistinguishable from the reference scan backend — not merely "same
 //! clustering", but the same [`MsfChange`] on every single update, the same dendrogram
 //! snapshot, and the same canonical labels AND member lists through the full sharded
-//! pipeline, across shard counts × flush policies × partitioners. The backends are allowed
-//! to differ **only** in their work counters (how many replacement candidates they examine).
-//! The last property pins the fault path: a quarantined HDT shard recovered by journal
-//! replay must land bit-identical to a no-fault *scan* service fed the same stream.
+//! pipeline, under any drawn service configuration. The backends are allowed to differ
+//! **only** in their work counters (how many replacement candidates they examine). The last
+//! property pins the fault path: a quarantined HDT shard recovered by journal replay must
+//! land bit-identical to a no-fault *scan* service fed the same stream.
 
 use dynsld::{DynSldOptions, ForestBackend};
-use dynsld_engine::{
-    BlockPartitioner, FaultPlan, FlushPolicy, FlusherDriver, GreedyPartitioner, HashPartitioner,
-    ServiceBuilder, ServiceSnapshot,
-};
 use dynsld_forest::workload::{GraphUpdate, GraphWorkloadBuilder};
 use dynsld_msf::DynamicGraphClustering;
+use dynsld_tests::{assert_bit_identical, configs, drain, feed, TAUS};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Thresholds the pipeline-level identity is checked at.
-const TAUS: [f64; 4] = [1.0, 2.5, 6.0, f64::INFINITY];
+fn options(backend: ForestBackend) -> DynSldOptions {
+    DynSldOptions {
+        msf_backend: backend,
+        ..DynSldOptions::default()
+    }
+}
 
 fn clustering(backend: ForestBackend, n: usize) -> DynamicGraphClustering {
-    DynamicGraphClustering::with_options(
-        n,
-        DynSldOptions {
-            msf_backend: backend,
-            ..DynSldOptions::default()
-        },
-    )
+    DynamicGraphClustering::with_options(n, options(backend))
 }
 
 /// Applies one update to a clustering, returning the change (or the rejection).
@@ -40,29 +35,6 @@ fn apply(
         GraphUpdate::Insert { u, v, weight } => g.insert_edge(u, v, weight),
         GraphUpdate::Delete { u, v } => g.delete_edge(u, v),
         GraphUpdate::Reweight { u, v, weight } => g.update_weight(u, v, weight),
-    }
-}
-
-fn drain(driver: &mut FlusherDriver) -> ServiceSnapshot {
-    driver.pump().expect("validated stream");
-    driver.flush().expect("validated stream");
-    driver.service().published()
-}
-
-/// Labels and member lists of two published views must agree exactly at every threshold.
-fn assert_views_bit_identical(a: &ServiceSnapshot, b: &ServiceSnapshot, context: &str) {
-    assert_eq!(a.num_vertices(), b.num_vertices(), "{context}");
-    assert_eq!(a.num_graph_edges(), b.num_graph_edges(), "{context}");
-    for tau in TAUS {
-        let (ca, cb) = (a.flat_clustering(tau), b.flat_clustering(tau));
-        assert_eq!(
-            ca.labels, cb.labels,
-            "{context}: labels diverged at tau={tau}"
-        );
-        assert_eq!(
-            ca.clusters, cb.clusters,
-            "{context}: member lists diverged at tau={tau}"
-        );
     }
 }
 
@@ -131,39 +103,23 @@ proptest! {
         );
     }
 
-    /// The pipeline-level identity: an all-HDT sharded service publishes views bit-identical
-    /// (labels AND member lists) to an all-scan service fed the same stream — across shard
-    /// counts, flush policies, and all three partitioners, at random mid-stream sync points
-    /// and at the end. This drives the batch (coalesced) code path through both backends.
+    /// The pipeline-level identity: a service on the drawn configuration publishes views
+    /// bit-identical (labels AND member lists) to the same configuration on the other
+    /// backend, fed the same stream — at random mid-stream sync points and at the end. This
+    /// drives the batch (coalesced) code path through both backends.
     #[test]
     fn hdt_service_is_bit_identical_to_scan_service(
+        config in configs(),
         seed in 0u64..1 << 48,
         n in 6usize..40,
-        shards in 1usize..5,
         num_ops in 20usize..280,
-        policy_pick in 0usize..3,
-        partitioner_pick in 0usize..3,
     ) {
-        let policy = match policy_pick {
-            0 => FlushPolicy::Manual,
-            1 => FlushPolicy::EveryNOps(1 + (seed as usize) % 13),
-            _ => FlushPolicy::OnRead,
+        let other = match config.backend {
+            ForestBackend::Scan => ForestBackend::Hdt,
+            ForestBackend::Hdt => ForestBackend::Scan,
         };
-        let build = |backend: ForestBackend| {
-            let builder = ServiceBuilder::new()
-                .vertices(n)
-                .shards(shards)
-                .flush_policy(policy)
-                .msf_backend(backend);
-            let builder = match partitioner_pick {
-                0 => builder.partitioner(HashPartitioner),
-                1 => builder.partitioner(BlockPartitioner { block_size: 1 + n / shards }),
-                _ => builder.stateful_partitioner(GreedyPartitioner::default()),
-            };
-            builder.build().expect("valid configuration")
-        };
-        let mut drivers =
-            [build(ForestBackend::Scan).into_driver(), build(ForestBackend::Hdt).into_driver()];
+        let mut drivers = [config.builder(n), config.builder(n).options(options(other))]
+            .map(|builder| builder.build().expect("valid configuration").into_driver());
 
         let stream = GraphWorkloadBuilder::new(n)
             .weight_scale(8.0)
@@ -171,21 +127,19 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x4D5F);
         for (i, &update) in stream.iter().enumerate() {
             for driver in &mut drivers {
-                driver.service().ingest_handle().submit(update).expect("queue open");
+                feed(driver, [update]);
             }
             if rng.gen_bool(0.06) {
-                let [scan, hdt] = &mut drivers;
-                let (a, b) = (drain(scan), drain(hdt));
-                assert_views_bit_identical(&a, &b, &format!("after op {i}"));
+                let [a, b] = &mut drivers;
+                assert_bit_identical(&drain(a), &drain(b), &TAUS, &format!("after op {i}"));
             }
         }
-        let [scan, hdt] = &mut drivers;
-        let (a, b) = (drain(scan), drain(hdt));
-        assert_views_bit_identical(&a, &b, "final state");
+        let [a, b] = &mut drivers;
+        assert_bit_identical(&drain(a), &drain(b), &TAUS, "final state");
         // The streams really were applied in full on both sides.
-        let (ms, mh) = (scan.service().metrics(), hdt.service().metrics());
-        prop_assert_eq!(ms.ops_applied, mh.ops_applied);
-        prop_assert_eq!(ms.edges_promoted, mh.edges_promoted);
+        let (ma, mb) = (a.service().metrics(), b.service().metrics());
+        prop_assert_eq!(ma.ops_applied, mb.ops_applied);
+        prop_assert_eq!(ma.edges_promoted, mb.edges_promoted);
     }
 
     /// The fault path on the new backend: an HDT service whose shard panics torn mid-flush
@@ -194,39 +148,33 @@ proptest! {
     /// recovery and backend choice compose without observable effect.
     #[test]
     fn hdt_journal_replay_after_quarantine_matches_scan_oracle(
+        config in configs(),
         seed in 0u64..1 << 48,
         n in 6usize..28,
-        shards in 1usize..4,
         num_ops in 16usize..100,
         panic_shard in 0usize..4,
         panic_flush in 1u64..3,
-        mixed in any::<bool>(),
     ) {
-        let build = |faults: FaultPlan, backend: ForestBackend| {
-            let mut builder = ServiceBuilder::new()
-                .vertices(n)
-                .shards(shards)
-                .flush_policy(FlushPolicy::EveryNOps(3))
-                .msf_backend(backend)
-                .faults(faults);
-            // Half the cases pin one shard back to scan: per-shard overrides must survive
-            // quarantine + journal replay too.
-            if mixed && backend == ForestBackend::Hdt {
-                builder = builder.shard_msf_backend(shards - 1, ForestBackend::Scan);
-            }
-            builder.build().expect("valid configuration")
-        };
         let spec = format!("flush_panic=shard:{panic_shard},flush:{panic_flush}");
-        let mut faulted = build(FaultPlan::parse(&spec).expect("valid spec"), ForestBackend::Hdt)
+        let mut faulted = config
+            .builder(n)
+            .options(options(ForestBackend::Hdt))
+            .faults(config.faults_with(&spec))
+            .build()
+            .expect("valid configuration")
             .into_driver();
-        let mut oracle = build(FaultPlan::disabled(), ForestBackend::Scan).into_driver();
+        let mut oracle = config
+            .builder(n)
+            .options(options(ForestBackend::Scan))
+            .build()
+            .expect("valid configuration")
+            .into_driver();
 
         let stream = GraphWorkloadBuilder::new(n)
             .weight_scale(8.0)
             .churn_stream(2 * n, num_ops, seed);
         for driver in [&mut faulted, &mut oracle] {
-            let ingest = driver.service().ingest_handle();
-            ingest.submit_all(stream.iter().copied()).expect("queue open");
+            feed(driver, stream.iter().copied());
             drain(driver);
         }
 
@@ -236,29 +184,11 @@ proptest! {
             prop_assert!(report.rejected.is_empty(), "the stream was valid end-to-end");
         }
         prop_assert!(!faulted.service().published().is_stale());
-        assert_views_bit_identical(
+        assert_bit_identical(
             &faulted.service().published(),
             &oracle.service().published(),
-            &format!("seed={seed} spec={spec} stale={stale:?}"),
+            &TAUS,
+            &format!("spec={spec} stale={stale:?}"),
         );
     }
-}
-
-/// The environment knob: `DYNSLD_MSF_BACKEND=hdt` flips the default options — and with it
-/// every engine the service builds — without any code change. (Set/removed locally here;
-/// the CI matrix runs the whole suite under the variable.)
-#[test]
-fn env_variable_selects_the_default_backend() {
-    // Serialize against any other env-reading test in this binary.
-    std::env::set_var("DYNSLD_MSF_BACKEND", "hdt");
-    let picked = DynSldOptions::default().msf_backend;
-    std::env::set_var("DYNSLD_MSF_BACKEND", "scan");
-    let scan_again = DynSldOptions::default().msf_backend;
-    std::env::remove_var("DYNSLD_MSF_BACKEND");
-    let unset = DynSldOptions::default().msf_backend;
-    assert_eq!(picked, ForestBackend::Hdt);
-    assert_eq!(scan_again, ForestBackend::Scan);
-    assert_eq!(unset, ForestBackend::Scan);
-    let g = DynamicGraphClustering::new(6);
-    assert_eq!(g.backend(), ForestBackend::Scan);
 }

@@ -12,83 +12,45 @@
 //! The tests compare a strictly sequential service (`threads(1)` — the exact pre-pool code
 //! path) against a concurrent one (`threads(4)`) on identical streams, both driven through
 //! the handle-based ingest pipeline: epoch vectors, flush reports and full merged clusterings
-//! must be identical. They are meaningful at any pool size — with `DYNSLD_THREADS=1` both
-//! runs are sequential and the comparison is trivial; with a multi-threaded pool (the
-//! `DYNSLD_THREADS=4` CI run) it is a real scheduling-independence check.
+//! must be identical. They are meaningful at any pool size — with a one-thread pool
+//! (`DYNSLD_THREADS=1`) both runs are sequential and the comparison is trivial; with a
+//! multi-threaded pool it is a real scheduling-independence check.
 
-use dynsld_engine::{
-    BlockPartitioner, FlushPolicy, FlusherDriver, IngestHandle, ServiceBuilder, ServiceSnapshot,
-};
+use dynsld_engine::{BlockPartitioner, FlushPolicy, ServiceBuilder, ServiceSnapshot};
 use dynsld_forest::workload::GraphWorkloadBuilder;
+use dynsld_tests::{assert_bit_identical, configs, feed};
+use proptest::prelude::*;
 
-/// Builds one pipeline (handle + driver) with the given flush parallelism.
-fn pipeline(
-    n: usize,
-    shards: usize,
-    policy: FlushPolicy,
-    threads: usize,
-) -> (IngestHandle, FlusherDriver) {
-    let service = ServiceBuilder::new()
-        .vertices(n)
-        .shards(shards)
-        .partitioner(BlockPartitioner {
-            block_size: 1 + n / shards,
-        })
-        .flush_policy(policy)
-        .threads(threads)
-        .build()
-        .expect("valid test configuration");
-    let ingest = service.ingest_handle();
-    (ingest, service.into_driver())
-}
-
-/// Asserts the two snapshots answer identically: same epoch vector, same edge counts, and
-/// byte-for-byte identical canonical clusterings at every probed threshold.
+/// Asserts the two snapshots answer identically: same epoch vector, and bit-identical
+/// clusterings at every probed threshold.
 fn assert_identical(a: &ServiceSnapshot, b: &ServiceSnapshot, thresholds: &[f64], context: &str) {
     assert_eq!(a.epochs(), b.epochs(), "{context}: epoch vectors diverged");
-    assert_eq!(
-        a.num_graph_edges(),
-        b.num_graph_edges(),
-        "{context}: edge counts diverged"
-    );
-    assert_eq!(
-        a.num_components(),
-        b.num_components(),
-        "{context}: component counts diverged"
-    );
-    for &tau in thresholds {
-        let (ca, cb) = (a.flat_clustering(tau), b.flat_clustering(tau));
-        assert_eq!(
-            ca.labels, cb.labels,
-            "{context}: cluster labels diverged at tau={tau}"
-        );
-        assert_eq!(
-            ca.clusters, cb.clusters,
-            "{context}: cluster members diverged at tau={tau}"
-        );
-    }
+    assert_bit_identical(a, b, thresholds, context);
 }
 
-#[test]
-fn threads_1_and_threads_4_produce_identical_clusterings() {
-    // Ask for a 4-thread pool up front; DYNSLD_THREADS (the CI matrix) still wins, and the
-    // comparison below must hold either way.
-    rayon::configure_threads(4);
-    let thresholds = [0.75, 2.0, 4.5, 7.0, f64::INFINITY];
-    for seed in [3u64, 0xBAD5EED, 0x5CA1AB1E] {
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
+
+    /// The same drawn configuration flushed strictly sequentially and on four threads: every
+    /// flush report's structure and every published view agree.
+    #[test]
+    fn threads_1_and_threads_4_produce_identical_clusterings(
+        config in configs(),
+        seed in 0u64..1 << 48,
+    ) {
+        // Ask for a 4-thread pool up front; `DYNSLD_THREADS` still wins, and the comparison
+        // below must hold either way.
+        rayon::configure_threads(4);
+        let thresholds = [0.75, 2.0, 4.5, 7.0, f64::INFINITY];
         let n = 48;
         let stream = GraphWorkloadBuilder::new(n)
             .weight_scale(8.0)
             .churn_stream(3 * n, 700, seed);
-        let (seq_in, mut seq) = pipeline(n, 4, FlushPolicy::Manual, 1);
-        let (par_in, mut par) = pipeline(n, 4, FlushPolicy::Manual, 4);
-        assert_eq!(seq.service().threads(), 1);
-        assert_eq!(par.service().threads(), 4);
+        let build = |threads| config.builder(n).threads(threads).build().expect("valid");
+        let (mut seq, mut par) = (build(1).into_driver(), build(4).into_driver());
         for (i, chunk) in stream.chunks(64).enumerate() {
-            for &update in chunk {
-                seq_in.submit(update).expect("queue open");
-                par_in.submit(update).expect("queue open");
-            }
+            feed(&mut seq, chunk.iter().copied());
+            feed(&mut par, chunk.iter().copied());
             seq.pump().expect("validated stream");
             par.pump().expect("validated stream");
             let rs = seq.flush().expect("validated stream");
@@ -125,7 +87,7 @@ fn threads_1_and_threads_4_produce_identical_clusterings() {
                 &seq.service().published(),
                 &par.service().published(),
                 &thresholds,
-                &format!("seed {seed:#x}, flush round {i}"),
+                &format!("flush round {i}"),
             );
         }
     }
@@ -138,11 +100,21 @@ fn on_read_policy_is_thread_count_independent() {
     let stream = GraphWorkloadBuilder::new(n)
         .weight_scale(6.0)
         .churn_stream(2 * n, 400, 0xD15EA5E);
-    let (seq_in, mut seq) = pipeline(n, 3, FlushPolicy::OnRead, 1);
-    let (par_in, mut par) = pipeline(n, 3, FlushPolicy::OnRead, 4);
+    let build = |threads| {
+        ServiceBuilder::new()
+            .vertices(n)
+            .shards(3)
+            .partitioner(BlockPartitioner { block_size: 11 })
+            .flush_policy(FlushPolicy::OnRead)
+            .threads(threads)
+            .build()
+            .expect("valid test configuration")
+            .into_driver()
+    };
+    let (mut seq, mut par) = (build(1), build(4));
     for (i, &update) in stream.iter().enumerate() {
-        seq_in.submit(update).expect("queue open");
-        par_in.submit(update).expect("queue open");
+        feed(&mut seq, [update]);
+        feed(&mut par, [update]);
         if i % 37 == 0 {
             // Under OnRead, a pump drains *and* publishes everything pending — concurrently
             // on `par`.

@@ -2,17 +2,18 @@
 //! equivalent* to one [`ClusteringEngine`] fed the same stream — identical component counts,
 //! `same_cluster` answers and cluster sizes at every threshold — because the shard edge sets
 //! partition the graph and the merged snapshot glues per-shard clusterings back together with
-//! a union-find pass. The property test below drives that equivalence through the handle
-//! ingest pipeline over generated mixed insert/delete/re-weight workloads, random shard
-//! counts, partitioners, flush policies, and random thresholds. (Bit-level pipeline
-//! equivalence lives in `ingest_pipeline.rs`.)
+//! a union-find pass. The property tests below drive that equivalence through the handle
+//! ingest pipeline over generated mixed insert/delete/re-weight workloads, drawn service
+//! [`Config`]s, and random thresholds. (Bit-level pipeline equivalence lives in
+//! `ingest_pipeline.rs`.)
 
 use dynsld_engine::{
-    BlockPartitioner, ClusterService, ClusteringEngine, FlushPolicy, FlusherDriver,
-    GreedyPartitioner, HashPartitioner, ServiceBuilder, ServiceSnapshot, ShardId,
+    ClusterService, ClusteringEngine, FlusherDriver, GreedyPartitioner, HashPartitioner,
+    ServiceBuilder, ServiceSnapshot, ShardId,
 };
 use dynsld_forest::workload::{split_graph_stream, GraphWorkloadBuilder};
 use dynsld_forest::VertexId;
+use dynsld_tests::{configs, drain, feed, Config};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -61,48 +62,52 @@ fn assert_equivalent(
     }
 }
 
-/// Drains and fully flushes the pipeline, returning the freshly published merged view — the
-/// sync point at which service and oracle states are comparable.
-fn sync(driver: &mut FlusherDriver) -> ServiceSnapshot {
-    driver.pump().expect("validated stream");
-    driver.flush().expect("validated stream");
-    driver.service().published()
+/// Feeds `stream` to a service built from `config` and to a single-engine oracle, comparing
+/// the two at random sync points (probability `sync_odds` per event, drawn from `rng`) and at
+/// the end.
+fn run_against_oracle(
+    config: &Config,
+    n: usize,
+    stream: &[dynsld_engine::GraphUpdate],
+    thresholds: &[f64],
+    rng: &mut SmallRng,
+    sync_odds: f64,
+) -> FlusherDriver {
+    let mut driver = config
+        .builder(n)
+        .build()
+        .expect("valid configuration")
+        .into_driver();
+    let mut oracle = ClusteringEngine::new(n);
+    for (i, &update) in stream.iter().enumerate() {
+        feed(&mut driver, [update]);
+        oracle.submit(update).expect("generated stream is valid");
+        if rng.gen_bool(sync_odds) {
+            let merged = drain(&mut driver);
+            oracle.flush().expect("validated stream");
+            assert_equivalent(&merged, &oracle, thresholds, &format!("after op {i}"));
+        }
+    }
+    let merged = drain(&mut driver);
+    oracle.flush().expect("validated stream");
+    assert_equivalent(&merged, &oracle, thresholds, "final state");
+    driver
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
-    /// The PR-2 acceptance property, now through the pipeline: for every generated workload,
-    /// a service with ≥ 2 shards reports identical clustering answers to a single engine fed
-    /// the same stream — mid-stream (at random sync points) and at the end, at random
-    /// thresholds.
+    /// The PR-2 acceptance property, now through the pipeline: for every generated workload
+    /// and drawn configuration, the service reports identical clustering answers to a
+    /// single engine fed the same stream — mid-stream (at random sync points) and at the end,
+    /// at random thresholds.
     #[test]
     fn sharded_service_matches_single_engine_oracle(
+        config in configs(),
         seed in 0u64..1 << 48,
         n in 6usize..40,
-        shards in 2usize..6,
         num_ops in 20usize..320,
-        policy_pick in 0usize..3,
-        partitioner_pick in 0usize..3,
     ) {
-        let policy = match policy_pick {
-            0 => FlushPolicy::Manual,
-            1 => FlushPolicy::EveryNOps(1 + (seed as usize) % 17),
-            _ => FlushPolicy::OnRead,
-        };
-        let builder = ServiceBuilder::new().vertices(n).shards(shards).flush_policy(policy);
-        // Pure partitioners (hash, block) and the stateful assign-on-first-sight greedy
-        // partitioner must all be invisible to the merged answers.
-        let builder = match partitioner_pick {
-            0 => builder.partitioner(HashPartitioner),
-            1 => builder.partitioner(BlockPartitioner { block_size: 1 + n / shards }),
-            _ => builder.stateful_partitioner(GreedyPartitioner::default()),
-        };
-        let service = builder.build().expect("valid configuration");
-        let ingest = service.ingest_handle();
-        let mut driver = service.into_driver();
-        let mut oracle = ClusteringEngine::new(n);
-
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x5EED);
         let weight_scale = 8.0;
         let stream = GraphWorkloadBuilder::new(n)
@@ -113,55 +118,26 @@ proptest! {
             .map(|_| rng.gen::<f64>() * weight_scale * 1.25)
             .collect();
         thresholds.push(f64::INFINITY);
-
-        for (i, &update) in stream.iter().enumerate() {
-            ingest.submit(update).expect("queue open");
-            oracle.submit(update).expect("generated stream is valid");
-            // Compare at random mid-stream sync points, not just at the end.
-            if rng.gen_bool(0.05) {
-                let merged = sync(&mut driver);
-                oracle.flush().expect("validated stream");
-                assert_equivalent(&merged, &oracle, &thresholds, &format!("after op {i}"));
-            }
-        }
-        let merged = sync(&mut driver);
-        oracle.flush().expect("validated stream");
-        assert_equivalent(&merged, &oracle, &thresholds, "final state");
-        // Sanity: the sharded run actually exercised sharding, and nothing was rejected on
-        // the way in.
-        prop_assert!(driver.service().num_shards() >= 2);
+        let driver = run_against_oracle(&config, n, &stream, &thresholds, &mut rng, 0.05);
+        // Sanity: nothing was rejected on the way in.
+        prop_assert_eq!(driver.service().num_shards(), config.shards);
         let m = driver.service().metrics();
         prop_assert_eq!(m.events_enqueued, stream.len() as u64);
         prop_assert_eq!(m.ops_applied + m.events_saved(), m.events_submitted);
     }
 
-    /// Concurrent shard flushes (`threads ≥ 2`, fan-out over the work-stealing pool) keep the
-    /// sharded service *exactly* equivalent to the single-engine oracle: the engines are
+    /// Concurrent shard flushes (a drawn `threads ≥ 2`, fan-out over the work-stealing pool)
+    /// keep the service *exactly* equivalent to the single-engine oracle: the engines are
     /// independent and the per-shard reports are joined back in shard order, so concurrency
     /// must never be observable in the merged snapshots — mid-stream or final, at any
-    /// threshold, across seeds.
+    /// threshold, across seeds. Frequent sync points give most flushes several dirty shards.
     #[test]
     fn concurrent_flush_service_matches_single_engine_oracle(
+        config in configs(),
         seed in 0u64..1 << 48,
         n in 6usize..40,
-        shards in 2usize..6,
-        threads in 2usize..5,
         num_ops in 20usize..240,
-        on_read in any::<bool>(),
     ) {
-        let policy = if on_read { FlushPolicy::OnRead } else { FlushPolicy::Manual };
-        let service = ServiceBuilder::new()
-            .vertices(n)
-            .shards(shards)
-            .threads(threads)
-            .flush_policy(policy)
-            .build()
-            .expect("valid configuration");
-        prop_assert_eq!(service.threads(), threads);
-        let ingest = service.ingest_handle();
-        let mut driver = service.into_driver();
-        let mut oracle = ClusteringEngine::new(n);
-
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xC0FFEE);
         let weight_scale = 8.0;
         let stream = GraphWorkloadBuilder::new(n)
@@ -171,20 +147,8 @@ proptest! {
             .map(|_| rng.gen::<f64>() * weight_scale * 1.25)
             .collect();
         thresholds.push(f64::INFINITY);
-
-        for (i, &update) in stream.iter().enumerate() {
-            ingest.submit(update).expect("queue open");
-            oracle.submit(update).expect("generated stream is valid");
-            // Frequent sync points so most flushes have several dirty shards to fan out.
-            if rng.gen_bool(0.1) {
-                let merged = sync(&mut driver);
-                oracle.flush().expect("validated stream");
-                assert_equivalent(&merged, &oracle, &thresholds, &format!("after op {i}"));
-            }
-        }
-        let merged = sync(&mut driver);
-        oracle.flush().expect("validated stream");
-        assert_equivalent(&merged, &oracle, &thresholds, "final state");
+        let driver = run_against_oracle(&config, n, &stream, &thresholds, &mut rng, 0.1);
+        prop_assert_eq!(driver.service().threads(), config.threads);
     }
 
     /// The greedy partitioner under churn *and* vertex growth: the stream is ingested in
@@ -224,7 +188,7 @@ proptest! {
             ingest.submit(update).expect("queue open");
             oracle.submit(update).expect("generated stream is valid");
             if rng.gen_bool(0.08) {
-                let merged = sync(&mut driver);
+                let merged = drain(&mut driver);
                 oracle.flush().expect("validated stream");
                 assert_equivalent(&merged, &oracle, &thresholds, "first half");
             }
@@ -250,7 +214,7 @@ proptest! {
                 oracle.submit(ev).expect("new vertices accept edges");
             }
         }
-        let merged = sync(&mut driver);
+        let merged = drain(&mut driver);
         oracle.flush().expect("validated stream");
         assert_equivalent(&merged, &oracle, &thresholds, "final state");
         // The stateful router actually assigned the vertices it routed.
@@ -281,7 +245,7 @@ proptest! {
             ingest.submit(update).unwrap();
             oracle.submit(update).unwrap();
         }
-        sync(&mut driver);
+        drain(&mut driver);
         oracle.flush().unwrap();
 
         let first_svc = driver.add_vertices(grow);
@@ -300,7 +264,7 @@ proptest! {
             ingest.submit(ev).unwrap();
             oracle.submit(ev).unwrap();
         }
-        let merged = sync(&mut driver);
+        let merged = drain(&mut driver);
         oracle.flush().unwrap();
         prop_assert_eq!(merged.num_vertices(), grown);
         assert_equivalent(&merged, &oracle, &[2.5, 7.5, f64::INFINITY], "after growth");
