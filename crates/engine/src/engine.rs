@@ -152,6 +152,7 @@ struct Counters {
     replacement_edges_scanned: u64,
     level_promotions: u64,
     replacement_searches: u64,
+    replacement_candidates: u64,
     total_flush_time: Duration,
     max_flush_time: Duration,
 }
@@ -381,6 +382,7 @@ impl ClusteringEngine {
         self.counters.replacement_edges_scanned += work.replacement_edges_scanned;
         self.counters.level_promotions += work.level_promotions;
         self.counters.replacement_searches += work.replacement_searches;
+        self.counters.replacement_candidates += work.replacement_candidates;
         self.counters.total_flush_time += duration;
         self.counters.max_flush_time = self.counters.max_flush_time.max(duration);
 
@@ -451,6 +453,7 @@ impl ClusteringEngine {
             replacement_edges_scanned: self.counters.replacement_edges_scanned,
             level_promotions: self.counters.level_promotions,
             replacement_searches: self.counters.replacement_searches,
+            replacement_candidates: self.counters.replacement_candidates,
             total_pointer_changes: self.graph.sld().stats().total_pointer_changes,
             total_flush_time: self.counters.total_flush_time,
             max_flush_time: self.counters.max_flush_time,
@@ -751,6 +754,10 @@ mod tests {
             assert!(
                 m.replacement_edges_scanned >= 1,
                 "{backend:?}: the bridging candidate is examined"
+            );
+            assert_eq!(
+                m.replacement_candidates, 1,
+                "{backend:?}: the one bridging edge is the batch's only candidate"
             );
         }
     }

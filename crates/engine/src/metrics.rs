@@ -84,6 +84,10 @@ pub struct Metrics {
     /// Replacement searches the forest backend ran (one per tree-edge deletion, plus one per
     /// insertion-eviction on the HDT backend, which replays evictions through the search).
     pub replacement_searches: u64,
+    /// Candidates the Kruskal pass of the deletion batches sorted (scan backend: the lightest
+    /// reserve edge per pair of cut pieces; HDT backend: one per successful search). Work
+    /// that grows with the pieces a batch cuts, not with the reserve edges it scans.
+    pub replacement_candidates: u64,
     /// Dendrogram parent-pointer changes since construction (sum of the paper's `c` over all
     /// updates), read from [`dynsld::UpdateStats`].
     pub total_pointer_changes: u64,
@@ -178,6 +182,7 @@ impl Metrics {
             out.replacement_edges_scanned += m.replacement_edges_scanned;
             out.level_promotions += m.level_promotions;
             out.replacement_searches += m.replacement_searches;
+            out.replacement_candidates += m.replacement_candidates;
             out.total_pointer_changes += m.total_pointer_changes;
             out.total_flush_time += m.total_flush_time;
             out.max_flush_time = out.max_flush_time.max(m.max_flush_time);
@@ -337,6 +342,7 @@ mod tests {
             replacement_edges_scanned: 200 + 9 * k,
             level_promotions: 6 + 3 * k,
             replacement_searches: 40 + k,
+            replacement_candidates: 15 + 2 * k,
             total_pointer_changes: 1000 + k,
             total_flush_time: Duration::from_millis(100 * (k + 1)),
             max_flush_time: Duration::from_millis(40 + 13 * k),
@@ -387,6 +393,7 @@ mod tests {
         assert_eq!(merged.replacement_edges_scanned, 200 + 209 + 218);
         assert_eq!(merged.level_promotions, 6 + 9 + 12);
         assert_eq!(merged.replacement_searches, 40 + 41 + 42);
+        assert_eq!(merged.replacement_candidates, 15 + 17 + 19);
         assert_eq!(merged.total_pointer_changes, 1000 + 1001 + 1002);
         // Total time sums, the slowest single flush is kept — NOT summed.
         assert_eq!(merged.total_flush_time, Duration::from_millis(600));

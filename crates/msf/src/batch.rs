@@ -12,15 +12,15 @@
 //!   back to the per-edge insert (path-maximum comparison, possible eviction).
 //! * [`DynamicGraphClustering::batch_delete_edges`] strips non-tree deletions out of the batch
 //!   (reserve bookkeeping only), removes all tree edges with one [`DynSld::batch_delete`], then
-//!   restores the MSF by a single Kruskal pass over the reserve edges incident to the affected
-//!   components — the promoted edges again enter through [`DynSld::batch_insert`], because by
+//!   restores the MSF by Kruskal over the lightest reserve edge per pair of pieces the cuts
+//!   left — the promoted edges again enter through [`DynSld::batch_insert`], because by
 //!   construction they link distinct components and form an incidence forest.
 //!
 //! Both entry points validate the whole batch before mutating anything, process edges in rank
 //! order (`(weight, endpoint pair)` — fully deterministic), and report per-edge [`MsfChange`]s
 //! in *input* order so callers can correlate outcomes with submissions.
 
-use crate::{pair, DynamicGraphClustering, MsfChange, ReplacementIndex};
+use crate::{pair, replacement_beats, DynamicGraphClustering, MsfChange, ReplacementIndex};
 use dynsld::{DynSld, DynSldError};
 use dynsld_forest::{Dsu, VertexId, Weight};
 use std::collections::HashMap;
@@ -182,11 +182,11 @@ impl DynamicGraphClustering {
     /// dendrogram, promoting replacement edges from the reserve where cuts can be reconnected.
     ///
     /// Non-tree deletions touch only the reserve index. All tree deletions are applied with one
-    /// [`DynSld::batch_delete`]; the replacement search then runs a single deterministic
-    /// Kruskal pass over the reserve edges incident to the affected components, and the
-    /// accepted promotions enter through [`DynSld::batch_insert`]. The resulting MSF equals
-    /// per-edge deletion in any order. The whole batch is validated first — on `Err` nothing
-    /// was changed.
+    /// [`DynSld::batch_delete`]; the replacement search then runs Kruskal over the lightest
+    /// reserve edge per pair of pieces (`O(scanned + k²)` work for `k` pieces on the scan
+    /// backend), and the accepted promotions enter through [`DynSld::batch_insert`]. The
+    /// resulting MSF equals per-edge deletion in any order. The whole batch is validated
+    /// first — on `Err` nothing was changed.
     pub fn batch_delete_edges(
         &mut self,
         pairs: &[(VertexId, VertexId)],
@@ -255,78 +255,77 @@ impl DynamicGraphClustering {
         apply_time += delete_start.elapsed();
 
         // ---- replacement search: backend-specific candidate gathering --------------------
+        // A candidate is `(weight, pair, (piece of one endpoint, piece of the other))`, with
+        // pieces as local ids over the post-deletion components of the deleted endpoints.
         let search_start = Instant::now();
         let mut comps = LocalComponents::default();
         let deleted_locals: Vec<(VertexId, VertexId)> = tree_pairs
             .iter()
             .map(|&(u, v)| (comps.local(&self.sld, u), comps.local(&self.sld, v)))
             .collect();
-        let candidates: Vec<(Weight, (VertexId, VertexId))> = match &mut self.index {
-            // Scan backend: one deterministic Kruskal pass over the reserve edges incident to
-            // the affected components. Affected components are the post-deletion components
-            // of the deleted edges' endpoints. Every reserve edge is intra-tree, so a
-            // candidate crossing a cut connects two affected pieces of the *same original
-            // tree*. Per original tree, scan every piece except the largest (a crossing edge
-            // cannot have both endpoints in its tree's largest piece): this finds every
-            // candidate while keeping the scan on the small sides, as in the per-edge path —
-            // skipping only the single global largest would fully enumerate the big side of
-            // every other tree touched by the batch.
+        type Candidate = (Weight, (VertexId, VertexId), (VertexId, VertexId));
+        let mut candidates: Vec<Candidate> = Vec::new();
+        match &mut self.index {
+            // Scan backend: Kruskal over the lightest reserve edge per pair of pieces. Every
+            // reserve edge is intra-tree, so one crossing a cut joins two pieces of the *same
+            // original tree*. Per original tree, enumerate every piece except the largest (a
+            // crossing edge cannot have both endpoints there): the scan stays on the small
+            // sides, as in the per-edge path, and an unmarked endpoint lies in the largest
+            // piece of the scanned piece's tree, so every endpoint's piece is one table read.
             ReplacementIndex::Scan { reserve } => {
                 self.counters.replacement_searches += tree_pairs.len() as u64;
-                let mut seeds: Vec<(VertexId, VertexId)> = Vec::new(); // (vertex, local id) per piece
-                {
-                    let mut seen = std::collections::HashSet::new();
-                    for &(u, v) in &tree_pairs {
-                        for x in [u, v] {
-                            let local = comps.local(&self.sld, x);
-                            if seen.insert(local) {
-                                seeds.push((x, local));
-                            }
-                        }
-                    }
-                }
-                // Group the pieces by original tree: the deleted edges connect exactly the
-                // pieces of one original tree (they formed its spanning structure), so a DSU
-                // over the pieces with one union per deleted edge recovers the per-tree
-                // grouping.
-                let mut tree_of_piece = Dsu::new(comps.len());
-                for &(lu, lv) in &deleted_locals {
+                // The deleted edges joined exactly the pieces of each original tree, so a
+                // DSU over the pieces with one union per deleted edge groups them by tree.
+                let k = comps.len();
+                let mut tree_of_piece = Dsu::new(k);
+                let mut seed = vec![VertexId(0); k]; // a vertex of each piece
+                for (&(u, v), &(lu, lv)) in tree_pairs.iter().zip(&deleted_locals) {
                     tree_of_piece.union(lu, lv);
+                    (seed[lu.index()], seed[lv.index()]) = (u, v);
                 }
-                let mut largest_of_tree: HashMap<u32, (usize, u32)> = HashMap::new(); // root -> (size, piece)
-                for &(x, local) in &seeds {
-                    let root = tree_of_piece.find(local).0;
-                    let size = self.sld.component_size(x);
-                    let entry = largest_of_tree.entry(root).or_insert((size, local.0));
-                    if (size, local.0) > *entry {
-                        *entry = (size, local.0);
-                    }
+                let mut largest = vec![(0, 0); k]; // per tree root: (size, id) of its largest piece
+                for (l, &x) in seed.iter().enumerate() {
+                    let root = tree_of_piece.find(VertexId(l as u32)).index();
+                    largest[root] = largest[root].max((self.sld.component_size(x), l as u32));
                 }
-                let mut candidates: Vec<(Weight, (VertexId, VertexId))> = Vec::new();
-                let mut candidate_seen = std::collections::HashSet::new();
-                self.pieces.begin_search(&self.sld);
-                for &(seed, local) in &seeds {
-                    let root = tree_of_piece.find(local).0;
-                    if largest_of_tree[&root].1 == local.0 {
-                        continue; // largest piece of this tree: every candidate is reachable elsewhere
+                let outer: Vec<u32> = (0..k as u32)
+                    .map(|l| largest[tree_of_piece.find(VertexId(l)).index()].1)
+                    .collect();
+                let marks = &mut self.pieces;
+                marks.begin_search(&self.sld, k);
+                for l in (0..k as u32).filter(|&l| outer[l as usize] != l) {
+                    marks.enumerate(&self.sld, seed[l as usize], l);
+                }
+                // Members are contiguous per piece: scan them in order, keeping the lightest
+                // edge to each other piece, and emit each pair's edge once — from the lower
+                // id when both pieces are enumerated.
+                for (i, &member) in marks.members.iter().enumerate() {
+                    let p = marks.piece(member).expect("members are marked");
+                    for &key in &reserve[member.index()] {
+                        self.counters.replacement_edges_scanned += 1;
+                        let other = if key.0 == member { key.1 } else { key.0 };
+                        let q = marks.piece(other).unwrap_or(outer[p as usize]);
+                        if q == p {
+                            continue;
+                        }
+                        let w = self.weights[&key];
+                        let slot = &mut marks.best[q as usize];
+                        if slot.is_none() {
+                            marks.touched.push(q);
+                        }
+                        if replacement_beats(slot.as_ref(), w, key) {
+                            *slot = Some((w, key));
+                        }
                     }
-                    for member in self.pieces.enumerate(&self.sld, seed, local.0) {
-                        for &(a, b) in &reserve[member.index()] {
-                            self.counters.replacement_edges_scanned += 1;
-                            // Both endpoints in this piece: the edge crosses no cut. (The
-                            // other endpoint's piece may not be enumerated yet, or ever — it
-                            // is then a different one.)
-                            if self.pieces.piece(a) == self.pieces.piece(b)
-                                || !candidate_seen.insert(pair(a, b))
-                            {
-                                continue;
+                    if marks.members.get(i + 1).and_then(|&x| marks.piece(x)) != Some(p) {
+                        for q in marks.touched.drain(..) {
+                            let (w, key) = marks.best[q as usize].take().expect("touched");
+                            if q > p || q == outer[p as usize] {
+                                candidates.push((w, key, (VertexId(p), VertexId(q))));
                             }
-                            candidates.push((self.weights[&pair(a, b)], pair(a, b)));
                         }
                     }
                 }
-                candidates.sort_by(|x, y| x.0.total_cmp(&y.0).then_with(|| x.1.cmp(&y.1)));
-                candidates
             }
             // HDT backend: replay the tree deletions through the level structure in input
             // order. Each search returns the minimum-(weight, pair) edge across its cut given
@@ -335,33 +334,25 @@ impl DynamicGraphClustering {
             // pass produce the same unique MSF under the total order). Sorting the results by
             // rank makes the shared attribution pass below bit-identical to the scan path.
             ReplacementIndex::Hdt(ix) => {
-                let mut candidates: Vec<(Weight, (VertexId, VertexId))> = Vec::new();
                 for &(u, v) in &tree_pairs {
                     if let Some((a, b, w)) = ix.delete_tree_with_search(u, v) {
-                        candidates.push((w, pair(a, b)));
+                        let ends = (comps.local(&self.sld, a), comps.local(&self.sld, b));
+                        candidates.push((w, pair(a, b), ends));
                     }
                 }
-                candidates.sort_by(|x, y| x.0.total_cmp(&y.0).then_with(|| x.1.cmp(&y.1)));
-                candidates
             }
-        };
+        }
+        candidates.sort_by(|x, y| x.0.total_cmp(&y.0).then_with(|| x.1.cmp(&y.1)));
+        self.counters.replacement_candidates += candidates.len() as u64;
 
-        // Accept candidates greedily over the local component DSU; attribute each accepted
-        // promotion to the deleted edges whose endpoints it (transitively) reconnects.
+        // Accept candidates greedily over the piece DSU (Kruskal never accepts a heavier
+        // parallel edge, so keeping one edge per pair of pieces changes nothing); attribute
+        // each accepted promotion to the deleted edges whose endpoints it (transitively)
+        // reconnects.
         let mut promoted: Vec<(VertexId, VertexId, Weight)> = Vec::new();
-        let mut dsu = {
-            // Candidate endpoints touching components outside `seeds` is impossible (reserve
-            // edges are intra-tree), but register them defensively before sizing the DSU.
-            for &(_, (a, b)) in &candidates {
-                comps.local(&self.sld, a);
-                comps.local(&self.sld, b);
-            }
-            Dsu::new(comps.len())
-        };
+        let mut dsu = Dsu::new(comps.len());
         let mut pending: Vec<usize> = (0..tree_idx.len()).collect();
-        for (w, (a, b)) in candidates {
-            let la = comps.local(&self.sld, a);
-            let lb = comps.local(&self.sld, b);
+        for (w, (a, b), (la, lb)) in candidates {
             if !dsu.union(la, lb) {
                 continue;
             }
@@ -690,6 +681,225 @@ mod tests {
             }
             assert_consistent(&g, &alive);
             let _ = round;
+        }
+    }
+
+    /// Union-find for the reference below; shares no code with the structure under test.
+    struct NaiveDsu(Vec<usize>);
+
+    impl NaiveDsu {
+        fn find(&mut self, mut x: usize) -> usize {
+            while self.0[x] != x {
+                self.0[x] = self.0[self.0[x]];
+                x = self.0[x];
+            }
+            x
+        }
+
+        fn union(&mut self, a: usize, b: usize) -> bool {
+            let (ra, rb) = (self.find(a), self.find(b));
+            self.0[ra] = rb;
+            ra != rb
+        }
+    }
+
+    /// What a deletion batch must do, derived from the edge list alone: cut the deleted tree
+    /// edges, sort *every* reserve edge crossing the post-deletion components by
+    /// `(weight, pair)`, run Kruskal over those components and attribute each promotion to
+    /// the deleted edges it reconnects. Returns the changes, the promotions in order, the MSF
+    /// edge set after the batch, and how many promotions joined two pieces that are both
+    /// smaller than the largest piece of their tree.
+    #[allow(clippy::type_complexity)]
+    fn naive_batch_delete(
+        n: usize,
+        edges: &[(VertexId, VertexId, Weight, bool)],
+        batch: &[(VertexId, VertexId)],
+    ) -> (
+        Vec<MsfChange>,
+        Vec<(VertexId, VertexId)>,
+        Vec<(VertexId, VertexId)>,
+        usize,
+    ) {
+        let key = |a: VertexId, b: VertexId| (a.min(b), a.max(b));
+        let deleted: HashSet<_> = batch.iter().map(|&(a, b)| key(a, b)).collect();
+        let mut trees = NaiveDsu((0..n).collect());
+        let mut pieces = NaiveDsu((0..n).collect());
+        let mut msf = Vec::new();
+        let mut reserve = Vec::new();
+        for &(a, b, w, tree) in edges {
+            if tree {
+                trees.union(a.index(), b.index());
+            }
+            if deleted.contains(&key(a, b)) {
+                continue;
+            }
+            if tree {
+                pieces.union(a.index(), b.index());
+                msf.push(key(a, b));
+            } else {
+                reserve.push((w, key(a, b)));
+            }
+        }
+        // The piece of every vertex before promotions, and each tree's largest piece size.
+        let piece: Vec<usize> = (0..n).map(|x| pieces.find(x)).collect();
+        let mut size = vec![0usize; n];
+        for &p in &piece {
+            size[p] += 1;
+        }
+        let mut largest = vec![0usize; n];
+        for x in 0..n {
+            let t = trees.find(x);
+            largest[t] = largest[t].max(size[piece[x]]);
+        }
+        let small = |x: VertexId, trees: &mut NaiveDsu| {
+            size[piece[x.index()]] < largest[trees.find(x.index())]
+        };
+        reserve.retain(|&(_, (a, b))| piece[a.index()] != piece[b.index()]);
+        reserve.sort_by(|x, y| x.0.total_cmp(&y.0).then_with(|| x.1.cmp(&y.1)));
+        let mut changes: Vec<Option<MsfChange>> = batch
+            .iter()
+            .map(|&(a, b)| {
+                let tree = edges.iter().any(|e| key(e.0, e.1) == key(a, b) && e.3);
+                (!tree).then_some(MsfChange::RemovedNonTree)
+            })
+            .collect();
+        let mut promoted = Vec::new();
+        let mut between_small = 0;
+        for (_, (a, b)) in reserve {
+            if !pieces.union(a.index(), b.index()) {
+                continue;
+            }
+            promoted.push((a, b));
+            msf.push((a, b));
+            between_small += usize::from(small(a, &mut trees) && small(b, &mut trees));
+            for (i, &(u, v)) in batch.iter().enumerate() {
+                if changes[i].is_none() && pieces.find(u.index()) == pieces.find(v.index()) {
+                    changes[i] = Some(MsfChange::RemovedWithReplacement { promoted: (a, b) });
+                }
+            }
+        }
+        let changes = changes
+            .into_iter()
+            .map(|c| c.unwrap_or(MsfChange::RemovedAndSplit))
+            .collect();
+        msf.sort();
+        (changes, promoted, msf, between_small)
+    }
+
+    fn msf_edges(g: &DynamicGraphClustering) -> Vec<(VertexId, VertexId)> {
+        let mut tree: Vec<_> = g
+            .graph_edges()
+            .into_iter()
+            .filter(|e| e.3)
+            .map(|(a, b, _, _)| pair(a, b))
+            .collect();
+        tree.sort();
+        tree
+    }
+
+    /// `clusters` complete graphs on `size` vertices each, weights drawn from `0..weights`.
+    fn dense_clusters(
+        g: &mut DynamicGraphClustering,
+        rng: &mut SmallRng,
+        clusters: u32,
+        size: u32,
+        weights: u32,
+    ) {
+        let mut edges = Vec::new();
+        for c in 0..clusters {
+            for i in 0..size {
+                for j in i + 1..size {
+                    let w = rng.gen_range(0..weights) as f64;
+                    edges.push((v(c * size + i), v(c * size + j), w));
+                }
+            }
+        }
+        g.batch_insert_edges(&edges).unwrap();
+    }
+
+    #[test]
+    fn batch_delete_matches_a_naive_kruskal_over_every_crossing_reserve_edge() {
+        // Three complete graphs on 24 vertices (degree 23), so one batch cuts several trees;
+        // four distinct weights, so ties are common.
+        for backend in [dynsld::ForestBackend::Scan, dynsld::ForestBackend::Hdt] {
+            let options = dynsld::DynSldOptions {
+                msf_backend: backend,
+                ..Default::default()
+            };
+            let mut between_small = 0;
+            for seed in 0..3 {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let mut g = DynamicGraphClustering::with_options(72, options);
+                dense_clusters(&mut g, &mut rng, 3, 24, 4);
+                for &tree_edges in [1usize, 2, 7, 64].iter().cycle().take(12) {
+                    let mut edges = g.graph_edges();
+                    edges.sort_by_key(|e| pair(e.0, e.1));
+                    let (mut tree, mut reserve): (Vec<&(_, _, _, _)>, Vec<_>) =
+                        edges.iter().partition(|e| e.3);
+                    tree.shuffle(&mut rng);
+                    reserve.shuffle(&mut rng);
+                    let mut batch: Vec<_> =
+                        tree.iter().take(tree_edges).map(|e| (e.0, e.1)).collect();
+                    batch.extend(reserve.iter().take(3).map(|e| (e.0, e.1)));
+                    batch.shuffle(&mut rng);
+
+                    let (changes, promoted, msf, small) =
+                        naive_batch_delete(g.num_vertices(), &edges, &batch);
+                    between_small += small;
+                    let mut single = g.clone();
+                    for &(a, b) in &batch {
+                        single.delete_edge(a, b).unwrap();
+                    }
+                    let outcome = g.batch_delete_edges(&batch).unwrap();
+                    let ctx = format!("{backend:?} seed {seed}, {tree_edges} tree edges");
+                    assert_eq!(outcome.changes, changes, "{ctx}: changes");
+                    assert_eq!(outcome.promoted, promoted, "{ctx}: promotions");
+                    assert_eq!(msf_edges(&g), msf, "{ctx}: MSF vs the reference");
+                    assert_eq!(msf_edges(&single), msf, "{ctx}: MSF vs per-edge deletion");
+                    g.sld().check_invariants().expect("invariants");
+
+                    // Put the edges back with fresh weights to keep the graph dense.
+                    let back: Vec<_> = batch
+                        .iter()
+                        .map(|&(a, b)| (a, b, rng.gen_range(0..4) as f64))
+                        .collect();
+                    g.batch_insert_edges(&back).unwrap();
+                }
+            }
+            assert!(
+                between_small > 0,
+                "{backend:?}: some promotion joins two non-largest pieces"
+            );
+        }
+    }
+
+    #[test]
+    fn batch_search_sorts_at_most_one_candidate_per_pair_of_pieces() {
+        // Cutting `cuts` edges of one spanning tree leaves exactly `cuts + 1` pieces; the scan
+        // reads every reserve entry of the non-largest pieces (about 40 per vertex here) but
+        // hands Kruskal at most one edge per pair of pieces.
+        for seed in 0..4 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut g = DynamicGraphClustering::new(42);
+            dense_clusters(&mut g, &mut rng, 1, 42, 1000);
+            let mut tree: Vec<_> = msf_edges(&g);
+            tree.shuffle(&mut rng);
+            let cuts = 8;
+            g.take_work_counters();
+            g.batch_delete_edges(&tree[..cuts]).unwrap();
+            let work = g.take_work_counters();
+            let k = cuts as u64 + 1;
+            assert!(
+                (1..=k * (k - 1) / 2).contains(&work.replacement_candidates),
+                "seed {seed}: {} candidates for {k} pieces",
+                work.replacement_candidates
+            );
+            assert!(
+                work.replacement_edges_scanned >= 10 * work.replacement_candidates,
+                "seed {seed}: scanned {} vs {} candidates",
+                work.replacement_edges_scanned,
+                work.replacement_candidates
+            );
         }
     }
 

@@ -94,6 +94,10 @@ pub struct WorkCounters {
     /// Replacement searches run (one per tree-edge deletion, plus one per
     /// insertion-eviction on the HDT backend, which replays evictions through the search).
     pub replacement_searches: u64,
+    /// Candidates the Kruskal pass of a deletion batch sorted: on the scan backend the
+    /// lightest reserve edge per pair of pieces a cut left (at most `k(k-1)/2` for `k`
+    /// pieces), on the HDT backend one per successful search. Per-edge deletions add none.
+    pub replacement_candidates: u64,
 }
 
 impl WorkCounters {
@@ -102,6 +106,7 @@ impl WorkCounters {
         self.replacement_edges_scanned += other.replacement_edges_scanned;
         self.level_promotions += other.level_promotions;
         self.replacement_searches += other.replacement_searches;
+        self.replacement_candidates += other.replacement_candidates;
     }
 }
 
@@ -129,7 +134,8 @@ pub struct DynamicGraphClustering {
     pub(crate) weights: HashMap<(VertexId, VertexId), Weight>,
     /// Backend-specific replacement-edge index.
     pub(crate) index: ReplacementIndex,
-    /// Scan-backend work counters (the HDT index keeps its own; both are drained together).
+    /// Scan-backend work counters and the batch path's candidate count (the HDT index keeps
+    /// its own; both are drained together).
     pub(crate) counters: WorkCounters,
     /// Scan-backend scratch: which piece of the current replacement search each vertex was
     /// enumerated into.
@@ -139,35 +145,50 @@ pub struct DynamicGraphClustering {
 /// The pieces a replacement search of the scan backend has enumerated: vertex -> piece id, for
 /// one search (8 bytes per vertex, reused). A search enumerates the small sides of its cuts
 /// anyway, so "does this reserve edge cross the cut?" is a lookup of its two endpoints here
-/// rather than a connectivity query against the Euler-tour forest.
+/// rather than a connectivity query against the Euler-tour forest. The member lists and the
+/// per-piece table of the batch search live here too, so no search allocates once they have
+/// grown to the largest batch seen.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct PieceMarks {
     piece_of: RoundTable,
+    /// The vertices enumerated in this search, piece after piece.
+    pub(crate) members: Vec<VertexId>,
+    /// Batch search: the lightest reserve edge from the piece being scanned to each other
+    /// piece, indexed by piece id; `None` outside the slots listed in `touched`.
+    pub(crate) best: Vec<Option<(Weight, (VertexId, VertexId))>>,
+    /// The slots of `best` written while scanning the current piece.
+    pub(crate) touched: Vec<u32>,
 }
 
 impl PieceMarks {
-    /// Starts a search: forgets every mark.
-    pub(crate) fn begin_search(&mut self, sld: &DynSld) {
+    /// Starts a search over pieces with ids `< pieces`: forgets every mark and member.
+    pub(crate) fn begin_search(&mut self, sld: &DynSld, pieces: usize) {
         self.piece_of.begin_round(sld.num_vertices());
+        self.members.clear();
+        if self.best.len() < pieces {
+            self.best.resize(pieces, None);
+        }
     }
 
     /// Marks the vertices of the MSF component of `sld` containing `v` as piece `piece` and
-    /// returns them. The component must not have been enumerated in this search.
-    pub(crate) fn enumerate(&mut self, sld: &DynSld, v: VertexId, piece: u32) -> Vec<VertexId> {
-        // Walk the component through the forest adjacency (the component is a tree).
-        let mut stack = vec![v];
+    /// appends them to [`members`](Self::members). The component must not have been
+    /// enumerated in this search.
+    pub(crate) fn enumerate(&mut self, sld: &DynSld, v: VertexId, piece: u32) {
+        // Breadth-first through the forest adjacency (the component is a tree), using the
+        // member list as the queue.
+        let start = self.members.len();
         self.piece_of.set(v.index(), piece);
-        let mut out = vec![v];
-        while let Some(x) = stack.pop() {
+        self.members.push(v);
+        let mut next = start;
+        while let Some(&x) = self.members.get(next) {
+            next += 1;
             for (y, _) in sld.forest().neighbors(x) {
                 if self.piece_of.get(y.index()).is_none() {
                     self.piece_of.set(y.index(), piece);
-                    out.push(y);
-                    stack.push(y);
+                    self.members.push(y);
                 }
             }
         }
-        out
     }
 
     /// The piece `v` was enumerated into, or `None` if its component has not been enumerated
@@ -378,8 +399,9 @@ impl DynamicGraphClustering {
             .expect("connected endpoints have a tree path");
         let heaviest_weight = self.sld.forest().weight(heaviest);
         let (hu, hv) = self.sld.forest().endpoints(heaviest);
-        // Strict improvement required; ties keep the incumbent (consistent with rank order,
-        // where the older edge has the smaller id and thus the smaller rank).
+        // Strict improvement required: an equal weight keeps the incumbent tree edge. Which of
+        // two equal-weight edges ends up in the MSF therefore depends on update order, not on
+        // a fixed total order (see ROADMAP, "One total order").
         if weight < heaviest_weight {
             self.sld.delete(hu, hv)?;
             self.membership.insert(pair(hu, hv), false);
@@ -441,17 +463,19 @@ impl DynamicGraphClustering {
                     v
                 };
                 let mut best: Option<(Weight, (VertexId, VertexId))> = None;
-                self.pieces.begin_search(&self.sld);
-                for member in self.pieces.enumerate(&self.sld, small, 0) {
-                    for &(a, b) in &reserve[member.index()] {
+                self.pieces.begin_search(&self.sld, 0);
+                self.pieces.enumerate(&self.sld, small, 0);
+                for &member in &self.pieces.members {
+                    for &key in &reserve[member.index()] {
                         self.counters.replacement_edges_scanned += 1;
-                        let w = self.weights[&pair(a, b)];
                         // The edge reconnects the cut iff exactly one endpoint lies on the
-                        // small side.
-                        if self.pieces.piece(a) != self.pieces.piece(b)
-                            && replacement_beats(best.as_ref(), w, pair(a, b))
-                        {
-                            best = Some((w, pair(a, b)));
+                        // small side; only then is its weight looked up.
+                        if self.pieces.piece(key.0) == self.pieces.piece(key.1) {
+                            continue;
+                        }
+                        let w = self.weights[&key];
+                        if replacement_beats(best.as_ref(), w, key) {
+                            best = Some((w, key));
                         }
                     }
                 }
