@@ -27,19 +27,14 @@
 //! "Deviations from the paper" (substitution 3) for the rationale, and substitution 7 for the
 //! one batch operation this crate does provide: [`EulerTourForest::repr_round`], the
 //! `O(k log(1 + n/k))` batch of find-representative queries that deletions are charged for.
-
 //!
-//! Both structures implement the [`traits`] capability family — [`DynamicForest`] for
-//! link/cut/connectivity, [`PathOps`] (link-cut tree) for path aggregates, and
-//! [`ComponentOps`] (Euler-tour forest) for component queries — so downstream code can be
-//! generic over the forest backend (see the `ForestBackend` policy in `dynsld-msf`).
+//! Each structure is used through its own inherent methods: the DynSLD core drives both, and
+//! the HDT-style replacement index of `dynsld-msf` keeps one [`EulerTourForest`] per level.
 
 pub mod euler;
 pub mod lct;
 pub mod round;
-pub mod traits;
 
 pub use euler::{EulerTourForest, ReprRound};
 pub use lct::{LctNodeId, LinkCutTree};
 pub use round::RoundTable;
-pub use traits::{ComponentOps, DynamicForest, ExpandableForest, PathOps};

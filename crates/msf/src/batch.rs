@@ -14,16 +14,17 @@
 //!   (reserve bookkeeping only), removes all tree edges with one [`DynSld::batch_delete`], then
 //!   restores the MSF by Kruskal over the lightest reserve edge per pair of pieces the cuts
 //!   left — the promoted edges again enter through [`DynSld::batch_insert`], because by
-//!   construction they link distinct components and form an incidence forest.
+//!   construction they link distinct components and form an incidence forest. That search is
+//!   the one [`DynamicGraphClustering::delete_edge`] runs too, on a batch of one.
 //!
 //! Both entry points validate the whole batch before mutating anything, process edges in rank
 //! order (`(weight, endpoint pair)` — fully deterministic), and report per-edge [`MsfChange`]s
 //! in *input* order so callers can correlate outcomes with submissions.
 
-use crate::{pair, replacement_beats, DynamicGraphClustering, MsfChange, ReplacementIndex};
+use crate::{pair, DynamicGraphClustering, MsfChange, PairRank, ReplacementIndex};
 use dynsld::{DynSld, DynSldError};
 use dynsld_forest::{Dsu, VertexId, Weight};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
 /// The result of applying one batch of graph updates.
@@ -47,7 +48,7 @@ pub struct BatchOutcome {
     /// part that [`DynSldOptions::msf_backend`](dynsld::DynSldOptions) changes.
     pub replacement_time: Duration,
     /// Wall time spent mutating the structure: `batch_insert`/`batch_delete`, per-edge
-    /// fallbacks, promotions, and membership bookkeeping.
+    /// fallbacks, promotions, and edge-table bookkeeping.
     pub apply_time: Duration,
 }
 
@@ -70,20 +71,6 @@ impl LocalComponents {
     }
 }
 
-/// Sorts batch indices into rank order: `(weight, normalised endpoint pair)` ascending. Using
-/// the endpoint pair (not the insertion-assigned edge id) as tie-breaker keeps the order a pure
-/// function of the batch content.
-fn rank_order(edges: &[(VertexId, VertexId, Weight)]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..edges.len()).collect();
-    order.sort_by(|&a, &b| {
-        edges[a]
-            .2
-            .total_cmp(&edges[b].2)
-            .then_with(|| pair(edges[a].0, edges[a].1).cmp(&pair(edges[b].0, edges[b].1)))
-    });
-    order
-}
-
 impl DynamicGraphClustering {
     /// Inserts a batch of graph edges and updates the MSF and dendrogram.
     ///
@@ -96,28 +83,19 @@ impl DynamicGraphClustering {
         edges: &[(VertexId, VertexId, Weight)],
     ) -> Result<BatchOutcome, DynSldError> {
         // ---- validation (no mutation before this passes) ---------------------------------
-        let mut batch_seen = std::collections::HashSet::new();
+        let mut batch_seen = HashSet::new();
         for &(u, v, _) in edges {
-            if u == v {
-                return Err(DynSldError::SelfLoop(u));
-            }
-            for x in [u, v] {
-                if x.index() >= self.num_vertices() {
-                    return Err(DynSldError::VertexOutOfRange(x));
-                }
-            }
-            let key = pair(u, v);
-            if self.membership.contains_key(&key) {
-                return Err(DynSldError::EdgeAlreadyExists(u, v));
-            }
-            if !batch_seen.insert(key) {
+            self.check_new_edge(u, v)?;
+            if !batch_seen.insert(pair(u, v)) {
                 return Err(DynSldError::ConflictingBatch(u, v));
             }
         }
 
         // ---- classify: Kruskal over (current components ∪ lighter batch edges) ----------
         let classify_start = Instant::now();
-        let order = rank_order(edges);
+        // Rank order is a pure function of the batch content (no insertion-assigned ids).
+        let mut order: Vec<usize> = (0..edges.len()).collect();
+        order.sort_by_key(|&i| PairRank(edges[i].2, pair(edges[i].0, edges[i].1)));
         let mut comps = LocalComponents::default();
         let locals: Vec<(VertexId, VertexId)> = edges
             .iter()
@@ -145,10 +123,9 @@ impl DynamicGraphClustering {
             self.sld
                 .batch_insert(&forest_batch)
                 .expect("classified forest batch satisfies the batch_insert precondition");
-            for &(u, v, w) in &forest_batch {
-                self.membership.insert(pair(u, v), true);
-                self.weights.insert(pair(u, v), w);
-                self.index_add_tree(u, v, w);
+            for &(u, v, weight) in &forest_batch {
+                self.edges.insert(pair(u, v), weight);
+                self.index_add_tree(u, v, weight);
             }
         }
 
@@ -192,10 +169,10 @@ impl DynamicGraphClustering {
         pairs: &[(VertexId, VertexId)],
     ) -> Result<BatchOutcome, DynSldError> {
         // ---- validation (no mutation before this passes) ---------------------------------
-        let mut batch_seen = std::collections::HashSet::new();
+        let mut batch_seen = HashSet::new();
         for &(u, v) in pairs {
             let key = pair(u, v);
-            if !self.membership.contains_key(&key) {
+            if !self.edges.contains_key(&key) {
                 return Err(DynSldError::EdgeNotFound(u, v));
             }
             if !batch_seen.insert(key) {
@@ -216,12 +193,11 @@ impl DynamicGraphClustering {
         let mut tree_idx: Vec<usize> = Vec::new();
         for (i, &(u, v)) in pairs.iter().enumerate() {
             let key = pair(u, v);
-            if self.membership[&key] {
+            if self.is_tree_edge(u, v) {
                 tree_idx.push(i);
             } else {
                 self.index_remove_nontree(u, v);
-                self.membership.remove(&key);
-                self.weights.remove(&key);
+                self.edges.remove(&key);
                 changes[i] = Some(MsfChange::RemovedNonTree);
             }
         }
@@ -248,30 +224,70 @@ impl DynamicGraphClustering {
             .batch_delete(&tree_pairs)
             .expect("validated tree edges are alive forest edges");
         for &(u, v) in &tree_pairs {
-            let key = pair(u, v);
-            self.membership.remove(&key);
-            self.weights.remove(&key);
+            self.edges.remove(&pair(u, v));
         }
         apply_time += delete_start.elapsed();
 
-        // ---- replacement search: backend-specific candidate gathering --------------------
-        // A candidate is `(weight, pair, (piece of one endpoint, piece of the other))`, with
-        // pieces as local ids over the post-deletion components of the deleted endpoints.
+        // ---- replacement search ----------------------------------------------------------
         let search_start = Instant::now();
+        let (promoted, tree_changes) = self.find_replacements(&tree_pairs);
+        for (&i, change) in tree_idx.iter().zip(tree_changes) {
+            changes[i] = Some(change);
+        }
+        let replacement_time = search_start.elapsed();
+        classify_time += replacement_time;
+
+        // ---- promotions ride the batch fast path -----------------------------------------
+        let promote_start = Instant::now();
+        if !promoted.is_empty() {
+            self.sld
+                .batch_insert(&promoted)
+                .expect("accepted promotions link distinct components and form a forest");
+            self.mark_promoted(&promoted);
+        }
+        apply_time += promote_start.elapsed();
+
+        Ok(BatchOutcome {
+            changes: changes
+                .into_iter()
+                .map(|c| c.expect("classified"))
+                .collect(),
+            fast_path: tree_pairs.len() + promoted.len(),
+            fallback: 0,
+            promoted: promoted.iter().map(|&(a, b, _)| (a, b)).collect(),
+            classify_time,
+            replacement_time,
+            apply_time,
+        })
+    }
+
+    /// Finds the replacements for tree edges just cut from the MSF (already gone from `sld`
+    /// and from `edges`): Kruskal, in [`PairRank`] order, over the lightest reserve edge
+    /// between each pair of pieces the cuts left. Returns the accepted promotions in order and
+    /// each deleted edge's [`MsfChange`], in input order. The promotions are not applied: the
+    /// caller inserts them into `sld`, then calls [`mark_promoted`](Self::mark_promoted).
+    ///
+    /// One deleted edge leaves two pieces, and the scan covers the one that is not the
+    /// largest — `u`'s piece on a size tie, since `u` gets the lower local id.
+    pub(crate) fn find_replacements(
+        &mut self,
+        tree_pairs: &[(VertexId, VertexId)],
+    ) -> (Vec<(VertexId, VertexId, Weight)>, Vec<MsfChange>) {
+        // A candidate is `(rank, (piece of one endpoint, piece of the other))`, with pieces as
+        // local ids over the post-deletion components of the deleted endpoints.
         let mut comps = LocalComponents::default();
         let deleted_locals: Vec<(VertexId, VertexId)> = tree_pairs
             .iter()
             .map(|&(u, v)| (comps.local(&self.sld, u), comps.local(&self.sld, v)))
             .collect();
-        type Candidate = (Weight, (VertexId, VertexId), (VertexId, VertexId));
-        let mut candidates: Vec<Candidate> = Vec::new();
+        let mut candidates: Vec<(PairRank, (VertexId, VertexId))> = Vec::new();
         match &mut self.index {
             // Scan backend: Kruskal over the lightest reserve edge per pair of pieces. Every
             // reserve edge is intra-tree, so one crossing a cut joins two pieces of the *same
             // original tree*. Per original tree, enumerate every piece except the largest (a
             // crossing edge cannot have both endpoints there): the scan stays on the small
-            // sides, as in the per-edge path, and an unmarked endpoint lies in the largest
-            // piece of the scanned piece's tree, so every endpoint's piece is one table read.
+            // sides, and an unmarked endpoint lies in the largest piece of the scanned piece's
+            // tree, so every endpoint's piece is one table read.
             ReplacementIndex::Scan { reserve } => {
                 self.counters.replacement_searches += tree_pairs.len() as u64;
                 // The deleted edges joined exactly the pieces of each original tree, so a
@@ -308,41 +324,43 @@ impl DynamicGraphClustering {
                         if q == p {
                             continue;
                         }
-                        let w = self.weights[&key];
+                        let rank = PairRank(self.edges[&key], key);
                         let slot = &mut marks.best[q as usize];
-                        if slot.is_none() {
-                            marks.touched.push(q);
-                        }
-                        if replacement_beats(slot.as_ref(), w, key) {
-                            *slot = Some((w, key));
+                        match slot {
+                            None => {
+                                marks.touched.push(q);
+                                *slot = Some(rank);
+                            }
+                            Some(best) if rank < *best => *best = rank,
+                            Some(_) => {}
                         }
                     }
                     if marks.members.get(i + 1).and_then(|&x| marks.piece(x)) != Some(p) {
                         for q in marks.touched.drain(..) {
-                            let (w, key) = marks.best[q as usize].take().expect("touched");
+                            let rank = marks.best[q as usize].take().expect("touched");
                             if q > p || q == outer[p as usize] {
-                                candidates.push((w, key, (VertexId(p), VertexId(q))));
+                                candidates.push((rank, (VertexId(p), VertexId(q))));
                             }
                         }
                     }
                 }
             }
             // HDT backend: replay the tree deletions through the level structure in input
-            // order. Each search returns the minimum-(weight, pair) edge across its cut given
-            // the promotions already made, so the union of the results is exactly the set the
+            // order. Each search returns the minimum-rank edge across its cut given the
+            // promotions already made, so the union of the results is exactly the set the
             // scan backend's Kruskal pass accepts (per-edge sequential deletion and the batch
             // pass produce the same unique MSF under the total order). Sorting the results by
             // rank makes the shared attribution pass below bit-identical to the scan path.
             ReplacementIndex::Hdt(ix) => {
-                for &(u, v) in &tree_pairs {
+                for &(u, v) in tree_pairs {
                     if let Some((a, b, w)) = ix.delete_tree_with_search(u, v) {
                         let ends = (comps.local(&self.sld, a), comps.local(&self.sld, b));
-                        candidates.push((w, pair(a, b), ends));
+                        candidates.push((PairRank(w, pair(a, b)), ends));
                     }
                 }
             }
         }
-        candidates.sort_by(|x, y| x.0.total_cmp(&y.0).then_with(|| x.1.cmp(&y.1)));
+        candidates.sort_by_key(|c| c.0);
         self.counters.replacement_candidates += candidates.len() as u64;
 
         // Accept candidates greedily over the piece DSU (Kruskal never accepts a heavier
@@ -350,9 +368,10 @@ impl DynamicGraphClustering {
         // each accepted promotion to the deleted edges whose endpoints it (transitively)
         // reconnects.
         let mut promoted: Vec<(VertexId, VertexId, Weight)> = Vec::new();
+        let mut changes = vec![MsfChange::RemovedAndSplit; tree_pairs.len()];
         let mut dsu = Dsu::new(comps.len());
-        let mut pending: Vec<usize> = (0..tree_idx.len()).collect();
-        for (w, (a, b), (la, lb)) in candidates {
+        let mut pending: Vec<usize> = (0..tree_pairs.len()).collect();
+        for (PairRank(w, (a, b)), (la, lb)) in candidates {
             if !dsu.union(la, lb) {
                 continue;
             }
@@ -360,51 +379,24 @@ impl DynamicGraphClustering {
             pending.retain(|&j| {
                 let (lu, lv) = deleted_locals[j];
                 if dsu.connected(lu, lv) {
-                    changes[tree_idx[j]] =
-                        Some(MsfChange::RemovedWithReplacement { promoted: (a, b) });
+                    changes[j] = MsfChange::RemovedWithReplacement { promoted: (a, b) };
                     false
                 } else {
                     true
                 }
             });
         }
-        for j in pending {
-            changes[tree_idx[j]] = Some(MsfChange::RemovedAndSplit);
-        }
-        let replacement_time = search_start.elapsed();
-        classify_time += replacement_time;
+        (promoted, changes)
+    }
 
-        // ---- promotions ride the batch fast path -----------------------------------------
-        let promote_start = Instant::now();
-        if !promoted.is_empty() {
-            self.sld
-                .batch_insert(&promoted)
-                .expect("accepted promotions link distinct components and form a forest");
-            let is_scan = matches!(self.index, ReplacementIndex::Scan { .. });
-            for &(a, b, w) in &promoted {
-                if is_scan {
-                    // The HDT searches already moved these edges to tree status internally.
-                    self.index_remove_nontree(a, b);
-                }
-                self.membership.insert(pair(a, b), true);
-                self.weights.insert(pair(a, b), w);
+    /// Takes promoted edges out of the scan backend's reserve. The forest insert that promoted
+    /// them already made them tree edges, and the HDT searches did the same in their index.
+    pub(crate) fn mark_promoted(&mut self, promoted: &[(VertexId, VertexId, Weight)]) {
+        if let ReplacementIndex::Scan { .. } = self.index {
+            for &(a, b, _) in promoted {
+                self.index_remove_nontree(a, b);
             }
         }
-
-        apply_time += promote_start.elapsed();
-
-        Ok(BatchOutcome {
-            changes: changes
-                .into_iter()
-                .map(|c| c.expect("classified"))
-                .collect(),
-            fast_path: tree_pairs.len() + promoted.len(),
-            fallback: 0,
-            promoted: promoted.iter().map(|&(a, b, _)| (a, b)).collect(),
-            classify_time,
-            replacement_time,
-            apply_time,
-        })
     }
 }
 
@@ -451,6 +443,24 @@ mod tests {
             .collect();
         tree.sort();
         assert_eq!(tree, msf_oracle(g.num_vertices(), alive), "MSF diverged");
+        // The edge table's tree entries are exactly the forest's edges, with their weights.
+        for (a, b, w, _) in g.graph_edges().into_iter().filter(|e| e.3) {
+            let e = g
+                .sld()
+                .forest()
+                .find_edge(a, b)
+                .expect("tree entry is a forest edge");
+            assert_eq!(
+                g.sld().forest().weight(e),
+                w,
+                "weight of tree edge {a:?}-{b:?}"
+            );
+        }
+        assert_eq!(
+            tree.len(),
+            g.num_tree_edges(),
+            "tree entries vs forest edges"
+        );
         assert_eq!(
             g.sld().dendrogram().canonical_parents(),
             static_sld_kruskal(g.sld().forest()).canonical_parents(),
@@ -843,12 +853,16 @@ mod tests {
                     batch.extend(reserve.iter().take(3).map(|e| (e.0, e.1)));
                     batch.shuffle(&mut rng);
 
-                    let (changes, promoted, msf, small) =
-                        naive_batch_delete(g.num_vertices(), &edges, &batch);
+                    let n = g.num_vertices();
+                    let (changes, promoted, msf, small) = naive_batch_delete(n, &edges, &batch);
                     between_small += small;
+                    // Per edge, each deletion is a batch of one: same change, same promotion.
                     let mut single = g.clone();
                     for &(a, b) in &batch {
-                        single.delete_edge(a, b).unwrap();
+                        let (expected, _, _, _) =
+                            naive_batch_delete(n, &single.graph_edges(), &[(a, b)]);
+                        let change = single.delete_edge(a, b).unwrap();
+                        assert_eq!(change, expected[0], "{backend:?} seed {seed}: {a:?}-{b:?}");
                     }
                     let outcome = g.batch_delete_edges(&batch).unwrap();
                     let ctx = format!("{backend:?} seed {seed}, {tree_edges} tree edges");

@@ -7,10 +7,9 @@
 //! Every alive graph edge carries a **level** `ℓ(e) ∈ 0..≈log₂ n`. For each level `i` the
 //! index keeps a dynamic forest `F_i` holding the tree (MSF) edges of level `≥ i` — so
 //! `F_0` mirrors the MSF exactly and higher levels are nested sub-forests — plus per-vertex
-//! incidence sets of the edges at *exactly* level `i` (tree and non-tree separately). The
-//! forests are any [`DynamicForest`] + [`ComponentOps`] implementation (instantiated with
-//! the [`EulerTourForest`] in production); this is where the `dynsld-dyntree` trait layer
-//! is load-bearing.
+//! incidence sets of the edges at *exactly* level `i` (tree and non-tree separately). Each
+//! level forest is an [`EulerTourForest`]: the search needs its component sizes, member
+//! lists and connectivity tests.
 //!
 //! Invariants:
 //!
@@ -25,7 +24,7 @@
 //! `ℓ` down to `0`. At level `i` the smaller side of the split is identified, its level-`i`
 //! tree edges are promoted to `i + 1` (they stay in `F_i` — promotion only adds them to
 //! `F_{i+1}`), and its incident level-`i` non-tree edges are examined in increasing
-//! `(weight, endpoint-pair)` order: an edge with both endpoints on the smaller side is
+//! [`PairRank`] order: an edge with both endpoints on the smaller side is
 //! promoted to `i + 1` (invariant 2 holds because the side's tree edges were promoted
 //! first); the first edge crossing the cut is recorded as the best replacement seen so far
 //! and ends the level (every remaining candidate at this level is heavier).
@@ -34,7 +33,7 @@
 //! weight invariant that a fully-dynamic edge flow (evictions re-entering at level 0)
 //! would violate — the walk **continues to level 0**, early-terminating each level at the
 //! first candidate that cannot beat the incumbent. This guarantees the replacement is the
-//! *globally* minimum `(weight, pair)` crossing edge, i.e. bit-identical to the exhaustive
+//! *globally* minimum-rank crossing edge, i.e. bit-identical to the exhaustive
 //! scan backend, while still amortizing candidate examinations over level promotions: a
 //! non-crossing candidate is examined once per promotion, and invariant 1 bounds its
 //! promotions by `⌈log₂ n⌉`. Continuing past an incumbent needs two deviations from the
@@ -54,11 +53,10 @@
 //!   Demotion is the price of the global-minimum guarantee; it only touches candidates
 //!   the search already paid to gather.
 
-use crate::WorkCounters;
-use dynsld_dyntree::{ComponentOps, DynamicForest, EulerTourForest, ExpandableForest};
+use crate::{PairRank, WorkCounters};
+use dynsld_dyntree::EulerTourForest;
 use dynsld_forest::{ordered_pair as pair, EdgeId, VertexId, Weight};
 use std::collections::{HashMap, HashSet};
-use std::fmt::Debug;
 
 /// Per-edge record: current level, weight, tree membership, and the forest edge handle
 /// (shared by every `F_i` the edge is linked into).
@@ -73,16 +71,12 @@ struct EdgeRec {
 /// Per-vertex incidence sets of the edges at exactly one level.
 type Incidence = HashMap<u32, HashSet<(VertexId, VertexId)>>;
 
-/// The level-structured replacement index. Generic over the per-level forest
-/// implementation; see the module docs.
+/// The level-structured replacement index; see the module docs.
 #[derive(Clone, Debug)]
-pub(crate) struct HdtIndex<F = EulerTourForest>
-where
-    F: DynamicForest<Node = VertexId, Edge = EdgeId> + ComponentOps + ExpandableForest,
-{
+pub(crate) struct HdtIndex {
     n: usize,
     /// `forests[i]` is `F_i`; allocated lazily as promotions reach new levels.
-    forests: Vec<F>,
+    forests: Vec<EulerTourForest>,
     /// Non-tree edges at exactly level `i`, per endpoint.
     nontree: Vec<Incidence>,
     /// Tree edges at exactly level `i`, per endpoint.
@@ -93,10 +87,7 @@ where
     counters: WorkCounters,
 }
 
-impl<F> HdtIndex<F>
-where
-    F: DynamicForest<Node = VertexId, Edge = EdgeId> + ComponentOps + ExpandableForest,
-{
+impl HdtIndex {
     pub(crate) fn new(n: usize) -> Self {
         let mut index = HdtIndex {
             n,
@@ -115,7 +106,7 @@ where
     pub(crate) fn add_vertices(&mut self, k: usize) {
         self.n += k;
         for forest in &mut self.forests {
-            forest.add_nodes(k);
+            forest.add_vertices(k);
         }
     }
 
@@ -138,7 +129,7 @@ where
     fn ensure_level(&mut self, level: usize) {
         while self.forests.len() <= level {
             let seed = 0x4d7_0000 ^ self.forests.len() as u64;
-            self.forests.push(F::with_nodes(self.n, seed));
+            self.forests.push(EulerTourForest::with_seed(self.n, seed));
             self.nontree.push(Incidence::new());
             self.tree.push(Incidence::new());
         }
@@ -221,7 +212,7 @@ where
     /// without the search would strand higher-level non-tree edges across split
     /// components, violating invariant 2.
     ///
-    /// Returns the minimum-`(weight, pair)` non-tree edge reconnecting the cut, already
+    /// Returns the minimum-[`PairRank`] non-tree edge reconnecting the cut, already
     /// converted to a tree edge inside the index (at the deleted edge's level), or `None`
     /// if the cut has no replacement. See the module docs for the algorithm.
     pub(crate) fn delete_tree_with_search(
@@ -233,14 +224,14 @@ where
         let rec = self.edges.remove(&key).expect("tree edge registered");
         debug_assert!(rec.is_tree);
         for i in 0..=rec.level {
-            self.forests[i].cut(key.0, key.1, rec.eid);
+            self.forests[i].cut(rec.eid);
         }
         Self::incidence_remove(&mut self.tree[rec.level], key);
         self.free_eids.push(rec.eid);
 
         self.counters.replacement_searches += 1;
         let cap = self.level_cap();
-        let mut best: Option<(Weight, (VertexId, VertexId))> = None;
+        let mut best: Option<PairRank> = None;
         // Discovery level of `best` (only meaningful while `best` is `Some`).
         let mut found = 0usize;
         // Candidates left behind at a level whose split the relink will not re-join; see
@@ -283,28 +274,22 @@ where
             }
 
             // Examine the smaller side's level-i non-tree candidates in rank order.
-            let mut candidates: Vec<(Weight, (VertexId, VertexId))> = Vec::new();
+            let mut candidates: Vec<PairRank> = Vec::new();
             for &m in &members {
                 if let Some(set) = self.nontree[i].get(&m.0) {
                     for &ckey in set {
-                        candidates.push((self.edges[&ckey].weight, ckey));
+                        candidates.push(PairRank(self.edges[&ckey].weight, ckey));
                     }
                 }
             }
-            candidates.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-            candidates.dedup_by_key(|c| c.1);
+            candidates.sort_unstable();
+            candidates.dedup();
             let mut k = 0;
             while k < candidates.len() {
-                let (w, ckey) = candidates[k];
-                if let Some((bw, bkey)) = best {
-                    let beats = match w.total_cmp(&bw) {
-                        std::cmp::Ordering::Less => true,
-                        std::cmp::Ordering::Equal => ckey < bkey,
-                        std::cmp::Ordering::Greater => false,
-                    };
-                    if !beats {
-                        break; // the rest of this level is heavier still
-                    }
+                let rank = candidates[k];
+                let ckey = rank.1;
+                if best.is_some_and(|b| rank >= b) {
+                    break; // the rest of this level is heavier still
                 }
                 // Only candidates that reach the crossing test count as scanned — the
                 // rank-order early break above is exactly the work the level structure
@@ -317,7 +302,7 @@ where
                     // Crossing: new incumbent; later candidates at this level are heavier.
                     // A superseded incumbent stays stranded across its level's split and
                     // must be demoted once the walk settles (see below).
-                    if let Some((_, old_key)) = best.replace((w, ckey)) {
+                    if let Some(PairRank(_, old_key)) = best.replace(rank) {
                         stranded.push(old_key);
                     }
                     found = i;
@@ -335,7 +320,7 @@ where
             // ones that cross their level's split would be stranded once the walk moves
             // on (their level is only re-joined if the replacement lands at or above it);
             // remember them all — demotion below is a no-op for the safe ones' levels.
-            stranded.extend(candidates[k..].iter().map(|&(_, ckey)| ckey));
+            stranded.extend(candidates[k..].iter().map(|c| c.1));
         }
 
         // Settle. Apply the promotions decided at levels `>= found` — their target levels
@@ -378,7 +363,7 @@ where
         // at levels `<= found` (invariant 2). Linking any higher — e.g. at the deleted
         // edge's level — would merge the *wrong* components at levels above the discovery
         // level, where the replacement's endpoints need not straddle the split.
-        let (w, rkey) = best?;
+        let PairRank(w, rkey) = best?;
         let rrec = self.edges.get_mut(&rkey).expect("replacement registered");
         debug_assert_eq!(rrec.level, found);
         rrec.is_tree = true;

@@ -23,10 +23,11 @@
 //!
 //! * [`ForestBackend::Scan`] scans the non-tree edges incident to the smaller side of the
 //!   cut: `O(min-side size + min-side non-tree degree)` per tree-edge deletion — the side is
-//!   enumerated once and marked, so each crossing test is two table reads (README.md,
-//!   "Deviations from the paper", substitution 5 — the paper points to Holm–de
-//!   Lichtenberg–Thorup \[33\] or the batch-parallel MSF of Tseng et al. \[48\] for this
-//!   component).
+//!   enumerated once and marked, so each crossing test is two table reads, and only a
+//!   crossing edge's weight is read from the edge table (README.md, "Deviations from the
+//!   paper", substitution 5 — the paper points to Holm–de Lichtenberg–Thorup \[33\] or the
+//!   batch-parallel MSF of Tseng et al. \[48\] for this component). Per-edge and batch
+//!   deletion share this one search; a per-edge deletion is a batch of one.
 //! * [`ForestBackend::Hdt`] keeps an HDT-style level structure (see the `hdt` module):
 //!   edges carry levels, replacement search amortizes candidate examinations over level
 //!   promotions, and only the candidates stored at the levels a cut touches are examined.
@@ -41,6 +42,7 @@
 use dynsld::{DynSld, DynSldError, DynSldOptions};
 use dynsld_dyntree::RoundTable;
 use dynsld_forest::{VertexId, Weight};
+use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 
 mod batch;
@@ -94,9 +96,10 @@ pub struct WorkCounters {
     /// Replacement searches run (one per tree-edge deletion, plus one per
     /// insertion-eviction on the HDT backend, which replays evictions through the search).
     pub replacement_searches: u64,
-    /// Candidates the Kruskal pass of a deletion batch sorted: on the scan backend the
-    /// lightest reserve edge per pair of pieces a cut left (at most `k(k-1)/2` for `k`
-    /// pieces), on the HDT backend one per successful search. Per-edge deletions add none.
+    /// Candidates the Kruskal pass of a deletion sorted: on the scan backend the lightest
+    /// reserve edge per pair of pieces the cuts left (at most `k(k-1)/2` for `k` pieces), on
+    /// the HDT backend one per successful search. A per-edge deletion is a batch of one, so
+    /// it adds one when its cut has a replacement.
     pub replacement_candidates: u64,
 }
 
@@ -123,19 +126,47 @@ pub(crate) enum ReplacementIndex {
     Hdt(HdtIndex),
 }
 
+/// The rank of a graph edge: its weight, ties broken on the normalised endpoint pair. This is
+/// the one order the batch paths process edges in and both forest backends pick replacements
+/// by. The reserve sets are hash sets with nondeterministic iteration order, so without the
+/// tie-break the promoted edge among equal-weight candidates would vary from run to run.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct PairRank(pub(crate) Weight, pub(crate) (VertexId, VertexId));
+
+impl Ord for PairRank {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0
+            .total_cmp(&other.0)
+            .then_with(|| self.1.cmp(&other.1))
+    }
+}
+
+impl PartialOrd for PairRank {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for PairRank {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for PairRank {}
+
 /// End-to-end fully-dynamic single-linkage clustering of a weighted graph: a dynamic MSF front
 /// end feeding the DynSLD dendrogram maintenance algorithms.
 #[derive(Clone, Debug)]
 pub struct DynamicGraphClustering {
     pub(crate) sld: DynSld,
-    /// All alive graph edges by endpoint pair: `true` if currently a tree (MSF) edge.
-    pub(crate) membership: HashMap<(VertexId, VertexId), bool>,
-    /// Weights of all alive graph edges.
-    pub(crate) weights: HashMap<(VertexId, VertexId), Weight>,
+    /// The weight of every alive graph edge, by normalised endpoint pair. Which of them are
+    /// tree edges is the forest's to say (`sld.forest()`), so no flag here has to track it.
+    pub(crate) edges: HashMap<(VertexId, VertexId), Weight>,
     /// Backend-specific replacement-edge index.
     pub(crate) index: ReplacementIndex,
-    /// Scan-backend work counters and the batch path's candidate count (the HDT index keeps
-    /// its own; both are drained together).
+    /// Scan-backend work counters and the replacement search's candidate count (the HDT
+    /// index keeps its own; both are drained together).
     pub(crate) counters: WorkCounters,
     /// Scan-backend scratch: which piece of the current replacement search each vertex was
     /// enumerated into.
@@ -146,16 +177,16 @@ pub struct DynamicGraphClustering {
 /// one search (8 bytes per vertex, reused). A search enumerates the small sides of its cuts
 /// anyway, so "does this reserve edge cross the cut?" is a lookup of its two endpoints here
 /// rather than a connectivity query against the Euler-tour forest. The member lists and the
-/// per-piece table of the batch search live here too, so no search allocates once they have
+/// per-piece table of the search live here too, so no search allocates once they have
 /// grown to the largest batch seen.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct PieceMarks {
     piece_of: RoundTable,
     /// The vertices enumerated in this search, piece after piece.
     pub(crate) members: Vec<VertexId>,
-    /// Batch search: the lightest reserve edge from the piece being scanned to each other
-    /// piece, indexed by piece id; `None` outside the slots listed in `touched`.
-    pub(crate) best: Vec<Option<(Weight, (VertexId, VertexId))>>,
+    /// The lightest reserve edge from the piece being scanned to each other piece, indexed by
+    /// piece id; `None` outside the slots listed in `touched`.
+    pub(crate) best: Vec<Option<PairRank>>,
     /// The slots of `best` written while scanning the current piece.
     pub(crate) touched: Vec<u32>,
 }
@@ -199,26 +230,6 @@ impl PieceMarks {
     }
 }
 
-/// Deterministic replacement-edge order: strictly cheaper wins, ties break on the
-/// normalised endpoint pair. The reserve sets are hash sets with nondeterministic
-/// iteration order, so without the tie-break the promoted edge among equal-weight
-/// candidates would vary from run to run — this keeps engine-level tests and benchmark
-/// traces reproducible, and gives both forest backends one total order to agree on.
-pub(crate) fn replacement_beats(
-    best: Option<&(Weight, (VertexId, VertexId))>,
-    w: Weight,
-    key: (VertexId, VertexId),
-) -> bool {
-    match best {
-        None => true,
-        Some(&(bw, bkey)) => match w.total_cmp(&bw) {
-            std::cmp::Ordering::Less => true,
-            std::cmp::Ordering::Equal => key < bkey,
-            std::cmp::Ordering::Greater => false,
-        },
-    }
-}
-
 impl DynamicGraphClustering {
     /// Creates an empty graph on `n` vertices with default DynSLD options (so the
     /// [`ForestBackend::Scan`] backend).
@@ -237,8 +248,7 @@ impl DynamicGraphClustering {
         };
         DynamicGraphClustering {
             sld: DynSld::with_options(n, options),
-            membership: HashMap::new(),
-            weights: HashMap::new(),
+            edges: HashMap::new(),
             index,
             counters: WorkCounters::default(),
             pieces: PieceMarks::default(),
@@ -280,7 +290,7 @@ impl DynamicGraphClustering {
 
     /// Number of alive graph edges (tree and non-tree).
     pub fn num_graph_edges(&self) -> usize {
-        self.membership.len()
+        self.edges.len()
     }
 
     /// Number of MSF (tree) edges.
@@ -308,12 +318,12 @@ impl DynamicGraphClustering {
 
     /// Returns the weight of the graph edge `{u, v}` if it is alive.
     pub fn edge_weight(&self, u: VertexId, v: VertexId) -> Option<Weight> {
-        self.weights.get(&pair(u, v)).copied()
+        self.edges.get(&pair(u, v)).copied()
     }
 
     /// Returns true if `{u, v}` is currently an MSF edge.
     pub fn is_tree_edge(&self, u: VertexId, v: VertexId) -> bool {
-        self.membership.get(&pair(u, v)).copied().unwrap_or(false)
+        self.edges.contains_key(&pair(u, v)) && self.sld.forest().find_edge(u, v).is_some()
     }
 
     /// Adds `k` isolated vertices and returns the first new id.
@@ -329,7 +339,7 @@ impl DynamicGraphClustering {
     }
 
     /// Registers a new non-tree edge with the backend index (reserve bookkeeping only; the
-    /// caller maintains `membership`/`weights`).
+    /// caller maintains `edges`).
     pub(crate) fn index_add_nontree(&mut self, u: VertexId, v: VertexId, weight: Weight) {
         match &mut self.index {
             ReplacementIndex::Scan { reserve } => {
@@ -359,7 +369,23 @@ impl DynamicGraphClustering {
         if let ReplacementIndex::Hdt(ix) = &mut self.index {
             ix.add_tree(u, v, weight);
         }
-        let _ = weight;
+    }
+
+    /// Validates a graph edge about to be inserted: distinct in-range endpoints, not alive yet
+    /// (parallel edges are not supported).
+    pub(crate) fn check_new_edge(&self, u: VertexId, v: VertexId) -> Result<(), DynSldError> {
+        if u == v {
+            return Err(DynSldError::SelfLoop(u));
+        }
+        for x in [u, v] {
+            if x.index() >= self.num_vertices() {
+                return Err(DynSldError::VertexOutOfRange(x));
+            }
+        }
+        if self.edges.contains_key(&pair(u, v)) {
+            return Err(DynSldError::EdgeAlreadyExists(u, v));
+        }
+        Ok(())
     }
 
     /// Inserts the graph edge `{u, v}` with the given weight and updates the MSF and dendrogram.
@@ -372,23 +398,11 @@ impl DynamicGraphClustering {
         v: VertexId,
         weight: Weight,
     ) -> Result<MsfChange, DynSldError> {
-        if u == v {
-            return Err(DynSldError::SelfLoop(u));
-        }
-        for x in [u, v] {
-            if x.index() >= self.num_vertices() {
-                return Err(DynSldError::VertexOutOfRange(x));
-            }
-        }
+        self.check_new_edge(u, v)?;
         let key = pair(u, v);
-        if self.membership.contains_key(&key) {
-            // Parallel edges are not supported.
-            return Err(DynSldError::EdgeAlreadyExists(u, v));
-        }
         if !self.sld.connected(u, v) {
             self.sld.insert(u, v, weight)?;
-            self.membership.insert(key, true);
-            self.weights.insert(key, weight);
+            self.edges.insert(key, weight);
             self.index_add_tree(u, v, weight);
             return Ok(MsfChange::Inserted);
         }
@@ -404,10 +418,8 @@ impl DynamicGraphClustering {
         // a fixed total order (see ROADMAP, "One total order").
         if weight < heaviest_weight {
             self.sld.delete(hu, hv)?;
-            self.membership.insert(pair(hu, hv), false);
             self.sld.insert(u, v, weight)?;
-            self.membership.insert(key, true);
-            self.weights.insert(key, weight);
+            self.edges.insert(key, weight);
             match &mut self.index {
                 ReplacementIndex::Scan { reserve } => {
                     let hkey = pair(hu, hv);
@@ -431,8 +443,7 @@ impl DynamicGraphClustering {
             }
             Ok(MsfChange::Replaced { evicted: (hu, hv) })
         } else {
-            self.membership.insert(key, false);
-            self.weights.insert(key, weight);
+            self.edges.insert(key, weight);
             self.index_add_nontree(u, v, weight);
             Ok(MsfChange::StoredNonTree)
         }
@@ -440,62 +451,21 @@ impl DynamicGraphClustering {
 
     /// Deletes the graph edge `{u, v}` and updates the MSF and dendrogram.
     pub fn delete_edge(&mut self, u: VertexId, v: VertexId) -> Result<MsfChange, DynSldError> {
-        let key = pair(u, v);
-        let Some(&is_tree) = self.membership.get(&key) else {
+        let tree = self.is_tree_edge(u, v);
+        if self.edges.remove(&pair(u, v)).is_none() {
             return Err(DynSldError::EdgeNotFound(u, v));
-        };
-        self.membership.remove(&key);
-        self.weights.remove(&key);
-        if !is_tree {
+        }
+        if !tree {
             self.index_remove_nontree(u, v);
             return Ok(MsfChange::RemovedNonTree);
         }
         self.sld.delete(u, v)?;
-        // Find the cheapest reserve edge reconnecting the two sides; how depends on the
-        // backend, but the answer — the minimum-(weight, pair) crossing edge — does not.
-        let best = match &mut self.index {
-            ReplacementIndex::Scan { reserve } => {
-                self.counters.replacement_searches += 1;
-                // Scan the non-tree edges incident to the smaller side of the cut.
-                let small = if self.sld.component_size(u) <= self.sld.component_size(v) {
-                    u
-                } else {
-                    v
-                };
-                let mut best: Option<(Weight, (VertexId, VertexId))> = None;
-                self.pieces.begin_search(&self.sld, 0);
-                self.pieces.enumerate(&self.sld, small, 0);
-                for &member in &self.pieces.members {
-                    for &key in &reserve[member.index()] {
-                        self.counters.replacement_edges_scanned += 1;
-                        // The edge reconnects the cut iff exactly one endpoint lies on the
-                        // small side; only then is its weight looked up.
-                        if self.pieces.piece(key.0) == self.pieces.piece(key.1) {
-                            continue;
-                        }
-                        let w = self.weights[&key];
-                        if replacement_beats(best.as_ref(), w, key) {
-                            best = Some((w, key));
-                        }
-                    }
-                }
-                best.map(|(w, (a, b))| (a, b, w))
-            }
-            ReplacementIndex::Hdt(ix) => ix.delete_tree_with_search(u, v),
-        };
-        match best {
-            Some((a, b, w)) => {
-                if let ReplacementIndex::Scan { reserve } = &mut self.index {
-                    let rkey = pair(a, b);
-                    reserve[a.index()].remove(&rkey);
-                    reserve[b.index()].remove(&rkey);
-                }
-                self.sld.insert(a, b, w)?;
-                self.membership.insert(pair(a, b), true);
-                Ok(MsfChange::RemovedWithReplacement { promoted: (a, b) })
-            }
-            None => Ok(MsfChange::RemovedAndSplit),
+        let (promoted, mut changes) = self.find_replacements(&[(u, v)]);
+        if let Some(&(a, b, w)) = promoted.first() {
+            self.sld.insert(a, b, w)?;
+            self.mark_promoted(&promoted);
         }
+        Ok(changes.pop().expect("one change per deleted tree edge"))
     }
 
     /// Changes the weight of an existing edge (delete + re-insert).
@@ -511,9 +481,9 @@ impl DynamicGraphClustering {
 
     /// All alive graph edges as `(u, v, weight, is_tree)`.
     pub fn graph_edges(&self) -> Vec<(VertexId, VertexId, Weight, bool)> {
-        self.membership
+        self.edges
             .iter()
-            .map(|(&(u, v), &tree)| (u, v, self.weights[&(u, v)], tree))
+            .map(|(&(u, v), &w)| (u, v, w, self.is_tree_edge(u, v)))
             .collect()
     }
 }
@@ -566,6 +536,24 @@ mod tests {
             tree,
             msf_oracle(g.num_vertices(), alive),
             "MSF edge set diverged"
+        );
+        // The edge table's tree entries are exactly the forest's edges, with their weights.
+        for (a, b, w, _) in g.graph_edges().into_iter().filter(|e| e.3) {
+            let e = g
+                .sld()
+                .forest()
+                .find_edge(a, b)
+                .expect("tree entry is a forest edge");
+            assert_eq!(
+                g.sld().forest().weight(e),
+                w,
+                "weight of tree edge {a:?}-{b:?}"
+            );
+        }
+        assert_eq!(
+            tree.len(),
+            g.num_tree_edges(),
+            "tree entries vs forest edges"
         );
         // The dendrogram must equal static recomputation on the maintained forest.
         assert_eq!(
@@ -630,6 +618,37 @@ mod tests {
             MsfChange::RemovedAndSplit
         );
         assert!(!g.sld().connected(v(0), v(1)));
+
+        // Work of one tree deletion: the search scans every reserve entry of the smaller side
+        // once, and `u`'s side on a size tie. Paths 0-1-2 and 3-4-5 joined by 2-3, with reserve
+        // edges 1-4 (crossing) and 3-5 (inside the right side).
+        let work = |u: u32, w: u32| {
+            let mut g = DynamicGraphClustering::new(6);
+            for (a, b, weight) in [
+                (0, 1, 1.0),
+                (1, 2, 2.0),
+                (2, 3, 5.0),
+                (3, 4, 3.0),
+                (4, 5, 4.0),
+            ] {
+                g.insert_edge(v(a), v(b), weight).unwrap();
+            }
+            g.insert_edge(v(1), v(4), 20.0).unwrap();
+            g.insert_edge(v(3), v(5), 30.0).unwrap();
+            g.take_work_counters();
+            let change = g.delete_edge(v(u), v(w)).unwrap();
+            let c = g.take_work_counters();
+            (change, c.replacement_searches, c.replacement_edges_scanned)
+        };
+        let promoted = |a: u32, b: u32| MsfChange::RemovedWithReplacement {
+            promoted: (v(a), v(b)),
+        };
+        // Tie, left side {0, 1, 2} scanned: vertex 1's entry 1-4.
+        assert_eq!(work(2, 3), (promoted(1, 4), 1, 1));
+        // Tie, right side {3, 4, 5} scanned: 3-5 from both ends, 1-4 from vertex 4.
+        assert_eq!(work(3, 2), (promoted(1, 4), 1, 3));
+        // No tie: `v`'s side {5} is the smaller one, so only its entry 3-5 is read.
+        assert_eq!(work(4, 5), (promoted(3, 5), 1, 1));
     }
 
     #[test]
@@ -647,6 +666,9 @@ mod tests {
             g.delete_edge(v(0), v(1)),
             Err(DynSldError::EdgeNotFound(v(0), v(1)))
         );
+        // Absent edges, out-of-range endpoints included, are not tree edges.
+        assert!(!g.is_tree_edge(v(0), v(1)));
+        assert!(!g.is_tree_edge(v(0), v(5)));
     }
 
     #[test]
