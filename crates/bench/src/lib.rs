@@ -1,11 +1,12 @@
 //! Shared helpers for the DynSLD benchmark harness.
 //!
-//! Every benchmark target in `benches/` regenerates one table / theorem / section of the paper
-//! (see the "Benchmarks" section of README.md for the index; the numbers of record come from the
-//! `baseline/` package). The
-//! helpers here keep the measurement configuration consistent and small enough that
-//! `cargo bench --workspace` completes in minutes while still exposing the asymptotic *shapes*
-//! the paper claims.
+//! Every benchmark target in `benches/` regenerates one table, theorem or section of the
+//! paper; README.md's "Benchmarks" section has the index. System questions (engine
+//! throughput, serving, durability, partitioning, telemetry cost) are answered by the
+//! `baseline/` package's workloads and per-layer ladder, which is also where the numbers of
+//! record come from. The helpers here keep the measurement configuration consistent and
+//! small enough that `cargo bench --workspace` completes in minutes while still exposing the
+//! asymptotic *shapes* the paper claims.
 
 use criterion::Criterion;
 use std::time::Duration;
@@ -21,7 +22,7 @@ pub fn config() -> Criterion {
 }
 
 /// The default problem sizes used by `n`-sweeps. Kept modest so the whole suite runs quickly;
-/// pass `--bench <name> -- --sample-size ...` or edit these constants for larger runs.
+/// edit these constants for larger runs.
 pub const N_SWEEP: &[usize] = &[10_000, 40_000];
 
 /// Dendrogram-height sweep used by the Theorem 1.1/1.3 benchmarks (at fixed n).

@@ -494,6 +494,7 @@ const _: fn() = || {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dynsld_forest::workload::GraphWorkloadBuilder;
 
     fn v(i: u32) -> VertexId {
         VertexId(i)
@@ -787,24 +788,34 @@ mod tests {
         assert_eq!(m.snapshot_cache_hits, 1);
     }
 
-    /// The `sparse_trickle` shape of `baseline/`: a sliding window of 8 000 random edges
-    /// over 20 000 vertices, sub-critical, so nearly every edge is an MSF edge and an event
-    /// re-parents a record or two.
-    fn trickle_stream(extra: usize, seed: u64) -> (Vec<GraphUpdate>, usize) {
-        let window = 8_000;
-        let stream = dynsld_forest::workload::GraphWorkloadBuilder::new(20_000)
-            .sliding_window_stream(window + extra, window, seed);
-        (stream, window)
+    /// The `sparse_trickle` shape of `baseline/` (there a window of 8 000): a sliding window
+    /// of `window` random edges over `2.5 · window` vertices, sub-critical, so nearly every
+    /// edge is an MSF edge and an event re-parents a record or two.
+    fn trickle_stream(window: usize, extra: usize, seed: u64) -> Vec<GraphUpdate> {
+        GraphWorkloadBuilder::new(window * 5 / 2).sliding_window_stream(
+            window + extra,
+            window,
+            seed,
+        )
     }
 
     #[test]
     fn single_event_flush_rewrites_a_few_chunks_and_shares_the_rest() {
-        let (stream, window) = trickle_stream(400, 11);
-        let mut engine = ClusteringEngine::new(20_000);
+        // The rewrite bound does not depend on the window: the publish cost of one event is
+        // flat in `m`. The nine-in-ten sharing check needs the larger export: at 2 000 edges
+        // it is 16–31 chunks, so a rewrite of 2–4 chunks can be more than a tenth of it.
+        for (window, shares_nine_in_ten) in [(8_000, true), (2_000, false)] {
+            single_event_flushes_at(window, shares_nine_in_ten);
+        }
+    }
+
+    fn single_event_flushes_at(window: usize, shares_nine_in_ten: bool) {
+        let stream = trickle_stream(window, 400, 11);
+        let mut engine = ClusteringEngine::new(window * 5 / 2);
         engine.submit_all(stream[..window].iter().copied()).unwrap();
         engine.flush().unwrap();
         let mut previous = engine.snapshot();
-        assert!(previous.num_tree_edges() > 7_900);
+        assert!(80 * previous.num_tree_edges() > 79 * window);
         let mut stats = engine.graph().sld().export_stats();
         let (mut rewritten_total, mut keys_total) = (0, 0);
         for &event in &stream[window..] {
@@ -831,7 +842,7 @@ mod tests {
                 "{rewritten} chunks rewritten for {keys} keys"
             );
             // The counters describe the snapshots: what the exporter calls shared is the
-            // same allocation on both sides, and that is at least nine chunks in ten.
+            // same allocation on both sides, and at 8 000 edges that is nine chunks in ten.
             let (old_chunks, new_chunks) = (
                 previous.dendrogram().nodes.chunks(),
                 current.dendrogram().nodes.chunks(),
@@ -845,7 +856,7 @@ mod tests {
                 .count();
             assert_eq!(same_allocation, shared);
             assert!(
-                10 * shared >= 9 * new_chunks.len(),
+                !shares_nine_in_ten || 10 * shared >= 9 * new_chunks.len(),
                 "only {shared} of {} chunks shared",
                 new_chunks.len()
             );
@@ -862,7 +873,8 @@ mod tests {
     #[test]
     fn held_snapshots_stay_frozen_across_thousands_of_flushes() {
         use dynsld::UpdateStrategy;
-        let (stream, window) = trickle_stream(1_000, 5);
+        let window = 8_000;
+        let stream = trickle_stream(window, 1_000, 5);
         for strategy in [UpdateStrategy::Sequential, UpdateStrategy::Parallel] {
             let mut engine =
                 ClusteringEngine::with_options(20_000, DynSldOptions::with_strategy(strategy));

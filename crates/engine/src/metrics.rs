@@ -237,7 +237,7 @@ impl Metrics {
     /// insert was routed) — the streaming-partitioning *edge-cut* metric: each cut edge
     /// counts once, however many re-weights or deletes later address it. Compare with
     /// [`spill_routing_share`](Self::spill_routing_share), which weighs edges by their event
-    /// traffic. The `partitioner_sweep` bench reports both per partitioner.
+    /// traffic.
     pub fn edge_cut_share(&self) -> f64 {
         if self.edge_inserts_routed == 0 {
             0.0

@@ -312,7 +312,7 @@ pub trait StatefulPartitioner: std::fmt::Debug + Send + Sync {
 /// first edge of a community lands both endpoints on the least-loaded shard and every later
 /// community member is pulled to the same shard by its partner, so intra-community edges stay
 /// local and only the (rare) cross-community edges spill — the order-of-magnitude spill-share
-/// collapse measured by the `partitioner_sweep` bench.
+/// collapse pinned by the service test `greedy_partitioner_spills_an_order_less_than_hash`.
 ///
 /// `capacity = balance_slack * n / num_shards` vertices, with `n` the table's current vertex
 /// count (it grows with the service). The penalty keeps the max/min shard load ratio bounded

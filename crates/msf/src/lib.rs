@@ -83,7 +83,8 @@ pub enum MsfChange {
 /// Replacement-search work counters, accumulated across updates and drained with
 /// [`DynamicGraphClustering::take_work_counters`]. These are *work* measures, not result
 /// measures — both backends produce identical results while reporting very different
-/// counter values, which is exactly what the backend head-to-head benchmarks compare.
+/// counter values. The `baseline` package's `aging_dense` workload compares the two as
+/// `msf.crossing_tests_per_search` and `msf.hdt_crossing_tests_per_search`.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct WorkCounters {
     /// Replacement candidates subjected to the cut-crossing connectivity test — the

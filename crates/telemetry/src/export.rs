@@ -93,8 +93,7 @@ pub fn render_table(snapshot: &TelemetrySnapshot) -> String {
 }
 
 /// Serializes the snapshot's aggregates (histogram quantiles + counters + trace totals) as
-/// a self-contained JSON object — the payload merged into the criterion shim's
-/// `--save-json` document.
+/// a self-contained JSON object.
 pub fn to_json(snapshot: &TelemetrySnapshot) -> String {
     let mut out = String::from("{\"histograms\": {");
     for (i, (name, h)) in snapshot.histograms.iter().enumerate() {
