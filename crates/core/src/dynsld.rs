@@ -8,6 +8,7 @@
 //!
 //! The individual update algorithms live in sibling modules:
 //! * [`crate::seq`] — sequential `O(h)` insertion and `O(h log(1 + n/h))` deletion (Theorem 1.1),
+//!   and the MSF exchange, which rewires only the spines below the evicted edge's rank,
 //! * [`crate::sides`] — the side assignment every deletion algorithm shares,
 //! * [`crate::outsens`] — output-sensitive insertion (Theorem 1.2),
 //! * [`crate::par`] — parallel insertion/deletion (Theorem 1.3),
@@ -425,6 +426,15 @@ impl DynSld {
 
     /// Validates endpoints and returns an error if the insertion is illegal.
     pub(crate) fn check_insert(&self, u: VertexId, v: VertexId) -> Result<(), DynSldError> {
+        self.check_endpoints(u, v)?;
+        if self.conn.connected(u, v) {
+            return Err(DynSldError::WouldCreateCycle(u, v));
+        }
+        Ok(())
+    }
+
+    /// Returns an error unless `u` and `v` are distinct in-range vertices.
+    pub(crate) fn check_endpoints(&self, u: VertexId, v: VertexId) -> Result<(), DynSldError> {
         if u == v {
             return Err(DynSldError::SelfLoop(u));
         }
@@ -432,9 +442,6 @@ impl DynSld {
             if x.index() >= self.num_vertices() {
                 return Err(DynSldError::VertexOutOfRange(x));
             }
-        }
-        if self.conn.connected(u, v) {
-            return Err(DynSldError::WouldCreateCycle(u, v));
         }
         Ok(())
     }

@@ -8,6 +8,9 @@
 //!   the `h` connectivity questions are answered as one batch of find-representative queries
 //!   against the Euler-tour forest, which has already been updated to reflect the deletion (see
 //!   [`crate::sides`]) — and each side is relinked in spine order (Algorithm 2, `Delete`).
+//! * **Exchange** (an extension, not a paper claim): replacing the heaviest edge on a cycle by
+//!   the lighter edge that closed it rewires only the spine nodes below the evicted edge's rank,
+//!   with no connectivity query ([`DynSld::exchange`]).
 
 use crate::dynsld::{DynSld, DynSldError};
 use dynsld_forest::{EdgeId, VertexId, Weight};
@@ -55,6 +58,65 @@ impl DynSld {
         self.relink(&side_u);
         self.relink(&side_v);
         self.destroy_node(e);
+    }
+
+    /// Replaces the tree edge `out` by a new edge `(u, v)` of weight `weight`: the MSF swap of a
+    /// cycle-closing insertion, where `out` is the heaviest edge on the `u`–`v` tree path and
+    /// outweighs the new edge. Equal to [`delete_edge_seq`](Self::delete_edge_seq) of `out`
+    /// followed by [`insert_seq`](Self::insert_seq) of `(u, v)` — the same returned id, the same
+    /// dendrogram, `version()` advanced by 2 — whatever the
+    /// [`UpdateStrategy`](crate::UpdateStrategy).
+    ///
+    /// `out` is the dendrogram LCA of `u` and `v` and outranks the new edge, so nothing at or
+    /// above `rank(out)` changes. `out`'s (at most two) children are detached, the new edge is
+    /// merged with the spines of `e*_u` and `e*_v` (each walk ends at a detached child), and the
+    /// merged top takes `out`'s place. The work is the spine nodes below `rank(out)` on the two
+    /// spines, with no connectivity query.
+    ///
+    /// Errors, leaving the structure unchanged: [`DynSldError::SelfLoop`] and
+    /// [`DynSldError::VertexOutOfRange`] as for an insertion, and `EdgeNotFound(u, v)` when `out`
+    /// is not an alive edge that is the heaviest on the `u`–`v` tree path and heavier than
+    /// `weight` (no tree edge the new one can replace).
+    pub fn exchange(
+        &mut self,
+        out: EdgeId,
+        u: VertexId,
+        v: VertexId,
+        weight: Weight,
+    ) -> Result<EdgeId, DynSldError> {
+        self.check_endpoints(u, v)?;
+        let replaceable = self.forest.contains_edge(out)
+            && weight < self.forest.weight(out)
+            && self.path_max_edge(u, v) == Some(out);
+        if !replaceable {
+            return Err(DynSldError::EdgeNotFound(u, v));
+        }
+        self.stats.begin_update();
+        let out_rank = self.forest.rank(out);
+        let parent = self.dendro.parent(out);
+        let children = self.dendro.children(out);
+        let children = [children.first().copied(), children.get(1).copied()];
+        for c in children.into_iter().flatten() {
+            self.set_parent(c, None);
+        }
+        self.register_delete(out);
+        self.destroy_node(out);
+        let (e, e_star_u, e_star_v) = self.register_insert(u, v, weight);
+        // An endpoint whose lightest edge ranks above `out` is a singleton below `rank(out)`;
+        // otherwise its spine ends at the detached child on its side.
+        for e_star in [e_star_u, e_star_v].into_iter().flatten() {
+            if self.forest.rank(e_star) < out_rank {
+                self.merge_spines_seq(e_star, e);
+            }
+        }
+        let top = children
+            .into_iter()
+            .flatten()
+            .chain([e])
+            .max_by_key(|&f| self.forest.rank(f))
+            .expect("the new edge is a candidate");
+        self.set_parent(top, parent);
+        Ok(e)
     }
 
     /// Relinks one side of a cut: each node's parent becomes the next node, the last node becomes
@@ -274,6 +336,125 @@ mod tests {
             "heavy insertion should visit ~h spine nodes"
         );
         assert_matches_static(&d);
+    }
+
+    /// Rejected exchanges leave everything, the statistics included, as it was.
+    fn assert_exchange_rejected(d: &mut DynSld, out: EdgeId, a: VertexId, b: VertexId, w: f64) {
+        let before = (d.version(), *d.stats(), d.dendrogram().canonical_parents());
+        assert!(
+            d.exchange(out, a, b, w).is_err(),
+            "exchange({out}, {a}, {b}, {w})"
+        );
+        let after = (d.version(), *d.stats(), d.dendrogram().canonical_parents());
+        assert_eq!(before, after, "a rejected exchange changed the structure");
+    }
+
+    #[test]
+    fn exchange_equals_delete_then_insert() {
+        for maintain_spine_index in [false, true] {
+            let options = DynSldOptions {
+                maintain_spine_index,
+                ..Default::default()
+            };
+            let n = 300;
+            let mut rng = SmallRng::seed_from_u64(35);
+            // `a` takes every swap as delete + insert, `b` as one exchange.
+            let mut a = DynSld::with_options(n, options);
+            let mut b = a.clone();
+            assert_exchange_rejected(&mut b, EdgeId(0), v(3), v(3), 1.0);
+            assert_exchange_rejected(&mut b, EdgeId(0), v(3), v(n as u32), 1.0);
+            let mut exchanges = 0;
+            for step in 1..=2_000 {
+                let x = v(rng.gen_range(0..n as u32));
+                let y = v((x.0 + rng.gen_range(1..n as u32)) % n as u32);
+                // Few distinct weights, so rank ties fall back to recycled edge ids.
+                let weight = rng.gen_range(1..=8) as f64;
+                let ids = if rng.gen_bool(0.1) && a.num_edges() > 0 {
+                    let alive: Vec<EdgeId> = a.forest().edges().map(|(e, _)| e).collect();
+                    let e = alive[rng.gen_range(0..alive.len())];
+                    a.delete_edge_seq(e);
+                    b.delete_edge_seq(e);
+                    (e, e)
+                } else if !a.connected(x, y) {
+                    let any = b.forest().edges().next().map(|(e, _)| e);
+                    if let Some(e) = any {
+                        assert_exchange_rejected(&mut b, e, x, y, weight);
+                    }
+                    (
+                        a.insert_seq(x, y, weight).unwrap(),
+                        b.insert_seq(x, y, weight).unwrap(),
+                    )
+                } else {
+                    let out = a.path_max_edge(x, y).unwrap();
+                    let out_weight = a.forest().weight(out);
+                    let other = b.forest().edges().map(|(e, _)| e).find(|&e| e != out);
+                    if let Some(e) = other {
+                        assert_exchange_rejected(&mut b, e, x, y, 0.0);
+                    }
+                    let dead = EdgeId(b.forest().edge_id_bound() as u32);
+                    assert_exchange_rejected(&mut b, dead, x, y, 0.0);
+                    assert_exchange_rejected(&mut b, out, x, y, out_weight);
+                    if out_weight <= 1.0 {
+                        continue;
+                    }
+                    let weight = rng.gen_range(1..out_weight as u32) as f64;
+                    exchanges += 1;
+                    let (ou, ov) = a.forest().endpoints(out);
+                    a.delete_seq(ou, ov).unwrap();
+                    let ea = a.insert_seq(x, y, weight).unwrap();
+                    (ea, b.exchange(out, x, y, weight).unwrap())
+                };
+                assert_eq!(ids.0, ids.1, "step {step}: returned ids");
+                assert_eq!(a.version(), b.version(), "step {step}: version");
+                assert_eq!(
+                    a.dendrogram().canonical_parents(),
+                    b.dendrogram().canonical_parents(),
+                    "step {step}: dendrograms"
+                );
+                if step % 50 == 0 {
+                    assert_matches_static(&b);
+                    assert_eq!(
+                        a.export_snapshot_incremental(),
+                        b.export_snapshot_incremental(),
+                        "step {step}: exports"
+                    );
+                }
+            }
+            assert!(exchanges >= 500, "only {exchanges} exchanges");
+        }
+    }
+
+    #[test]
+    fn exchange_work_is_the_spine_below_the_evicted_edge() {
+        for n in [100, 200, 400, 800, 1600] {
+            // Edge (i, i + 1) has weight i + 1: the dendrogram is one chain of height n - 2.
+            let inst = gen::path(n, WeightOrder::Increasing);
+            let base = DynSld::from_forest(inst.build_forest(), DynSldOptions::default());
+            let edge = |d: &DynSld, a: u32, b: u32| d.forest().find_edge(v(a), v(b)).unwrap();
+
+            let mut deleted = base.clone();
+            deleted.delete_seq(v(1), v(2)).unwrap();
+            assert_eq!(deleted.stats().last_spine_nodes, base.height());
+
+            // The chord (0, 2) evicts (1, 2), the heavier edge on its cycle: only (0, 1) lies
+            // below the evicted edge.
+            let mut d = base.clone();
+            d.exchange(edge(&d, 1, 2), v(0), v(2), 1.5).unwrap();
+            let stats = *d.stats();
+            assert_eq!(stats.last_spine_nodes, 1, "n = {n}");
+            assert_eq!(stats.last_tree_queries, 0, "n = {n}");
+            assert!(stats.last_pointer_changes <= 4, "n = {n}: {stats:?}");
+            assert_matches_static(&d);
+
+            // The chord (0, n/4) evicts (n/4 - 1, n/4): the chain below it is walked once.
+            let q = n as u32 / 4;
+            let mut d = base.clone();
+            d.exchange(edge(&d, q - 1, q), v(0), v(q), f64::from(q) - 0.5)
+                .unwrap();
+            assert_eq!(d.stats().last_spine_nodes, q as usize - 1, "n = {n}");
+            assert_eq!(d.stats().last_tree_queries, 0, "n = {n}");
+            assert_matches_static(&d);
+        }
     }
 
     #[test]

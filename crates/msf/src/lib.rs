@@ -10,7 +10,8 @@
 //!
 //! * **Edge insertion**: if the endpoints are in different trees the edge joins the MSF;
 //!   otherwise the maximum-weight edge on the tree path between the endpoints is located with a
-//!   path-maximum query (`O(log n)`), and if it is heavier than the new edge the two swap roles.
+//!   path-maximum query (`O(log n)`), and if it is heavier than the new edge the two swap roles
+//!   through one [`DynSld::exchange`], which rewires only the dendrogram below the evicted edge.
 //! * **Edge deletion**: a non-tree edge is simply discarded; deleting a tree edge splits a tree
 //!   and the cheapest non-tree edge reconnecting the two sides (if any) is promoted into the
 //!   MSF.
@@ -416,10 +417,10 @@ impl DynamicGraphClustering {
         let (hu, hv) = self.sld.forest().endpoints(heaviest);
         // Strict improvement required: an equal weight keeps the incumbent tree edge. Which of
         // two equal-weight edges ends up in the MSF therefore depends on update order, not on
-        // a fixed total order (see ROADMAP, "One total order").
+        // a fixed total order (see ROADMAP, "One total order"). The dendrogram takes the swap
+        // as one exchange, which rewires only the spines below the evicted edge's rank.
         if weight < heaviest_weight {
-            self.sld.delete(hu, hv)?;
-            self.sld.insert(u, v, weight)?;
+            self.sld.exchange(heaviest, u, v, weight)?;
             self.edges.insert(key, weight);
             match &mut self.index {
                 ReplacementIndex::Scan { reserve } => {
@@ -692,6 +693,7 @@ mod tests {
 
             let mut g = DynamicGraphClustering::with_options(n, backend_options(backend));
             let mut alive: Vec<(VertexId, VertexId, Weight)> = Vec::new();
+            let mut exchanges = 0;
             for step in 0..600 {
                 let do_insert =
                     alive.is_empty() || (alive.len() < candidates.len() && rng.gen_bool(0.55));
@@ -702,7 +704,13 @@ mod tests {
                         .find(|c| !alive.iter().any(|a| pair(a.0, a.1) == pair(c.0, c.1)))
                         .copied()
                         .expect("candidate available");
-                    g.insert_edge(next.0, next.1, next.2).unwrap();
+                    if let MsfChange::Replaced { .. } =
+                        g.insert_edge(next.0, next.1, next.2).unwrap()
+                    {
+                        // An eviction rewires the dendrogram without connectivity queries.
+                        assert_eq!(g.sld().stats().last_tree_queries, 0);
+                        exchanges += 1;
+                    }
                     alive.push(next);
                 } else {
                     let idx = rng.gen_range(0..alive.len());
@@ -714,6 +722,7 @@ mod tests {
                 }
             }
             assert_msf_matches(&g, &alive);
+            assert!(exchanges > 0, "the stream evicts tree edges");
             let counters = g.work_counters();
             assert!(counters.replacement_searches > 0, "searches were counted");
             assert_eq!(
@@ -743,7 +752,12 @@ mod tests {
                 }
                 // Coarse weights on purpose: ties exercise the deterministic tie-break.
                 let w = rng.gen_range(0..8) as f64;
-                assert_eq!(scan.insert_edge(a, b, w), hdt.insert_edge(a, b, w));
+                let change = scan.insert_edge(a, b, w);
+                assert_eq!(change, hdt.insert_edge(a, b, w));
+                if let Ok(MsfChange::Replaced { .. }) = change {
+                    assert_eq!(scan.sld().stats().last_tree_queries, 0);
+                    assert_eq!(hdt.sld().stats().last_tree_queries, 0);
+                }
                 alive.push(pair(a, b));
             } else {
                 let (a, b) = alive.swap_remove(rng.gen_range(0..alive.len()));

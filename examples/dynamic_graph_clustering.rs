@@ -100,4 +100,18 @@ fn main() {
         }
     }
     println!("{pure}/{checked} clusters of size ≥ 5 are topic-pure");
+
+    // Every replacement above rewired the dendrogram as one exchange, with the spine index
+    // kept in step: the result must still be the dendrogram of the final forest.
+    assert!(replaced >= 1_000, "only {replaced} replacements");
+    graph
+        .sld()
+        .check_invariants()
+        .expect("dendrogram invariants");
+    assert_eq!(
+        graph.sld().dendrogram().canonical_parents(),
+        graph.sld().recompute_static().canonical_parents(),
+        "maintained dendrogram differs from static recomputation"
+    );
+    println!("dendrogram verified against static recomputation");
 }
