@@ -40,7 +40,7 @@ pub struct BatchOutcome {
     /// Reserve edges promoted into the MSF by a deletion batch, in promotion order.
     pub promoted: Vec<(VertexId, VertexId)>,
     /// Wall time spent classifying the batch: the Kruskal-style union-find pass on insert,
-    /// and the tree/non-tree split plus replacement-candidate search on delete.
+    /// and the validating tree/non-tree split plus replacement-candidate search on delete.
     pub classify_time: Duration,
     /// The portion of [`classify_time`](Self::classify_time) spent in the forest backend's
     /// replacement search on deletion batches (candidate gathering/searching plus promotion
@@ -48,7 +48,7 @@ pub struct BatchOutcome {
     /// part that [`DynSldOptions::msf_backend`](dynsld::DynSldOptions) changes.
     pub replacement_time: Duration,
     /// Wall time spent mutating the structure: `batch_insert`/`batch_delete`, per-edge
-    /// fallbacks, promotions, and edge-table bookkeeping.
+    /// fallbacks, promotions, and reserve bookkeeping.
     pub apply_time: Duration,
 }
 
@@ -124,7 +124,6 @@ impl DynamicGraphClustering {
                 .batch_insert(&forest_batch)
                 .expect("classified forest batch satisfies the batch_insert precondition");
             for &(u, v, weight) in &forest_batch {
-                self.edges.insert(pair(u, v), weight);
                 self.index_add_tree(u, v, weight);
             }
         }
@@ -168,38 +167,36 @@ impl DynamicGraphClustering {
         &mut self,
         pairs: &[(VertexId, VertexId)],
     ) -> Result<BatchOutcome, DynSldError> {
-        // ---- validation (no mutation before this passes) ---------------------------------
+        // Classify/apply wall time is accumulated across the interleaved segments below:
+        // classify = validating tree/non-tree split + replacement-candidate search; apply =
+        // the Theorem-1.5 batch delete, bookkeeping, and promotions.
+        let mut classify_time = Duration::ZERO;
+        let mut apply_time = Duration::ZERO;
+
+        // ---- validation and tree/non-tree split (no mutation before this passes) ---------
+        let split_start = Instant::now();
         let mut batch_seen = HashSet::new();
-        for &(u, v) in pairs {
-            let key = pair(u, v);
-            if !self.edges.contains_key(&key) {
+        let mut tree_idx: Vec<usize> = Vec::new();
+        let mut nontree_idx: Vec<usize> = Vec::new();
+        for (i, &(u, v)) in pairs.iter().enumerate() {
+            if self.is_tree_edge(u, v) {
+                tree_idx.push(i);
+            } else if self.nontree_weight(u, v).is_some() {
+                nontree_idx.push(i);
+            } else {
                 return Err(DynSldError::EdgeNotFound(u, v));
             }
-            if !batch_seen.insert(key) {
+            if !batch_seen.insert(pair(u, v)) {
                 return Err(DynSldError::ConflictingBatch(u, v));
             }
         }
 
-        let mut changes: Vec<Option<MsfChange>> = vec![None; pairs.len()];
-
-        // Classify/apply wall time is accumulated across the interleaved segments below:
-        // classify = tree/non-tree split + replacement-candidate search; apply = the
-        // Theorem-1.5 batch delete, bookkeeping, and promotions.
-        let mut classify_time = Duration::ZERO;
-        let mut apply_time = Duration::ZERO;
-
         // ---- non-tree deletions: reserve bookkeeping only --------------------------------
-        let split_start = Instant::now();
-        let mut tree_idx: Vec<usize> = Vec::new();
-        for (i, &(u, v)) in pairs.iter().enumerate() {
-            let key = pair(u, v);
-            if self.is_tree_edge(u, v) {
-                tree_idx.push(i);
-            } else {
-                self.index_remove_nontree(u, v);
-                self.edges.remove(&key);
-                changes[i] = Some(MsfChange::RemovedNonTree);
-            }
+        let mut changes: Vec<Option<MsfChange>> = vec![None; pairs.len()];
+        for i in nontree_idx {
+            let (u, v) = pairs[i];
+            self.index_remove_nontree(u, v);
+            changes[i] = Some(MsfChange::RemovedNonTree);
         }
         classify_time += split_start.elapsed();
         if tree_idx.is_empty() {
@@ -223,9 +220,6 @@ impl DynamicGraphClustering {
         self.sld
             .batch_delete(&tree_pairs)
             .expect("validated tree edges are alive forest edges");
-        for &(u, v) in &tree_pairs {
-            self.edges.remove(&pair(u, v));
-        }
         apply_time += delete_start.elapsed();
 
         // ---- replacement search ----------------------------------------------------------
@@ -261,11 +255,11 @@ impl DynamicGraphClustering {
         })
     }
 
-    /// Finds the replacements for tree edges just cut from the MSF (already gone from `sld`
-    /// and from `edges`): Kruskal, in [`PairRank`] order, over the lightest reserve edge
-    /// between each pair of pieces the cuts left. Returns the accepted promotions in order and
-    /// each deleted edge's [`MsfChange`], in input order. The promotions are not applied: the
-    /// caller inserts them into `sld`, then calls [`mark_promoted`](Self::mark_promoted).
+    /// Finds the replacements for tree edges just cut from the MSF (already gone from `sld`):
+    /// Kruskal, in [`PairRank`] order, over the lightest reserve edge between each pair of
+    /// pieces the cuts left. Returns the accepted promotions in order and each deleted edge's
+    /// [`MsfChange`], in input order. The promotions are not applied: the caller inserts them
+    /// into `sld`, then calls [`mark_promoted`](Self::mark_promoted).
     ///
     /// One deleted edge leaves two pieces, and the scan covers the one that is not the
     /// largest — `u`'s piece on a size tie, since `u` gets the lower local id.
@@ -317,14 +311,14 @@ impl DynamicGraphClustering {
                 // id when both pieces are enumerated.
                 for (i, &member) in marks.members.iter().enumerate() {
                     let p = marks.piece(member).expect("members are marked");
-                    for &key in &reserve[member.index()] {
+                    for (&key, &weight) in &reserve[member.index()] {
                         self.counters.replacement_edges_scanned += 1;
                         let other = if key.0 == member { key.1 } else { key.0 };
                         let q = marks.piece(other).unwrap_or(outer[p as usize]);
                         if q == p {
                             continue;
                         }
-                        let rank = PairRank(self.edges[&key], key);
+                        let rank = PairRank(weight, key);
                         let slot = &mut marks.best[q as usize];
                         match slot {
                             None => {
@@ -389,14 +383,18 @@ impl DynamicGraphClustering {
         (promoted, changes)
     }
 
-    /// Takes promoted edges out of the scan backend's reserve. The forest insert that promoted
-    /// them already made them tree edges, and the HDT searches did the same in their index.
+    /// Takes promoted edges out of the non-tree store: the scan backend's reserve drops them,
+    /// since the forest insert that promoted them made the forest their store; the HDT
+    /// searches already turned them into tree edges inside their index.
     pub(crate) fn mark_promoted(&mut self, promoted: &[(VertexId, VertexId, Weight)]) {
-        if let ReplacementIndex::Scan { .. } = self.index {
+        if let ReplacementIndex::Scan { reserve } = &mut self.index {
             for &(a, b, _) in promoted {
-                self.index_remove_nontree(a, b);
+                let key = pair(a, b);
+                reserve[a.index()].remove(&key);
+                reserve[b.index()].remove(&key);
             }
         }
+        self.nontree_edges -= promoted.len();
     }
 }
 
@@ -443,7 +441,7 @@ mod tests {
             .collect();
         tree.sort();
         assert_eq!(tree, msf_oracle(g.num_vertices(), alive), "MSF diverged");
-        // The edge table's tree entries are exactly the forest's edges, with their weights.
+        // The tree entries of `graph_edges` are exactly the forest's edges, with their weights.
         for (a, b, w, _) in g.graph_edges().into_iter().filter(|e| e.3) {
             let e = g
                 .sld()

@@ -185,6 +185,24 @@ impl HdtIndex {
         self.free_eids.push(rec.eid);
     }
 
+    /// The weight of the registered non-tree edge `{u, v}`, if there is one.
+    pub(crate) fn nontree_weight(&self, u: VertexId, v: VertexId) -> Option<Weight> {
+        self.edges
+            .get(&pair(u, v))
+            .filter(|rec| !rec.is_tree)
+            .map(|rec| rec.weight)
+    }
+
+    /// Every registered non-tree edge with its weight, in no particular order.
+    pub(crate) fn nontree_edges(
+        &self,
+    ) -> impl Iterator<Item = ((VertexId, VertexId), Weight)> + '_ {
+        self.edges
+            .iter()
+            .filter(|(_, rec)| !rec.is_tree)
+            .map(|(&key, rec)| (key, rec.weight))
+    }
+
     /// Registers a new tree edge (enters at level 0, linked into `F_0`).
     pub(crate) fn add_tree(&mut self, u: VertexId, v: VertexId, weight: Weight) {
         let key = pair(u, v);

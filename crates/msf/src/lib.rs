@@ -24,11 +24,12 @@
 //!
 //! * [`ForestBackend::Scan`] scans the non-tree edges incident to the smaller side of the
 //!   cut: `O(min-side size + min-side non-tree degree)` per tree-edge deletion — the side is
-//!   enumerated once and marked, so each crossing test is two table reads, and only a
-//!   crossing edge's weight is read from the edge table (README.md, "Deviations from the
-//!   paper", substitution 5 — the paper points to Holm–de Lichtenberg–Thorup \[33\] or the
-//!   batch-parallel MSF of Tseng et al. \[48\] for this component). Per-edge and batch
-//!   deletion share this one search; a per-edge deletion is a batch of one.
+//!   enumerated once and marked, so each crossing test is two table reads, and a crossing
+//!   edge's weight is read from the reserve entry the scan is already on (README.md,
+//!   "Deviations from the paper", substitution 5 — the paper points to
+//!   Holm–de Lichtenberg–Thorup \[33\] or the batch-parallel MSF of Tseng et al. \[48\] for
+//!   this component). Per-edge and batch deletion share this one search; a per-edge deletion
+//!   is a batch of one.
 //! * [`ForestBackend::Hdt`] keeps an HDT-style level structure (see the `hdt` module):
 //!   edges carry levels, replacement search amortizes candidate examinations over level
 //!   promotions, and only the candidates stored at the levels a cut touches are examined.
@@ -42,9 +43,9 @@
 
 use dynsld::{DynSld, DynSldError, DynSldOptions};
 use dynsld_dyntree::RoundTable;
-use dynsld_forest::{VertexId, Weight};
+use dynsld_forest::{EdgeId, VertexId, Weight};
 use std::cmp::Ordering;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 mod batch;
 mod hdt;
@@ -88,10 +89,11 @@ pub enum MsfChange {
 /// `msf.crossing_tests_per_search` and `msf.hdt_crossing_tests_per_search`.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct WorkCounters {
-    /// Replacement candidates subjected to the cut-crossing connectivity test — the
-    /// expensive step of a search on either backend (the scan backend tests every
-    /// reserve entry incident to the smaller side; the HDT backend tests candidates in
-    /// rank order and stops a level at the first one that cannot beat the incumbent).
+    /// Replacement candidates subjected to the cut-crossing test — the per-candidate step
+    /// of a search on either backend. The scan backend tests every reserve entry incident
+    /// to the pieces it enumerates, with two piece-table reads, and takes the weight from
+    /// the entry itself; the HDT backend tests candidates in rank order with connectivity
+    /// queries and stops a level at the first one that cannot beat the incumbent.
     pub replacement_edges_scanned: u64,
     /// Non-tree edges moved one level up by the HDT backend (always 0 on the scan backend).
     pub level_promotions: u64,
@@ -121,8 +123,9 @@ impl WorkCounters {
 pub(crate) enum ReplacementIndex {
     /// Non-tree edges indexed per vertex (both endpoints); search scans the smaller side.
     Scan {
-        /// `reserve[v]` holds the non-tree edges incident to `v`.
-        reserve: Vec<HashSet<(VertexId, VertexId)>>,
+        /// `reserve[v]` maps each non-tree edge incident to `v` to its weight. This is the
+        /// only place a scan-backend non-tree edge is stored.
+        reserve: Vec<HashMap<(VertexId, VertexId), Weight>>,
     },
     /// HDT-style level structure (see the `hdt` module).
     Hdt(HdtIndex),
@@ -130,7 +133,7 @@ pub(crate) enum ReplacementIndex {
 
 /// The rank of a graph edge: its weight, ties broken on the normalised endpoint pair. This is
 /// the one order the batch paths process edges in and both forest backends pick replacements
-/// by. The reserve sets are hash sets with nondeterministic iteration order, so without the
+/// by. The reserve maps are hash maps with nondeterministic iteration order, so without the
 /// tie-break the promoted edge among equal-weight candidates would vary from run to run.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct PairRank(pub(crate) Weight, pub(crate) (VertexId, VertexId));
@@ -159,14 +162,23 @@ impl Eq for PairRank {}
 
 /// End-to-end fully-dynamic single-linkage clustering of a weighted graph: a dynamic MSF front
 /// end feeding the DynSLD dendrogram maintenance algorithms.
+///
+/// Every alive graph edge is stored exactly once: a tree edge in the forest of `sld` (with its
+/// weight), a non-tree edge in the replacement index (the scan backend's reserve entry or the
+/// HDT backend's edge record, each with its weight). The accessors
+/// ([`edge_weight`](Self::edge_weight), [`is_tree_edge`](Self::is_tree_edge),
+/// [`graph_edges`](Self::graph_edges), ...) read both.
 #[derive(Clone, Debug)]
 pub struct DynamicGraphClustering {
+    /// The dendrogram and the MSF it is built on: the one store of tree edges.
     pub(crate) sld: DynSld,
-    /// The weight of every alive graph edge, by normalised endpoint pair. Which of them are
-    /// tree edges is the forest's to say (`sld.forest()`), so no flag here has to track it.
-    pub(crate) edges: HashMap<(VertexId, VertexId), Weight>,
-    /// Backend-specific replacement-edge index.
+    /// Backend-specific replacement-edge index: the one store of non-tree edges.
     pub(crate) index: ReplacementIndex,
+    /// Number of non-tree edges in `index`, kept by
+    /// [`index_add_nontree`](Self::index_add_nontree),
+    /// [`index_remove_nontree`](Self::index_remove_nontree) and
+    /// [`mark_promoted`](Self::mark_promoted).
+    pub(crate) nontree_edges: usize,
     /// Scan-backend work counters and the replacement search's candidate count (the HDT
     /// index keeps its own; both are drained together).
     pub(crate) counters: WorkCounters,
@@ -178,9 +190,10 @@ pub struct DynamicGraphClustering {
 /// The pieces a replacement search of the scan backend has enumerated: vertex -> piece id, for
 /// one search (8 bytes per vertex, reused). A search enumerates the small sides of its cuts
 /// anyway, so "does this reserve edge cross the cut?" is a lookup of its two endpoints here
-/// rather than a connectivity query against the Euler-tour forest. The member lists and the
-/// per-piece table of the search live here too, so no search allocates once they have
-/// grown to the largest batch seen.
+/// rather than a connectivity query against the Euler-tour forest, and the edge's rank comes
+/// from the reserve entry being scanned, so a crossing test touches no table keyed by edge.
+/// The member lists and the per-piece table of the search live here too, so no search
+/// allocates once they have grown to the largest batch seen.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct PieceMarks {
     piece_of: RoundTable,
@@ -244,14 +257,14 @@ impl DynamicGraphClustering {
     pub fn with_options(n: usize, options: DynSldOptions) -> Self {
         let index = match options.msf_backend {
             ForestBackend::Scan => ReplacementIndex::Scan {
-                reserve: vec![HashSet::new(); n],
+                reserve: vec![HashMap::new(); n],
             },
             ForestBackend::Hdt => ReplacementIndex::Hdt(HdtIndex::new(n)),
         };
         DynamicGraphClustering {
             sld: DynSld::with_options(n, options),
-            edges: HashMap::new(),
             index,
+            nontree_edges: 0,
             counters: WorkCounters::default(),
             pieces: PieceMarks::default(),
         }
@@ -292,7 +305,7 @@ impl DynamicGraphClustering {
 
     /// Number of alive graph edges (tree and non-tree).
     pub fn num_graph_edges(&self) -> usize {
-        self.edges.len()
+        self.num_tree_edges() + self.nontree_edges
     }
 
     /// Number of MSF (tree) edges.
@@ -320,12 +333,41 @@ impl DynamicGraphClustering {
 
     /// Returns the weight of the graph edge `{u, v}` if it is alive.
     pub fn edge_weight(&self, u: VertexId, v: VertexId) -> Option<Weight> {
-        self.edges.get(&pair(u, v)).copied()
+        match self.tree_edge(u, v) {
+            Some(e) => Some(self.sld.forest().weight(e)),
+            None => self.nontree_weight(u, v),
+        }
     }
 
     /// Returns true if `{u, v}` is currently an MSF edge.
     pub fn is_tree_edge(&self, u: VertexId, v: VertexId) -> bool {
-        self.edges.contains_key(&pair(u, v)) && self.sld.forest().find_edge(u, v).is_some()
+        self.tree_edge(u, v).is_some()
+    }
+
+    /// True if `{u, v}` could be a graph edge: distinct endpoints, both in range.
+    fn is_vertex_pair(&self, u: VertexId, v: VertexId) -> bool {
+        let n = self.num_vertices();
+        u != v && u.index() < n && v.index() < n
+    }
+
+    /// The forest edge `{u, v}`, or `None` if it is not a tree edge (pairs that cannot be a
+    /// graph edge included).
+    fn tree_edge(&self, u: VertexId, v: VertexId) -> Option<EdgeId> {
+        if !self.is_vertex_pair(u, v) {
+            return None;
+        }
+        self.sld.forest().find_edge(u, v)
+    }
+
+    /// The weight of the non-tree edge `{u, v}`, or `None` if it is not one.
+    pub(crate) fn nontree_weight(&self, u: VertexId, v: VertexId) -> Option<Weight> {
+        if !self.is_vertex_pair(u, v) {
+            return None;
+        }
+        match &self.index {
+            ReplacementIndex::Scan { reserve } => reserve[u.index()].get(&pair(u, v)).copied(),
+            ReplacementIndex::Hdt(ix) => ix.nontree_weight(u, v),
+        }
     }
 
     /// Adds `k` isolated vertices and returns the first new id.
@@ -333,27 +375,27 @@ impl DynamicGraphClustering {
         let first = self.sld.add_vertices(k);
         match &mut self.index {
             ReplacementIndex::Scan { reserve } => {
-                reserve.resize_with(self.sld.num_vertices(), HashSet::new);
+                reserve.resize_with(self.sld.num_vertices(), HashMap::new);
             }
             ReplacementIndex::Hdt(ix) => ix.add_vertices(k),
         }
         first
     }
 
-    /// Registers a new non-tree edge with the backend index (reserve bookkeeping only; the
-    /// caller maintains `edges`).
+    /// Stores a new non-tree edge in the backend index.
     pub(crate) fn index_add_nontree(&mut self, u: VertexId, v: VertexId, weight: Weight) {
         match &mut self.index {
             ReplacementIndex::Scan { reserve } => {
                 let key = pair(u, v);
-                reserve[u.index()].insert(key);
-                reserve[v.index()].insert(key);
+                reserve[u.index()].insert(key, weight);
+                reserve[v.index()].insert(key, weight);
             }
             ReplacementIndex::Hdt(ix) => ix.add_nontree(u, v, weight),
         }
+        self.nontree_edges += 1;
     }
 
-    /// Unregisters a non-tree edge from the backend index.
+    /// Removes a stored non-tree edge from the backend index.
     pub(crate) fn index_remove_nontree(&mut self, u: VertexId, v: VertexId) {
         match &mut self.index {
             ReplacementIndex::Scan { reserve } => {
@@ -363,6 +405,7 @@ impl DynamicGraphClustering {
             }
             ReplacementIndex::Hdt(ix) => ix.remove_nontree(u, v),
         }
+        self.nontree_edges -= 1;
     }
 
     /// Registers a new tree edge with the backend index (no-op for the scan backend, which
@@ -384,7 +427,7 @@ impl DynamicGraphClustering {
                 return Err(DynSldError::VertexOutOfRange(x));
             }
         }
-        if self.edges.contains_key(&pair(u, v)) {
+        if self.edge_weight(u, v).is_some() {
             return Err(DynSldError::EdgeAlreadyExists(u, v));
         }
         Ok(())
@@ -401,10 +444,8 @@ impl DynamicGraphClustering {
         weight: Weight,
     ) -> Result<MsfChange, DynSldError> {
         self.check_new_edge(u, v)?;
-        let key = pair(u, v);
         if !self.sld.connected(u, v) {
             self.sld.insert(u, v, weight)?;
-            self.edges.insert(key, weight);
             self.index_add_tree(u, v, weight);
             return Ok(MsfChange::Inserted);
         }
@@ -421,31 +462,23 @@ impl DynamicGraphClustering {
         // as one exchange, which rewires only the spines below the evicted edge's rank.
         if weight < heaviest_weight {
             self.sld.exchange(heaviest, u, v, weight)?;
-            self.edges.insert(key, weight);
-            match &mut self.index {
-                ReplacementIndex::Scan { reserve } => {
-                    let hkey = pair(hu, hv);
-                    reserve[hu.index()].insert(hkey);
-                    reserve[hv.index()].insert(hkey);
-                }
-                ReplacementIndex::Hdt(ix) => {
-                    // Replay the eviction through the level-structured search: the new
-                    // edge is provably the unique replacement for the evicted edge's cut
-                    // (exchange property), and routing it through the search keeps every
-                    // level forest consistent (see the hdt module docs).
-                    ix.add_nontree(u, v, weight);
-                    let promoted = ix.delete_tree_with_search(hu, hv);
-                    debug_assert_eq!(
-                        promoted.map(|(a, b, _)| (a, b)),
-                        Some(key),
-                        "the cycle-closing edge is the unique replacement for its eviction"
-                    );
-                    ix.add_nontree(hu, hv, heaviest_weight);
-                }
+            if let ReplacementIndex::Hdt(ix) = &mut self.index {
+                // Replay the eviction through the level-structured search: the new edge is
+                // provably the unique replacement for the evicted edge's cut (exchange
+                // property), and routing it through the search keeps every level forest
+                // consistent (see the hdt module docs).
+                ix.add_nontree(u, v, weight);
+                let promoted = ix.delete_tree_with_search(hu, hv);
+                debug_assert_eq!(
+                    promoted.map(|(a, b, _)| (a, b)),
+                    Some(pair(u, v)),
+                    "the cycle-closing edge is the unique replacement for its eviction"
+                );
             }
+            // The evicted edge enters the reserve at its forest weight.
+            self.index_add_nontree(hu, hv, heaviest_weight);
             Ok(MsfChange::Replaced { evicted: (hu, hv) })
         } else {
-            self.edges.insert(key, weight);
             self.index_add_nontree(u, v, weight);
             Ok(MsfChange::StoredNonTree)
         }
@@ -453,11 +486,10 @@ impl DynamicGraphClustering {
 
     /// Deletes the graph edge `{u, v}` and updates the MSF and dendrogram.
     pub fn delete_edge(&mut self, u: VertexId, v: VertexId) -> Result<MsfChange, DynSldError> {
-        let tree = self.is_tree_edge(u, v);
-        if self.edges.remove(&pair(u, v)).is_none() {
-            return Err(DynSldError::EdgeNotFound(u, v));
-        }
-        if !tree {
+        if !self.is_tree_edge(u, v) {
+            if self.nontree_weight(u, v).is_none() {
+                return Err(DynSldError::EdgeNotFound(u, v));
+            }
             self.index_remove_nontree(u, v);
             return Ok(MsfChange::RemovedNonTree);
         }
@@ -481,12 +513,31 @@ impl DynamicGraphClustering {
         self.insert_edge(u, v, weight)
     }
 
-    /// All alive graph edges as `(u, v, weight, is_tree)`.
+    /// All alive graph edges as `(u, v, weight, is_tree)` with `u < v`: the forest's edges,
+    /// then the non-tree edges in no particular order.
     pub fn graph_edges(&self) -> Vec<(VertexId, VertexId, Weight, bool)> {
-        self.edges
-            .iter()
-            .map(|(&(u, v), &w)| (u, v, w, self.is_tree_edge(u, v)))
-            .collect()
+        let mut out = Vec::with_capacity(self.num_graph_edges());
+        out.extend(self.sld.forest().edges().map(|(_, d)| {
+            let (u, v) = pair(d.u, d.v);
+            (u, v, d.weight, true)
+        }));
+        match &self.index {
+            ReplacementIndex::Scan { reserve } => {
+                // Each edge sits in both endpoints' maps; emit it from its lower endpoint.
+                for (x, edges) in reserve.iter().enumerate() {
+                    out.extend(
+                        edges
+                            .iter()
+                            .filter(|(key, _)| key.0.index() == x)
+                            .map(|(&(u, v), &w)| (u, v, w, false)),
+                    );
+                }
+            }
+            ReplacementIndex::Hdt(ix) => {
+                out.extend(ix.nontree_edges().map(|((u, v), w)| (u, v, w, false)));
+            }
+        }
+        out
     }
 }
 
@@ -498,6 +549,7 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
+    use std::collections::HashSet;
 
     fn v(i: u32) -> VertexId {
         VertexId(i)
@@ -539,7 +591,7 @@ mod tests {
             msf_oracle(g.num_vertices(), alive),
             "MSF edge set diverged"
         );
-        // The edge table's tree entries are exactly the forest's edges, with their weights.
+        // The tree entries of `graph_edges` are exactly the forest's edges, with their weights.
         for (a, b, w, _) in g.graph_edges().into_iter().filter(|e| e.3) {
             let e = g
                 .sld()
@@ -564,6 +616,27 @@ mod tests {
             "dendrogram diverged"
         );
         g.sld().check_invariants().expect("invariants");
+    }
+
+    /// The derived accessors agree with the model: the edge count, every edge with its weight
+    /// and the oracle's tree flag, and each alive pair's weight.
+    fn assert_accessors_match(g: &DynamicGraphClustering, alive: &[(VertexId, VertexId, Weight)]) {
+        assert_eq!(g.num_graph_edges(), alive.len(), "edge count");
+        let tree: HashSet<_> = msf_oracle(g.num_vertices(), alive).into_iter().collect();
+        let mut expected: Vec<_> = alive
+            .iter()
+            .map(|&(a, b, w)| {
+                let (a, b) = pair(a, b);
+                (a, b, w, tree.contains(&(a, b)))
+            })
+            .collect();
+        expected.sort_by_key(|e| (e.0, e.1));
+        let mut actual = g.graph_edges();
+        actual.sort_by_key(|e| (e.0, e.1));
+        assert_eq!(actual, expected, "graph_edges vs the model");
+        for &(a, b, w) in alive {
+            assert_eq!(g.edge_weight(b, a), Some(w), "weight of {a:?}-{b:?}");
+        }
     }
 
     #[test]
@@ -655,22 +728,44 @@ mod tests {
 
     #[test]
     fn errors_are_reported() {
-        let mut g = DynamicGraphClustering::new(3);
-        assert_eq!(
-            g.insert_edge(v(0), v(0), 1.0),
-            Err(DynSldError::SelfLoop(v(0)))
-        );
-        assert_eq!(
-            g.insert_edge(v(0), v(5), 1.0),
-            Err(DynSldError::VertexOutOfRange(v(5)))
-        );
-        assert_eq!(
-            g.delete_edge(v(0), v(1)),
-            Err(DynSldError::EdgeNotFound(v(0), v(1)))
-        );
-        // Absent edges, out-of-range endpoints included, are not tree edges.
-        assert!(!g.is_tree_edge(v(0), v(1)));
-        assert!(!g.is_tree_edge(v(0), v(5)));
+        for backend in [ForestBackend::Scan, ForestBackend::Hdt] {
+            let mut g = DynamicGraphClustering::with_options(3, backend_options(backend));
+            assert_eq!(
+                g.insert_edge(v(0), v(0), 1.0),
+                Err(DynSldError::SelfLoop(v(0)))
+            );
+            assert_eq!(
+                g.insert_edge(v(0), v(5), 1.0),
+                Err(DynSldError::VertexOutOfRange(v(5)))
+            );
+            assert_eq!(
+                g.delete_edge(v(0), v(1)),
+                Err(DynSldError::EdgeNotFound(v(0), v(1)))
+            );
+            // Absent edges, out-of-range endpoints included, are not tree edges.
+            assert!(!g.is_tree_edge(v(0), v(1)));
+            assert!(!g.is_tree_edge(v(0), v(5)));
+
+            // Pairs that cannot be graph edges read as absent, never as a panic or as some
+            // other edge at the same vertex: out-of-range endpoints and self-loops, next to
+            // tree and reserve edges.
+            g.insert_edge(v(0), v(1), 1.0).unwrap();
+            g.insert_edge(v(1), v(2), 2.0).unwrap();
+            g.insert_edge(v(0), v(2), 3.0).unwrap(); // non-tree
+            for (a, b) in [(0, 5), (5, 0), (5, 6), (0, 0), (1, 1)] {
+                let (a, b) = (v(a), v(b));
+                assert_eq!(g.edge_weight(a, b), None, "{backend:?} {a:?}-{b:?}");
+                assert!(!g.is_tree_edge(a, b), "{backend:?} {a:?}-{b:?}");
+                assert_eq!(g.delete_edge(a, b), Err(DynSldError::EdgeNotFound(a, b)));
+                assert_eq!(
+                    g.batch_delete_edges(&[(v(0), v(1)), (a, b)]),
+                    Err(DynSldError::EdgeNotFound(a, b))
+                );
+            }
+            assert_eq!(g.num_graph_edges(), 3);
+            assert_eq!(g.edge_weight(v(1), v(0)), Some(1.0));
+            assert_eq!(g.edge_weight(v(2), v(0)), Some(3.0));
+        }
     }
 
     #[test]
@@ -719,6 +814,9 @@ mod tests {
                 }
                 if step % 10 == 0 {
                     assert_msf_matches(&g, &alive);
+                }
+                if step % 50 == 0 {
+                    assert_accessors_match(&g, &alive);
                 }
             }
             assert_msf_matches(&g, &alive);
@@ -785,16 +883,52 @@ mod tests {
     #[test]
     fn update_weight_can_promote_and_demote() {
         for backend in [ForestBackend::Scan, ForestBackend::Hdt] {
-            let mut g = DynamicGraphClustering::with_options(3, backend_options(backend));
+            let mut g = DynamicGraphClustering::with_options(4, backend_options(backend));
             g.insert_edge(v(0), v(1), 1.0).unwrap();
             g.insert_edge(v(1), v(2), 2.0).unwrap();
             g.insert_edge(v(0), v(2), 5.0).unwrap(); // non-tree
             assert!(!g.is_tree_edge(v(0), v(2)));
-            g.update_weight(v(0), v(2), 0.5).unwrap();
+            assert_eq!(
+                g.update_weight(v(0), v(2), 0.5).unwrap(),
+                MsfChange::Replaced {
+                    evicted: (v(1), v(2))
+                }
+            );
             assert!(g.is_tree_edge(v(0), v(2)));
             assert!(!g.is_tree_edge(v(1), v(2)));
             let alive = vec![(v(0), v(1), 1.0), (v(1), v(2), 2.0), (v(0), v(2), 0.5)];
             assert_msf_matches(&g, &alive);
+            // The evicted edge entered the reserve at its forest weight.
+            assert_eq!(g.edge_weight(v(1), v(2)), Some(2.0));
+            assert_eq!(g.edge_weight(v(0), v(2)), Some(0.5));
+
+            // Reweighting a reserve edge that stays non-tree rewrites the weight its entry
+            // carries; a cut then promotes it at the new weight, not the stale one.
+            g.insert_edge(v(2), v(3), 3.0).unwrap();
+            g.insert_edge(v(1), v(3), 6.0).unwrap(); // non-tree
+            assert_eq!(
+                g.update_weight(v(1), v(3), 4.0).unwrap(),
+                MsfChange::StoredNonTree
+            );
+            assert_eq!(
+                g.delete_edge(v(2), v(3)).unwrap(),
+                MsfChange::RemovedWithReplacement {
+                    promoted: (v(1), v(3))
+                }
+            );
+            assert_eq!(g.edge_weight(v(1), v(3)), Some(4.0));
+            // Cutting vertex 2 off promotes the exchange-evicted edge back, weight intact.
+            assert_eq!(
+                g.delete_edge(v(0), v(2)).unwrap(),
+                MsfChange::RemovedWithReplacement {
+                    promoted: (v(1), v(2))
+                }
+            );
+            assert!(g.is_tree_edge(v(1), v(2)));
+            assert_eq!(g.edge_weight(v(1), v(2)), Some(2.0));
+            let alive = vec![(v(0), v(1), 1.0), (v(1), v(2), 2.0), (v(1), v(3), 4.0)];
+            assert_msf_matches(&g, &alive);
+            assert_accessors_match(&g, &alive);
         }
     }
 
