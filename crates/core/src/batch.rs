@@ -14,17 +14,23 @@
 //!   star sequentially, which preserves the `O(k·h)`-type work bound and exact correctness but
 //!   not the `O(log n log k log(kh))` span.
 //!
-//! * **Batch deletion** (`Batch-Delete`): the connectivity structures are updated for the whole
-//!   batch first, then the union of the affected spines is labelled with post-batch components
-//!   in one round of find-representative queries ([`crate::sides`]), the spine-unmerge of every
-//!   deleted edge is *planned* against the original dendrogram and those labels (the plans are
-//!   independent and read-only, and assignments that overlap provably agree — Section 3.3), and
-//!   finally all plans are committed.
+//! * **Batch deletion** (`Batch-Delete`), in two steps. The first validates the batch and
+//!   updates the connectivity structures for all of it. The second is one unmerge: the union
+//!   of the affected spines is labelled with post-batch components ([`crate::sides`]), the
+//!   spine-unmerge of every deleted edge is *planned* against the original dendrogram and
+//!   those labels in one top-down pass over the union — each node's new parent is its nearest
+//!   ancestor with the same label, so assignments of overlapping spines cannot disagree
+//!   (Section 3.3) — and the plan is committed. The labels come from one round of
+//!   find-representative queries ([`DynSld::batch_delete`]), or from a caller that knows the
+//!   post-batch components already: the graph layer's replacement search runs between the two
+//!   steps and labels the unmerge with the pieces it enumerated
+//!   ([`DynSld::batch_delete_labelled`]), so that unmerge asks no query at all.
+//!
+//!   *Deviation (README.md, substitution 7):* the paper plans the unmerges in parallel; the
+//!   plan here is one sequential `O(union)` pass.
 
 use crate::dynsld::{DynSld, DynSldError};
-use crate::sides::Cut;
 use dynsld_forest::{Dsu, EdgeId, VertexId, Weight};
-use rayon::prelude::*;
 use std::collections::HashMap;
 
 impl DynSld {
@@ -144,85 +150,111 @@ impl DynSld {
         &mut self,
         pairs: &[(VertexId, VertexId)],
     ) -> Result<Vec<EdgeId>, DynSldError> {
-        // ---- validation -------------------------------------------------------------------
+        let ids = self.cut_batch(pairs)?;
+        self.label_spines();
+        self.unmerge(&ids);
+        Ok(ids)
+    }
+
+    /// [`batch_delete`](Self::batch_delete) for a caller that can name the post-batch
+    /// components itself, as the graph layer's replacement search does: it enumerates every
+    /// piece the cuts leave except each tree's largest.
+    ///
+    /// `search` runs once the forest and the connectivity structures reflect the whole batch
+    /// and before the dendrogram is touched, so it sees the post-batch components through
+    /// `&DynSld` (the dendrogram it reads is still the pre-batch one). It returns its result,
+    /// which this call hands back beside the deleted ids, and optionally a labelling:
+    /// `label(c, x)` names the post-batch component of a vertex `x` of the tree that
+    /// `pairs[c]` split — equal labels for two vertices of one such tree iff they are still
+    /// connected — with labels dense from 0 (below `u32::MAX`). With a labelling the unmerge
+    /// asks no connectivity query; with `None` it labels by representatives, as
+    /// `batch_delete` does. Either way the dendrogram is the same.
+    ///
+    /// On error the structure is left unchanged and `search` does not run.
+    pub fn batch_delete_labelled<R, L>(
+        &mut self,
+        pairs: &[(VertexId, VertexId)],
+        search: impl FnOnce(&DynSld) -> (R, Option<L>),
+    ) -> Result<(Vec<EdgeId>, R), DynSldError>
+    where
+        L: FnMut(usize, VertexId) -> u32,
+    {
+        let ids = self.cut_batch(pairs)?;
+        let (result, label) = search(self);
+        match label {
+            Some(label) => self.label_spines_by(label),
+            None => self.label_spines(),
+        }
+        self.unmerge(&ids);
+        Ok((ids, result))
+    }
+
+    /// The first step of a batch deletion: validates the whole batch, then removes every edge
+    /// from the forest and the connectivity structures, leaving one
+    /// [`Cut`](crate::sides::Cut) per edge in `self.sides.cuts`. Returns the edge ids in batch
+    /// order. On error nothing has changed.
+    fn cut_batch(&mut self, pairs: &[(VertexId, VertexId)]) -> Result<Vec<EdgeId>, DynSldError> {
         let mut ids = Vec::with_capacity(pairs.len());
-        let mut seen = std::collections::HashSet::new();
+        // The union's label table is free until the cuts are made: it marks the ids seen.
+        self.sides
+            .union
+            .labels
+            .begin_round(self.forest.edge_id_bound());
         for &(u, v) in pairs {
+            self.check_endpoints(u, v)?;
             let e = self
                 .forest
                 .find_edge(u, v)
                 .ok_or(DynSldError::EdgeNotFound(u, v))?;
-            if !seen.insert(e) {
+            let seen = &mut self.sides.union.labels;
+            if seen.get(e.index()).is_some() {
                 return Err(DynSldError::ConflictingBatch(u, v));
             }
+            seen.set(e.index(), 0);
             ids.push(e);
         }
 
         self.stats.begin_update();
-        // ---- phase 1: update the connectivity structures for the whole batch ---------------
-        let cuts: Vec<Cut> = ids.iter().map(|&e| self.register_delete(e)).collect();
+        let mut cuts = std::mem::take(&mut self.sides.cuts);
+        cuts.clear();
+        cuts.extend(ids.iter().map(|&e| self.register_delete(e)));
+        self.sides.cuts = cuts;
+        Ok(ids)
+    }
 
-        // ---- phase 2: plan every spine unmerge against the original dendrogram -------------
-        // The union of the affected spines is labelled once with post-batch components; the
-        // plans are then independent read-only computations (the paper runs them concurrently)
-        // that keep the nodes carrying their side's label. Assignments of overlapping spines
-        // agree, so the plans can simply be concatenated.
-        let side_labels = self.label_spines(&cuts);
-        let plans: Vec<Vec<(EdgeId, Option<EdgeId>)>> = {
-            let dendro = &self.dendro;
-            let sides = &self.sides;
-            cuts.par_iter()
-                .zip(side_labels.par_iter())
-                .map(|(cut, sides_of_cut)| {
-                    let mut plan = Vec::new();
-                    for (e_star, &side) in cut.e_star.into_iter().zip(sides_of_cut) {
-                        // Deleted edges carry a label no side has, so one comparison drops
-                        // them along with the nodes on other sides of the cuts.
-                        let mut kept = std::iter::successors(e_star, |&f| dendro.parent(f))
-                            .filter(|&f| sides.label(f) == Some(side));
-                        let mut node = kept.next();
-                        while let Some(f) = node {
-                            node = kept.next();
-                            if dendro.parent(f) != node {
-                                plan.push((f, node));
-                            }
-                        }
-                    }
-                    plan
-                })
-                .collect()
-        };
-
-        // ---- phase 3: commit --------------------------------------------------------------
-        let mut spine_nodes = 0usize;
-        for plan in plans {
-            spine_nodes += plan.len();
-            for (node, parent) in plan {
-                self.set_parent(node, parent);
-            }
+    /// The second step: plans every spine unmerge of the batch in one pass over the labelled
+    /// union (each node's new parent is its nearest ancestor with the same label, so plans of
+    /// overlapping spines cannot disagree — Section 3.3), commits the plan, and drops the
+    /// deleted nodes.
+    fn unmerge(&mut self, ids: &[EdgeId]) {
+        self.stats.last_spine_nodes += self.sides.union.plan(&self.dendro);
+        let plan = std::mem::take(&mut self.sides.union.plan);
+        for &(node, parent) in &plan {
+            self.set_parent(node, parent);
         }
-        self.stats.last_spine_nodes += spine_nodes;
+        self.sides.union.plan = plan;
         // Detach all deleted nodes first (a deleted node may be the dendrogram child of another
         // deleted node, e.g. when a batch removes a whole sub-path), then drop them.
-        for &e in &ids {
+        for &e in ids {
             self.set_parent(e, None);
         }
-        for &e in &ids {
+        for &e in ids {
             self.dendro.remove_node(e);
         }
-        Ok(ids)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dynsld::DynSldOptions;
+    use crate::dynsld::{DynSldOptions, UpdateStrategy};
     use crate::static_sld::static_sld_kruskal;
     use dynsld_forest::gen::{self, WeightOrder};
     use dynsld_forest::workload::{UpdateBatch, WorkloadBuilder};
     use rand::rngs::SmallRng;
+    use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
+    use std::collections::HashSet;
 
     fn v(i: u32) -> VertexId {
         VertexId(i)
@@ -351,6 +383,31 @@ mod tests {
         assert_matches_static(&d);
     }
 
+    /// `k` distinct alive edges of `d`, drawn with `rng`, as endpoint pairs.
+    fn random_cuts(d: &DynSld, k: usize, rng: &mut SmallRng) -> Vec<(VertexId, VertexId)> {
+        let mut edges: Vec<EdgeId> = d.forest().edge_ids().collect();
+        edges.shuffle(rng);
+        edges.truncate(k);
+        edges.iter().map(|&e| d.forest().endpoints(e)).collect()
+    }
+
+    /// Deletes `pairs` as one batch from `batch` and one edge at a time from `single` (twins
+    /// built from the same forest), and asserts every surviving node got the same parent.
+    fn assert_batch_equals_sequential(
+        batch: &mut DynSld,
+        single: &mut DynSld,
+        pairs: &[(VertexId, VertexId)],
+    ) {
+        batch.batch_delete(pairs).unwrap();
+        for &(a, b) in pairs {
+            single.delete_seq(a, b).unwrap();
+        }
+        for e in single.forest().edge_ids() {
+            assert_eq!(batch.parent_of(e), single.parent_of(e), "parent of {e}");
+        }
+        assert_matches_static(batch);
+    }
+
     #[test]
     fn overlapping_deletion_spines_stay_consistent() {
         // Delete several edges of one long path in a single batch: the characteristic spines
@@ -366,36 +423,211 @@ mod tests {
                 (0..79).step_by(5).map(|i| (v(i), v(i + 1))).collect();
             d.batch_delete(&pairs).unwrap();
             assert_matches_static(&d);
+            // A whole sub-path in one batch: on the increasing path every deleted node but the
+            // lowest is the dendrogram parent of another deleted node.
+            let mut batch = DynSld::from_forest(inst.build_forest(), DynSldOptions::default());
+            let mut single = DynSld::from_forest(inst.build_forest(), DynSldOptions::default());
+            let sub_path: Vec<(VertexId, VertexId)> = (20..50).map(|i| (v(i), v(i + 1))).collect();
+            assert_batch_equals_sequential(&mut batch, &mut single, &sub_path);
+        }
+        // Random forests, up to 64 cuts in one batch, against per-edge deletion.
+        let mut rng = SmallRng::seed_from_u64(29);
+        for seed in 0..6 {
+            let inst = if seed % 2 == 0 {
+                gen::random_tree(400, seed)
+            } else {
+                gen::disjoint_random_trees(4, 100, seed)
+            };
+            for k in [1, 2, 8, 64] {
+                let mut batch = DynSld::from_forest(inst.build_forest(), DynSldOptions::default());
+                let mut single = DynSld::from_forest(inst.build_forest(), DynSldOptions::default());
+                let pairs = random_cuts(&batch, k, &mut rng);
+                assert_batch_equals_sequential(&mut batch, &mut single, &pairs);
+            }
+            // Every edge at the busiest vertex and at one of its neighbours: their nodes lie
+            // on one leaf-to-root path, so deleted nodes are children of deleted nodes.
+            let mut batch = DynSld::from_forest(inst.build_forest(), DynSldOptions::default());
+            let mut single = DynSld::from_forest(inst.build_forest(), DynSldOptions::default());
+            let hub = (0..batch.num_vertices() as u32)
+                .map(v)
+                .max_by_key(|&x| batch.forest().degree(x))
+                .unwrap();
+            let (next, _) = batch.forest().neighbors(hub).next().unwrap();
+            let mut edges: Vec<EdgeId> = batch.forest().incident_edges(hub).collect();
+            edges.extend(batch.forest().incident_edges(next));
+            edges.sort();
+            edges.dedup();
+            let pairs: Vec<(VertexId, VertexId)> =
+                edges.iter().map(|&e| batch.forest().endpoints(e)).collect();
+            assert_batch_equals_sequential(&mut batch, &mut single, &pairs);
         }
     }
 
     #[test]
     fn alternating_batches_match_static() {
-        let inst = gen::random_tree(90, 13);
-        let wb = WorkloadBuilder::new(inst.clone());
-        let mut d = DynSld::from_forest(inst.build_forest(), DynSldOptions::default());
+        // Repeatedly delete a batch and re-insert it (possibly with new weights): first the
+        // lowest ids of one tree, then random batches of up to 64 edges of a random forest.
         let mut rng = SmallRng::seed_from_u64(17);
-        // Repeatedly delete a random batch and re-insert it (possibly with new weights).
-        for round in 0..12 {
-            let k = rng.gen_range(1..20);
-            let mut deleted = Vec::new();
-            let alive: Vec<EdgeId> = d.forest().edge_ids().collect();
-            for &e in alive.iter().take(k) {
-                let (a, b) = d.forest().endpoints(e);
-                deleted.push((a, b, d.forest().weight(e)));
+        for (inst, max_k, pick_random) in [
+            (gen::random_tree(90, 13), 20, false),
+            (gen::disjoint_random_trees(3, 150, 13), 64, true),
+        ] {
+            let mut d = DynSld::from_forest(inst.build_forest(), DynSldOptions::default());
+            for round in 0..12 {
+                let k = rng.gen_range(1..=max_k);
+                let pairs = if pick_random {
+                    random_cuts(&d, k, &mut rng)
+                } else {
+                    let alive: Vec<EdgeId> = d.forest().edge_ids().take(k).collect();
+                    alive.iter().map(|&e| d.forest().endpoints(e)).collect()
+                };
+                let deleted: Vec<(VertexId, VertexId, Weight)> = pairs
+                    .iter()
+                    .map(|&(a, b)| {
+                        let e = d.forest().find_edge(a, b).unwrap();
+                        (a, b, d.forest().weight(e))
+                    })
+                    .collect();
+                d.batch_delete(&pairs).unwrap();
+                assert_matches_static(&d);
+                let reinsert: Vec<(VertexId, VertexId, Weight)> = deleted
+                    .iter()
+                    .map(|&(a, b, w)| (a, b, if round % 2 == 0 { w } else { rng.gen::<f64>() }))
+                    .collect();
+                d.batch_insert(&reinsert).unwrap();
+                assert_matches_static(&d);
             }
-            let pairs: Vec<(VertexId, VertexId)> =
-                deleted.iter().map(|&(a, b, _)| (a, b)).collect();
-            d.batch_delete(&pairs).unwrap();
-            assert_matches_static(&d);
-            let reinsert: Vec<(VertexId, VertexId, Weight)> = deleted
-                .iter()
-                .map(|&(a, b, w)| (a, b, if round % 2 == 0 { w } else { rng.gen::<f64>() }))
-                .collect();
-            d.batch_insert(&reinsert).unwrap();
+        }
+    }
+
+    #[test]
+    fn the_plan_visits_each_union_node_once() {
+        // On the increasing path the dendrogram is a chain of height n - 2, so every spine
+        // runs to the root: `k` evenly spread cuts label a union of about n nodes, while
+        // walking each cut's two spines would visit about k * n.
+        for n in [100, 200, 400, 800, 1_600] {
+            let inst = gen::path(n, WeightOrder::Increasing);
+            for k in [1, 8, n / 20] {
+                let mut d = DynSld::from_forest(inst.build_forest(), DynSldOptions::default());
+                let step = (n - 1) / k;
+                let pairs: Vec<(VertexId, VertexId)> = (0..k)
+                    .map(|j| {
+                        let i = (j * step + step / 2) as u32;
+                        (v(i), v(i + 1))
+                    })
+                    .collect();
+                let (mut union, mut walks) = (HashSet::new(), 0);
+                for &(a, b) in &pairs {
+                    let e = d.forest().find_edge(a, b).unwrap();
+                    for x in [a, b] {
+                        if let Some(s) = d.forest().min_incident_excluding(x, e) {
+                            let spine = d.dendrogram().spine(s);
+                            walks += spine.len();
+                            union.extend(spine);
+                        }
+                    }
+                }
+                d.batch_delete(&pairs).unwrap();
+                let stats = *d.stats();
+                let context = format!("n = {n}, k = {k}");
+                assert_eq!(stats.last_union_nodes, union.len(), "{context}");
+                assert_eq!(
+                    stats.last_spine_nodes,
+                    union.len(),
+                    "plan visits, {context}"
+                );
+                // Every cut lies in the union; the k dead nodes are the ones not queried.
+                assert_eq!(stats.last_tree_queries, union.len() - k, "{context}");
+                assert!(
+                    k == 1 || walks > k * union.len() / 4,
+                    "{context}: {walks} walked"
+                );
+                assert_matches_static(&d);
+            }
+        }
+    }
+
+    #[test]
+    fn a_labelled_batch_asks_no_query_and_equals_the_representative_one() {
+        let inst = gen::disjoint_random_trees(4, 120, 31);
+        let mut rng = SmallRng::seed_from_u64(31);
+        for k in [1, 3, 16, 64] {
+            let mut plain = DynSld::from_forest(inst.build_forest(), DynSldOptions::default());
+            let mut labelled = plain.clone();
+            let mut unlabelled = plain.clone();
+            let pairs = random_cuts(&plain, k, &mut rng);
+            let ids = plain.batch_delete(&pairs).unwrap();
+            // Any labelling that names the post-batch components will do: here the root of a
+            // union-find over the surviving forest, which the search sees already cut.
+            let (labelled_ids, edges_seen) = labelled
+                .batch_delete_labelled(&pairs, |sld| {
+                    let mut dsu = Dsu::new(sld.num_vertices());
+                    for (_, e) in sld.forest().edges() {
+                        dsu.union(e.u, e.v);
+                    }
+                    let label = move |_: usize, x: VertexId| dsu.find(x).0;
+                    (sld.num_edges(), Some(label))
+                })
+                .unwrap();
+            let (unlabelled_ids, ()) = unlabelled
+                .batch_delete_labelled(&pairs, |_| ((), None::<fn(usize, VertexId) -> u32>))
+                .unwrap();
+            assert_eq!(edges_seen, inst.n - 4 - k, "the search runs after the cuts");
+            assert_eq!((&labelled_ids, &unlabelled_ids), (&ids, &ids));
+            assert_eq!(labelled.stats().last_tree_queries, 0, "k = {k}");
+            assert!(plain.stats().last_tree_queries > 0, "k = {k}");
+            assert_eq!(unlabelled.stats(), plain.stats(), "k = {k}");
+            let (l, p) = (labelled.stats(), plain.stats());
+            assert_eq!(
+                (
+                    l.last_union_nodes,
+                    l.last_spine_nodes,
+                    l.last_pointer_changes
+                ),
+                (
+                    p.last_union_nodes,
+                    p.last_spine_nodes,
+                    p.last_pointer_changes
+                ),
+                "k = {k}"
+            );
+            for e in plain.forest().edge_ids() {
+                assert_eq!(labelled.parent_of(e), plain.parent_of(e), "parent of {e}");
+                assert_eq!(unlabelled.parent_of(e), plain.parent_of(e), "parent of {e}");
+            }
+            assert_matches_static(&labelled);
+        }
+    }
+
+    #[test]
+    fn deletions_reject_self_loops_and_out_of_range_pairs() {
+        for strategy in [UpdateStrategy::Sequential, UpdateStrategy::Parallel] {
+            let mut d = DynSld::with_options(3, DynSldOptions::with_strategy(strategy));
+            d.insert(v(0), v(1), 1.0).unwrap();
+            // `(0, 0)` names no edge, although an edge is incident to vertex 0.
+            assert_eq!(d.delete(v(0), v(0)), Err(DynSldError::SelfLoop(v(0))));
+            assert_eq!(d.delete_seq(v(1), v(1)), Err(DynSldError::SelfLoop(v(1))));
+            assert_eq!(
+                d.delete_parallel(v(1), v(1)),
+                Err(DynSldError::SelfLoop(v(1)))
+            );
+            assert_eq!(
+                d.batch_delete(&[(v(0), v(0))]),
+                Err(DynSldError::SelfLoop(v(0)))
+            );
+            // Out of range: an error, not a panic, and a valid pair earlier in the batch is
+            // not deleted either.
+            assert_eq!(
+                d.delete(v(0), v(7)),
+                Err(DynSldError::VertexOutOfRange(v(7)))
+            );
+            assert_eq!(
+                d.batch_delete(&[(v(0), v(1)), (v(9), v(1))]),
+                Err(DynSldError::VertexOutOfRange(v(9)))
+            );
+            assert_eq!(d.num_edges(), 1);
             assert_matches_static(&d);
         }
-        let _ = wb;
     }
 
     #[test]

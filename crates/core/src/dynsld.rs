@@ -151,6 +151,10 @@ pub struct UpdateStats {
     pub last_spine_nodes: usize,
     /// Dynamic-tree (PWS / median / connectivity) queries issued by the last update.
     pub last_tree_queries: usize,
+    /// Dendrogram nodes the last batch deletion labelled: the union of its cuts' spines, each
+    /// labelled once (0 after any other update). The plan visits each of them once, and
+    /// counts those visits in [`last_spine_nodes`](Self::last_spine_nodes).
+    pub last_union_nodes: usize,
     /// Total parent-pointer changes since construction.
     pub total_pointer_changes: u64,
 }
@@ -160,6 +164,7 @@ impl UpdateStats {
         self.last_pointer_changes = 0;
         self.last_spine_nodes = 0;
         self.last_tree_queries = 0;
+        self.last_union_nodes = 0;
     }
 }
 
@@ -499,13 +504,7 @@ impl DynSld {
         self.input_lct.cut_edge(en, un);
         self.input_lct.cut_edge(en, vn);
         self.forest.delete_edge(e);
-        Cut {
-            e,
-            rank,
-            u,
-            v,
-            e_star,
-        }
+        Cut { e, rank, u, e_star }
     }
 
     fn ensure_input_edge_node(&mut self, e: EdgeId, key: RankKey) -> LctNodeId {

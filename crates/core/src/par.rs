@@ -85,6 +85,7 @@ impl DynSld {
 
     /// Parallel edge deletion (Theorem 1.3), addressed by endpoints.
     pub fn delete_parallel(&mut self, u: VertexId, v: VertexId) -> Result<EdgeId, DynSldError> {
+        self.check_endpoints(u, v)?;
         let e = self
             .forest
             .find_edge(u, v)

@@ -40,6 +40,7 @@ impl DynSld {
     /// Sequential `O(h log(1 + n/h))` edge deletion (Theorem 1.1). The edge is addressed by its
     /// endpoints.
     pub fn delete_seq(&mut self, u: VertexId, v: VertexId) -> Result<EdgeId, DynSldError> {
+        self.check_endpoints(u, v)?;
         let e = self
             .forest
             .find_edge(u, v)

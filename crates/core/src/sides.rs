@@ -13,22 +13,29 @@
 //!   between `e*_u` and the deleted edge `e` lie in `e`'s child subtree on `u`'s side, so they
 //!   need no query; every strict ancestor of `e` is classified **once** against the
 //!   representative of `u` — one cut leaves exactly two sides, so "not `u`'s" means `v`'s.
-//! * **`k` cuts** (`DynSld::label_spines`, used by [`crate::batch`]). The spines of a batch
-//!   are shared almost to the root, so their *union* is labelled once: every spine is walked
-//!   upward until it meets a node already labelled in this round. The `k` unmerge plans then
-//!   filter by comparing labels — no treap walk — and may run in parallel. There is no complement
-//!   shortcut here: with `k` cuts a node can be on neither side of a given cut.
+//! * **`k` cuts** (used by [`crate::batch`]). The spines of a batch are shared almost to the
+//!   root, so their *union* is labelled once with post-batch components: every spine is walked
+//!   upward until it meets a node already labelled in this batch. Every ancestor of a union
+//!   node is then in the union, and a node's new parent is its nearest ancestor carrying its
+//!   own label — one top-down pass over the union finds all of them, keeping per label the
+//!   nearest such ancestor on the current root path. There is no complement shortcut here: with
+//!   `k` cuts a node can be on neither side of a given cut. The labels come from one
+//!   representative round, or — in the graph layer, whose replacement search runs before the
+//!   unmerge and has already enumerated the pieces the cuts left — from that search's pieces,
+//!   in which case no treap query is asked at all.
 //!
 //! [`UpdateStats::last_tree_queries`](crate::UpdateStats) counts one query per spine node whose
 //! side was decided by its representative (the lookups of the cut endpoints they are compared
 //! with are part of answering them and not counted again).
 
+use crate::dendrogram::Dendrogram;
 use crate::dynsld::DynSld;
 use dynsld_dyntree::RoundTable;
-use dynsld_forest::{EdgeId, RankKey, VertexId};
+use dynsld_forest::{EdgeId, Forest, RankKey, VertexId};
 
-/// Label of a spine node whose own edge was deleted by the batch. Equal to no component
-/// representative: `u32::MAX` is the Euler-tour treap's null index.
+/// Label of a union node whose own edge was deleted by the batch: it stays on no side and
+/// becomes nobody's parent. Equal to no component representative (`u32::MAX` is the Euler-tour
+/// treap's null index) and to no piece id.
 const DEAD: u32 = u32::MAX;
 
 /// A tree edge that [`DynSld::register_delete`] has removed from the input forest and the
@@ -38,29 +45,135 @@ pub(crate) struct Cut {
     pub(crate) e: EdgeId,
     /// The rank `e` had (it no longer has one: it left the forest).
     pub(crate) rank: RankKey,
+    /// The endpoint whose side [`DynSld::cut_sides`] classifies the ancestors of `e` against.
     pub(crate) u: VertexId,
-    pub(crate) v: VertexId,
     /// The characteristic edges `e*_u` and `e*_v`: the minimum-rank remaining edge at each
     /// endpoint, if any.
     pub(crate) e_star: [Option<EdgeId>; 2],
 }
 
 /// The reusable scratch of the side assignment (8 bytes per Euler-tour treap node and per
-/// edge id once a deletion has run).
+/// edge id once a deletion has run, plus buffers sized by the largest batch seen), so a batch
+/// deletion allocates nothing once they have grown.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct SideScratch {
     /// Memo of the representative round.
     repr: RoundTable,
-    /// Edge id -> component label of the spine nodes labelled by the current batch deletion.
-    labels: RoundTable,
+    /// The cuts of the current batch deletion, in batch order.
+    pub(crate) cuts: Vec<Cut>,
+    pub(crate) union: UnionScratch,
 }
 
-impl SideScratch {
-    /// The label [`DynSld::label_spines`] gave dendrogram node `f`, if it lies on an affected
-    /// spine.
-    #[inline]
-    pub(crate) fn label(&self, f: EdgeId) -> Option<u32> {
-        self.labels.get(f.index())
+/// The labelled union of a batch deletion's spines and the plan of its unmerge.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct UnionScratch {
+    /// Edge id -> label of the union nodes (the cuts' ids while a batch is validated).
+    pub(crate) labels: RoundTable,
+    /// The union nodes without a parent, one per dendrogram tree the batch cuts.
+    roots: Vec<EdgeId>,
+    /// Every label given in this batch, other than [`DEAD`], is below this.
+    label_bound: usize,
+    /// Label -> the nearest node carrying it on the root path the plan is at (as a raw edge
+    /// id; [`DEAD`] for none).
+    nearest: RoundTable,
+    /// The plan's depth-first stack.
+    stack: Vec<Step>,
+    /// The pointer changes the plan found: `(node, new parent)`.
+    pub(crate) plan: Vec<(EdgeId, Option<EdgeId>)>,
+}
+
+/// One step of the plan's depth-first pass over the union.
+#[derive(Copy, Clone, Debug)]
+enum Step {
+    /// Visit a union node, then its union children.
+    Enter(EdgeId),
+    /// Leave a subtree whose root carried `label`: `label`'s nearest node reverts to `saved`.
+    Exit { label: u32, saved: u32 },
+}
+
+impl UnionScratch {
+    /// Labels every node on the union of the characteristic spines of `cuts`, walking each
+    /// spine upward until it meets a node labelled before. An alive node `f` reached from the
+    /// `c`-th cut gets `label(c, x)`, where `x` is an endpoint of `f`; a deleted one gets
+    /// [`DEAD`]. `label` must give two vertices of the tree the cut split the same label iff
+    /// they are connected after the batch. Returns the number of nodes labelled.
+    pub(crate) fn label(
+        &mut self,
+        forest: &Forest,
+        dendro: &Dendrogram,
+        cuts: &[Cut],
+        mut label: impl FnMut(usize, VertexId) -> u32,
+    ) -> usize {
+        self.labels.begin_round(forest.edge_id_bound());
+        self.roots.clear();
+        self.label_bound = 0;
+        let mut nodes = 0;
+        for (c, cut) in cuts.iter().enumerate() {
+            for start in cut.e_star.into_iter().flatten() {
+                // Everything above an already labelled node was labelled by the same walk.
+                let mut cur = Some(start);
+                while let Some(f) = cur.filter(|&f| self.labels.get(f.index()).is_none()) {
+                    let l = if forest.contains_edge(f) {
+                        let l = label(c, forest.endpoints(f).0);
+                        assert_ne!(l, DEAD, "component labels are below u32::MAX");
+                        self.label_bound = self.label_bound.max(l as usize + 1);
+                        l
+                    } else {
+                        DEAD
+                    };
+                    self.labels.set(f.index(), l);
+                    nodes += 1;
+                    cur = dendro.parent(f);
+                    if cur.is_none() {
+                        self.roots.push(f);
+                    }
+                }
+            }
+        }
+        nodes
+    }
+
+    /// Plans the unmerge of the labelled union against the dendrogram it was labelled on: one
+    /// depth-first pass from the union's roots that gives every alive union node its nearest
+    /// ancestor with the same label as new parent, and records it in [`plan`](Self::plan) when
+    /// that differs from the current parent. Returns the number of nodes visited — the union,
+    /// each node once.
+    pub(crate) fn plan(&mut self, dendro: &Dendrogram) -> usize {
+        self.nearest.begin_round(self.label_bound);
+        self.plan.clear();
+        let mut visits = 0;
+        self.stack
+            .extend(self.roots.iter().map(|&r| Step::Enter(r)));
+        while let Some(step) = self.stack.pop() {
+            let f = match step {
+                Step::Enter(f) => f,
+                Step::Exit { label, saved } => {
+                    self.nearest.set(label as usize, saved);
+                    continue;
+                }
+            };
+            visits += 1;
+            let label = self
+                .labels
+                .get(f.index())
+                .expect("the plan visits union nodes");
+            if label != DEAD {
+                let saved = self.nearest.get(label as usize).unwrap_or(DEAD);
+                let parent = (saved != DEAD).then_some(EdgeId(saved));
+                if dendro.parent(f) != parent {
+                    self.plan.push((f, parent));
+                }
+                self.stack.push(Step::Exit { label, saved });
+                self.nearest.set(label as usize, f.0);
+            }
+            // A union node's children outside the union keep it as their parent.
+            for &c in dendro.children(f) {
+                if self.labels.get(c.index()).is_some() {
+                    self.stack.push(Step::Enter(c));
+                }
+            }
+        }
+        visits
     }
 }
 
@@ -98,34 +211,27 @@ impl DynSld {
         sides
     }
 
-    /// Labels every node on the union of the characteristic spines of `cuts` with the
-    /// representative of the post-deletion component of its edge (readable through
-    /// [`SideScratch::label`] until the next batch deletion), and returns, for each cut, the
-    /// labels of `u`'s and `v`'s components: a spine node stays on the side whose label it
-    /// carries. Nodes whose own edge is among the cuts get a label no side has.
-    pub(crate) fn label_spines(&mut self, cuts: &[Cut]) -> Vec<[u32; 2]> {
-        let labels = &mut self.sides.labels;
-        labels.begin_round(self.forest.edge_id_bound());
-        let mut round = self.conn.repr_round(&mut self.sides.repr);
-        cuts.iter()
-            .map(|cut| {
-                for start in cut.e_star.into_iter().flatten() {
-                    // Everything above an already labelled node was labelled by the same walk.
-                    let mut cur = Some(start);
-                    while let Some(f) = cur.filter(|&f| labels.get(f.index()).is_none()) {
-                        let label = if self.forest.contains_edge(f) {
-                            self.stats.last_tree_queries += 1;
-                            round.repr(self.forest.endpoints(f).0)
-                        } else {
-                            DEAD
-                        };
-                        labels.set(f.index(), label);
-                        cur = self.dendro.parent(f);
-                    }
-                }
-                [cut.u, cut.v].map(|anchor| round.repr(anchor))
-            })
-            .collect()
+    /// Labels the union of the current batch's spines (see [`UnionScratch::label`]) with
+    /// `label`, which asks no query of the structure.
+    pub(crate) fn label_spines_by(&mut self, label: impl FnMut(usize, VertexId) -> u32) {
+        let (forest, dendro, sides) = (&self.forest, &self.dendro, &mut self.sides);
+        self.stats.last_union_nodes = sides.union.label(forest, dendro, &sides.cuts, label);
+    }
+
+    /// Labels the union of the current batch's spines with the representative of each node's
+    /// post-deletion component: one round of find-representative queries.
+    pub(crate) fn label_spines(&mut self) {
+        let sides = &mut self.sides;
+        let mut round = self.conn.repr_round(&mut sides.repr);
+        let mut queries = 0;
+        let nodes = sides
+            .union
+            .label(&self.forest, &self.dendro, &sides.cuts, |_, x| {
+                queries += 1;
+                round.repr(x)
+            });
+        self.stats.last_tree_queries += queries;
+        self.stats.last_union_nodes = nodes;
     }
 }
 

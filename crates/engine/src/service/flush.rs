@@ -168,12 +168,14 @@ impl ClusterService {
     /// shards first, spill shard last). Shards with nothing pending contribute a no-op report.
     ///
     /// With [`ServiceBuilder::threads`] ≥ 2 the shard flushes run *concurrently* on the
-    /// fork-join pool — the engines are independent by construction, and the per-shard
-    /// [`FlushReport`]s are joined back in shard order, so the returned report (and the merged
-    /// view published afterwards) is identical to a sequential flush. On failure the error
-    /// names the lowest-indexed failing shard; in concurrent mode every shard is still
-    /// flushed, while `threads(1)` preserves the historical sequential contract of stopping at
-    /// the first failing shard.
+    /// fork-join pool, started heaviest first: by pending operations, most first, ties by
+    /// shard index (Graham's longest-processing-time rule, so the largest buffer — usually the
+    /// spill shard's — is not the one left to start last). The engines are independent by
+    /// construction, and the per-shard [`FlushReport`]s are joined back in shard order, so the
+    /// returned report (and the merged view published afterwards) is identical to a
+    /// sequential flush. On failure the error names the lowest-indexed failing shard; in
+    /// concurrent mode every shard is still flushed, while `threads(1)` preserves the
+    /// historical sequential contract of stopping at the first failing shard.
     pub(crate) fn flush_direct(&mut self) -> Result<ServiceFlushReport, ServiceError> {
         let started = Instant::now();
         // Gather one caught flush per shard (`None` for a quarantined one). A panicking shard
@@ -198,14 +200,28 @@ impl ClusterService {
             }
             caught
         } else {
-            // Scoped fan-out over the fork-join pool: every borrowed `&mut` engine is
-            // disjoint, and each result lands in its shard's slot regardless of execution
-            // order.
-            self.engines
-                .par_iter_mut()
-                .zip(self.health.par_iter())
-                .map(|(engine, health)| (!health.is_quarantined()).then(|| flush_catching(engine)))
-                .collect()
+            // Scoped fan-out over the fork-join pool, heaviest shard first: the pool starts the
+            // leading tasks first. Every borrowed `&mut` engine is disjoint, and each result
+            // lands back in its shard's slot.
+            let mut order: Vec<(usize, &mut ClusteringEngine, bool)> = self
+                .engines
+                .iter_mut()
+                .zip(&self.health)
+                .enumerate()
+                .map(|(idx, (engine, health))| (idx, engine, health.is_quarantined()))
+                .collect();
+            order.sort_by_key(|(idx, engine, _)| (std::cmp::Reverse(engine.pending_ops()), *idx));
+            let flushed: Vec<(usize, Option<CaughtFlush>)> = order
+                .into_par_iter()
+                .map(|(idx, engine, quarantined)| {
+                    (idx, (!quarantined).then(|| flush_catching(engine)))
+                })
+                .collect();
+            let mut caught: Vec<Option<CaughtFlush>> = (0..flushed.len()).map(|_| None).collect();
+            for (idx, flush) in flushed {
+                caught[idx] = flush;
+            }
+            caught
         };
         let mut reports = Vec::with_capacity(caught.len());
         let mut failure = None;

@@ -243,10 +243,14 @@ impl Forest {
         self.edges().map(|(id, _)| id)
     }
 
-    /// Finds the id of an alive edge between `u` and `v`, if one exists.
+    /// Finds the id of an alive edge between `u` and `v`, if one exists. A forest has no
+    /// self-loops, so `find_edge(u, u)` is `None`.
     ///
     /// Scans the smaller of the two incidence lists.
     pub fn find_edge(&self, u: VertexId, v: VertexId) -> Option<EdgeId> {
+        if u == v {
+            return None;
+        }
         let (a, b) = if self.degree(u) <= self.degree(v) {
             (u, v)
         } else {
@@ -347,6 +351,9 @@ mod tests {
         assert_eq!(f.find_edge(v(0), v(1)), Some(e));
         assert_eq!(f.find_edge(v(1), v(0)), Some(e));
         assert_eq!(f.find_edge(v(0), v(2)), None);
+        // A self-loop pair names no edge, not some edge at the vertex.
+        assert_eq!(f.find_edge(v(0), v(0)), None);
+        assert_eq!(f.find_edge(v(1), v(1)), None);
     }
 
     #[test]

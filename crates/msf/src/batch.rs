@@ -11,17 +11,24 @@
 //!   distinct components ride [`DynSld::batch_insert`] in one shot; cycle-closing edges fall
 //!   back to the per-edge insert (path-maximum comparison, possible eviction).
 //! * [`DynamicGraphClustering::batch_delete_edges`] strips non-tree deletions out of the batch
-//!   (reserve bookkeeping only), removes all tree edges with one [`DynSld::batch_delete`], then
-//!   restores the MSF by Kruskal over the lightest reserve edge per pair of pieces the cuts
-//!   left — the promoted edges again enter through [`DynSld::batch_insert`], because by
-//!   construction they link distinct components and form an incidence forest. That search is
-//!   the one [`DynamicGraphClustering::delete_edge`] runs too, on a batch of one.
+//!   (reserve bookkeeping only) and removes all tree edges with one
+//!   [`DynSld::batch_delete_labelled`]. The replacement search — Kruskal over the lightest
+//!   reserve edge per pair of pieces the cuts left — runs inside it, after the cuts and before
+//!   the unmerge, since it reads only the post-batch forest. On the scan backend it has then
+//!   enumerated every piece except each tree's largest, so it labels the unmerge with those
+//!   pieces and the dendrogram update asks no connectivity query; the HDT backend leaves the
+//!   labels to representative queries. The promoted edges then enter through
+//!   [`DynSld::batch_insert`], because by construction they link distinct components and form
+//!   an incidence forest. That search is the one [`DynamicGraphClustering::delete_edge`] runs
+//!   too, on a batch of one.
 //!
 //! Both entry points validate the whole batch before mutating anything, process edges in rank
 //! order (`(weight, endpoint pair)` — fully deterministic), and report per-edge [`MsfChange`]s
 //! in *input* order so callers can correlate outcomes with submissions.
 
-use crate::{pair, DynamicGraphClustering, MsfChange, PairRank, ReplacementIndex};
+use crate::{
+    pair, DynamicGraphClustering, MsfChange, PairRank, PieceMarks, ReplacementIndex, WorkCounters,
+};
 use dynsld::{DynSld, DynSldError};
 use dynsld_forest::{Dsu, VertexId, Weight};
 use std::collections::{HashMap, HashSet};
@@ -158,9 +165,10 @@ impl DynamicGraphClustering {
     /// dendrogram, promoting replacement edges from the reserve where cuts can be reconnected.
     ///
     /// Non-tree deletions touch only the reserve index. All tree deletions are applied with one
-    /// [`DynSld::batch_delete`]; the replacement search then runs Kruskal over the lightest
-    /// reserve edge per pair of pieces (`O(scanned + k²)` work for `k` pieces on the scan
-    /// backend), and the accepted promotions enter through [`DynSld::batch_insert`]. The
+    /// [`DynSld::batch_delete_labelled`], inside which the replacement search runs Kruskal over
+    /// the lightest reserve edge per pair of pieces (`O(scanned + k²)` work for `k` pieces on
+    /// the scan backend, whose pieces then label the unmerge), and the accepted promotions
+    /// enter through [`DynSld::batch_insert`]. The
     /// resulting MSF equals per-edge deletion in any order. The whole batch is validated
     /// first — on `Err` nothing was changed.
     pub fn batch_delete_edges(
@@ -214,21 +222,27 @@ impl DynamicGraphClustering {
             });
         }
 
-        // ---- tree deletions: one Theorem-1.5 batch ---------------------------------------
+        // ---- tree deletions: one Theorem-1.5 batch, labelled by the replacement search ----
+        // The search needs only the post-batch forest, so it runs inside the batch, before
+        // the unmerge, and the pieces it enumerates label the unmerge on the scan backend.
         let delete_start = Instant::now();
         let tree_pairs: Vec<(VertexId, VertexId)> = tree_idx.iter().map(|&i| pairs[i]).collect();
-        self.sld
-            .batch_delete(&tree_pairs)
+        let (index, marks, counters) = (&mut self.index, &mut self.pieces, &mut self.counters);
+        let scan = matches!(index, ReplacementIndex::Scan { .. });
+        let (_, ((promoted, tree_changes), replacement_time)) = self
+            .sld
+            .batch_delete_labelled(&tree_pairs, |sld| {
+                let search_start = Instant::now();
+                let found = find_replacements(sld, index, marks, counters, &tree_pairs);
+                let marks: &PieceMarks = marks;
+                let label = |c: usize, x: VertexId| marks.piece(x).unwrap_or(marks.cut_outer[c]);
+                ((found, search_start.elapsed()), scan.then_some(label))
+            })
             .expect("validated tree edges are alive forest edges");
-        apply_time += delete_start.elapsed();
-
-        // ---- replacement search ----------------------------------------------------------
-        let search_start = Instant::now();
-        let (promoted, tree_changes) = self.find_replacements(&tree_pairs);
         for (&i, change) in tree_idx.iter().zip(tree_changes) {
             changes[i] = Some(change);
         }
-        let replacement_time = search_start.elapsed();
+        apply_time += delete_start.elapsed().saturating_sub(replacement_time);
         classify_time += replacement_time;
 
         // ---- promotions ride the batch fast path -----------------------------------------
@@ -255,134 +269,6 @@ impl DynamicGraphClustering {
         })
     }
 
-    /// Finds the replacements for tree edges just cut from the MSF (already gone from `sld`):
-    /// Kruskal, in [`PairRank`] order, over the lightest reserve edge between each pair of
-    /// pieces the cuts left. Returns the accepted promotions in order and each deleted edge's
-    /// [`MsfChange`], in input order. The promotions are not applied: the caller inserts them
-    /// into `sld`, then calls [`mark_promoted`](Self::mark_promoted).
-    ///
-    /// One deleted edge leaves two pieces, and the scan covers the one that is not the
-    /// largest — `u`'s piece on a size tie, since `u` gets the lower local id.
-    pub(crate) fn find_replacements(
-        &mut self,
-        tree_pairs: &[(VertexId, VertexId)],
-    ) -> (Vec<(VertexId, VertexId, Weight)>, Vec<MsfChange>) {
-        // A candidate is `(rank, (piece of one endpoint, piece of the other))`, with pieces as
-        // local ids over the post-deletion components of the deleted endpoints.
-        let mut comps = LocalComponents::default();
-        let deleted_locals: Vec<(VertexId, VertexId)> = tree_pairs
-            .iter()
-            .map(|&(u, v)| (comps.local(&self.sld, u), comps.local(&self.sld, v)))
-            .collect();
-        let mut candidates: Vec<(PairRank, (VertexId, VertexId))> = Vec::new();
-        match &mut self.index {
-            // Scan backend: Kruskal over the lightest reserve edge per pair of pieces. Every
-            // reserve edge is intra-tree, so one crossing a cut joins two pieces of the *same
-            // original tree*. Per original tree, enumerate every piece except the largest (a
-            // crossing edge cannot have both endpoints there): the scan stays on the small
-            // sides, and an unmarked endpoint lies in the largest piece of the scanned piece's
-            // tree, so every endpoint's piece is one table read.
-            ReplacementIndex::Scan { reserve } => {
-                self.counters.replacement_searches += tree_pairs.len() as u64;
-                // The deleted edges joined exactly the pieces of each original tree, so a
-                // DSU over the pieces with one union per deleted edge groups them by tree.
-                let k = comps.len();
-                let mut tree_of_piece = Dsu::new(k);
-                let mut seed = vec![VertexId(0); k]; // a vertex of each piece
-                for (&(u, v), &(lu, lv)) in tree_pairs.iter().zip(&deleted_locals) {
-                    tree_of_piece.union(lu, lv);
-                    (seed[lu.index()], seed[lv.index()]) = (u, v);
-                }
-                let mut largest = vec![(0, 0); k]; // per tree root: (size, id) of its largest piece
-                for (l, &x) in seed.iter().enumerate() {
-                    let root = tree_of_piece.find(VertexId(l as u32)).index();
-                    largest[root] = largest[root].max((self.sld.component_size(x), l as u32));
-                }
-                let outer: Vec<u32> = (0..k as u32)
-                    .map(|l| largest[tree_of_piece.find(VertexId(l)).index()].1)
-                    .collect();
-                let marks = &mut self.pieces;
-                marks.begin_search(&self.sld, k);
-                for l in (0..k as u32).filter(|&l| outer[l as usize] != l) {
-                    marks.enumerate(&self.sld, seed[l as usize], l);
-                }
-                // Members are contiguous per piece: scan them in order, keeping the lightest
-                // edge to each other piece, and emit each pair's edge once — from the lower
-                // id when both pieces are enumerated.
-                for (i, &member) in marks.members.iter().enumerate() {
-                    let p = marks.piece(member).expect("members are marked");
-                    for (&key, &weight) in &reserve[member.index()] {
-                        self.counters.replacement_edges_scanned += 1;
-                        let other = if key.0 == member { key.1 } else { key.0 };
-                        let q = marks.piece(other).unwrap_or(outer[p as usize]);
-                        if q == p {
-                            continue;
-                        }
-                        let rank = PairRank(weight, key);
-                        let slot = &mut marks.best[q as usize];
-                        match slot {
-                            None => {
-                                marks.touched.push(q);
-                                *slot = Some(rank);
-                            }
-                            Some(best) if rank < *best => *best = rank,
-                            Some(_) => {}
-                        }
-                    }
-                    if marks.members.get(i + 1).and_then(|&x| marks.piece(x)) != Some(p) {
-                        for q in marks.touched.drain(..) {
-                            let rank = marks.best[q as usize].take().expect("touched");
-                            if q > p || q == outer[p as usize] {
-                                candidates.push((rank, (VertexId(p), VertexId(q))));
-                            }
-                        }
-                    }
-                }
-            }
-            // HDT backend: replay the tree deletions through the level structure in input
-            // order. Each search returns the minimum-rank edge across its cut given the
-            // promotions already made, so the union of the results is exactly the set the
-            // scan backend's Kruskal pass accepts (per-edge sequential deletion and the batch
-            // pass produce the same unique MSF under the total order). Sorting the results by
-            // rank makes the shared attribution pass below bit-identical to the scan path.
-            ReplacementIndex::Hdt(ix) => {
-                for &(u, v) in tree_pairs {
-                    if let Some((a, b, w)) = ix.delete_tree_with_search(u, v) {
-                        let ends = (comps.local(&self.sld, a), comps.local(&self.sld, b));
-                        candidates.push((PairRank(w, pair(a, b)), ends));
-                    }
-                }
-            }
-        }
-        candidates.sort_by_key(|c| c.0);
-        self.counters.replacement_candidates += candidates.len() as u64;
-
-        // Accept candidates greedily over the piece DSU (Kruskal never accepts a heavier
-        // parallel edge, so keeping one edge per pair of pieces changes nothing); attribute
-        // each accepted promotion to the deleted edges whose endpoints it (transitively)
-        // reconnects.
-        let mut promoted: Vec<(VertexId, VertexId, Weight)> = Vec::new();
-        let mut changes = vec![MsfChange::RemovedAndSplit; tree_pairs.len()];
-        let mut dsu = Dsu::new(comps.len());
-        let mut pending: Vec<usize> = (0..tree_pairs.len()).collect();
-        for (PairRank(w, (a, b)), (la, lb)) in candidates {
-            if !dsu.union(la, lb) {
-                continue;
-            }
-            promoted.push((a, b, w));
-            pending.retain(|&j| {
-                let (lu, lv) = deleted_locals[j];
-                if dsu.connected(lu, lv) {
-                    changes[j] = MsfChange::RemovedWithReplacement { promoted: (a, b) };
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-        (promoted, changes)
-    }
-
     /// Takes promoted edges out of the non-tree store: the scan backend's reserve drops them,
     /// since the forest insert that promoted them made the forest their store; the HDT
     /// searches already turned them into tree edges inside their index.
@@ -396,6 +282,143 @@ impl DynamicGraphClustering {
         }
         self.nontree_edges -= promoted.len();
     }
+}
+
+/// Finds the replacements for tree edges just cut from the MSF (already gone from `sld`'s
+/// forest; its dendrogram is not read): Kruskal, in [`PairRank`] order, over the lightest
+/// reserve edge between each pair of pieces the cuts left. Returns the accepted promotions in
+/// order and each deleted edge's [`MsfChange`], in input order. The promotions are not
+/// applied: the caller inserts them into `sld`, then calls
+/// [`mark_promoted`](DynamicGraphClustering::mark_promoted).
+///
+/// One deleted edge leaves two pieces, and the scan covers the one that is not the largest —
+/// `u`'s piece on a size tie, since `u` gets the lower local id. On the scan backend `marks`
+/// then names every post-deletion component of the cut trees: [`PieceMarks::piece`], or
+/// `marks.cut_outer[c]` for a vertex of `tree_pairs[c]`'s tree that no piece marks.
+pub(crate) fn find_replacements(
+    sld: &DynSld,
+    index: &mut ReplacementIndex,
+    marks: &mut PieceMarks,
+    counters: &mut WorkCounters,
+    tree_pairs: &[(VertexId, VertexId)],
+) -> (Vec<(VertexId, VertexId, Weight)>, Vec<MsfChange>) {
+    // A candidate is `(rank, (piece of one endpoint, piece of the other))`, with pieces as
+    // local ids over the post-deletion components of the deleted endpoints.
+    let mut comps = LocalComponents::default();
+    let deleted_locals: Vec<(VertexId, VertexId)> = tree_pairs
+        .iter()
+        .map(|&(u, v)| (comps.local(sld, u), comps.local(sld, v)))
+        .collect();
+    let mut candidates: Vec<(PairRank, (VertexId, VertexId))> = Vec::new();
+    match index {
+        // Scan backend: Kruskal over the lightest reserve edge per pair of pieces. Every
+        // reserve edge is intra-tree, so one crossing a cut joins two pieces of the *same
+        // original tree*. Per original tree, enumerate every piece except the largest (a
+        // crossing edge cannot have both endpoints there): the scan stays on the small
+        // sides, and an unmarked endpoint lies in the largest piece of the scanned piece's
+        // tree, so every endpoint's piece is one table read.
+        ReplacementIndex::Scan { reserve } => {
+            counters.replacement_searches += tree_pairs.len() as u64;
+            // The deleted edges joined exactly the pieces of each original tree, so a
+            // DSU over the pieces with one union per deleted edge groups them by tree.
+            let k = comps.len();
+            let mut tree_of_piece = Dsu::new(k);
+            let mut seed = vec![VertexId(0); k]; // a vertex of each piece
+            for (&(u, v), &(lu, lv)) in tree_pairs.iter().zip(&deleted_locals) {
+                tree_of_piece.union(lu, lv);
+                (seed[lu.index()], seed[lv.index()]) = (u, v);
+            }
+            let mut largest = vec![(0, 0); k]; // per tree root: (size, id) of its largest piece
+            for (l, &x) in seed.iter().enumerate() {
+                let root = tree_of_piece.find(VertexId(l as u32)).index();
+                largest[root] = largest[root].max((sld.component_size(x), l as u32));
+            }
+            let outer: Vec<u32> = (0..k as u32)
+                .map(|l| largest[tree_of_piece.find(VertexId(l)).index()].1)
+                .collect();
+            marks.begin_search(sld, k);
+            for l in (0..k as u32).filter(|&l| outer[l as usize] != l) {
+                marks.enumerate(sld, seed[l as usize], l);
+            }
+            marks.cut_outer.clear();
+            marks
+                .cut_outer
+                .extend(deleted_locals.iter().map(|&(lu, _)| outer[lu.index()]));
+            // Members are contiguous per piece: scan them in order, keeping the lightest
+            // edge to each other piece, and emit each pair's edge once — from the lower
+            // id when both pieces are enumerated.
+            for (i, &member) in marks.members.iter().enumerate() {
+                let p = marks.piece(member).expect("members are marked");
+                for (&key, &weight) in &reserve[member.index()] {
+                    counters.replacement_edges_scanned += 1;
+                    let other = if key.0 == member { key.1 } else { key.0 };
+                    let q = marks.piece(other).unwrap_or(outer[p as usize]);
+                    if q == p {
+                        continue;
+                    }
+                    let rank = PairRank(weight, key);
+                    let slot = &mut marks.best[q as usize];
+                    match slot {
+                        None => {
+                            marks.touched.push(q);
+                            *slot = Some(rank);
+                        }
+                        Some(best) if rank < *best => *best = rank,
+                        Some(_) => {}
+                    }
+                }
+                if marks.members.get(i + 1).and_then(|&x| marks.piece(x)) != Some(p) {
+                    for q in marks.touched.drain(..) {
+                        let rank = marks.best[q as usize].take().expect("touched");
+                        if q > p || q == outer[p as usize] {
+                            candidates.push((rank, (VertexId(p), VertexId(q))));
+                        }
+                    }
+                }
+            }
+        }
+        // HDT backend: replay the tree deletions through the level structure in input
+        // order. Each search returns the minimum-rank edge across its cut given the
+        // promotions already made, so the union of the results is exactly the set the
+        // scan backend's Kruskal pass accepts (per-edge sequential deletion and the batch
+        // pass produce the same unique MSF under the total order). Sorting the results by
+        // rank makes the shared attribution pass below bit-identical to the scan path.
+        ReplacementIndex::Hdt(ix) => {
+            for &(u, v) in tree_pairs {
+                if let Some((a, b, w)) = ix.delete_tree_with_search(u, v) {
+                    let ends = (comps.local(sld, a), comps.local(sld, b));
+                    candidates.push((PairRank(w, pair(a, b)), ends));
+                }
+            }
+        }
+    }
+    candidates.sort_by_key(|c| c.0);
+    counters.replacement_candidates += candidates.len() as u64;
+
+    // Accept candidates greedily over the piece DSU (Kruskal never accepts a heavier
+    // parallel edge, so keeping one edge per pair of pieces changes nothing); attribute
+    // each accepted promotion to the deleted edges whose endpoints it (transitively)
+    // reconnects.
+    let mut promoted: Vec<(VertexId, VertexId, Weight)> = Vec::new();
+    let mut changes = vec![MsfChange::RemovedAndSplit; tree_pairs.len()];
+    let mut dsu = Dsu::new(comps.len());
+    let mut pending: Vec<usize> = (0..tree_pairs.len()).collect();
+    for (PairRank(w, (a, b)), (la, lb)) in candidates {
+        if !dsu.union(la, lb) {
+            continue;
+        }
+        promoted.push((a, b, w));
+        pending.retain(|&j| {
+            let (lu, lv) = deleted_locals[j];
+            if dsu.connected(lu, lv) {
+                changes[j] = MsfChange::RemovedWithReplacement { promoted: (a, b) };
+                false
+            } else {
+                true
+            }
+        });
+    }
+    (promoted, changes)
 }
 
 #[cfg(test)]

@@ -29,7 +29,9 @@
 //!   "Deviations from the paper", substitution 5 — the paper points to
 //!   Holm–de Lichtenberg–Thorup \[33\] or the batch-parallel MSF of Tseng et al. \[48\] for
 //!   this component). Per-edge and batch deletion share this one search; a per-edge deletion
-//!   is a batch of one.
+//!   is a batch of one. A deletion batch runs the search before the dendrogram's unmerge
+//!   ([`DynSld::batch_delete_labelled`]), and the pieces it enumerated label that unmerge, so
+//!   the batch asks no connectivity query of the Euler-tour forest.
 //! * [`ForestBackend::Hdt`] keeps an HDT-style level structure (see the `hdt` module):
 //!   edges carry levels, replacement search amortizes candidate examinations over level
 //!   promotions, and only the candidates stored at the levels a cut touches are examined.
@@ -204,6 +206,9 @@ pub(crate) struct PieceMarks {
     pub(crate) best: Vec<Option<PairRank>>,
     /// The slots of `best` written while scanning the current piece.
     pub(crate) touched: Vec<u32>,
+    /// Per deleted edge of the search, in order: the id of the largest piece of the tree it
+    /// split — the one piece not enumerated, so the piece of every unmarked vertex there.
+    pub(crate) cut_outer: Vec<u32>,
 }
 
 impl PieceMarks {
@@ -494,7 +499,13 @@ impl DynamicGraphClustering {
             return Ok(MsfChange::RemovedNonTree);
         }
         self.sld.delete(u, v)?;
-        let (promoted, mut changes) = self.find_replacements(&[(u, v)]);
+        let (promoted, mut changes) = batch::find_replacements(
+            &self.sld,
+            &mut self.index,
+            &mut self.pieces,
+            &mut self.counters,
+            &[(u, v)],
+        );
         if let Some(&(a, b, w)) = promoted.first() {
             self.sld.insert(a, b, w)?;
             self.mark_promoted(&promoted);
@@ -788,7 +799,7 @@ mod tests {
 
             let mut g = DynamicGraphClustering::with_options(n, backend_options(backend));
             let mut alive: Vec<(VertexId, VertexId, Weight)> = Vec::new();
-            let mut exchanges = 0;
+            let (mut exchanges, mut unpromoted_splits) = (0, 0);
             for step in 0..600 {
                 let do_insert =
                     alive.is_empty() || (alive.len() < candidates.len() && rng.gen_bool(0.55));
@@ -807,6 +818,26 @@ mod tests {
                         exchanges += 1;
                     }
                     alive.push(next);
+                } else if alive.len() >= 30 && rng.gen_bool(0.25) {
+                    // A deletion batch of up to four edges. On the scan backend the replacement
+                    // search labels the unmerge, so no connectivity query is asked.
+                    let k = rng.gen_range(1..=4.min(alive.len()));
+                    let batch: Vec<(VertexId, VertexId)> = (0..k)
+                        .map(|_| {
+                            let (a, b, _) = alive.swap_remove(rng.gen_range(0..alive.len()));
+                            (a, b)
+                        })
+                        .collect();
+                    let outcome = g.batch_delete_edges(&batch).unwrap();
+                    if backend == ForestBackend::Scan {
+                        assert_eq!(g.sld().stats().last_tree_queries, 0, "step {step}");
+                        // Promotions reset the statistics, so only a batch without one shows
+                        // what the unmerge asked.
+                        let split = outcome.changes.contains(&MsfChange::RemovedAndSplit);
+                        if split && outcome.promoted.is_empty() {
+                            unpromoted_splits += 1;
+                        }
+                    }
                 } else {
                     let idx = rng.gen_range(0..alive.len());
                     let (a, b, _) = alive.swap_remove(idx);
@@ -821,6 +852,10 @@ mod tests {
             }
             assert_msf_matches(&g, &alive);
             assert!(exchanges > 0, "the stream evicts tree edges");
+            assert!(
+                backend == ForestBackend::Hdt || unpromoted_splits > 0,
+                "some scan deletion batch splits a tree without a promotion"
+            );
             let counters = g.work_counters();
             assert!(counters.replacement_searches > 0, "searches were counted");
             assert_eq!(

@@ -16,7 +16,7 @@
 //! (`DYNSLD_THREADS=1`) both runs are sequential and the comparison is trivial; with a
 //! multi-threaded pool it is a real scheduling-independence check.
 
-use dynsld_engine::{BlockPartitioner, FlushPolicy, ServiceBuilder, ServiceSnapshot};
+use dynsld_engine::{BlockPartitioner, FlushPolicy, ServiceBuilder, ServiceSnapshot, ShardId};
 use dynsld_forest::workload::GraphWorkloadBuilder;
 use dynsld_tests::{assert_bit_identical, configs, feed};
 use proptest::prelude::*;
@@ -135,5 +135,75 @@ fn on_read_policy_is_thread_count_independent() {
         &par.service().published(),
         &[1.5, 4.0, f64::INFINITY],
         "final read",
+    );
+}
+
+/// The concurrent fan-out starts the shard with the most pending operations first. On a
+/// 2-shard + spill service whose spill buffer is the largest, that changes only which flush
+/// starts first: the reports still come back in shard order, equal to a sequential flush's,
+/// and so do the published clusterings.
+#[test]
+fn heaviest_shard_first_keeps_reports_in_shard_order() {
+    rayon::configure_threads(4);
+    let n = 60;
+    // Two blocks of 30 vertices: about half of the random pairs cross them, so the spill
+    // shard buffers about twice what either routed shard does.
+    let stream = GraphWorkloadBuilder::new(n)
+        .weight_scale(8.0)
+        .churn_stream(3 * n, 900, 0x5B111);
+    let build = |threads| {
+        ServiceBuilder::new()
+            .vertices(n)
+            .shards(2)
+            .partitioner(BlockPartitioner { block_size: 30 })
+            .flush_policy(FlushPolicy::Manual)
+            .threads(threads)
+            .build()
+            .expect("valid test configuration")
+            .into_driver()
+    };
+    let (mut seq, mut par) = (build(1), build(4));
+    let order = [ShardId::Routed(0), ShardId::Routed(1), ShardId::Spill];
+    let mut spill_largest = 0;
+    for (i, chunk) in stream.chunks(150).enumerate() {
+        feed(&mut seq, chunk.iter().copied());
+        feed(&mut par, chunk.iter().copied());
+        seq.pump().expect("validated stream");
+        par.pump().expect("validated stream");
+        let rs = seq.flush().expect("validated stream");
+        let rp = par.flush().expect("validated stream");
+        for (report, name) in [(&rs, "threads(1)"), (&rp, "threads(4)")] {
+            let ids: Vec<ShardId> = report.reports.iter().map(|(id, _)| *id).collect();
+            assert_eq!(
+                ids, order,
+                "flush round {i}: {name} reports out of shard order"
+            );
+        }
+        for ((_, s), (id, p)) in rs.reports.iter().zip(&rp.reports) {
+            let context = format!("flush round {i}, shard {id:?}");
+            assert_eq!(s.epoch, p.epoch, "{context}");
+            assert_eq!(s.ops_applied, p.ops_applied, "{context}");
+            assert_eq!(s.changes, p.changes, "{context}");
+            assert_eq!(s.promoted, p.promoted, "{context}");
+            assert_eq!(
+                (s.fast_path, s.fallback),
+                (p.fast_path, p.fallback),
+                "{context}"
+            );
+        }
+        let ops: Vec<usize> = rs.reports.iter().map(|(_, r)| r.ops_applied).collect();
+        if ops[2] > ops[0].max(ops[1]) {
+            spill_largest += 1;
+        }
+        assert_identical(
+            &seq.service().published(),
+            &par.service().published(),
+            &[1.5, 4.0, f64::INFINITY],
+            &format!("flush round {i}"),
+        );
+    }
+    assert!(
+        spill_largest >= 4,
+        "the spill buffer was the largest in only {spill_largest} of 6 flushes"
     );
 }
