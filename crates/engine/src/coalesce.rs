@@ -20,13 +20,14 @@
 //! re-weight contributes to both, which is exactly the delete + re-insert the per-edge path
 //! would perform — minus the redundant intermediate applications).
 //!
-//! The validity-free half of this merge table is mirrored by the submission queue's
-//! `Backpressure::Coalesce` compaction (`compact` in `crates/engine/src/ingest.rs`); a rule
-//! change here must be reflected there.
+//! Every row but *(none)* holds on every graph state, so `merge` states it once for both of
+//! its users: the [`Coalescer`], which adds the applied-state check of the first row, and the
+//! submission queue's [`Backpressure::Coalesce`](crate::Backpressure::Coalesce) compaction
+//! (`compact`), which cannot see shard state and leaves that row to the driver.
 
 use dynsld_forest::workload::GraphUpdate;
 use dynsld_forest::{VertexId, Weight};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// Why the coalescer rejected an event.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -41,12 +42,87 @@ pub enum RejectReason {
     NotPresent,
 }
 
-/// One pending operation per edge, the post-merge state.
+/// What folding an event into its edge's pending operation does. A pending operation is
+/// kept as the event that states it, on the endpoints of the edge's first pending event.
 #[derive(Copy, Clone, Debug, PartialEq)]
-enum Pending {
-    Insert(Weight),
-    Delete,
-    Reweight(Weight),
+enum Merge {
+    /// Nothing was pending: the event becomes the edge's pending operation, if the applied
+    /// graph allows it (the *(none)* row of the table).
+    Start,
+    /// The pending operation becomes this one; the event is absorbed.
+    Replace(GraphUpdate),
+    /// A pending insert met a delete: both events vanish.
+    Annihilate,
+}
+
+/// The merge table of the module docs, except the applied-state check of its *(none)* row.
+/// An `Err` is an event that is invalid on every graph state: a self-loop, or an arm that
+/// rejects whatever the applied graph holds.
+fn merge(pending: Option<GraphUpdate>, event: GraphUpdate) -> Result<Merge, RejectReason> {
+    use GraphUpdate::{Delete, Insert, Reweight};
+    let (a, b) = event.endpoints();
+    if a == b {
+        return Err(RejectReason::SelfLoop);
+    }
+    let Some(pending) = pending else {
+        return Ok(Merge::Start);
+    };
+    match (pending, event) {
+        (Insert { .. } | Reweight { .. }, Insert { .. }) => Err(RejectReason::AlreadyPresent),
+        // The pending insert never happened as far as the graph is concerned.
+        (Insert { .. }, Delete { .. }) => Ok(Merge::Annihilate),
+        // Re-weighting an insert that was never applied: insert at the new weight.
+        (Insert { u, v, .. }, Reweight { weight, .. }) => {
+            Ok(Merge::Replace(Insert { u, v, weight }))
+        }
+        // Delete then insert of an applied edge = change its weight.
+        (Delete { u, v }, Insert { weight, .. }) => Ok(Merge::Replace(Reweight { u, v, weight })),
+        (Delete { .. }, Delete { .. } | Reweight { .. }) => Err(RejectReason::NotPresent),
+        // A re-weight made moot by a following delete.
+        (Reweight { u, v, .. }, Delete { .. }) => Ok(Merge::Replace(Delete { u, v })),
+        // Re-weight chains collapse to the last weight.
+        (Reweight { u, v, .. }, Reweight { weight, .. }) => {
+            Ok(Merge::Replace(Reweight { u, v, weight }))
+        }
+    }
+}
+
+/// Compacts a queued event sequence in place through `merge`: each event folds into the
+/// queued event of its edge, in that event's slot, so survivors keep their relative order.
+/// An event that is invalid on every graph state (a self-loop, a double delete, an insert
+/// over an insert, …) stays in place untouched for the driver to reject, and later events of
+/// its edge never fold across it. Events whose validity depends on the applied graph cannot
+/// be told apart here; see the caveat on `Backpressure::Coalesce`. Returns the number of
+/// events absorbed, counted like the [`Coalescer`]: an annihilated pair counts 2, a
+/// replacement 1.
+pub(crate) fn compact(buf: &mut VecDeque<GraphUpdate>) -> usize {
+    let mut slots: Vec<Option<GraphUpdate>> = Vec::with_capacity(buf.len());
+    let mut slot_of: HashMap<(VertexId, VertexId), usize> = HashMap::new();
+    let mut absorbed = 0;
+    for event in buf.drain(..) {
+        let key = event.endpoints();
+        let slot = slot_of.get(&key).copied();
+        match merge(slot.and_then(|i| slots[i]), event) {
+            Ok(Merge::Start) => {
+                slot_of.insert(key, slots.len());
+                slots.push(Some(event));
+            }
+            Ok(Merge::Replace(op)) => {
+                slots[slot.expect("a merge has a queued event")] = Some(op);
+                absorbed += 1;
+            }
+            Ok(Merge::Annihilate) => {
+                slots[slot.expect("a merge has a queued event")] = None;
+                absorbed += 2;
+            }
+            Err(_) => {
+                slot_of.remove(&key);
+                slots.push(Some(event));
+            }
+        }
+    }
+    buf.extend(slots.into_iter().flatten());
+    absorbed
 }
 
 /// The two homogeneous batches produced by a drain, in application order: deletions first
@@ -80,7 +156,7 @@ impl CoalescedBatch {
 #[derive(Clone, Debug, Default)]
 pub struct Coalescer {
     /// Pending op per normalised edge pair. A `BTreeMap` so that draining is deterministic.
-    pending: BTreeMap<(VertexId, VertexId), Pending>,
+    pending: BTreeMap<(VertexId, VertexId), GraphUpdate>,
     /// Events absorbed since construction.
     submitted: u64,
     /// Events that vanished because an insert and a delete annihilated (counted in pairs:
@@ -122,70 +198,26 @@ impl Coalescer {
     /// On rejection the buffer is unchanged and the event must not be considered ingested.
     pub fn push(&mut self, event: GraphUpdate, alive: bool) -> Result<(), RejectReason> {
         let key = event.endpoints();
-        if key.0 == key.1 {
-            return Err(RejectReason::SelfLoop);
-        }
-        let pending = self.pending.get(&key).copied();
-        let next = match (event, pending) {
-            (GraphUpdate::Insert { weight, .. }, None) => {
-                if alive {
-                    return Err(RejectReason::AlreadyPresent);
-                }
-                Some(Pending::Insert(weight))
-            }
-            (GraphUpdate::Insert { .. }, Some(Pending::Insert(_) | Pending::Reweight(_))) => {
-                return Err(RejectReason::AlreadyPresent);
-            }
-            (GraphUpdate::Insert { weight, .. }, Some(Pending::Delete)) => {
-                // Delete then insert of an applied edge = change its weight.
-                self.collapsed += 1;
-                Some(Pending::Reweight(weight))
-            }
-            (GraphUpdate::Delete { .. }, None) => {
-                if !alive {
+        match merge(self.pending.get(&key).copied(), event)? {
+            Merge::Start => match (event, alive) {
+                (GraphUpdate::Insert { .. }, true) => return Err(RejectReason::AlreadyPresent),
+                (GraphUpdate::Delete { .. } | GraphUpdate::Reweight { .. }, false) => {
                     return Err(RejectReason::NotPresent);
                 }
-                Some(Pending::Delete)
-            }
-            (GraphUpdate::Delete { .. }, Some(Pending::Insert(_))) => {
-                // The buffered insert never happened as far as the graph is concerned.
-                self.annihilated += 2;
-                None
-            }
-            (GraphUpdate::Delete { .. }, Some(Pending::Delete)) => {
-                return Err(RejectReason::NotPresent);
-            }
-            (GraphUpdate::Delete { .. }, Some(Pending::Reweight(_))) => {
-                self.collapsed += 1;
-                Some(Pending::Delete)
-            }
-            (GraphUpdate::Reweight { weight, .. }, None) => {
-                if !alive {
-                    return Err(RejectReason::NotPresent);
+                _ => {
+                    self.pending.insert(key, event);
                 }
-                Some(Pending::Reweight(weight))
-            }
-            (GraphUpdate::Reweight { weight, .. }, Some(Pending::Insert(_))) => {
+            },
+            Merge::Replace(op) => {
                 self.collapsed += 1;
-                Some(Pending::Insert(weight))
-            }
-            (GraphUpdate::Reweight { .. }, Some(Pending::Delete)) => {
-                return Err(RejectReason::NotPresent);
-            }
-            (GraphUpdate::Reweight { weight, .. }, Some(Pending::Reweight(_))) => {
-                self.collapsed += 1;
-                Some(Pending::Reweight(weight))
-            }
-        };
-        self.submitted += 1;
-        match next {
-            Some(op) => {
                 self.pending.insert(key, op);
             }
-            None => {
+            Merge::Annihilate => {
+                self.annihilated += 2;
                 self.pending.remove(&key);
             }
         }
+        self.submitted += 1;
         Ok(())
     }
 
@@ -195,12 +227,12 @@ impl Coalescer {
         let mut batch = CoalescedBatch::default();
         for (&(u, v), &op) in &self.pending {
             match op {
-                Pending::Insert(w) => batch.insertions.push((u, v, w)),
-                Pending::Delete => batch.deletions.push((u, v)),
-                Pending::Reweight(w) => {
+                GraphUpdate::Insert { weight, .. } => batch.insertions.push((u, v, weight)),
+                GraphUpdate::Delete { .. } => batch.deletions.push((u, v)),
+                GraphUpdate::Reweight { weight, .. } => {
                     batch.reweights += 1;
                     batch.deletions.push((u, v));
-                    batch.insertions.push((u, v, w));
+                    batch.insertions.push((u, v, weight));
                 }
             }
         }

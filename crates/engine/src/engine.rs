@@ -16,7 +16,7 @@ use crate::snapshot::{CacheStats, EngineSnapshot};
 use dynsld::{DynSldError, DynSldOptions};
 use dynsld_forest::workload::GraphUpdate;
 use dynsld_forest::VertexId;
-use dynsld_msf::{DynamicGraphClustering, MsfChange};
+use dynsld_msf::{DynamicGraphClustering, MsfChange, WorkCounters};
 use dynsld_telemetry::Telemetry;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -149,10 +149,7 @@ struct Counters {
     fast_path_ops: u64,
     fallback_ops: u64,
     edges_promoted: u64,
-    replacement_edges_scanned: u64,
-    level_promotions: u64,
-    replacement_searches: u64,
-    replacement_candidates: u64,
+    work: WorkCounters,
     total_flush_time: Duration,
     max_flush_time: Duration,
 }
@@ -378,11 +375,7 @@ impl ClusteringEngine {
         self.counters.fast_path_ops += fast_path as u64;
         self.counters.fallback_ops += fallback as u64;
         self.counters.edges_promoted += promoted.len() as u64;
-        let work = self.graph.take_work_counters();
-        self.counters.replacement_edges_scanned += work.replacement_edges_scanned;
-        self.counters.level_promotions += work.level_promotions;
-        self.counters.replacement_searches += work.replacement_searches;
-        self.counters.replacement_candidates += work.replacement_candidates;
+        self.counters.work.merge(&self.graph.take_work_counters());
         self.counters.total_flush_time += duration;
         self.counters.max_flush_time = self.counters.max_flush_time.max(duration);
 
@@ -428,57 +421,30 @@ impl ClusteringEngine {
 
     /// A point-in-time export of all engine counters.
     pub fn metrics(&self) -> Metrics {
+        let work = &self.counters.work;
         Metrics {
             events_submitted: self.coalescer.events_submitted(),
             events_annihilated: self.coalescer.events_annihilated(),
             events_collapsed: self.coalescer.events_collapsed(),
-            // Routing, assignment, and the submission queue are service-level concepts; see
-            // `ClusterService::metrics`.
-            events_routed_spill: 0,
-            edge_inserts_routed: 0,
-            edge_inserts_cut: 0,
-            vertices_assigned: 0,
-            events_enqueued: 0,
-            events_compacted_in_queue: 0,
-            queue_block_waits: 0,
-            queue_full_rejections: 0,
-            queue_depth_max: 0,
-            queue_depth_last_drain: 0,
             pending_ops: self.coalescer.pending_ops(),
             flushes: self.counters.flushes,
             ops_applied: self.counters.ops_applied,
             fast_path_ops: self.counters.fast_path_ops,
             fallback_ops: self.counters.fallback_ops,
             edges_promoted: self.counters.edges_promoted,
-            replacement_edges_scanned: self.counters.replacement_edges_scanned,
-            level_promotions: self.counters.level_promotions,
-            replacement_searches: self.counters.replacement_searches,
-            replacement_candidates: self.counters.replacement_candidates,
+            replacement_edges_scanned: work.replacement_edges_scanned,
+            level_promotions: work.level_promotions,
+            replacement_searches: work.replacement_searches,
+            replacement_candidates: work.replacement_candidates,
             total_pointer_changes: self.graph.sld().stats().total_pointer_changes,
             total_flush_time: self.counters.total_flush_time,
             max_flush_time: self.counters.max_flush_time,
             snapshot_cache_hits: self.cache_stats.hits.load(Ordering::Relaxed),
             snapshot_cache_misses: self.cache_stats.misses.load(Ordering::Relaxed),
-            // Delta serving is a service-level concept too; see `ClusterService::metrics`.
-            snapshots_served: 0,
-            deltas_served: 0,
-            delta_bytes_out: 0,
-            full_fallbacks: 0,
-            // Fault isolation and wire robustness are tracked by the service and the wire
-            // layer respectively; a standalone engine never populates them.
-            shard_panics_caught: 0,
-            shards_quarantined: 0,
-            shard_recoveries: 0,
-            wire_retries: 0,
-            wire_timeouts: 0,
-            stale_reads_served: 0,
-            // Durability lives with the service's WAL and checkpoint store; a standalone
-            // engine has neither.
-            wal_records_appended: 0,
-            wal_bytes_written: 0,
-            checkpoints_written: 0,
-            torn_tails_truncated: 0,
-            recoveries_completed: 0,
+            // Routing, the submission queue, delta serving, fault isolation, the wire layer
+            // and durability are the service's (see `ClusterService::metrics`); a standalone
+            // engine leaves them zero.
+            ..Metrics::default()
         }
     }
 }

@@ -10,8 +10,9 @@
 //!   flush. When the queue is full the configured [`Backpressure`] decides what happens:
 //!   [`Block`](Backpressure::Block) waits for the driver to drain, [`Fail`](Backpressure::Fail)
 //!   returns [`IngestError::QueueFull`] immediately, and [`Coalesce`](Backpressure::Coalesce)
-//!   compacts redundant queued events in place (re-weight chains, insert⊕delete annihilation)
-//!   to make room before falling back to blocking.
+//!   compacts redundant queued events in place through the engine coalescer's merge table
+//!   (re-weight chains, insert⊕delete annihilation) to make room before falling back to
+//!   blocking. [`IngestHandle::submit_deadline`] is `Block` with a deadline.
 //! * **[`FlusherDriver`]** — the single writer. It owns the [`ClusterService`] (and with it the
 //!   shard engines), drains the queue, routes each event through the service's
 //!   [`Partitioner`](crate::Partitioner), applies the configured [`FlushPolicy`], and fans
@@ -31,6 +32,7 @@
 //! published clusterings are bit-identical to a single engine fed the same stream sequentially
 //! (pinned by `tests/tests/ingest_pipeline.rs`).
 
+use crate::coalesce::compact;
 use crate::delta::SyncResponse;
 use crate::faults::FaultPlan;
 use crate::partition::ShardId;
@@ -56,12 +58,17 @@ pub enum Backpressure {
     /// Return [`IngestError::QueueFull`] immediately, handing the event back to the caller.
     /// For producers that would rather shed or reroute load than stall.
     Fail,
-    /// Compact the queued events in place — re-weight chains collapse to the last weight, a
-    /// queued insert annihilates with a later delete, delete + re-insert fuses to a re-weight
-    /// — and enqueue into the freed slot. Falls back to blocking when the queue holds no
-    /// redundancy to absorb. Best for bursty streams that rewrite the same edges repeatedly.
+    /// Compact the queued events in place through the engine coalescer's merge table (see
+    /// the [`coalesce`](crate::coalesce) module) — re-weight chains collapse to the last
+    /// weight, a queued insert annihilates with a later delete, delete + re-insert fuses to a
+    /// re-weight — and enqueue into the freed slot. Falls back to blocking when the queue
+    /// holds no redundancy to absorb. Best for bursty streams that rewrite the same edges
+    /// repeatedly.
     ///
-    /// Compaction preserves the net effect of every *valid* stream exactly. For a stream
+    /// Compaction preserves the net effect of every *valid* stream exactly. Events that are
+    /// invalid on every graph state — a self-loop, which never merges, a double delete, an
+    /// insert over a queued insert — stay in place, and later events of their edge never fold
+    /// across them, so the driver rejects them exactly as it would without compaction. For a stream
     /// that is invalid against the actual shard state (e.g. inserting an edge that is
     /// already applied), a merge can fuse the invalid event with a later valid one before
     /// the driver ever sees either, so which events get rejected — and hence the final
@@ -88,8 +95,8 @@ pub enum Backpressure {
 /// [`DrainReport::rejected`] when the driver routes the event.
 #[derive(Clone, Debug, PartialEq)]
 pub enum IngestError {
-    /// The queue was full and the handle uses [`Backpressure::Fail`] (or
-    /// [`Backpressure::Coalesce`] found nothing to compact on a `try_submit`).
+    /// The queue was full and the submit was fail-fast: a handle in [`Backpressure::Fail`]
+    /// mode, or any [`IngestHandle::try_submit`].
     QueueFull {
         /// The event that was not enqueued.
         event: GraphUpdate,
@@ -156,7 +163,8 @@ pub(crate) struct IngestQueue {
     /// Events absorbed by `Backpressure::Coalesce` compaction (counted like the engine
     /// coalescer: an annihilated insert⊕delete pair counts 2, a collapse counts 1).
     compacted: AtomicU64,
-    /// Submits that had to wait for a free slot (`Block`, or `Coalesce` falling back).
+    /// Submits that had to wait for a free slot (`Block` with or without a deadline, or
+    /// `Coalesce` falling back).
     block_waits: AtomicU64,
     /// Submits bounced with [`IngestError::QueueFull`] (`Fail` mode).
     full_rejections: AtomicU64,
@@ -181,6 +189,24 @@ pub(crate) struct QueueCounters {
     pub(crate) full_rejections: u64,
     pub(crate) depth_watermark: u64,
     pub(crate) last_drain_depth: u64,
+}
+
+/// How one submit is admitted when the queue is full: its [`Backpressure`] mode and, for a
+/// bounded wait ([`IngestHandle::submit_deadline`]), how long it may wait for a slot.
+#[derive(Copy, Clone, Debug)]
+pub(crate) struct Admission(Backpressure, Option<Duration>);
+
+impl Admission {
+    /// [`Backpressure::Block`] for at most `timeout`.
+    pub(crate) fn deadline(timeout: Duration) -> Admission {
+        Admission(Backpressure::Block, Some(timeout))
+    }
+}
+
+impl From<Backpressure> for Admission {
+    fn from(backpressure: Backpressure) -> Admission {
+        Admission(backpressure, None)
+    }
 }
 
 /// One blocking pop by the driver.
@@ -240,12 +266,17 @@ impl IngestQueue {
         }
     }
 
-    /// Enqueues one event under the given backpressure mode.
+    /// Enqueues one event. A full queue bounces a `Fail` submit, compacts the queue under
+    /// `Coalesce`, and otherwise parks the producer until the driver drains — for at most the
+    /// admission's timeout, if it has one ([`IngestError::SubmitTimeout`] past it). Spurious
+    /// wakeups and lost slot races re-wait on the *remaining* time, so the total wait never
+    /// exceeds the timeout by more than scheduling noise.
     pub(crate) fn push(
         &self,
         event: GraphUpdate,
-        backpressure: Backpressure,
+        admission: impl Into<Admission>,
     ) -> Result<(), IngestError> {
+        let Admission(backpressure, timeout) = admission.into();
         // An injected queue-full spike bounces a Fail-mode submit exactly like a genuinely
         // full queue would — same error, same counter — so producer shedding paths can be
         // exercised deterministically without racing real occupancy. Block/Coalesce submits
@@ -257,6 +288,7 @@ impl IngestQueue {
             self.full_rejections.fetch_add(1, Ordering::Relaxed);
             return Err(IngestError::QueueFull { event });
         }
+        let deadline = timeout.map(|timeout| (Instant::now() + timeout, timeout));
         // Clock reads are gated on telemetry so the disabled submit path stays untouched.
         let submit_start = self.telemetry.is_enabled().then(Instant::now);
         let mut block_start: Option<Instant> = None;
@@ -269,8 +301,15 @@ impl IngestQueue {
             if state.closed {
                 return Err(IngestError::Closed { event });
             }
-            if state.buf.len() < self.capacity {
-                state.buf.push_back(event);
+            state.buf.push_back(event);
+            if state.buf.len() > self.capacity && backpressure == Backpressure::Coalesce {
+                // Compact with the incoming event *included*, so it can merge with the
+                // queued events it targets (a re-weight of a queued insert, a delete
+                // annihilating one, …) instead of only freeing unrelated slots.
+                let absorbed = compact(&mut state.buf);
+                self.compacted.fetch_add(absorbed as u64, Ordering::Relaxed);
+            }
+            if state.buf.len() <= self.capacity {
                 self.enqueued.fetch_add(1, Ordering::Relaxed);
                 self.depth_watermark
                     .fetch_max(state.buf.len() as u64, Ordering::Relaxed);
@@ -285,104 +324,23 @@ impl IngestQueue {
                 }
                 return Ok(());
             }
-            match backpressure {
-                Backpressure::Fail => {
-                    self.full_rejections.fetch_add(1, Ordering::Relaxed);
-                    return Err(IngestError::QueueFull { event });
-                }
-                Backpressure::Coalesce => {
-                    // Compact with the incoming event *included*, so it can merge with the
-                    // queued events it targets (a re-weight of a queued insert, a delete
-                    // annihilating one, …) instead of only freeing unrelated slots.
-                    state.buf.push_back(event);
-                    let absorbed = compact(&mut state.buf);
-                    self.compacted.fetch_add(absorbed as u64, Ordering::Relaxed);
-                    if state.buf.len() <= self.capacity {
-                        self.enqueued.fetch_add(1, Ordering::Relaxed);
-                        self.depth_watermark
-                            .fetch_max(state.buf.len() as u64, Ordering::Relaxed);
-                        self.not_empty.notify_one();
-                        if let Some(start) = submit_start {
-                            if let Some(blocked) = block_start {
-                                self.telemetry
-                                    .record_duration("ingest.block_wait_ns", blocked.elapsed());
-                            }
-                            self.telemetry
-                                .record_duration("ingest.submit_ns", start.elapsed());
-                        }
-                        return Ok(());
-                    }
-                    // No redundancy to absorb: take the event back (nothing merged, so it is
-                    // still the newest entry) and apply backpressure like `Block`.
-                    let taken_back = state.buf.pop_back();
-                    debug_assert_eq!(taken_back, Some(event));
-                    if !wait_counted {
-                        wait_counted = true;
-                        self.block_waits.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if submit_start.is_some() && block_start.is_none() {
-                        block_start = Some(Instant::now());
-                    }
-                    state = self
-                        .not_full
-                        .wait(state)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-                Backpressure::Block => {
-                    if !wait_counted {
-                        wait_counted = true;
-                        self.block_waits.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if submit_start.is_some() && block_start.is_none() {
-                        block_start = Some(Instant::now());
-                    }
-                    state = self
-                        .not_full
-                        .wait(state)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
+            // No room, and nothing merged if compaction ran: the event is still the newest
+            // entry, so take it back.
+            let taken_back = state.buf.pop_back();
+            debug_assert_eq!(taken_back, Some(event));
+            if backpressure == Backpressure::Fail {
+                self.full_rejections.fetch_add(1, Ordering::Relaxed);
+                return Err(IngestError::QueueFull { event });
             }
-        }
-    }
-
-    /// Bounded-wait enqueue: behaves like [`Backpressure::Block`] while the deadline has
-    /// not passed, then gives the event back with [`IngestError::SubmitTimeout`]. Spurious
-    /// wakeups and lost slot races re-wait on the *remaining* time, so the total wait
-    /// never exceeds `timeout` by more than scheduling noise.
-    pub(crate) fn push_deadline(
-        &self,
-        event: GraphUpdate,
-        timeout: Duration,
-    ) -> Result<(), IngestError> {
-        let deadline = Instant::now() + timeout;
-        let submit_start = self.telemetry.is_enabled().then(Instant::now);
-        let mut block_start: Option<Instant> = None;
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut wait_counted = false;
-        loop {
-            if state.closed {
-                return Err(IngestError::Closed { event });
-            }
-            if state.buf.len() < self.capacity {
-                state.buf.push_back(event);
-                self.enqueued.fetch_add(1, Ordering::Relaxed);
-                self.depth_watermark
-                    .fetch_max(state.buf.len() as u64, Ordering::Relaxed);
-                self.not_empty.notify_one();
-                if let Some(start) = submit_start {
-                    if let Some(blocked) = block_start {
-                        self.telemetry
-                            .record_duration("ingest.block_wait_ns", blocked.elapsed());
+            let remaining = match deadline {
+                Some((at, timeout)) => match at.saturating_duration_since(Instant::now()) {
+                    remaining if remaining.is_zero() => {
+                        return Err(IngestError::SubmitTimeout { event, timeout });
                     }
-                    self.telemetry
-                        .record_duration("ingest.submit_ns", start.elapsed());
-                }
-                return Ok(());
-            }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(IngestError::SubmitTimeout { event, timeout });
-            }
+                    remaining => Some(remaining),
+                },
+                None => None,
+            };
             if !wait_counted {
                 wait_counted = true;
                 self.block_waits.fetch_add(1, Ordering::Relaxed);
@@ -390,29 +348,38 @@ impl IngestQueue {
             if submit_start.is_some() && block_start.is_none() {
                 block_start = Some(Instant::now());
             }
-            state = self
-                .not_full
-                .wait_timeout(state, remaining)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
+            state = match remaining {
+                Some(remaining) => {
+                    self.not_full
+                        .wait_timeout(state, remaining)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
+                }
+                None => self
+                    .not_full
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner),
+            };
         }
     }
 
-    /// Records a non-empty drain: the per-drain depth gauge plus the sampled depth histogram.
-    fn note_drain(&self, depth: usize) {
-        self.last_drain_depth.store(depth as u64, Ordering::Relaxed);
-        self.telemetry.record("queue.drain_depth", depth as u64);
+    /// Takes everything queued; a non-empty drain wakes parked producers and records its
+    /// depth (the per-drain gauge plus the sampled depth histogram).
+    fn take_all(&self, state: &mut QueueState) -> Vec<GraphUpdate> {
+        let batch: Vec<GraphUpdate> = state.buf.drain(..).collect();
+        if !batch.is_empty() {
+            self.not_full.notify_all();
+            self.last_drain_depth
+                .store(batch.len() as u64, Ordering::Relaxed);
+            self.telemetry
+                .record("queue.drain_depth", batch.len() as u64);
+        }
+        batch
     }
 
     /// Drains everything queued right now without blocking (empty when idle).
     pub(crate) fn pop_all(&self) -> Vec<GraphUpdate> {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        let batch: Vec<GraphUpdate> = state.buf.drain(..).collect();
-        if !batch.is_empty() {
-            self.not_full.notify_all();
-            self.note_drain(batch.len());
-        }
-        batch
+        self.take_all(&mut self.state.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Blocks until events arrive (returning them all) or the queue is closed and empty.
@@ -420,10 +387,7 @@ impl IngestQueue {
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             if !state.buf.is_empty() {
-                let batch: Vec<GraphUpdate> = state.buf.drain(..).collect();
-                self.not_full.notify_all();
-                self.note_drain(batch.len());
-                return Pop::Batch(batch);
+                return Pop::Batch(self.take_all(&mut state));
             }
             if state.closed {
                 return Pop::Closed;
@@ -443,91 +407,6 @@ impl IngestQueue {
         self.not_empty.notify_all();
         self.not_full.notify_all();
     }
-}
-
-/// The per-edge pending state used by queue compaction — the same merge table as the engine
-/// [`Coalescer`](crate::Coalescer), minus the validity checks (the queue cannot see shard
-/// state, so combinations that would be rejected at routing are left untouched for the driver
-/// to report).
-fn edge_key(event: &GraphUpdate) -> (VertexId, VertexId) {
-    let (u, v) = event.endpoints();
-    if u <= v {
-        (u, v)
-    } else {
-        (v, u)
-    }
-}
-
-/// Compacts a queued event sequence in place, preserving the net effect of every *valid*
-/// stream: re-weight chains keep only the last weight, a queued insert annihilates with a
-/// later delete, re-weight + delete keeps the delete, delete + insert fuses to a re-weight,
-/// and insert + re-weight keeps an insert at the new weight. Combinations that are invalid
-/// for every graph state (double delete, insert over insert, …) are left as-is so the driver
-/// still observes and reports them; combinations that are only invalid against the *actual*
-/// shard state cannot be detected here (the queue has no aliveness information) — see the
-/// caveat on [`Backpressure::Coalesce`]. Returns the number of events absorbed (annihilated
-/// pairs count 2, collapses count 1), matching the engine coalescer's accounting.
-///
-/// The merge rules mirror the [`Coalescer`](crate::Coalescer) table in
-/// `crates/engine/src/coalesce.rs` with the validity arms removed; the two must stay in
-/// sync (the shapes differ — the coalescer folds into a validity-aware per-edge state, this
-/// fuses raw events — so the table is maintained in both places deliberately).
-fn compact(buf: &mut VecDeque<GraphUpdate>) -> usize {
-    use std::collections::HashMap;
-    let events: Vec<GraphUpdate> = buf.drain(..).collect();
-    let mut slots: Vec<Option<GraphUpdate>> = Vec::with_capacity(events.len());
-    let mut slot_of: HashMap<(VertexId, VertexId), usize> = HashMap::new();
-    let mut absorbed = 0usize;
-    for event in events {
-        let key = edge_key(&event);
-        let slot = slot_of.get(&key).copied();
-        let pending = slot.and_then(|i| slots[i]);
-        let merged: Option<Option<GraphUpdate>> = match (pending, event) {
-            // Queued insert followed by a delete: the edge never existed.
-            (Some(GraphUpdate::Insert { .. }), GraphUpdate::Delete { .. }) => {
-                absorbed += 2;
-                Some(None)
-            }
-            // Queued insert re-weighted before it was ever applied: insert at the new weight.
-            (Some(GraphUpdate::Insert { u, v, .. }), GraphUpdate::Reweight { weight, .. }) => {
-                absorbed += 1;
-                Some(Some(GraphUpdate::Insert { u, v, weight }))
-            }
-            // Delete then re-insert of an applied edge: change its weight.
-            (Some(GraphUpdate::Delete { u, v }), GraphUpdate::Insert { weight, .. }) => {
-                absorbed += 1;
-                Some(Some(GraphUpdate::Reweight { u, v, weight }))
-            }
-            // Re-weight chains collapse to the last weight.
-            (Some(GraphUpdate::Reweight { u, v, .. }), GraphUpdate::Reweight { weight, .. }) => {
-                absorbed += 1;
-                Some(Some(GraphUpdate::Reweight { u, v, weight }))
-            }
-            // A re-weight made moot by a following delete.
-            (Some(GraphUpdate::Reweight { u, v, .. }), GraphUpdate::Delete { .. }) => {
-                absorbed += 1;
-                Some(Some(GraphUpdate::Delete { u, v }))
-            }
-            // Everything else (no pending op, or a combination invalid on every graph state)
-            // is appended untouched.
-            _ => None,
-        };
-        match merged {
-            Some(result) => {
-                let i = slot.expect("merge requires a pending op");
-                slots[i] = result;
-                if result.is_none() {
-                    slot_of.remove(&key);
-                }
-            }
-            None => {
-                slot_of.insert(key, slots.len());
-                slots.push(Some(event));
-            }
-        }
-    }
-    buf.extend(slots.into_iter().flatten());
-    absorbed
 }
 
 /// The clonable write side of the ingest pipeline. See the [module docs](self).
@@ -602,27 +481,7 @@ impl IngestHandle {
         event: GraphUpdate,
         timeout: Duration,
     ) -> Result<(), IngestError> {
-        self.shared.queue.push_deadline(event, timeout)
-    }
-
-    /// Enqueues a whole batch under one shared deadline: each event waits at most the
-    /// *remaining* time, so the call returns within `timeout` (plus scheduling noise)
-    /// however long the batch. Stops at the first error; returns how many events were
-    /// enqueued, with the offending event inside the error and everything before it
-    /// staying queued.
-    pub fn submit_all_deadline(
-        &self,
-        events: impl IntoIterator<Item = GraphUpdate>,
-        timeout: Duration,
-    ) -> Result<usize, IngestError> {
-        let deadline = Instant::now() + timeout;
-        let mut count = 0;
-        for event in events {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            self.shared.queue.push_deadline(event, remaining)?;
-            count += 1;
-        }
-        Ok(count)
+        self.shared.queue.push(event, Admission::deadline(timeout))
     }
 
     /// Events currently queued (a racy snapshot — producers and the driver keep moving).
@@ -1053,6 +912,23 @@ mod tests {
     }
 
     #[test]
+    fn compact_never_merges_self_loops_nor_folds_across_invalid_events() {
+        // A self-loop is invalid on every state, so neither event of the pair merges; a
+        // delete after a rejected insert-over-insert targets the first insert, which it must
+        // not reach across the rejected one.
+        let stream = [
+            ins(3, 3, 1.0),
+            del(3, 3),
+            ins(0, 1, 1.0),
+            ins(0, 1, 2.0),
+            del(0, 1),
+        ];
+        let mut buf: VecDeque<GraphUpdate> = stream.into_iter().collect();
+        assert_eq!(compact(&mut buf), 0);
+        assert_eq!(Vec::from(buf), stream);
+    }
+
+    #[test]
     fn queue_full_spike_bounces_fail_mode_only() {
         // `at:1` fires on exactly the first fail-fast submit, with capacity to spare.
         let q = IngestQueue::new(
@@ -1081,7 +957,7 @@ mod tests {
     #[test]
     fn submit_deadline_enqueues_when_capacity_is_free() {
         let q = IngestQueue::new(2, Telemetry::disabled(), FaultPlan::disabled());
-        q.push_deadline(ins(0, 1, 1.0), Duration::from_secs(5))
+        q.push(ins(0, 1, 1.0), Admission::deadline(Duration::from_secs(5)))
             .unwrap();
         assert_eq!(q.len(), 1);
         assert_eq!(q.counters().block_waits, 0, "no wait when a slot is free");
@@ -1096,7 +972,7 @@ mod tests {
         let timeout = Duration::from_millis(20);
         let started = Instant::now();
         assert_eq!(
-            q.push_deadline(ins(2, 3, 1.0), timeout),
+            q.push(ins(2, 3, 1.0), Admission::deadline(timeout)),
             Err(IngestError::SubmitTimeout {
                 event: ins(2, 3, 1.0),
                 timeout,
@@ -1107,7 +983,8 @@ mod tests {
         assert_eq!(q.counters().block_waits, 1, "the wait was counted");
         // Draining frees the slot and the same submit succeeds within its deadline.
         assert_eq!(q.pop_all(), vec![ins(0, 1, 1.0)]);
-        q.push_deadline(ins(2, 3, 1.0), timeout).unwrap();
+        q.push(ins(2, 3, 1.0), Admission::deadline(timeout))
+            .unwrap();
         assert_eq!(q.pop_all(), vec![ins(2, 3, 1.0)]);
     }
 
@@ -1121,7 +998,9 @@ mod tests {
         q.push(ins(0, 1, 1.0), Backpressure::Block).unwrap();
         let producer = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.push_deadline(ins(2, 3, 1.0), Duration::from_secs(30)))
+            std::thread::spawn(move || {
+                q.push(ins(2, 3, 1.0), Admission::deadline(Duration::from_secs(30)))
+            })
         };
         while q.counters().block_waits == 0 {
             std::thread::yield_now();
@@ -1129,17 +1008,6 @@ mod tests {
         assert_eq!(q.pop_all(), vec![ins(0, 1, 1.0)]);
         producer.join().unwrap().unwrap();
         assert_eq!(q.pop_all(), vec![ins(2, 3, 1.0)]);
-    }
-
-    #[test]
-    fn submit_all_deadline_shares_one_deadline_across_the_batch() {
-        let q = IngestQueue::new(8, Telemetry::disabled(), FaultPlan::disabled());
-        // Plenty of capacity: the whole batch lands well inside the deadline.
-        let handle_less_batch = vec![ins(0, 1, 1.0), ins(1, 2, 2.0), ins(2, 3, 3.0)];
-        for e in &handle_less_batch {
-            q.push_deadline(*e, Duration::from_secs(5)).unwrap();
-        }
-        assert_eq!(q.pop_all(), handle_less_batch);
     }
 
     #[test]

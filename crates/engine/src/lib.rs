@@ -31,8 +31,9 @@
 //!   collapse to one, delete + insert becomes a re-weight — then split into homogeneous
 //!   deletion/insertion batches routed to the Theorem-1.5 batch fast paths of
 //!   [`dynsld_msf::DynamicGraphClustering`] (with automatic per-edge fallback for
-//!   cycle-closing insertions). The same merge table powers `Backpressure::Coalesce`
-//!   compaction inside the submission queue.
+//!   cycle-closing insertions). The submission queue's `Backpressure::Coalesce` compaction
+//!   runs the same merge table, minus the applied-state check it cannot make: events invalid
+//!   on every graph state, self-loops included, reach the driver and are rejected there.
 //! * **Epoch-based snapshot queries** ([`snapshot`]): every flush publishes an immutable,
 //!   cheaply-cloneable [`EngineSnapshot`] tagged with an epoch. Readers — on any thread —
 //!   query flat clusterings, cluster sizes and component counts against *their* snapshot and

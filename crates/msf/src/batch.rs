@@ -29,7 +29,7 @@
 use crate::{
     pair, DynamicGraphClustering, MsfChange, PairRank, PieceMarks, ReplacementIndex, WorkCounters,
 };
-use dynsld::{DynSld, DynSldError};
+use dynsld::{DynSld, DynSldError, UpdateStats};
 use dynsld_forest::{Dsu, VertexId, Weight};
 use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
@@ -57,6 +57,10 @@ pub struct BatchOutcome {
     /// Wall time spent mutating the structure: `batch_insert`/`batch_delete`, per-edge
     /// fallbacks, promotions, and reserve bookkeeping.
     pub apply_time: Duration,
+    /// The dendrogram's [`UpdateStats`] read right after a deletion batch's tree edges were
+    /// removed, before any promotion's [`DynSld::batch_insert`] starts its own statistics
+    /// (all zero for an insertion batch or a batch without tree edges).
+    pub delete_stats: UpdateStats,
 }
 
 /// Maps arbitrary component representatives (as returned by [`DynSld::component_repr`]) to
@@ -158,6 +162,7 @@ impl DynamicGraphClustering {
             // the fallback path are accounted to apply_time with the rest of the fallback).
             replacement_time: Duration::ZERO,
             apply_time: apply_start.elapsed(),
+            delete_stats: UpdateStats::default(),
         })
     }
 
@@ -219,6 +224,7 @@ impl DynamicGraphClustering {
                 classify_time,
                 replacement_time: Duration::ZERO,
                 apply_time,
+                delete_stats: UpdateStats::default(),
             });
         }
 
@@ -239,6 +245,7 @@ impl DynamicGraphClustering {
                 ((found, search_start.elapsed()), scan.then_some(label))
             })
             .expect("validated tree edges are alive forest edges");
+        let delete_stats = *self.sld.stats();
         for (&i, change) in tree_idx.iter().zip(tree_changes) {
             changes[i] = Some(change);
         }
@@ -266,6 +273,7 @@ impl DynamicGraphClustering {
             classify_time,
             replacement_time,
             apply_time,
+            delete_stats,
         })
     }
 

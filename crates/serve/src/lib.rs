@@ -57,7 +57,7 @@ pub use codec::{CodecError, SnapshotParts, WireMessage};
 pub use mirror::{Mirror, MirrorError};
 pub use wire::{DeltaServer, ServerOptions, WireConfig, WireError, WireStats, WireSubscriber};
 
-use dynsld_engine::{ReadHandle, SyncResponse};
+use dynsld_engine::{Patch, ReadHandle, SyncResponse};
 use dynsld_telemetry::Telemetry;
 use std::time::Instant;
 
@@ -100,6 +100,45 @@ pub struct SyncReport {
     pub epochs: Vec<u64>,
 }
 
+/// What a sync brought a mirror that was behind: a patch chain anchored at the mirror's
+/// revision, or a whole view. Both transports fold it the same way.
+enum Received {
+    Patch(Patch),
+    View(Mirror),
+}
+
+impl Received {
+    /// Folds this payload into `slot`, a subscriber's mirror — a patch replays onto it, a view
+    /// replaces it ([`RefreshReason::Initial`] when there was none) — and reports how the
+    /// mirror advanced. A patch needs a mirror: the caller has one whenever it asked for a
+    /// delta.
+    fn fold_into(self, slot: &mut Option<Mirror>) -> Result<SyncReport, MirrorError> {
+        let outcome = match self {
+            Received::Patch(patch) => {
+                slot.as_mut()
+                    .expect("a patch has a mirror to replay onto")
+                    .apply(&patch)?;
+                SyncOutcome::Patched {
+                    deltas: patch.deltas.len(),
+                    changes: patch.num_changes(),
+                }
+            }
+            Received::View(mirror) => SyncOutcome::Refreshed {
+                reason: match slot.replace(mirror) {
+                    Some(_) => RefreshReason::AgedOut,
+                    None => RefreshReason::Initial,
+                },
+            },
+        };
+        let mirror = slot.as_ref().expect("folded into a mirror");
+        Ok(SyncReport {
+            outcome,
+            revision: mirror.revision(),
+            epochs: mirror.epochs().to_vec(),
+        })
+    }
+}
+
 /// An in-process subscriber: a [`Mirror`] kept in sync with a service through its
 /// [`ReadHandle`], no sockets involved. The cheapest way to hold a stable queryable replica
 /// while the write path keeps flushing.
@@ -134,34 +173,12 @@ impl Subscriber {
                 revision,
                 epochs,
             },
-            SyncResponse::Delta(patch) => {
-                let mirror = self.mirror.as_mut().expect("a delta implies a mirror");
-                let deltas = patch.deltas.len();
-                let changes = patch.num_changes();
-                mirror
-                    .apply(&patch)
-                    .expect("sync_from patches are anchored at the mirror's revision");
-                SyncReport {
-                    outcome: SyncOutcome::Patched { deltas, changes },
-                    revision: mirror.revision(),
-                    epochs: mirror.epochs().to_vec(),
-                }
-            }
-            SyncResponse::Full(snapshot) => {
-                let reason = if self.mirror.is_some() {
-                    RefreshReason::AgedOut
-                } else {
-                    RefreshReason::Initial
-                };
-                let mirror = Mirror::from_snapshot(&snapshot);
-                let report = SyncReport {
-                    outcome: SyncOutcome::Refreshed { reason },
-                    revision: mirror.revision(),
-                    epochs: mirror.epochs().to_vec(),
-                };
-                self.mirror = Some(mirror);
-                report
-            }
+            SyncResponse::Delta(patch) => Received::Patch(patch)
+                .fold_into(&mut self.mirror)
+                .expect("sync_from patches are anchored at the mirror's revision"),
+            SyncResponse::Full(snapshot) => Received::View(Mirror::from_snapshot(&snapshot))
+                .fold_into(&mut self.mirror)
+                .expect("a view replaces the mirror"),
         };
         if let Some(started) = started {
             self.telemetry

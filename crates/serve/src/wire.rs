@@ -18,7 +18,7 @@
 
 use crate::codec::{decode_message, encode_head, encode_patch, encode_snapshot, WireMessage};
 use crate::mirror::{Mirror, MirrorError};
-use crate::{RefreshReason, SyncOutcome, SyncReport};
+use crate::{Received, SyncOutcome, SyncReport};
 use dynsld_engine::{FaultPlan, ReadHandle, SyncResponse, WireFault};
 use dynsld_telemetry::Telemetry;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -811,35 +811,13 @@ impl WireSubscriber {
         let body = std::str::from_utf8(&response.body)
             .map_err(|_| WireError::Protocol("body is not UTF-8".into()))?;
         let report = match decode_message(body)? {
-            WireMessage::Delta(patch) => {
-                let mirror = self
-                    .mirror
-                    .as_mut()
-                    .ok_or_else(|| WireError::Protocol("delta without a local mirror".into()))?;
-                let deltas = patch.deltas.len();
-                let changes = patch.num_changes();
-                mirror.apply(&patch)?;
-                SyncReport {
-                    outcome: SyncOutcome::Patched { deltas, changes },
-                    revision: mirror.revision(),
-                    epochs: mirror.epochs().to_vec(),
-                }
+            WireMessage::Delta(_) if self.mirror.is_none() => {
+                return Err(WireError::Protocol("delta without a local mirror".into()));
             }
+            WireMessage::Delta(patch) => Received::Patch(patch).fold_into(&mut self.mirror)?,
             WireMessage::Snapshot(parts) => {
                 debug_assert_eq!(response.sync_mode.as_deref(), Some("full"));
-                let reason = if self.mirror.is_some() {
-                    RefreshReason::AgedOut
-                } else {
-                    RefreshReason::Initial
-                };
-                let mirror = Mirror::from_parts(parts);
-                let report = SyncReport {
-                    outcome: SyncOutcome::Refreshed { reason },
-                    revision: mirror.revision(),
-                    epochs: mirror.epochs().to_vec(),
-                };
-                self.mirror = Some(mirror);
-                report
+                Received::View(Mirror::from_parts(parts)).fold_into(&mut self.mirror)?
             }
             WireMessage::Head { .. } => {
                 return Err(WireError::Protocol("unexpected head payload".into()));

@@ -11,7 +11,7 @@
 
 use dynsld_engine::{
     Backpressure, BlockPartitioner, ClusteringEngine, FlushPolicy, GraphUpdate, IngestError,
-    ServiceBuilder,
+    ServiceBuilder, ServiceError, ServiceSnapshot,
 };
 use dynsld_forest::workload::GraphWorkloadBuilder;
 use dynsld_forest::VertexId;
@@ -315,6 +315,89 @@ fn coalesce_backpressure_absorbs_redundancy_in_place() {
         .service()
         .published()
         .same_cluster(v(2), v(3), f64::INFINITY));
+}
+
+/// Feeds `stream` through a two-slot queue under `mode` from a producer thread, draining only
+/// while the producer is parked on a full queue, so a `Coalesce` submit always compacts what
+/// the full queue holds before it waits. Returns every rejection, the in-queue compaction
+/// count, and the published view.
+fn drain_when_parked(
+    mode: Backpressure,
+    stream: &[GraphUpdate],
+) -> (Vec<ServiceError>, u64, ServiceSnapshot) {
+    let service = ServiceBuilder::new()
+        .vertices(8)
+        .queue_capacity(2)
+        .build()
+        .unwrap();
+    let ingest = service.ingest_handle().with_backpressure(mode);
+    let mut driver = service.into_driver();
+    let mut rejected = Vec::new();
+    std::thread::scope(|s| {
+        let producer = s.spawn(|| {
+            for &event in stream {
+                ingest.submit(event).expect("the queue stays open");
+            }
+        });
+        let mut drained_for = 0;
+        while !producer.is_finished() {
+            // A counted wait is a producer parked on the queue: drain once to release it.
+            let waits = driver.service().metrics().queue_block_waits;
+            if waits > drained_for {
+                drained_for = waits;
+                rejected.extend(driver.pump().unwrap().rejected);
+            } else {
+                std::thread::yield_now();
+            }
+        }
+        producer.join().unwrap();
+    });
+    rejected.extend(driver.pump().unwrap().rejected);
+    driver.flush().unwrap();
+    let compacted = driver.service().metrics().events_compacted_in_queue;
+    (rejected, compacted, driver.service().published())
+}
+
+/// `Coalesce` compaction runs the coalescer's merge table, so an event that is invalid on
+/// every graph state reaches the driver and is rejected exactly as under `Block`: self-loop
+/// pairs never merge, and a delete does not fold across a rejected insert-over-insert.
+/// Insert + re-weight pairs still merge in the queue.
+#[test]
+fn coalesce_compaction_rejects_what_block_rejects() {
+    let stream = [
+        ins(3, 3, 1.0),
+        del(3, 3),
+        ins(0, 1, 1.0),
+        rew(0, 1, 2.0),
+        ins(1, 2, 1.5),
+        rew(2, 1, 0.5),
+        ins(4, 4, 2.0),
+        rew(4, 4, 1.0),
+        ins(2, 3, 3.0),
+        ins(2, 3, 4.0),
+        del(2, 3),
+        ins(5, 6, 1.0),
+        rew(6, 5, 0.25),
+        ins(6, 7, 2.5),
+    ];
+    let (block_rejected, block_compacted, block_view) =
+        drain_when_parked(Backpressure::Block, &stream);
+    let (rejected, compacted, view) = drain_when_parked(Backpressure::Coalesce, &stream);
+    // Two self-loop pairs and the insert over a present edge.
+    assert_eq!(block_rejected.len(), 5);
+    assert_eq!(rejected, block_rejected);
+    assert_eq!(block_compacted, 0);
+    assert!(
+        compacted >= 2,
+        "the insert + re-weight pairs merged in the queue"
+    );
+    assert_bit_identical(
+        &view,
+        &block_view,
+        &[0.3, 0.75, 1.25, 2.0, 3.5, f64::INFINITY],
+        "coalesce vs block",
+    );
+    assert!(!view.same_cluster(v(2), v(3), f64::INFINITY));
 }
 
 /// Under the queued path, `FlushPolicy::OnRead` means "every drain publishes": a single pump
