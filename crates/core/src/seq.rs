@@ -10,10 +10,27 @@
 //!   [`crate::sides`]) — and each side is relinked in spine order (Algorithm 2, `Delete`).
 //! * **Exchange** (an extension, not a paper claim): replacing the heaviest edge on a cycle by
 //!   the lighter edge that closed it rewires only the spine nodes below the evicted edge's rank,
-//!   with no connectivity query ([`DynSld::exchange`]).
+//!   with one path-maximum query to find the evicted edge and no other connectivity query
+//!   ([`DynSld::exchange`]).
 
 use crate::dynsld::{DynSld, DynSldError};
 use dynsld_forest::{EdgeId, VertexId, Weight};
+
+/// What [`DynSld::exchange`] did with an edge offered to the tree path it closes.
+#[derive(Copy, Clone, Debug, PartialEq)]
+pub enum CycleExchange {
+    /// The endpoints are in different trees: the edge closes no cycle. Nothing changed.
+    Disconnected,
+    /// The heaviest edge on the path does not outweigh the new edge. Nothing changed.
+    Kept,
+    /// The heaviest edge on the path was exchanged for the new edge.
+    Exchanged {
+        /// The endpoints of the evicted edge, as the forest stored them.
+        evicted: (VertexId, VertexId),
+        /// The evicted edge's weight.
+        weight: Weight,
+    },
+}
 
 impl DynSld {
     /// Sequential `O(h)` edge insertion (Theorem 1.1).
@@ -61,37 +78,38 @@ impl DynSld {
         self.destroy_node(e);
     }
 
-    /// Replaces the tree edge `out` by a new edge `(u, v)` of weight `weight`: the MSF swap of a
-    /// cycle-closing insertion, where `out` is the heaviest edge on the `u`–`v` tree path and
-    /// outweighs the new edge. Equal to [`delete_edge_seq`](Self::delete_edge_seq) of `out`
-    /// followed by [`insert_seq`](Self::insert_seq) of `(u, v)` — the same returned id, the same
-    /// dendrogram, `version()` advanced by 2 — whatever the
-    /// [`UpdateStrategy`](crate::UpdateStrategy).
+    /// Offers the edge `(u, v)` of weight `weight` to the tree path it would close: the MSF swap
+    /// of a cycle-closing insertion. One path-maximum query finds `out`, the heaviest edge on the
+    /// `u`–`v` tree path; when `out` outweighs the new edge, `out` is replaced by it. Returns
+    /// [`CycleExchange::Disconnected`] when `u` and `v` are in different trees and
+    /// [`CycleExchange::Kept`] when `out` is not heavier; in both cases nothing changed. An
+    /// exchange equals [`delete_edge_seq`](Self::delete_edge_seq) of `out` followed by
+    /// [`insert_seq`](Self::insert_seq) of `(u, v)` — the same new edge id, the same dendrogram,
+    /// `version()` advanced by 2 — whatever the [`UpdateStrategy`](crate::UpdateStrategy).
     ///
     /// `out` is the dendrogram LCA of `u` and `v` and outranks the new edge, so nothing at or
     /// above `rank(out)` changes. `out`'s (at most two) children are detached, the new edge is
     /// merged with the spines of `e*_u` and `e*_v` (each walk ends at a detached child), and the
     /// merged top takes `out`'s place. The work is the spine nodes below `rank(out)` on the two
-    /// spines, with no connectivity query.
+    /// spines, with no connectivity query beyond the path-maximum one.
     ///
     /// Errors, leaving the structure unchanged: [`DynSldError::SelfLoop`] and
-    /// [`DynSldError::VertexOutOfRange`] as for an insertion, and `EdgeNotFound(u, v)` when `out`
-    /// is not an alive edge that is the heaviest on the `u`–`v` tree path and heavier than
-    /// `weight` (no tree edge the new one can replace).
+    /// [`DynSldError::VertexOutOfRange`] as for an insertion.
     pub fn exchange(
         &mut self,
-        out: EdgeId,
         u: VertexId,
         v: VertexId,
         weight: Weight,
-    ) -> Result<EdgeId, DynSldError> {
+    ) -> Result<CycleExchange, DynSldError> {
         self.check_endpoints(u, v)?;
-        let replaceable = self.forest.contains_edge(out)
-            && weight < self.forest.weight(out)
-            && self.path_max_edge(u, v) == Some(out);
-        if !replaceable {
-            return Err(DynSldError::EdgeNotFound(u, v));
+        let Some(out) = self.path_max_edge(u, v) else {
+            return Ok(CycleExchange::Disconnected);
+        };
+        let out_weight = self.forest.weight(out);
+        if weight >= out_weight {
+            return Ok(CycleExchange::Kept);
         }
+        let evicted = self.forest.endpoints(out);
         self.stats.begin_update();
         let out_rank = self.forest.rank(out);
         let parent = self.dendro.parent(out);
@@ -117,7 +135,10 @@ impl DynSld {
             .max_by_key(|&f| self.forest.rank(f))
             .expect("the new edge is a candidate");
         self.set_parent(top, parent);
-        Ok(e)
+        Ok(CycleExchange::Exchanged {
+            evicted,
+            weight: out_weight,
+        })
     }
 
     /// Relinks one side of a cut: each node's parent becomes the next node, the last node becomes
@@ -339,15 +360,22 @@ mod tests {
         assert_matches_static(&d);
     }
 
-    /// Rejected exchanges leave everything, the statistics included, as it was.
-    fn assert_exchange_rejected(d: &mut DynSld, out: EdgeId, a: VertexId, b: VertexId, w: f64) {
+    /// A [`DynSld::exchange`] that exchanges nothing returns `expected` and leaves everything,
+    /// the statistics included, as it was.
+    fn assert_nothing_exchanged(
+        d: &mut DynSld,
+        a: VertexId,
+        b: VertexId,
+        w: f64,
+        expected: Result<CycleExchange, DynSldError>,
+    ) {
         let before = (d.version(), *d.stats(), d.dendrogram().canonical_parents());
-        assert!(
-            d.exchange(out, a, b, w).is_err(),
-            "exchange({out}, {a}, {b}, {w})"
-        );
+        assert_eq!(d.exchange(a, b, w), expected, "exchange({a}, {b}, {w})");
         let after = (d.version(), *d.stats(), d.dendrogram().canonical_parents());
-        assert_eq!(before, after, "a rejected exchange changed the structure");
+        assert_eq!(
+            before, after,
+            "an offer that exchanged nothing changed the structure"
+        );
     }
 
     #[test]
@@ -362,8 +390,10 @@ mod tests {
             // `a` takes every swap as delete + insert, `b` as one exchange.
             let mut a = DynSld::with_options(n, options);
             let mut b = a.clone();
-            assert_exchange_rejected(&mut b, EdgeId(0), v(3), v(3), 1.0);
-            assert_exchange_rejected(&mut b, EdgeId(0), v(3), v(n as u32), 1.0);
+            let self_loop = Err(DynSldError::SelfLoop(v(3)));
+            assert_nothing_exchanged(&mut b, v(3), v(3), 1.0, self_loop);
+            let out_of_range = Err(DynSldError::VertexOutOfRange(v(n as u32)));
+            assert_nothing_exchanged(&mut b, v(3), v(n as u32), 1.0, out_of_range);
             let mut exchanges = 0;
             for step in 1..=2_000 {
                 let x = v(rng.gen_range(0..n as u32));
@@ -377,10 +407,8 @@ mod tests {
                     b.delete_edge_seq(e);
                     (e, e)
                 } else if !a.connected(x, y) {
-                    let any = b.forest().edges().next().map(|(e, _)| e);
-                    if let Some(e) = any {
-                        assert_exchange_rejected(&mut b, e, x, y, weight);
-                    }
+                    let disconnected = Ok(CycleExchange::Disconnected);
+                    assert_nothing_exchanged(&mut b, x, y, weight, disconnected);
                     (
                         a.insert_seq(x, y, weight).unwrap(),
                         b.insert_seq(x, y, weight).unwrap(),
@@ -388,13 +416,7 @@ mod tests {
                 } else {
                     let out = a.path_max_edge(x, y).unwrap();
                     let out_weight = a.forest().weight(out);
-                    let other = b.forest().edges().map(|(e, _)| e).find(|&e| e != out);
-                    if let Some(e) = other {
-                        assert_exchange_rejected(&mut b, e, x, y, 0.0);
-                    }
-                    let dead = EdgeId(b.forest().edge_id_bound() as u32);
-                    assert_exchange_rejected(&mut b, dead, x, y, 0.0);
-                    assert_exchange_rejected(&mut b, out, x, y, out_weight);
+                    assert_nothing_exchanged(&mut b, x, y, out_weight, Ok(CycleExchange::Kept));
                     if out_weight <= 1.0 {
                         continue;
                     }
@@ -403,9 +425,17 @@ mod tests {
                     let (ou, ov) = a.forest().endpoints(out);
                     a.delete_seq(ou, ov).unwrap();
                     let ea = a.insert_seq(x, y, weight).unwrap();
-                    (ea, b.exchange(out, x, y, weight).unwrap())
+                    assert_eq!(
+                        b.exchange(x, y, weight),
+                        Ok(CycleExchange::Exchanged {
+                            evicted: (ou, ov),
+                            weight: out_weight,
+                        }),
+                        "step {step}: exchange"
+                    );
+                    (ea, b.forest().find_edge(x, y).unwrap())
                 };
-                assert_eq!(ids.0, ids.1, "step {step}: returned ids");
+                assert_eq!(ids.0, ids.1, "step {step}: edge ids");
                 assert_eq!(a.version(), b.version(), "step {step}: version");
                 assert_eq!(
                     a.dendrogram().canonical_parents(),
@@ -440,7 +470,11 @@ mod tests {
             // The chord (0, 2) evicts (1, 2), the heavier edge on its cycle: only (0, 1) lies
             // below the evicted edge.
             let mut d = base.clone();
-            d.exchange(edge(&d, 1, 2), v(0), v(2), 1.5).unwrap();
+            let evicted = d.forest().endpoints(edge(&d, 1, 2));
+            assert!(matches!(
+                d.exchange(v(0), v(2), 1.5),
+                Ok(CycleExchange::Exchanged { evicted: ev, .. }) if ev == evicted
+            ));
             let stats = *d.stats();
             assert_eq!(stats.last_spine_nodes, 1, "n = {n}");
             assert_eq!(stats.last_tree_queries, 0, "n = {n}");
@@ -450,8 +484,11 @@ mod tests {
             // The chord (0, n/4) evicts (n/4 - 1, n/4): the chain below it is walked once.
             let q = n as u32 / 4;
             let mut d = base.clone();
-            d.exchange(edge(&d, q - 1, q), v(0), v(q), f64::from(q) - 0.5)
-                .unwrap();
+            let evicted = d.forest().endpoints(edge(&d, q - 1, q));
+            assert!(matches!(
+                d.exchange(v(0), v(q), f64::from(q) - 0.5),
+                Ok(CycleExchange::Exchanged { evicted: ev, .. }) if ev == evicted
+            ));
             assert_eq!(d.stats().last_spine_nodes, q as usize - 1, "n = {n}");
             assert_eq!(d.stats().last_tree_queries, 0, "n = {n}");
             assert_matches_static(&d);

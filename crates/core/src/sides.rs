@@ -52,7 +52,7 @@ pub(crate) struct Cut {
     pub(crate) e_star: [Option<EdgeId>; 2],
 }
 
-/// The reusable scratch of the side assignment (8 bytes per Euler-tour treap node and per
+/// The reusable scratch of the side assignment (8 bytes per Euler-tour treap node and 20 per
 /// edge id once a deletion has run, plus buffers sized by the largest batch seen), so a batch
 /// deletion allocates nothing once they have grown.
 #[derive(Clone, Debug, Default)]
@@ -71,6 +71,12 @@ pub(crate) struct UnionScratch {
     pub(crate) labels: RoundTable,
     /// The union nodes without a parent, one per dendrogram tree the batch cuts.
     roots: Vec<EdgeId>,
+    /// Edge id -> the union child of the node linked last under it by the labelling walks (as
+    /// a raw edge id), the head of its list of union children.
+    first_child: RoundTable,
+    /// Edge id of a union node -> the next union child of its parent (`DEAD` ends the list).
+    /// Written when the node is labelled, so read only for union nodes.
+    next_sibling: Vec<u32>,
     /// Every label given in this batch, other than [`DEAD`], is below this.
     label_bound: usize,
     /// Label -> the nearest node carrying it on the root path the plan is at (as a raw edge
@@ -96,7 +102,9 @@ impl UnionScratch {
     /// spine upward until it meets a node labelled before. An alive node `f` reached from the
     /// `c`-th cut gets `label(c, x)`, where `x` is an endpoint of `f`; a deleted one gets
     /// [`DEAD`]. `label` must give two vertices of the tree the cut split the same label iff
-    /// they are connected after the batch. Returns the number of nodes labelled.
+    /// they are connected after the batch. Each labelled node is also linked under its
+    /// dendrogram parent (the node its walk reaches next), so the plan walks the union
+    /// through these links alone. Returns the number of nodes labelled.
     pub(crate) fn label(
         &mut self,
         forest: &Forest,
@@ -105,6 +113,10 @@ impl UnionScratch {
         mut label: impl FnMut(usize, VertexId) -> u32,
     ) -> usize {
         self.labels.begin_round(forest.edge_id_bound());
+        self.first_child.begin_round(forest.edge_id_bound());
+        if self.next_sibling.len() < forest.edge_id_bound() {
+            self.next_sibling.resize(forest.edge_id_bound(), DEAD);
+        }
         self.roots.clear();
         self.label_bound = 0;
         let mut nodes = 0;
@@ -124,8 +136,13 @@ impl UnionScratch {
                     self.labels.set(f.index(), l);
                     nodes += 1;
                     cur = dendro.parent(f);
-                    if cur.is_none() {
-                        self.roots.push(f);
+                    match cur {
+                        Some(p) => {
+                            let head = self.first_child.get(p.index()).unwrap_or(DEAD);
+                            self.next_sibling[f.index()] = head;
+                            self.first_child.set(p.index(), f.0);
+                        }
+                        None => self.roots.push(f),
                     }
                 }
             }
@@ -166,11 +183,12 @@ impl UnionScratch {
                 self.stack.push(Step::Exit { label, saved });
                 self.nearest.set(label as usize, f.0);
             }
-            // A union node's children outside the union keep it as their parent.
-            for &c in dendro.children(f) {
-                if self.labels.get(c.index()).is_some() {
-                    self.stack.push(Step::Enter(c));
-                }
+            // A union node's children outside the union keep it as their parent, and were
+            // never linked under it.
+            let mut child = self.first_child.get(f.index()).unwrap_or(DEAD);
+            while child != DEAD {
+                self.stack.push(Step::Enter(EdgeId(child)));
+                child = self.next_sibling[child as usize];
             }
         }
         visits

@@ -9,18 +9,21 @@
 //! * [`DynamicGraphClustering::batch_insert_edges`] classifies the batch with a Kruskal-style
 //!   union-find pass over current components (rank order, deterministic): edges that join
 //!   distinct components ride [`DynSld::batch_insert`] in one shot; cycle-closing edges fall
-//!   back to the per-edge insert (path-maximum comparison, possible eviction).
+//!   back to the per-edge insert (one path-maximum query, possible eviction), without
+//!   validating them again.
 //! * [`DynamicGraphClustering::batch_delete_edges`] strips non-tree deletions out of the batch
 //!   (reserve bookkeeping only) and removes all tree edges with one
 //!   [`DynSld::batch_delete_labelled`]. The replacement search — Kruskal over the lightest
 //!   reserve edge per pair of pieces the cuts left — runs inside it, after the cuts and before
-//!   the unmerge, since it reads only the post-batch forest. On the scan backend it has then
-//!   enumerated every piece except each tree's largest, so it labels the unmerge with those
-//!   pieces and the dendrogram update asks no connectivity query; the HDT backend leaves the
-//!   labels to representative queries. The promoted edges then enter through
-//!   [`DynSld::batch_insert`], because by construction they link distinct components and form
-//!   an incidence forest. That search is the one [`DynamicGraphClustering::delete_edge`] runs
-//!   too, on a batch of one.
+//!   the unmerge, since it reads only the post-batch forest. On the scan backend it reads each
+//!   enumerated vertex's rank-ordered reserve lightest-first and stops at the vertex's first
+//!   edge into the largest piece of its tree; every edge it skips is in no MSF (see
+//!   `find_replacements`). It has then enumerated every piece except each tree's largest, so
+//!   it labels the unmerge with those pieces and the dendrogram update asks no connectivity
+//!   query; the HDT backend leaves the labels to representative queries. The promoted edges
+//!   then enter through [`DynSld::batch_insert`], because by construction they link distinct
+//!   components and form an incidence forest. That search is the one
+//!   [`DynamicGraphClustering::delete_edge`] runs too, on a batch of one.
 //!
 //! Both entry points validate the whole batch before mutating anything, process edges in rank
 //! order (`(weight, endpoint pair)` — fully deterministic), and report per-edge [`MsfChange`]s
@@ -143,10 +146,7 @@ impl DynamicGraphClustering {
         let fallback = fallback_idx.len();
         for i in fallback_idx {
             let (u, v, w) = edges[i];
-            let change = self
-                .insert_edge(u, v, w)
-                .expect("validated batch edge cannot fail to insert");
-            changes[i] = Some(change);
+            changes[i] = Some(self.insert_validated(u, v, w));
         }
 
         Ok(BatchOutcome {
@@ -190,12 +190,12 @@ impl DynamicGraphClustering {
         let split_start = Instant::now();
         let mut batch_seen = HashSet::new();
         let mut tree_idx: Vec<usize> = Vec::new();
-        let mut nontree_idx: Vec<usize> = Vec::new();
+        let mut nontree: Vec<(usize, Weight)> = Vec::new();
         for (i, &(u, v)) in pairs.iter().enumerate() {
             if self.is_tree_edge(u, v) {
                 tree_idx.push(i);
-            } else if self.nontree_weight(u, v).is_some() {
-                nontree_idx.push(i);
+            } else if let Some(weight) = self.nontree_weight(u, v) {
+                nontree.push((i, weight));
             } else {
                 return Err(DynSldError::EdgeNotFound(u, v));
             }
@@ -206,9 +206,9 @@ impl DynamicGraphClustering {
 
         // ---- non-tree deletions: reserve bookkeeping only --------------------------------
         let mut changes: Vec<Option<MsfChange>> = vec![None; pairs.len()];
-        for i in nontree_idx {
+        for (i, weight) in nontree {
             let (u, v) = pairs[i];
-            self.index_remove_nontree(u, v);
+            self.index_remove_nontree(u, v, weight);
             changes[i] = Some(MsfChange::RemovedNonTree);
         }
         classify_time += split_start.elapsed();
@@ -282,10 +282,8 @@ impl DynamicGraphClustering {
     /// searches already turned them into tree edges inside their index.
     pub(crate) fn mark_promoted(&mut self, promoted: &[(VertexId, VertexId, Weight)]) {
         if let ReplacementIndex::Scan { reserve } = &mut self.index {
-            for &(a, b, _) in promoted {
-                let key = pair(a, b);
-                reserve[a.index()].remove(&key);
-                reserve[b.index()].remove(&key);
+            for &(a, b, w) in promoted {
+                reserve.remove(a, b, w);
             }
         }
         self.nontree_edges -= promoted.len();
@@ -300,7 +298,9 @@ impl DynamicGraphClustering {
 /// [`mark_promoted`](DynamicGraphClustering::mark_promoted).
 ///
 /// One deleted edge leaves two pieces, and the scan covers the one that is not the largest —
-/// `u`'s piece on a size tie, since `u` gets the lower local id. On the scan backend `marks`
+/// `u`'s piece on a size tie, since `u` gets the lower local id. Each vertex of a scanned piece
+/// reads its reserve entries lightest-first and stops at its first one into the largest piece
+/// of its tree (why that is exact is stated at the scan). On the scan backend `marks`
 /// then names every post-deletion component of the cut trees: [`PieceMarks::piece`], or
 /// `marks.cut_outer[c]` for a vertex of `tree_pairs[c]`'s tree that no piece marks.
 pub(crate) fn find_replacements(
@@ -353,18 +353,28 @@ pub(crate) fn find_replacements(
                 .cut_outer
                 .extend(deleted_locals.iter().map(|&(lu, _)| outer[lu.index()]));
             // Members are contiguous per piece: scan them in order, keeping the lightest
-            // edge to each other piece, and emit each pair's edge once — from the lower
-            // id when both pieces are enumerated.
+            // edge seen to each other piece. Each member reads its reserve entries lightest
+            // first and stops at its first one into the largest piece of its tree; the pieces
+            // of one tree share that largest piece `O`, and the stop is exact because
+            // `PairRank` is a strict total order. An edge into `O` that a member skips is
+            // heavier than the member's edge into `O`, a parallel edge between the same two
+            // pieces. An edge between two enumerated pieces `p` and `q` is skipped only when
+            // both its endpoints stopped before it, so both have a lighter edge into `O`: it is
+            // the heaviest on a `p`–`O`–`q` cycle. Neither is in any MSF, so Kruskal over
+            // what the scans saw accepts what it would accept over every crossing edge. Since
+            // an edge between enumerated pieces may be seen from one side only, each piece
+            // emits its lightest edge to every piece it reached, and only the lighter of the
+            // two sides' edges per pair is kept below.
             for (i, &member) in marks.members.iter().enumerate() {
                 let p = marks.piece(member).expect("members are marked");
-                for (&key, &weight) in &reserve[member.index()] {
+                let largest = outer[p as usize];
+                for &(weight, other) in reserve.at(member) {
                     counters.replacement_edges_scanned += 1;
-                    let other = if key.0 == member { key.1 } else { key.0 };
-                    let q = marks.piece(other).unwrap_or(outer[p as usize]);
+                    let q = marks.piece(other).unwrap_or(largest);
                     if q == p {
                         continue;
                     }
-                    let rank = PairRank(weight, key);
+                    let rank = PairRank(weight, pair(member, other));
                     let slot = &mut marks.best[q as usize];
                     match slot {
                         None => {
@@ -374,16 +384,20 @@ pub(crate) fn find_replacements(
                         Some(best) if rank < *best => *best = rank,
                         Some(_) => {}
                     }
+                    if q == largest {
+                        break;
+                    }
                 }
                 if marks.members.get(i + 1).and_then(|&x| marks.piece(x)) != Some(p) {
                     for q in marks.touched.drain(..) {
                         let rank = marks.best[q as usize].take().expect("touched");
-                        if q > p || q == outer[p as usize] {
-                            candidates.push((rank, (VertexId(p), VertexId(q))));
-                        }
+                        candidates.push((rank, (VertexId(p.min(q)), VertexId(p.max(q)))));
                     }
                 }
             }
+            // One candidate per pair of pieces: the lighter of the two sides' edges.
+            candidates.sort_unstable_by_key(|&(rank, ends)| (ends, rank));
+            candidates.dedup_by_key(|c| c.1);
         }
         // HDT backend: replay the tree deletions through the level structure in input
         // order. Each search returns the minimum-rank edge across its cut given the
@@ -916,11 +930,56 @@ mod tests {
         }
     }
 
+    /// How many reserve entries the scan reads when `batch` cuts the one spanning tree of `g`,
+    /// derived from the edge list: each vertex outside the largest piece reads its entries in
+    /// `(weight, pair)` order up to and including its first one into the largest piece (all
+    /// of them if it has none). On a size tie the largest piece is the one whose first cut
+    /// endpoint comes last in `batch`, the tie-break of the search's local piece ids.
+    fn expected_scan(g: &DynamicGraphClustering, batch: &[(VertexId, VertexId)]) -> u64 {
+        let n = g.num_vertices();
+        let edges = g.graph_edges();
+        let key = |a: VertexId, b: VertexId| (a.min(b), a.max(b));
+        let cut: HashSet<_> = batch.iter().map(|&(a, b)| key(a, b)).collect();
+        let mut pieces = NaiveDsu((0..n).collect());
+        let mut entries = vec![Vec::new(); n];
+        for &(a, b, w, tree) in &edges {
+            if !tree {
+                entries[a.index()].push((w, key(a, b), b));
+                entries[b.index()].push((w, key(a, b), a));
+            } else if !cut.contains(&key(a, b)) {
+                pieces.union(a.index(), b.index());
+            }
+        }
+        let piece: Vec<usize> = (0..n).map(|x| pieces.find(x)).collect();
+        let mut named = Vec::new();
+        for x in batch.iter().flat_map(|&(a, b)| [a, b]) {
+            if !named.contains(&piece[x.index()]) {
+                named.push(piece[x.index()]);
+            }
+        }
+        let size = |p: usize| piece.iter().filter(|&&q| q == p).count();
+        let largest = (0..named.len())
+            .max_by_key(|&i| (size(named[i]), i))
+            .map(|i| named[i])
+            .expect("a cut names two pieces");
+        let mut scanned = 0;
+        for x in (0..n).filter(|&x| piece[x] != largest) {
+            let list = &mut entries[x];
+            list.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+            scanned += list
+                .iter()
+                .position(|e| piece[e.2.index()] == largest)
+                .map_or(list.len(), |i| i + 1);
+        }
+        scanned as u64
+    }
+
     #[test]
     fn batch_search_sorts_at_most_one_candidate_per_pair_of_pieces() {
         // Cutting `cuts` edges of one spanning tree leaves exactly `cuts + 1` pieces; the scan
-        // reads every reserve entry of the non-largest pieces (about 40 per vertex here) but
-        // hands Kruskal at most one edge per pair of pieces.
+        // reads each non-largest piece's reserve entries lightest-first, stopping per vertex
+        // at its first edge into the largest piece, and hands Kruskal at most one edge per
+        // pair of pieces.
         for seed in 0..4 {
             let mut rng = SmallRng::seed_from_u64(seed);
             let mut g = DynamicGraphClustering::new(42);
@@ -928,6 +987,7 @@ mod tests {
             let mut tree: Vec<_> = msf_edges(&g);
             tree.shuffle(&mut rng);
             let cuts = 8;
+            let expected = expected_scan(&g, &tree[..cuts]);
             g.take_work_counters();
             g.batch_delete_edges(&tree[..cuts]).unwrap();
             let work = g.take_work_counters();
@@ -937,13 +997,39 @@ mod tests {
                 "seed {seed}: {} candidates for {k} pieces",
                 work.replacement_candidates
             );
-            assert!(
-                work.replacement_edges_scanned >= 10 * work.replacement_candidates,
-                "seed {seed}: scanned {} vs {} candidates",
-                work.replacement_edges_scanned,
-                work.replacement_candidates
+            assert_eq!(
+                work.replacement_edges_scanned, expected,
+                "seed {seed}: reserve entries scanned"
             );
         }
+    }
+
+    #[test]
+    fn an_edge_seen_only_from_the_higher_piece_is_still_a_candidate() {
+        // Path 0-1-2-3-4-5-6 (unit weights) cut at 0-1 and 5-6 leaves pieces {0} (id 0),
+        // {1..=5} (id 1, the largest) and {6} (id 2). Vertex 0 stops at its weight-5 edge into
+        // the largest piece, before 0-6; vertex 6 reads 0-6 first. So 0-6, the lightest edge
+        // joining {6} to the rest, is seen only from the higher piece id, and it must still be
+        // promoted ahead of 3-6.
+        let mut g = DynamicGraphClustering::new(7);
+        let path: Vec<_> = (0..6).map(|i| (v(i), v(i + 1), 1.0)).collect();
+        g.batch_insert_edges(&path).unwrap();
+        for (a, b, w) in [(0, 2, 5.0), (0, 6, 10.0), (3, 6, 20.0)] {
+            assert_eq!(g.insert_edge(v(a), v(b), w), Ok(MsfChange::StoredNonTree));
+        }
+        let batch = [(v(0), v(1)), (v(5), v(6))];
+        let (changes, promoted, msf, _) = naive_batch_delete(7, &g.graph_edges(), &batch);
+        assert_eq!(promoted, vec![(v(0), v(2)), (v(0), v(6))]);
+        g.take_work_counters();
+        let outcome = g.batch_delete_edges(&batch).unwrap();
+        assert_eq!(outcome.changes, changes);
+        assert_eq!(outcome.promoted, promoted);
+        assert_eq!(msf_edges(&g), msf);
+        // Vertex 0 read one entry, vertex 6 two; {6} reached both other pieces.
+        let work = g.take_work_counters();
+        assert_eq!(work.replacement_edges_scanned, 3);
+        assert_eq!(work.replacement_candidates, 3);
+        g.sld().check_invariants().expect("invariants");
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //!
 //! [`DynamicGraphClustering`] implements that end-to-end pipeline:
 //!
-//! * **Edge insertion**: if the endpoints are in different trees the edge joins the MSF;
-//!   otherwise the maximum-weight edge on the tree path between the endpoints is located with a
-//!   path-maximum query (`O(log n)`), and if it is heavier than the new edge the two swap roles
-//!   through one [`DynSld::exchange`], which rewires only the dendrogram below the evicted edge.
+//! * **Edge insertion**: one [`DynSld::exchange`] locates the maximum-weight edge on the tree
+//!   path between the endpoints with a path-maximum query (`O(log n)`) and, if it is heavier
+//!   than the new edge, swaps the two, rewiring only the dendrogram below the evicted edge; if
+//!   the endpoints are in different trees the edge joins the MSF.
 //! * **Edge deletion**: a non-tree edge is simply discarded; deleting a tree edge splits a tree
 //!   and the cheapest non-tree edge reconnecting the two sides (if any) is promoted into the
 //!   MSF.
@@ -23,13 +23,20 @@
 //! [`ForestBackend::Scan`]):
 //!
 //! * [`ForestBackend::Scan`] scans the non-tree edges incident to the smaller side of the
-//!   cut: `O(min-side size + min-side non-tree degree)` per tree-edge deletion — the side is
-//!   enumerated once and marked, so each crossing test is two table reads, and a crossing
-//!   edge's weight is read from the reserve entry the scan is already on (README.md,
-//!   "Deviations from the paper", substitution 5 — the paper points to
-//!   Holm–de Lichtenberg–Thorup \[33\] or the batch-parallel MSF of Tseng et al. \[48\] for
-//!   this component). Per-edge and batch deletion share this one search; a per-edge deletion
-//!   is a batch of one. A deletion batch runs the search before the dendrogram's unmerge
+//!   cut: `O(min-side size + min-side non-tree degree)` per tree-edge deletion at worst — the
+//!   side is enumerated once and marked, so each crossing test is two table reads, and a
+//!   crossing edge's weight is read from the reserve entry the scan is already on. Each
+//!   vertex's reserve is kept in rank order, so a vertex's entries are read lightest-first
+//!   and its scan stops at its first edge into the other side (README.md, "Deviations from
+//!   the paper", substitution 5 — the paper points to Holm–de Lichtenberg–Thorup \[33\] or
+//!   the batch-parallel MSF of Tseng et al. \[48\] for this component). The order costs the
+//!   reserve updates: adding or removing an entry is an `O(log d)` binary search for its slot
+//!   plus an `O(d)` shift of the list's tail (`d` the endpoint's reserve degree), and finding
+//!   a non-tree edge by its endpoints scans the shorter endpoint list, `O(min degree)`.
+//!   [`DynamicGraphClustering::edge_weight`] pays that for every pair that is not a tree edge,
+//!   and so does the engine's liveness check on every submitted event. Per-edge and
+//!   batch deletion share this one search; a per-edge deletion is a batch of one. A deletion
+//!   batch runs the search before the dendrogram's unmerge
 //!   ([`DynSld::batch_delete_labelled`]), and the pieces it enumerated label that unmerge, so
 //!   the batch asks no connectivity query of the Euler-tour forest.
 //! * [`ForestBackend::Hdt`] keeps an HDT-style level structure (see the `hdt` module):
@@ -43,11 +50,10 @@
 
 #![warn(missing_docs)]
 
-use dynsld::{DynSld, DynSldError, DynSldOptions};
+use dynsld::{CycleExchange, DynSld, DynSldError, DynSldOptions};
 use dynsld_dyntree::RoundTable;
 use dynsld_forest::{EdgeId, VertexId, Weight};
 use std::cmp::Ordering;
-use std::collections::HashMap;
 
 mod batch;
 mod hdt;
@@ -92,10 +98,12 @@ pub enum MsfChange {
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct WorkCounters {
     /// Replacement candidates subjected to the cut-crossing test — the per-candidate step
-    /// of a search on either backend. The scan backend tests every reserve entry incident
-    /// to the pieces it enumerates, with two piece-table reads, and takes the weight from
-    /// the entry itself; the HDT backend tests candidates in rank order with connectivity
-    /// queries and stops a level at the first one that cannot beat the incumbent.
+    /// of a search on either backend. The scan backend reads the reserve entries of each
+    /// vertex it enumerates lightest-first, up to and including the vertex's first entry into
+    /// the largest piece of its tree, tests each with two piece-table reads and takes the
+    /// weight from the entry itself; the HDT backend tests candidates in rank order with
+    /// connectivity queries and stops a level at the first one that cannot beat the
+    /// incumbent.
     pub replacement_edges_scanned: u64,
     /// Non-tree edges moved one level up by the HDT backend (always 0 on the scan backend).
     pub level_promotions: u64,
@@ -103,9 +111,9 @@ pub struct WorkCounters {
     /// insertion-eviction on the HDT backend, which replays evictions through the search).
     pub replacement_searches: u64,
     /// Candidates the Kruskal pass of a deletion sorted: on the scan backend the lightest
-    /// reserve edge per pair of pieces the cuts left (at most `k(k-1)/2` for `k` pieces), on
-    /// the HDT backend one per successful search. A per-edge deletion is a batch of one, so
-    /// it adds one when its cut has a replacement.
+    /// reserve edge the scans saw per pair of pieces the cuts left (at most `k(k-1)/2` for `k`
+    /// pieces), on the HDT backend one per successful search. A per-edge deletion is a batch
+    /// of one, so it adds one when its cut has a replacement.
     pub replacement_candidates: u64,
 }
 
@@ -123,20 +131,97 @@ impl WorkCounters {
 /// [`ForestBackend`].
 #[derive(Clone, Debug)]
 pub(crate) enum ReplacementIndex {
-    /// Non-tree edges indexed per vertex (both endpoints); search scans the smaller side.
+    /// Non-tree edges listed per vertex (both endpoints) in rank order; search scans the
+    /// smaller side lightest-first.
     Scan {
-        /// `reserve[v]` maps each non-tree edge incident to `v` to its weight. This is the
-        /// only place a scan-backend non-tree edge is stored.
-        reserve: Vec<HashMap<(VertexId, VertexId), Weight>>,
+        /// The only place a scan-backend non-tree edge is stored.
+        reserve: Reserve,
     },
     /// HDT-style level structure (see the `hdt` module).
     Hdt(HdtIndex),
 }
 
+/// The scan backend's non-tree edges: per vertex `x`, one `(weight, other endpoint)` entry per
+/// non-tree edge at `x`, sorted by [`PairRank`]`(weight, pair(x, other))`, lightest first (16
+/// bytes per entry and endpoint). The order lets the replacement search read a vertex's
+/// entries lightest-first and stop early (see `batch::find_replacements`).
+///
+/// Adding an entry binary-searches its slot, `O(log d)` for a list of length `d`, and shifts
+/// the tail after it, `O(d)` (a plain push when it ranks last); removing one whose weight is
+/// known does the same in each list. Looking an edge up by its endpoints alone
+/// ([`weight`](Self::weight)) scans the shorter of the two lists: `O(min degree)`.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Reserve {
+    lists: Vec<Vec<(Weight, VertexId)>>,
+}
+
+impl Reserve {
+    fn new(n: usize) -> Self {
+        Reserve {
+            lists: vec![Vec::new(); n],
+        }
+    }
+
+    fn add_vertices(&mut self, n: usize) {
+        self.lists.resize_with(n, Vec::new);
+    }
+
+    /// The entries at `x`, lightest first.
+    #[inline]
+    pub(crate) fn at(&self, x: VertexId) -> &[(Weight, VertexId)] {
+        &self.lists[x.index()]
+    }
+
+    /// The position `(weight, other)` has (or would have) in `x`'s list.
+    fn position(
+        list: &[(Weight, VertexId)],
+        x: VertexId,
+        other: VertexId,
+        weight: Weight,
+    ) -> usize {
+        let rank = PairRank(weight, pair(x, other));
+        list.partition_point(|&(w, y)| PairRank(w, pair(x, y)) < rank)
+    }
+
+    /// The weight of the non-tree edge `{u, v}`, or `None` if it is not one.
+    pub(crate) fn weight(&self, u: VertexId, v: VertexId) -> Option<Weight> {
+        let (x, other) = if self.at(u).len() <= self.at(v).len() {
+            (u, v)
+        } else {
+            (v, u)
+        };
+        self.at(x).iter().find(|e| e.1 == other).map(|e| e.0)
+    }
+
+    /// Adds the non-tree edge `{u, v}` (not stored yet) to both endpoints' lists.
+    pub(crate) fn insert(&mut self, u: VertexId, v: VertexId, weight: Weight) {
+        for (x, other) in [(u, v), (v, u)] {
+            let list = &mut self.lists[x.index()];
+            let last = list.last().map(|&(w, y)| PairRank(w, pair(x, y)));
+            if last.is_none_or(|last| last < PairRank(weight, pair(x, other))) {
+                list.push((weight, other));
+            } else {
+                let at = Self::position(list, x, other, weight);
+                list.insert(at, (weight, other));
+            }
+        }
+    }
+
+    /// Removes the stored non-tree edge `{u, v}` of weight `weight` from both lists.
+    pub(crate) fn remove(&mut self, u: VertexId, v: VertexId, weight: Weight) {
+        for (x, other) in [(u, v), (v, u)] {
+            let list = &mut self.lists[x.index()];
+            let at = Self::position(list, x, other, weight);
+            debug_assert_eq!(list.get(at), Some(&(weight, other)), "stored reserve entry");
+            list.remove(at);
+        }
+    }
+}
+
 /// The rank of a graph edge: its weight, ties broken on the normalised endpoint pair. This is
-/// the one order the batch paths process edges in and both forest backends pick replacements
-/// by. The reserve maps are hash maps with nondeterministic iteration order, so without the
-/// tie-break the promoted edge among equal-weight candidates would vary from run to run.
+/// the one order the batch paths process edges in, both forest backends pick replacements by,
+/// and the scan backend's [`Reserve`] lists are sorted by. Weights tie, so without the
+/// tie-break the promoted edge among equal-weight candidates would depend on update order.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct PairRank(pub(crate) Weight, pub(crate) (VertexId, VertexId));
 
@@ -194,15 +279,16 @@ pub struct DynamicGraphClustering {
 /// anyway, so "does this reserve edge cross the cut?" is a lookup of its two endpoints here
 /// rather than a connectivity query against the Euler-tour forest, and the edge's rank comes
 /// from the reserve entry being scanned, so a crossing test touches no table keyed by edge.
-/// The member lists and the per-piece table of the search live here too, so no search
-/// allocates once they have grown to the largest batch seen.
+/// An unmarked endpoint lies in the largest piece of its tree, where each member's
+/// lightest-first scan stops. The member lists and the per-piece table of the search live
+/// here too, so no search allocates once they have grown to the largest batch seen.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct PieceMarks {
     piece_of: RoundTable,
     /// The vertices enumerated in this search, piece after piece.
     pub(crate) members: Vec<VertexId>,
-    /// The lightest reserve edge from the piece being scanned to each other piece, indexed by
-    /// piece id; `None` outside the slots listed in `touched`.
+    /// The lightest reserve edge the scan of the current piece has seen to each other piece,
+    /// indexed by piece id; `None` outside the slots listed in `touched`.
     pub(crate) best: Vec<Option<PairRank>>,
     /// The slots of `best` written while scanning the current piece.
     pub(crate) touched: Vec<u32>,
@@ -262,7 +348,7 @@ impl DynamicGraphClustering {
     pub fn with_options(n: usize, options: DynSldOptions) -> Self {
         let index = match options.msf_backend {
             ForestBackend::Scan => ReplacementIndex::Scan {
-                reserve: vec![HashMap::new(); n],
+                reserve: Reserve::new(n),
             },
             ForestBackend::Hdt => ReplacementIndex::Hdt(HdtIndex::new(n)),
         };
@@ -336,7 +422,8 @@ impl DynamicGraphClustering {
         self.sld.export_snapshot_incremental()
     }
 
-    /// Returns the weight of the graph edge `{u, v}` if it is alive.
+    /// Returns the weight of the graph edge `{u, v}` if it is alive. On the scan backend a
+    /// non-tree edge is found by scanning the shorter endpoint's reserve list, `O(min degree)`.
     pub fn edge_weight(&self, u: VertexId, v: VertexId) -> Option<Weight> {
         match self.tree_edge(u, v) {
             Some(e) => Some(self.sld.forest().weight(e)),
@@ -370,7 +457,7 @@ impl DynamicGraphClustering {
             return None;
         }
         match &self.index {
-            ReplacementIndex::Scan { reserve } => reserve[u.index()].get(&pair(u, v)).copied(),
+            ReplacementIndex::Scan { reserve } => reserve.weight(u, v),
             ReplacementIndex::Hdt(ix) => ix.nontree_weight(u, v),
         }
     }
@@ -379,9 +466,7 @@ impl DynamicGraphClustering {
     pub fn add_vertices(&mut self, k: usize) -> VertexId {
         let first = self.sld.add_vertices(k);
         match &mut self.index {
-            ReplacementIndex::Scan { reserve } => {
-                reserve.resize_with(self.sld.num_vertices(), HashMap::new);
-            }
+            ReplacementIndex::Scan { reserve } => reserve.add_vertices(self.sld.num_vertices()),
             ReplacementIndex::Hdt(ix) => ix.add_vertices(k),
         }
         first
@@ -390,24 +475,16 @@ impl DynamicGraphClustering {
     /// Stores a new non-tree edge in the backend index.
     pub(crate) fn index_add_nontree(&mut self, u: VertexId, v: VertexId, weight: Weight) {
         match &mut self.index {
-            ReplacementIndex::Scan { reserve } => {
-                let key = pair(u, v);
-                reserve[u.index()].insert(key, weight);
-                reserve[v.index()].insert(key, weight);
-            }
+            ReplacementIndex::Scan { reserve } => reserve.insert(u, v, weight),
             ReplacementIndex::Hdt(ix) => ix.add_nontree(u, v, weight),
         }
         self.nontree_edges += 1;
     }
 
-    /// Removes a stored non-tree edge from the backend index.
-    pub(crate) fn index_remove_nontree(&mut self, u: VertexId, v: VertexId) {
+    /// Removes the stored non-tree edge `{u, v}` of weight `weight` from the backend index.
+    pub(crate) fn index_remove_nontree(&mut self, u: VertexId, v: VertexId, weight: Weight) {
         match &mut self.index {
-            ReplacementIndex::Scan { reserve } => {
-                let key = pair(u, v);
-                reserve[u.index()].remove(&key);
-                reserve[v.index()].remove(&key);
-            }
+            ReplacementIndex::Scan { reserve } => reserve.remove(u, v, weight),
             ReplacementIndex::Hdt(ix) => ix.remove_nontree(u, v),
         }
         self.nontree_edges -= 1;
@@ -449,53 +526,70 @@ impl DynamicGraphClustering {
         weight: Weight,
     ) -> Result<MsfChange, DynSldError> {
         self.check_new_edge(u, v)?;
-        if !self.sld.connected(u, v) {
-            self.sld.insert(u, v, weight)?;
-            self.index_add_tree(u, v, weight);
-            return Ok(MsfChange::Inserted);
-        }
-        // The edge closes a cycle: compare against the heaviest tree edge on the path.
-        let heaviest = self
+        Ok(self.insert_validated(u, v, weight))
+    }
+
+    /// The body of [`insert_edge`](Self::insert_edge), for an edge that
+    /// [`check_new_edge`](Self::check_new_edge) has accepted.
+    pub(crate) fn insert_validated(
+        &mut self,
+        u: VertexId,
+        v: VertexId,
+        weight: Weight,
+    ) -> MsfChange {
+        // One path-maximum query: `Disconnected` means the edge joins two trees, otherwise it
+        // closes a cycle and replaces the heaviest edge on it if it is lighter. Strict
+        // improvement is required: an equal weight keeps the incumbent tree edge. Which of two
+        // equal-weight edges ends up in the MSF therefore depends on update order, not on a
+        // fixed total order (see ROADMAP, "One total order"). The dendrogram takes the swap as
+        // one exchange, which rewires only the spines below the evicted edge's rank.
+        let outcome = self
             .sld
-            .path_max_edge(u, v)
-            .expect("connected endpoints have a tree path");
-        let heaviest_weight = self.sld.forest().weight(heaviest);
-        let (hu, hv) = self.sld.forest().endpoints(heaviest);
-        // Strict improvement required: an equal weight keeps the incumbent tree edge. Which of
-        // two equal-weight edges ends up in the MSF therefore depends on update order, not on
-        // a fixed total order (see ROADMAP, "One total order"). The dendrogram takes the swap
-        // as one exchange, which rewires only the spines below the evicted edge's rank.
-        if weight < heaviest_weight {
-            self.sld.exchange(heaviest, u, v, weight)?;
-            if let ReplacementIndex::Hdt(ix) = &mut self.index {
-                // Replay the eviction through the level-structured search: the new edge is
-                // provably the unique replacement for the evicted edge's cut (exchange
-                // property), and routing it through the search keeps every level forest
-                // consistent (see the hdt module docs).
-                ix.add_nontree(u, v, weight);
-                let promoted = ix.delete_tree_with_search(hu, hv);
-                debug_assert_eq!(
-                    promoted.map(|(a, b, _)| (a, b)),
-                    Some(pair(u, v)),
-                    "the cycle-closing edge is the unique replacement for its eviction"
-                );
+            .exchange(u, v, weight)
+            .expect("validated endpoints");
+        match outcome {
+            CycleExchange::Disconnected => {
+                self.sld
+                    .insert(u, v, weight)
+                    .expect("validated edge between two trees");
+                self.index_add_tree(u, v, weight);
+                MsfChange::Inserted
             }
-            // The evicted edge enters the reserve at its forest weight.
-            self.index_add_nontree(hu, hv, heaviest_weight);
-            Ok(MsfChange::Replaced { evicted: (hu, hv) })
-        } else {
-            self.index_add_nontree(u, v, weight);
-            Ok(MsfChange::StoredNonTree)
+            CycleExchange::Exchanged {
+                evicted: (hu, hv),
+                weight: heaviest_weight,
+            } => {
+                if let ReplacementIndex::Hdt(ix) = &mut self.index {
+                    // Replay the eviction through the level-structured search: the new edge is
+                    // provably the unique replacement for the evicted edge's cut (exchange
+                    // property), and routing it through the search keeps every level forest
+                    // consistent (see the hdt module docs).
+                    ix.add_nontree(u, v, weight);
+                    let promoted = ix.delete_tree_with_search(hu, hv);
+                    debug_assert_eq!(
+                        promoted.map(|(a, b, _)| (a, b)),
+                        Some(pair(u, v)),
+                        "the cycle-closing edge is the unique replacement for its eviction"
+                    );
+                }
+                // The evicted edge enters the reserve at its forest weight.
+                self.index_add_nontree(hu, hv, heaviest_weight);
+                MsfChange::Replaced { evicted: (hu, hv) }
+            }
+            CycleExchange::Kept => {
+                self.index_add_nontree(u, v, weight);
+                MsfChange::StoredNonTree
+            }
         }
     }
 
     /// Deletes the graph edge `{u, v}` and updates the MSF and dendrogram.
     pub fn delete_edge(&mut self, u: VertexId, v: VertexId) -> Result<MsfChange, DynSldError> {
         if !self.is_tree_edge(u, v) {
-            if self.nontree_weight(u, v).is_none() {
-                return Err(DynSldError::EdgeNotFound(u, v));
-            }
-            self.index_remove_nontree(u, v);
+            let weight = self
+                .nontree_weight(u, v)
+                .ok_or(DynSldError::EdgeNotFound(u, v))?;
+            self.index_remove_nontree(u, v, weight);
             return Ok(MsfChange::RemovedNonTree);
         }
         self.sld.delete(u, v)?;
@@ -534,13 +628,14 @@ impl DynamicGraphClustering {
         }));
         match &self.index {
             ReplacementIndex::Scan { reserve } => {
-                // Each edge sits in both endpoints' maps; emit it from its lower endpoint.
-                for (x, edges) in reserve.iter().enumerate() {
+                // Each edge sits in both endpoints' lists; emit it from its lower endpoint.
+                for x in (0..self.num_vertices()).map(|x| VertexId(x as u32)) {
                     out.extend(
-                        edges
+                        reserve
+                            .at(x)
                             .iter()
-                            .filter(|(key, _)| key.0.index() == x)
-                            .map(|(&(u, v), &w)| (u, v, w, false)),
+                            .filter(|&&(_, y)| x < y)
+                            .map(|&(w, y)| (x, y, w, false)),
                     );
                 }
             }
@@ -647,6 +742,24 @@ mod tests {
         assert_eq!(actual, expected, "graph_edges vs the model");
         for &(a, b, w) in alive {
             assert_eq!(g.edge_weight(b, a), Some(w), "weight of {a:?}-{b:?}");
+        }
+    }
+
+    /// On the scan backend, every vertex's reserve list is strictly increasing in
+    /// [`PairRank`], which the replacement scan's early stop relies on.
+    fn assert_reserve_in_rank_order(g: &DynamicGraphClustering) {
+        if let ReplacementIndex::Scan { reserve } = &g.index {
+            for x in (0..g.num_vertices()).map(|x| v(x as u32)) {
+                let ranks: Vec<_> = reserve
+                    .at(x)
+                    .iter()
+                    .map(|&(w, y)| PairRank(w, pair(x, y)))
+                    .collect();
+                assert!(
+                    ranks.windows(2).all(|r| r[0] < r[1]),
+                    "reserve of {x:?} out of rank order: {ranks:?}"
+                );
+            }
         }
     }
 
@@ -853,6 +966,7 @@ mod tests {
                 }
                 if step % 50 == 0 {
                     assert_accessors_match(&g, &alive);
+                    assert_reserve_in_rank_order(&g);
                 }
             }
             assert_msf_matches(&g, &alive);
