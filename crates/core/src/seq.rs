@@ -11,7 +11,8 @@
 //! * **Exchange** (an extension, not a paper claim): replacing the heaviest edge on a cycle by
 //!   the lighter edge that closed it rewires only the spine nodes below the evicted edge's rank,
 //!   with one path-maximum query to find the evicted edge and no other connectivity query
-//!   ([`DynSld::exchange`]).
+//!   ([`DynSld::exchange`]). An edge that closes no cycle is linked by the insertion's merge,
+//!   with that one query as its connectivity check.
 
 use crate::dynsld::{DynSld, DynSldError};
 use dynsld_forest::{EdgeId, VertexId, Weight};
@@ -19,8 +20,9 @@ use dynsld_forest::{EdgeId, VertexId, Weight};
 /// What [`DynSld::exchange`] did with an edge offered to the tree path it closes.
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub enum CycleExchange {
-    /// The endpoints are in different trees: the edge closes no cycle. Nothing changed.
-    Disconnected,
+    /// The endpoints were in different trees: the edge closed no cycle and was inserted, with
+    /// this id.
+    Linked(EdgeId),
     /// The heaviest edge on the path does not outweigh the new edge. Nothing changed.
     Kept,
     /// The heaviest edge on the path was exchanged for the new edge.
@@ -41,6 +43,11 @@ impl DynSld {
         weight: Weight,
     ) -> Result<EdgeId, DynSldError> {
         self.check_insert(u, v)?;
+        Ok(self.link_seq(u, v, weight))
+    }
+
+    /// The body of [`insert_seq`](Self::insert_seq), for an edge between two trees.
+    fn link_seq(&mut self, u: VertexId, v: VertexId, weight: Weight) -> EdgeId {
         self.stats.begin_update();
         let (e, e_star_u, e_star_v) = self.register_insert(u, v, weight);
         // First merge: T_u ∪ {e}. The new node `e` is a one-node spine.
@@ -51,7 +58,7 @@ impl DynSld {
         if let Some(ev) = e_star_v {
             self.merge_spines_seq(ev, e);
         }
-        Ok(e)
+        e
     }
 
     /// Sequential `O(h log(1 + n/h))` edge deletion (Theorem 1.1). The edge is addressed by its
@@ -81,11 +88,16 @@ impl DynSld {
     /// Offers the edge `(u, v)` of weight `weight` to the tree path it would close: the MSF swap
     /// of a cycle-closing insertion. One path-maximum query finds `out`, the heaviest edge on the
     /// `u`–`v` tree path; when `out` outweighs the new edge, `out` is replaced by it. Returns
-    /// [`CycleExchange::Disconnected`] when `u` and `v` are in different trees and
-    /// [`CycleExchange::Kept`] when `out` is not heavier; in both cases nothing changed. An
-    /// exchange equals [`delete_edge_seq`](Self::delete_edge_seq) of `out` followed by
+    /// [`CycleExchange::Kept`], having changed nothing, when `out` is not heavier. An exchange
+    /// equals [`delete_edge_seq`](Self::delete_edge_seq) of `out` followed by
     /// [`insert_seq`](Self::insert_seq) of `(u, v)` — the same new edge id, the same dendrogram,
     /// `version()` advanced by 2 — whatever the [`UpdateStrategy`](crate::UpdateStrategy).
+    ///
+    /// When `u` and `v` are in different trees there is no path: the edge is linked as
+    /// [`insert_seq`](Self::insert_seq) links it (Theorem 1.1's two spine merges), without
+    /// asking connectivity again, and [`CycleExchange::Linked`] returns its id. That equals
+    /// `insert_seq` in the id, the dendrogram, `version()` and the statistics, whatever the
+    /// strategy, as the swap and every batch path do.
     ///
     /// `out` is the dendrogram LCA of `u` and `v` and outranks the new edge, so nothing at or
     /// above `rank(out)` changes. `out`'s (at most two) children are detached, the new edge is
@@ -103,7 +115,7 @@ impl DynSld {
     ) -> Result<CycleExchange, DynSldError> {
         self.check_endpoints(u, v)?;
         let Some(out) = self.path_max_edge(u, v) else {
-            return Ok(CycleExchange::Disconnected);
+            return Ok(CycleExchange::Linked(self.link_seq(u, v, weight)));
         };
         let out_weight = self.forest.weight(out);
         if weight >= out_weight {
@@ -407,12 +419,23 @@ mod tests {
                     b.delete_edge_seq(e);
                     (e, e)
                 } else if !a.connected(x, y) {
-                    let disconnected = Ok(CycleExchange::Disconnected);
-                    assert_nothing_exchanged(&mut b, x, y, weight, disconnected);
-                    (
-                        a.insert_seq(x, y, weight).unwrap(),
-                        b.insert_seq(x, y, weight).unwrap(),
-                    )
+                    // A linking exchange is `insert_seq`, statistics included.
+                    let mut linked = b.clone();
+                    let e = b.insert_seq(x, y, weight).unwrap();
+                    assert_eq!(
+                        linked.exchange(x, y, weight),
+                        Ok(CycleExchange::Linked(e)),
+                        "step {step}: link"
+                    );
+                    assert_eq!(linked.version(), b.version(), "step {step}: link version");
+                    assert_eq!(linked.stats(), b.stats(), "step {step}: link stats");
+                    assert_eq!(
+                        linked.dendrogram().canonical_parents(),
+                        b.dendrogram().canonical_parents(),
+                        "step {step}: link parents"
+                    );
+                    b = linked;
+                    (a.insert_seq(x, y, weight).unwrap(), e)
                 } else {
                     let out = a.path_max_edge(x, y).unwrap();
                     let out_weight = a.forest().weight(out);

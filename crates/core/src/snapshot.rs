@@ -242,7 +242,8 @@ struct Edit {
 
 /// Builds a [`RankedNodes`] front to back from single records and from whole chunks of an
 /// existing sequence, keeping the chunk invariants. The one constructor behind
-/// [`RankedNodes::from_sorted`], the exporter's splice and delta replay.
+/// [`RankedNodes::from_sorted`], the exporter's splice and the replay of a shard delta
+/// (`ShardDelta::apply_to` in `dynsld-engine`, which every `Patch::replay` runs per shard).
 #[derive(Debug, Default)]
 pub struct RankedNodesBuilder {
     chunks: Vec<Arc<[SnapshotNode]>>,
@@ -350,7 +351,7 @@ impl RankedNodesBuilder {
 }
 
 /// Path-compressing find over a flat parent array — the union-find primitive of the sweep
-/// behind [`DendrogramSnapshot::flat_clustering`].
+/// ([`flat_clustering_of`]).
 fn find(parent: &mut [u32], x: u32) -> u32 {
     let mut root = x;
     while parent[root as usize] != root {
@@ -363,6 +364,46 @@ fn find(parent: &mut [u32], x: u32) -> u32 {
         cur = next;
     }
     root
+}
+
+/// The flat clustering at threshold `tau` of the union of `exports`' forests: every merge of
+/// weight `<= tau` of every export applied (all of them for a NaN `tau`, as in
+/// [`DendrogramSnapshot::num_clusters`]), over as many vertices as the largest export has.
+///
+/// This is the one sweep behind every flat clustering a view serves. One export is a single
+/// engine's view. Several are the shards of a service: their edge sets partition the graph's,
+/// and each export holds its shard's forest, so the clusters at `tau` are the components of
+/// all exports' records of weight `<= tau` taken together. An export over fewer vertices (a
+/// quarantined shard that lags a vertex-set growth) merges none of the vertices it lacks.
+///
+/// Labels are canonical: clusters are numbered by their smallest member vertex, in increasing
+/// order, and member lists are sorted — equal partitions produce identical `FlatClustering`
+/// values, however they are split across exports. `O(n α(n))` plus the merged prefixes.
+pub fn flat_clustering_of<'a>(
+    exports: impl IntoIterator<Item = &'a DendrogramSnapshot>,
+    tau: Weight,
+) -> FlatClustering {
+    let mut parent = Vec::new();
+    for export in exports {
+        export.merge_up_to(&mut parent, tau);
+    }
+    let n = parent.len();
+    let mut labels = vec![usize::MAX; n];
+    let mut clusters: Vec<Vec<VertexId>> = Vec::new();
+    for x in 0..n as u32 {
+        let root = find(&mut parent, x) as usize;
+        let label = if labels[root] == usize::MAX {
+            let label = clusters.len();
+            labels[root] = label;
+            clusters.push(Vec::new());
+            label
+        } else {
+            labels[root]
+        };
+        labels[x as usize] = label;
+        clusters[label].push(VertexId(x));
+    }
+    FlatClustering { labels, clusters }
 }
 
 /// An immutable copy of a [`DynSld`] dendrogram at one structural version.
@@ -436,48 +477,30 @@ impl DendrogramSnapshot {
         self.num_vertices - self.nodes.merged_at(tau)
     }
 
-    /// Union-find over the merges of weight `<= tau`, every root the smallest vertex of its
-    /// cluster.
-    fn merged_up_to(&self, tau: Weight) -> Vec<u32> {
-        let mut parent: Vec<u32> = (0..self.num_vertices as u32).collect();
+    /// Applies this export's merges of weight `<= tau` to `parent`, a union-find over at least
+    /// as many vertices as have been grown into it, growing it to `num_vertices` first. Every
+    /// root stays the smallest vertex of its cluster.
+    fn merge_up_to(&self, parent: &mut Vec<u32>, tau: Weight) {
+        if parent.len() < self.num_vertices {
+            parent.extend(parent.len() as u32..self.num_vertices as u32);
+        }
         // Nodes are rank-sorted, so the merges below the threshold are a prefix.
         for node in self.nodes.iter() {
             if node.weight > tau {
                 break;
             }
-            let a = find(&mut parent, node.u.0);
-            let b = find(&mut parent, node.v.0);
+            let a = find(parent, node.u.0);
+            let b = find(parent, node.v.0);
             // Union by smaller root id keeps the representative canonical (the smallest
             // vertex of the cluster), which makes labels deterministic.
             parent[a.max(b) as usize] = a.min(b);
         }
-        parent
     }
 
-    /// The flat clustering at threshold `tau` (all merges of weight `<= tau` applied).
-    ///
-    /// Labels are canonical: clusters are numbered by their smallest member vertex, in
-    /// increasing order, and member lists are sorted — two snapshots of equal partitions
-    /// produce identical `FlatClustering` values. `O(n α(n))`.
+    /// The flat clustering at threshold `tau` (all merges of weight `<= tau` applied): the
+    /// one-export case of [`flat_clustering_of`].
     pub fn flat_clustering(&self, tau: Weight) -> FlatClustering {
-        let n = self.num_vertices;
-        let mut parent = self.merged_up_to(tau);
-        let mut labels = vec![usize::MAX; n];
-        let mut clusters: Vec<Vec<VertexId>> = Vec::new();
-        for x in 0..n as u32 {
-            let root = find(&mut parent, x) as usize;
-            let label = if labels[root] == usize::MAX {
-                let label = clusters.len();
-                labels[root] = label;
-                clusters.push(Vec::new());
-                label
-            } else {
-                labels[root]
-            };
-            labels[x as usize] = label;
-            clusters[label].push(VertexId(x));
-        }
-        FlatClustering { labels, clusters }
+        flat_clustering_of([self], tau)
     }
 
     /// The lowest-ranked record at `x` — id and slot — if `x` has an incident edge.
@@ -955,6 +978,83 @@ mod tests {
         let weights: Vec<f64> = s.nodes.iter().map(|x| x.weight).collect();
         assert_eq!(weights, vec![1.0, 2.0, 3.0, 4.0, 5.0]);
         assert_chunk_invariants(&s.nodes);
+    }
+
+    /// The canonical clustering of the graph on `n` vertices whose edges are `exports`'
+    /// records that a cut at `tau` merges (all but the heavier ones: every record for a NaN
+    /// `tau`), by
+    /// breadth-first search: labels by smallest member, sorted member lists.
+    fn naive_clustering(exports: &[&DendrogramSnapshot], tau: Weight) -> FlatClustering {
+        let n = exports.iter().map(|s| s.num_vertices).max().unwrap_or(0);
+        let mut adjacent = vec![Vec::new(); n];
+        for node in exports.iter().flat_map(|s| s.nodes.iter()) {
+            if node.weight.partial_cmp(&tau) != Some(std::cmp::Ordering::Greater) {
+                adjacent[node.u.index()].push(node.v);
+                adjacent[node.v.index()].push(node.u);
+            }
+        }
+        let mut labels = vec![usize::MAX; n];
+        let mut clusters: Vec<Vec<VertexId>> = Vec::new();
+        for start in 0..n {
+            if labels[start] != usize::MAX {
+                continue;
+            }
+            let label = clusters.len();
+            labels[start] = label;
+            let mut members = vec![v(start as u32)];
+            let mut next = 0;
+            while let Some(&x) = members.get(next) {
+                next += 1;
+                for &y in &adjacent[x.index()] {
+                    if labels[y.index()] == usize::MAX {
+                        labels[y.index()] = label;
+                        members.push(y);
+                    }
+                }
+            }
+            members.sort();
+            clusters.push(members);
+        }
+        FlatClustering { labels, clusters }
+    }
+
+    #[test]
+    fn the_sweep_over_several_exports_is_the_union_of_their_forests() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(44);
+        for sizes in [&[20usize, 27][..], &[31, 13, 24], &[9, 9, 40]] {
+            // One forest per export, each on its own vertex count; few distinct weights, so
+            // records of equal weight sit in several exports.
+            let exports: Vec<DendrogramSnapshot> = sizes
+                .iter()
+                .map(|&n| {
+                    let mut d = DynSld::new(n);
+                    for _ in 0..n {
+                        let (a, b) = (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32));
+                        let _ = d.insert(v(a), v(b), f64::from(rng.gen_range(1..6u32)));
+                    }
+                    d.export_snapshot()
+                })
+                .collect();
+            let refs: Vec<&DendrogramSnapshot> = exports.iter().collect();
+            let weights = refs.iter().flat_map(|s| s.nodes.iter().map(|x| x.weight));
+            let taus = [f64::NEG_INFINITY, f64::NAN, f64::INFINITY, 0.5].into_iter();
+            for tau in taus.chain(weights) {
+                let swept = flat_clustering_of(refs.iter().copied(), tau);
+                assert_eq!(swept, naive_clustering(&refs, tau), "{sizes:?} at {tau}");
+                for one in &refs {
+                    assert_eq!(one.flat_clustering(tau), naive_clustering(&[one], tau));
+                }
+            }
+            let largest = sizes.iter().max().copied().unwrap();
+            assert_eq!(
+                flat_clustering_of(refs.iter().copied(), 1.0).labels.len(),
+                largest
+            );
+            let empty = flat_clustering_of([], 1.0);
+            assert!(empty.labels.is_empty() && empty.clusters.is_empty());
+        }
     }
 
     #[test]

@@ -10,13 +10,14 @@
 //! *changed*, not to the graph.
 //!
 //! The wire front end and the subscriber mirror live in the `dynsld-serve` crate; this module
-//! owns the delta representation and the in-process sync protocol ([`SyncResponse`]).
+//! owns the delta representation, its replay ([`Patch::replay`]: a view at `r` plus the chain
+//! `r → now` is the view at `now`) and the in-process sync protocol ([`SyncResponse`]).
 
 use crate::service::ServiceSnapshot;
 use dynsld::snapshot::{DendrogramSnapshot, RankedNodesBuilder, SnapshotNode};
 use dynsld::FlatClustering;
-use dynsld_forest::{Dsu, EdgeId, VertexId, Weight};
-use std::collections::{HashMap, HashSet, VecDeque};
+use dynsld_forest::{EdgeId, VertexId, Weight};
+use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
 /// The difference between two rank-sorted exports of **one shard**.
@@ -286,14 +287,24 @@ pub struct Patch {
 }
 
 impl Patch {
-    /// Replays the chain onto per-shard exports taken at `from_revision`, producing the
-    /// per-shard exports of `to_revision` bit for bit.
-    pub fn apply_to_shards(&self, shards: &mut [DendrogramSnapshot]) {
+    /// Replays the chain onto `view`, a view at `from_revision` (published or replicated),
+    /// producing the [replica](ServiceSnapshot::replica) of the view at `to_revision`: every
+    /// shard's export bit for bit ([`ShardDelta::apply_to`]), its epoch and graph edge count,
+    /// and so every answer. The caller checks that the chain starts at `view`'s revision and
+    /// carries one delta per shard.
+    pub fn replay(&self, view: &ServiceSnapshot) -> ServiceSnapshot {
+        let mut shards: Vec<(u64, DendrogramSnapshot, usize)> = view
+            .shard_snapshots()
+            .iter()
+            .map(|s| (s.epoch(), s.dendrogram().clone(), s.num_graph_edges()))
+            .collect();
         for delta in &self.deltas {
-            for (base, shard_delta) in shards.iter_mut().zip(&delta.shards) {
-                *base = shard_delta.apply_to(base);
+            for ((epoch, export, edges), step) in shards.iter_mut().zip(&delta.shards) {
+                (*epoch, *export, *edges) =
+                    (step.epoch, step.apply_to(export), step.num_graph_edges);
             }
         }
+        ServiceSnapshot::replica(self.to_revision, shards)
     }
 
     /// Total changed records across the whole chain.
@@ -382,44 +393,6 @@ impl DeltaRing {
             _ => None,
         }
     }
-}
-
-/// Glues canonical per-shard clusterings into the canonical clustering of the full graph:
-/// one union-find pass over the shard clusters, then labels assigned in vertex order (so
-/// clusters are numbered by their smallest member and member lists are sorted ascending —
-/// identical to what a single un-sharded engine produces).
-///
-/// This is the merge the service itself uses for [`ServiceSnapshot::flat_clustering`]; the
-/// `dynsld-serve` mirror reuses it so replayed views are bit-identical to served ones.
-pub fn merge_flat_clusterings<'a>(
-    parts: impl IntoIterator<Item = &'a FlatClustering>,
-    num_vertices: usize,
-) -> FlatClustering {
-    let mut dsu = Dsu::new(num_vertices);
-    for part in parts {
-        for cluster in &part.clusters {
-            let (&first, rest) = cluster
-                .split_first()
-                .expect("flat clusterings have no empty clusters");
-            for &member in rest {
-                dsu.union(first, member);
-            }
-        }
-    }
-    let mut label_of_root: HashMap<u32, usize> = HashMap::new();
-    let mut labels = Vec::with_capacity(num_vertices);
-    let mut clusters: Vec<Vec<VertexId>> = Vec::new();
-    for i in 0..num_vertices as u32 {
-        let v = VertexId(i);
-        let root = dsu.find(v);
-        let label = *label_of_root.entry(root.0).or_insert_with(|| {
-            clusters.push(Vec::new());
-            clusters.len() - 1
-        });
-        labels.push(label);
-        clusters[label].push(v);
-    }
-    FlatClustering { labels, clusters }
 }
 
 #[cfg(test)]

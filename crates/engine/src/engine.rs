@@ -187,7 +187,7 @@ impl ClusteringEngine {
             0,
             graph.sld().export_snapshot(),
             0,
-            Arc::clone(&cache_stats),
+            Some(Arc::clone(&cache_stats)),
         );
         ClusteringEngine {
             graph,
@@ -348,7 +348,7 @@ impl ClusteringEngine {
             self.epoch,
             exported,
             self.graph.num_graph_edges(),
-            Arc::clone(&self.cache_stats),
+            Some(Arc::clone(&self.cache_stats)),
         );
         phases.publish = publish_start.elapsed();
         let duration = started.elapsed();
@@ -408,7 +408,7 @@ impl ClusteringEngine {
             self.epoch,
             self.graph.export_snapshot_incremental(),
             self.graph.num_graph_edges(),
-            Arc::clone(&self.cache_stats),
+            Some(Arc::clone(&self.cache_stats)),
         );
         first
     }

@@ -127,9 +127,7 @@ pub mod service;
 pub mod snapshot;
 
 pub use coalesce::{CoalescedBatch, Coalescer, RejectReason};
-pub use delta::{
-    merge_flat_clusterings, Patch, ShardDelta, SnapshotDelta, SyncResponse, ThresholdRelabel,
-};
+pub use delta::{Patch, ShardDelta, SnapshotDelta, SyncResponse, ThresholdRelabel};
 pub use engine::{ClusteringEngine, EngineError, FlushReport};
 pub use faults::{
     CheckpointWriteFault, FaultPlan, FaultSpecError, InjectedFault, WalWriteFault, WireFault,
@@ -148,7 +146,7 @@ pub use service::{
 // The durable layer's tuning vocabulary, re-exported so durable services can be configured
 // without depending on `dynsld-durable` directly.
 pub use dynsld_durable::FsyncPolicy;
-pub use snapshot::{EngineSnapshot, ThresholdCache};
+pub use snapshot::EngineSnapshot;
 
 // The event vocabulary is defined next to the workload generators so that generated streams
 // feed straight into the engine.

@@ -161,11 +161,6 @@ fn sync_from_serves_unchanged_delta_and_full() {
 
     // Publish twice, then sync from revision 0: a two-delta chain whose replay
     // reproduces the published per-shard exports bit for bit.
-    let mut shards: Vec<_> = full
-        .shard_snapshots()
-        .iter()
-        .map(|s| s.dendrogram().clone())
-        .collect();
     ingest.submit(ins(0, 1, 1.0)).unwrap();
     ingest.submit(ins(4, 5, 2.0)).unwrap();
     driver.pump().unwrap();
@@ -180,10 +175,13 @@ fn sync_from_serves_unchanged_delta_and_full() {
     assert_eq!(patch.from_revision, 0);
     assert_eq!(patch.to_revision, 2);
     assert_eq!(patch.deltas.len(), 2);
-    patch.apply_to_shards(&mut shards);
+    let replayed = patch.replay(&full);
     let now = read.snapshot();
-    for (replayed, published) in shards.iter().zip(now.shard_snapshots()) {
-        assert_eq!(replayed, published.dendrogram());
+    assert_eq!(replayed.revision(), now.revision());
+    assert_eq!(replayed.epochs(), now.epochs());
+    for (replayed, published) in replayed.shard_snapshots().iter().zip(now.shard_snapshots()) {
+        assert_eq!(replayed.dendrogram(), published.dendrogram());
+        assert_eq!(replayed.num_graph_edges(), published.num_graph_edges());
     }
 
     // Serve counters flow into the service metrics.

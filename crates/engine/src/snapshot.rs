@@ -13,16 +13,23 @@
 //! that nobody asked for a whole clustering has none to drop. `flat_clustering`, `cluster_id`
 //! and `cluster_size` build the flat clustering of their threshold with one union-find pass
 //! and memoise it per `(snapshot, threshold)`; once it is there, the point queries read it
-//! too. [`ThresholdCache`] is that memo and the rule for choosing between the two.
+//! too. `ThresholdCache` is that memo and the rule for choosing between the two; a view whose
+//! walks have read one sweep's worth of records (`n + m`) sweeps from then on.
 //!
 //! A sharded service serves a [`ServiceSnapshot`]: one [`EngineSnapshot`] per shard. On one
 //! shard it answers exactly as that shard's snapshot does; on several, the union of the
-//! per-shard forests is not a forest, so every threshold query goes through the merged
-//! clustering (built lazily, memoised the same way).
+//! per-shard forests is not a forest, so every threshold query goes through the clustering of
+//! all shards' exports — the same sweep ([`flat_clustering_of`]) run over every export, built
+//! lazily and memoised the same way.
+//!
+//! A subscriber's replica is a [`ServiceSnapshot`] too ([`ServiceSnapshot::replica`]), built
+//! from exports that a delta replay ([`crate::Patch::replay`]) or a wire decoder produced. It
+//! answers every query through the same code, but with caches of its own that count nowhere:
+//! a replica's queries never show in the service's [`Metrics`].
 
-use crate::delta::merge_flat_clusterings;
 use crate::partition::ShardId;
 use crate::service::ShardHealth;
+use dynsld::snapshot::flat_clustering_of;
 use dynsld::{DendrogramSnapshot, FlatClustering};
 use dynsld_forest::{VertexId, Weight};
 use std::collections::HashMap;
@@ -40,8 +47,8 @@ pub(crate) struct CacheStats {
 }
 
 /// A per-view memo of flat clusterings by threshold bit pattern, and the one place that
-/// decides how a view answers a threshold query — the read path of [`EngineSnapshot`],
-/// [`ServiceSnapshot`] and the `dynsld-serve` mirror:
+/// decides how a view answers a threshold query — the read path of [`EngineSnapshot`] and
+/// [`ServiceSnapshot`] (served or replicated):
 ///
 /// 1. a clustering already cached for the threshold answers;
 /// 2. otherwise a view over a single export asks the export
@@ -59,7 +66,7 @@ pub(crate) struct CacheStats {
 /// threshold cut is computed at most once per publication, never once per handle. Pinned by
 /// the `read_handle_clones_share_one_threshold_cache` test in `crate::service`.
 #[derive(Debug, Default)]
-pub struct ThresholdCache {
+pub(crate) struct ThresholdCache {
     map: Mutex<HashMap<u64, Arc<FlatClustering>>>,
     /// Records read by walks on thresholds that had no clustering cached.
     walked: AtomicUsize,
@@ -68,13 +75,6 @@ pub struct ThresholdCache {
 }
 
 impl ThresholdCache {
-    fn with_stats(stats: Arc<CacheStats>) -> ThresholdCache {
-        ThresholdCache {
-            stats: Some(stats),
-            ..ThresholdCache::default()
-        }
-    }
-
     /// The cached clustering at `tau`, if any.
     ///
     /// Poisoning is recovered, not propagated: the lock only guards a memo map whose entries
@@ -99,7 +99,7 @@ impl ThresholdCache {
     /// `build` runs outside the lock: clustering construction is the expensive part, and two
     /// racing readers computing the same threshold is harmless — the values are equal and
     /// the cache keeps the first commit (the loser's computation is dropped).
-    pub fn get_or_build(
+    fn get_or_build(
         &self,
         tau: Weight,
         build: impl FnOnce() -> FlatClustering,
@@ -120,7 +120,7 @@ impl ThresholdCache {
 
     /// Number of clusters at `tau` of a view whose only export is `export` (none: a view
     /// over several shards) and whose `flat_clustering(tau)` is `sweep`.
-    pub fn num_clusters(
+    fn num_clusters(
         &self,
         export: Option<&DendrogramSnapshot>,
         tau: Weight,
@@ -135,7 +135,7 @@ impl ThresholdCache {
 
     /// Whether `u` and `v` share a cluster at `tau`; parameters as for
     /// [`num_clusters`](Self::num_clusters).
-    pub fn same_cluster(
+    fn same_cluster(
         &self,
         export: Option<&DendrogramSnapshot>,
         (u, v): (VertexId, VertexId),
@@ -174,18 +174,22 @@ pub struct EngineSnapshot {
 }
 
 impl EngineSnapshot {
+    /// A snapshot whose cache counts its hits and misses in `stats` (none: a replica's).
     pub(crate) fn publish(
         epoch: u64,
         dendro: DendrogramSnapshot,
         num_graph_edges: usize,
-        stats: Arc<CacheStats>,
+        stats: Option<Arc<CacheStats>>,
     ) -> Self {
         EngineSnapshot {
             inner: Arc::new(SnapshotInner {
                 epoch,
                 dendro,
                 num_graph_edges,
-                cache: ThresholdCache::with_stats(stats),
+                cache: ThresholdCache {
+                    stats,
+                    ..ThresholdCache::default()
+                },
             }),
         }
     }
@@ -242,8 +246,8 @@ impl EngineSnapshot {
         self.flat_clustering(tau).cluster_size(v)
     }
 
-    /// Whether `u` and `v` share a cluster at threshold `tau` (see [`ThresholdCache`] for how
-    /// it is answered).
+    /// Whether `u` and `v` share a cluster at threshold `tau` (see the
+    /// [module docs](crate::snapshot) for how it is answered).
     pub fn same_cluster(&self, u: VertexId, v: VertexId, tau: Weight) -> bool {
         let inner = &*self.inner;
         let sweep = || self.flat_clustering(tau);
@@ -252,7 +256,7 @@ impl EngineSnapshot {
             .same_cluster(Some(&inner.dendro), (u, v), tau, sweep)
     }
 
-    /// Number of clusters at threshold `tau` (see [`ThresholdCache`]).
+    /// Number of clusters at threshold `tau` (see the [module docs](crate::snapshot)).
     pub fn num_clusters(&self, tau: Weight) -> usize {
         let inner = &*self.inner;
         let sweep = || self.flat_clustering(tau);
@@ -272,10 +276,12 @@ struct ServiceSnapshotInner {
     revision: u64,
     /// Per-shard snapshots, routed shards first, spill shard last.
     shards: Vec<EngineSnapshot>,
-    /// Per-shard health at publish time, aligned with `shards`. A quarantined entry means
-    /// that shard's snapshot is its last pre-panic publication — served stale, by design.
+    /// Per-shard health at publish time, aligned with `shards` (empty on a replica). A
+    /// quarantined entry means that shard's snapshot is its last pre-panic publication —
+    /// served stale, by design.
     health: Vec<ShardHealth>,
-    /// Merged flat clusterings by threshold, shared across every clone of this view.
+    /// Clusterings of all shards' exports by threshold, shared across every clone of this
+    /// view, and counted where the first shard's cache counts.
     merged: ThresholdCache,
 }
 
@@ -283,11 +289,11 @@ struct ServiceSnapshotInner {
 ///
 /// Cheap to clone (`Arc`), `Send + Sync`, and frozen: it keeps answering from the per-shard
 /// states it was built from, no matter what the service does afterwards. Over one shard it
-/// answers as that shard's [`EngineSnapshot`] does. Over several, merged flat clusterings are
-/// computed lazily — the first query at a threshold pays one union-find pass over the
-/// per-shard clusterings, repeats hit a per-snapshot cache. Because the shard edge sets
-/// partition the graph's edges, the merged answers are *exactly* those of a single engine
-/// fed the same stream.
+/// answers as that shard's [`EngineSnapshot`] does. Over several, flat clusterings are
+/// computed lazily — the first query at a threshold pays one union-find pass over every
+/// shard's export ([`flat_clustering_of`]), repeats hit a per-snapshot cache. Because the
+/// shard edge sets partition the graph's edges, the merged answers are *exactly* those of a
+/// single engine fed the same stream.
 #[derive(Clone, Debug)]
 pub struct ServiceSnapshot {
     inner: Arc<ServiceSnapshotInner>,
@@ -315,14 +321,38 @@ impl ServiceSnapshot {
             },
             "healthy shards must agree on the vertex set"
         );
+        ServiceSnapshot::new(revision, shards, health)
+    }
+
+    fn new(revision: u64, shards: Vec<EngineSnapshot>, health: Vec<ShardHealth>) -> Self {
+        let merged = ThresholdCache {
+            stats: shards[0].inner.cache.stats.clone(),
+            ..ThresholdCache::default()
+        };
         ServiceSnapshot {
             inner: Arc::new(ServiceSnapshotInner {
                 revision,
                 shards,
                 health,
-                merged: ThresholdCache::default(),
+                merged,
             }),
         }
+    }
+
+    /// A replica of a published view at `revision`, from one `(epoch, export, graph edge
+    /// count)` per shard (at least one), in shard order — what a subscriber rebuilds from a
+    /// full snapshot, a delta replay or a wire payload. It answers every query as the
+    /// published view does, from caches of its own that count in no [`Metrics`], and it
+    /// carries no shard health: its [`shard_health`](Self::shard_health) is empty.
+    pub fn replica(
+        revision: u64,
+        shards: impl IntoIterator<Item = (u64, DendrogramSnapshot, usize)>,
+    ) -> ServiceSnapshot {
+        let shards = shards
+            .into_iter()
+            .map(|(epoch, export, edges)| EngineSnapshot::publish(epoch, export, edges, None))
+            .collect();
+        ServiceSnapshot::new(revision, shards, Vec::new())
     }
 
     /// The service revision of this view: 0 for the initial (empty) publication, then +1 per
@@ -360,6 +390,7 @@ impl ServiceSnapshot {
     }
 
     /// Per-shard health at publish time, aligned with [`ServiceSnapshot::shard_snapshots`].
+    /// Empty on a [replica](Self::replica): no health travels with a delta or a wire payload.
     pub fn shard_health(&self) -> &[ShardHealth] {
         &self.inner.health
     }
@@ -367,7 +398,8 @@ impl ServiceSnapshot {
     /// Whether any shard in this view is quarantined — i.e. whether some of the merged
     /// answers come from a last-known-good state rather than the live stream. Strict
     /// readers reject such views ([`ReadHandle::snapshot_strict`]); availability-first
-    /// readers serve them and count [`Metrics::stale_reads_served`].
+    /// readers serve them and count [`Metrics::stale_reads_served`]. False on a
+    /// [replica](Self::replica), which carries no health.
     pub fn is_stale(&self) -> bool {
         self.inner.health.iter().any(ShardHealth::is_quarantined)
     }
@@ -417,26 +449,14 @@ impl ServiceSnapshot {
         match self.only_shard() {
             // Single shard: the engine's own (already canonical, already cached) clustering.
             Some(only) => only.flat_clustering(tau),
-            None => self
-                .inner
-                .merged
-                .get_or_build(tau, || self.merge_clustering(tau)),
+            // Several: the sweep over every shard's export, sized to the largest.
+            None => self.inner.merged.get_or_build(tau, || {
+                flat_clustering_of(
+                    self.inner.shards.iter().map(EngineSnapshot::dendrogram),
+                    tau,
+                )
+            }),
         }
-    }
-
-    /// One union-find pass over the per-shard clusterings: since the shard edge sets
-    /// partition the graph's edges, gluing per-shard clusters together yields exactly the
-    /// connected components of the full graph restricted to edges of weight `<= tau`. The
-    /// glue itself is [`merge_flat_clusterings`], shared with the `dynsld-serve` mirror so
-    /// replayed views are bit-identical to served ones.
-    fn merge_clustering(&self, tau: Weight) -> FlatClustering {
-        let parts: Vec<Arc<FlatClustering>> = self
-            .inner
-            .shards
-            .iter()
-            .map(|shard| shard.flat_clustering(tau))
-            .collect();
-        merge_flat_clusterings(parts.iter().map(Arc::as_ref), self.num_vertices())
     }
 
     /// The cluster label of `v` at threshold `tau` (canonical per epoch vector and `tau`).
@@ -449,7 +469,7 @@ impl ServiceSnapshot {
         self.flat_clustering(tau).cluster_size(v)
     }
 
-    /// Whether `u` and `v` share a cluster at threshold `tau` (see [`ThresholdCache`]).
+    /// Whether `u` and `v` share a cluster at threshold `tau` (see the [module docs](crate::snapshot)).
     pub fn same_cluster(&self, u: VertexId, v: VertexId, tau: Weight) -> bool {
         match self.only_shard() {
             Some(only) => only.same_cluster(u, v, tau),
@@ -457,7 +477,7 @@ impl ServiceSnapshot {
         }
     }
 
-    /// Number of clusters at threshold `tau` (see [`ThresholdCache`]).
+    /// Number of clusters at threshold `tau` (see the [module docs](crate::snapshot)).
     pub fn num_clusters(&self, tau: Weight) -> usize {
         match self.only_shard() {
             Some(only) => only.num_clusters(tau),
@@ -482,7 +502,7 @@ mod tests {
         f.insert_edge(v(1), v(2), 3.0);
         f.insert_edge(v(2), v(3), 2.0);
         let sld = DynSld::from_forest(f, DynSldOptions::default());
-        EngineSnapshot::publish(7, sld.export_snapshot(), 3, Arc::default())
+        EngineSnapshot::publish(7, sld.export_snapshot(), 3, None)
     }
 
     #[test]
@@ -505,7 +525,7 @@ mod tests {
         let mut f = Forest::new(3);
         f.insert_edge(v(0), v(1), 1.0);
         let sld = DynSld::from_forest(f, DynSldOptions::default());
-        let snap = EngineSnapshot::publish(1, sld.export_snapshot(), 1, Arc::clone(&stats));
+        let snap = EngineSnapshot::publish(1, sld.export_snapshot(), 1, Some(Arc::clone(&stats)));
         let a = snap.flat_clustering(0.5);
         let b = snap.flat_clustering(0.5);
         assert!(
@@ -528,7 +548,7 @@ mod tests {
         }
         let sld = DynSld::from_forest(f, DynSldOptions::default());
         let stats = Arc::new(CacheStats::default());
-        let snap = EngineSnapshot::publish(1, sld.export_snapshot(), 63, Arc::clone(&stats));
+        let snap = EngineSnapshot::publish(1, sld.export_snapshot(), 63, Some(Arc::clone(&stats)));
         let sweep_cost = 2 * n as usize - 1; // n + m
         let mut walked = 0;
         let mut tau = 40.0;

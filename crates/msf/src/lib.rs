@@ -537,8 +537,9 @@ impl DynamicGraphClustering {
         v: VertexId,
         weight: Weight,
     ) -> MsfChange {
-        // One path-maximum query: `Disconnected` means the edge joins two trees, otherwise it
-        // closes a cycle and replaces the heaviest edge on it if it is lighter. Strict
+        // One path-maximum query: `Linked` means the edge joined two trees (and is in the forest
+        // now), otherwise it closes a cycle and replaces the heaviest edge on it if it is
+        // lighter. Strict
         // improvement is required: an equal weight keeps the incumbent tree edge. Which of two
         // equal-weight edges ends up in the MSF therefore depends on update order, not on a
         // fixed total order (see ROADMAP, "One total order"). The dendrogram takes the swap as
@@ -548,10 +549,7 @@ impl DynamicGraphClustering {
             .exchange(u, v, weight)
             .expect("validated endpoints");
         match outcome {
-            CycleExchange::Disconnected => {
-                self.sld
-                    .insert(u, v, weight)
-                    .expect("validated edge between two trees");
+            CycleExchange::Linked(_) => {
                 self.index_add_tree(u, v, weight);
                 MsfChange::Inserted
             }

@@ -6,6 +6,7 @@
 //! [`crate::json`] for the round-trip guarantees the mirror's bit-identity rests on).
 
 use crate::json::{parse, Value};
+use crate::Mirror;
 use dynsld::{DendrogramSnapshot, RankedNodes, SnapshotNode};
 use dynsld_engine::{Patch, ServiceSnapshot, ShardDelta, SnapshotDelta, ThresholdRelabel};
 use dynsld_forest::{EdgeId, VertexId};
@@ -21,24 +22,10 @@ pub enum WireMessage {
         /// The epoch vector at that revision.
         epochs: Vec<u64>,
     },
-    /// A full snapshot: everything a mirror needs to start from scratch.
-    Snapshot(SnapshotParts),
+    /// A full snapshot, decoded straight into the replica a subscriber starts from.
+    Snapshot(Mirror),
     /// A delta patch: a chain of per-publish deltas to replay onto a mirror.
     Delta(Patch),
-}
-
-/// The decoded pieces of a full-snapshot payload — enough to build a
-/// [`crate::Mirror`] without access to the engine's internal snapshot constructors.
-#[derive(Clone, Debug)]
-pub struct SnapshotParts {
-    /// The service revision of the snapshot.
-    pub revision: u64,
-    /// The per-shard epoch vector.
-    pub epochs: Vec<u64>,
-    /// Per-shard dendrogram exports, in shard order.
-    pub shards: Vec<DendrogramSnapshot>,
-    /// Per-shard alive graph-edge counts, in shard order.
-    pub num_graph_edges: Vec<usize>,
 }
 
 /// A decode failure: structurally valid JSON that does not shape up as a wire payload, or
@@ -335,25 +322,25 @@ pub fn decode_message(text: &str) -> Result<WireMessage, CodecError> {
             epochs: decode_epochs(&value, "epochs")?,
         }),
         "snapshot" => {
-            let mut shards = Vec::new();
-            let mut num_graph_edges = Vec::new();
-            for shard in get_arr(&value, "shards")? {
-                shards.push(DendrogramSnapshot::from_records(
-                    get_u64(shard, "version")?,
-                    get_usize(shard, "num_vertices")?,
-                    RankedNodes::from_sorted(&decode_nodes(shard, "nodes")?),
-                ));
-                num_graph_edges.push(get_usize(shard, "num_graph_edges")?);
-            }
+            let shards = get_arr(&value, "shards")?
+                .iter()
+                .map(|shard| {
+                    let export = DendrogramSnapshot::from_records(
+                        get_u64(shard, "version")?,
+                        get_usize(shard, "num_vertices")?,
+                        RankedNodes::from_sorted(&decode_nodes(shard, "nodes")?),
+                    );
+                    let edges = get_usize(shard, "num_graph_edges")?;
+                    Ok((get_u64(shard, "epoch")?, export, edges))
+                })
+                .collect::<Result<Vec<_>, CodecError>>()?;
             if shards.is_empty() {
                 return Err(bad("a snapshot needs at least one shard"));
             }
-            Ok(WireMessage::Snapshot(SnapshotParts {
-                revision: get_u64(&value, "revision")?,
-                epochs: decode_epochs(&value, "epochs")?,
-                shards,
-                num_graph_edges,
-            }))
+            let revision = get_u64(&value, "revision")?;
+            Ok(WireMessage::Snapshot(Mirror::from_view(
+                ServiceSnapshot::replica(revision, shards),
+            )))
         }
         "delta" => Ok(WireMessage::Delta(Patch {
             from_revision: get_u64(&value, "from_revision")?,

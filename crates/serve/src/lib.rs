@@ -5,7 +5,7 @@
 //! is the read-side consumer of that protocol, at two distances:
 //!
 //! - **In process**: a [`Subscriber`] wraps a [`ReadHandle`] and keeps a local [`Mirror`] —
-//!   a replica of the published per-shard exports — up to date via
+//!   a replica of the published view — up to date via
 //!   [`ReadHandle::sync_from`]. A caught-up subscriber pays nothing; a slightly-behind one
 //!   replays a patch proportional to what changed; only a subscriber whose revision aged
 //!   out of the delta ring pulls the full view again.
@@ -49,11 +49,14 @@
 #![warn(missing_docs)]
 
 pub mod codec;
-pub mod json;
 pub mod mirror;
 pub mod wire;
 
-pub use codec::{CodecError, SnapshotParts, WireMessage};
+/// The JSON value, writer and parser the wire payloads are made of (it lives in
+/// `dynsld-telemetry`, whose trace exports write through it too).
+pub use dynsld_telemetry::json;
+
+pub use codec::{CodecError, WireMessage};
 pub use mirror::{Mirror, MirrorError};
 pub use wire::{DeltaServer, ServerOptions, WireConfig, WireError, WireStats, WireSubscriber};
 
@@ -134,7 +137,7 @@ impl Received {
         Ok(SyncReport {
             outcome,
             revision: mirror.revision(),
-            epochs: mirror.epochs().to_vec(),
+            epochs: mirror.epochs(),
         })
     }
 }
@@ -270,8 +273,54 @@ mod tests {
             assert_eq!(a.labels, b.labels);
             assert_eq!(a.clusters, b.clusters);
         }
-        for (mirror_shard, shard) in mirror.shards().iter().zip(published.shard_snapshots()) {
+        for (mirror_shard, shard) in mirror.shards().zip(published.shard_snapshots()) {
             assert_eq!(mirror_shard, shard.dendrogram());
+        }
+    }
+
+    #[test]
+    fn mirror_queries_leave_the_service_cache_counters_alone() {
+        for shards in [1, 2] {
+            let service = ServiceBuilder::new()
+                .vertices(8)
+                .shards(shards)
+                .flush_policy(FlushPolicy::Manual)
+                .delta_ring(16)
+                .build()
+                .unwrap();
+            let ingest = service.ingest_handle();
+            let read = service.read_handle();
+            let mut subscriber = Subscriber::new(read.clone());
+            let mut driver = service.into_driver();
+            let counters = |driver: &dynsld_engine::FlusherDriver| {
+                let m = driver.service().metrics();
+                (m.snapshot_cache_hits, m.snapshot_cache_misses)
+            };
+            let ask = |subscriber: &mut Subscriber, taus: [f64; 3]| {
+                let mirror = subscriber.view();
+                for tau in taus {
+                    mirror.num_clusters(tau);
+                    mirror.flat_clustering(tau);
+                    mirror.flat_clustering(tau);
+                    mirror.same_cluster(VertexId(0), VertexId(3), tau);
+                    mirror.num_components();
+                }
+            };
+            let before = counters(&driver);
+            subscriber.sync(); // a full snapshot
+            ask(&mut subscriber, [0.5, 1.5, f64::INFINITY]);
+            for (a, b, w) in [(0, 1, 1.0), (2, 3, 2.0), (1, 2, 3.0), (5, 6, 0.25)] {
+                ingest.submit(ins(a, b, w)).unwrap();
+                driver.pump().unwrap();
+                driver.flush().unwrap();
+            }
+            let report = subscriber.sync();
+            assert!(matches!(report.outcome, SyncOutcome::Patched { .. }));
+            ask(&mut subscriber, [0.75, 2.5, 3.5]);
+            assert_eq!(counters(&driver), before, "{shards} shard(s)");
+            // The served view at a threshold nobody asked does count.
+            read.snapshot().flat_clustering(1.25);
+            assert_eq!(counters(&driver), (before.0, before.1 + 1));
         }
     }
 

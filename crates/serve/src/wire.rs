@@ -799,7 +799,7 @@ impl WireSubscriber {
             return Ok(SyncReport {
                 outcome: SyncOutcome::Unchanged,
                 revision: response.revision.unwrap_or_else(|| mirror.revision()),
-                epochs: mirror.epochs().to_vec(),
+                epochs: mirror.epochs(),
             });
         }
         if response.status != 200 {
@@ -815,9 +815,9 @@ impl WireSubscriber {
                 return Err(WireError::Protocol("delta without a local mirror".into()));
             }
             WireMessage::Delta(patch) => Received::Patch(patch).fold_into(&mut self.mirror)?,
-            WireMessage::Snapshot(parts) => {
+            WireMessage::Snapshot(mirror) => {
                 debug_assert_eq!(response.sync_mode.as_deref(), Some("full"));
-                Received::View(Mirror::from_parts(parts)).fold_into(&mut self.mirror)?
+                Received::View(mirror).fold_into(&mut self.mirror)?
             }
             WireMessage::Head { .. } => {
                 return Err(WireError::Protocol("unexpected head payload".into()));
@@ -889,7 +889,7 @@ mod tests {
         let published = read.snapshot();
         let mirror = subscriber.mirror().expect("synced");
         assert_eq!(mirror.revision(), published.revision());
-        for (mirror_shard, shard) in mirror.shards().iter().zip(published.shard_snapshots()) {
+        for (mirror_shard, shard) in mirror.shards().zip(published.shard_snapshots()) {
             assert_eq!(mirror_shard, shard.dendrogram());
         }
         for tau in [1.5, 2.5, f64::INFINITY] {

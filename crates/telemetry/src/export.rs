@@ -1,26 +1,20 @@
 //! Renderers for a [`TelemetrySnapshot`]: human-readable table, plain JSON, and Chrome
 //! trace-event JSON (loadable in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev)).
 //!
-//! All output is hand-rolled — the crate stays dependency-free like the rest of the
-//! workspace shims.
+//! Both JSON forms are built as [`Value`]s and written by [`crate::json`], so every name is
+//! escaped by the same writer that the parser reads back.
 
+use crate::json::Value;
 use crate::TelemetrySnapshot;
 
-/// Escapes a string for embedding in a JSON string literal.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+/// A count as a JSON integer (saturating: no count the pipeline keeps comes near `i64::MAX`).
+fn int(n: u64) -> Value {
+    Value::Int(i64::try_from(n).unwrap_or(i64::MAX))
+}
+
+/// An object from its `(key, value)` pairs, in order.
+fn obj<'a>(pairs: impl IntoIterator<Item = (&'a str, Value)>) -> Value {
+    Value::Obj(pairs.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
 }
 
 /// Formats a nanosecond quantity with a human-friendly unit.
@@ -93,80 +87,79 @@ pub fn render_table(snapshot: &TelemetrySnapshot) -> String {
 }
 
 /// Serializes the snapshot's aggregates (histogram quantiles + counters + trace totals) as
-/// a self-contained JSON object.
+/// a self-contained JSON object: `histograms` maps each name to its `count`, `sum`, `min`,
+/// `max`, `mean`, `p50`, `p90` and `p99`; `counters` maps each name to its value; `trace`
+/// holds the `threads`, `events` and `dropped` totals.
 pub fn to_json(snapshot: &TelemetrySnapshot) -> String {
-    let mut out = String::from("{\"histograms\": {");
-    for (i, (name, h)) in snapshot.histograms.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let min = if h.is_empty() { 0 } else { h.min };
-        let max = if h.is_empty() { 0 } else { h.max };
-        out.push_str(&format!(
-            "\"{}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"mean\": {:.3}, \"p50\": {}, \"p90\": {}, \"p99\": {}}}",
-            escape_json(name),
-            h.count,
-            h.sum,
-            min,
-            max,
-            h.mean(),
-            h.p50(),
-            h.p90(),
-            h.p99(),
-        ));
-    }
-    out.push_str("}, \"counters\": {");
-    for (i, (name, v)) in snapshot.counters.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("\"{}\": {}", escape_json(name), v));
-    }
-    out.push_str(&format!(
-        "}}, \"trace\": {{\"threads\": {}, \"events\": {}, \"dropped\": {}}}}}",
-        snapshot.trace.threads.len(),
-        snapshot.trace.total_events(),
-        snapshot.trace.total_dropped(),
-    ));
-    out
+    let histograms = snapshot.histograms.iter().map(|(name, h)| {
+        let (min, max) = if h.is_empty() { (0, 0) } else { (h.min, h.max) };
+        let summary = obj([
+            ("count", int(h.count)),
+            ("sum", int(h.sum)),
+            ("min", int(min)),
+            ("max", int(max)),
+            ("mean", Value::Float(h.mean())),
+            ("p50", int(h.p50())),
+            ("p90", int(h.p90())),
+            ("p99", int(h.p99())),
+        ]);
+        (name.clone(), summary)
+    });
+    let counters = snapshot
+        .counters
+        .iter()
+        .map(|(name, v)| (name.clone(), int(*v)));
+    let trace = &snapshot.trace;
+    obj([
+        ("histograms", Value::Obj(histograms.collect())),
+        ("counters", Value::Obj(counters.collect())),
+        (
+            "trace",
+            obj([
+                ("threads", int(trace.threads.len() as u64)),
+                ("events", int(trace.total_events() as u64)),
+                ("dropped", int(trace.total_dropped())),
+            ]),
+        ),
+    ])
+    .to_json()
 }
 
 /// Serializes the full span trace in Chrome trace-event format: a JSON object with a
 /// `traceEvents` array of `B`/`E`/`i` phase records (`pid` 1, `tid` per producer thread,
 /// timestamps in microseconds). Load the file in `chrome://tracing` or Perfetto.
 pub fn chrome_json(snapshot: &TelemetrySnapshot) -> String {
-    let mut out = String::from("{\"traceEvents\": [");
-    let mut first = true;
-    for t in &snapshot.trace.threads {
-        for e in &t.events {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
+    let events = snapshot.trace.threads.iter().flat_map(|t| {
+        t.events.iter().map(|e| {
             let ph = match e.kind {
                 crate::SpanEventKind::Begin => "B",
                 crate::SpanEventKind::End => "E",
                 crate::SpanEventKind::Instant => "i",
             };
-            let scope = if ph == "i" { ", \"s\": \"t\"" } else { "" };
-            out.push_str(&format!(
-                "{{\"name\": \"{}\", \"ph\": \"{}\", \"pid\": 1, \"tid\": {}, \"ts\": {:.3}{}}}",
-                escape_json(e.name),
-                ph,
-                t.tid,
-                e.ts_ns as f64 / 1e3,
-                scope,
-            ));
-        }
-    }
-    out.push_str("], \"displayTimeUnit\": \"ms\"}");
-    out
+            let mut event = vec![
+                ("name", Value::Str(e.name.to_owned())),
+                ("ph", Value::Str(ph.to_owned())),
+                ("pid", Value::Int(1)),
+                ("tid", int(u64::from(t.tid))),
+                ("ts", Value::Float(e.ts_ns as f64 / 1e3)),
+            ];
+            if ph == "i" {
+                event.push(("s", Value::Str("t".to_owned())));
+            }
+            obj(event)
+        })
+    });
+    obj([
+        ("traceEvents", Value::Arr(events.collect())),
+        ("displayTimeUnit", Value::Str("ms".to_owned())),
+    ])
+    .to_json()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Telemetry;
+    use crate::{json, Telemetry};
 
     fn sample() -> TelemetrySnapshot {
         let t = Telemetry::enabled();
@@ -201,35 +194,54 @@ mod tests {
 
     #[test]
     fn json_contains_quantiles_and_counters() {
-        let json = to_json(&sample());
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"flush_ns\""));
-        assert!(json.contains("\"p99\""));
-        assert!(json.contains("\"events\": 42"));
-        assert!(json.contains("\"trace\""));
-        // Balanced braces as a cheap structural check.
-        let open = json.matches('{').count();
-        let close = json.matches('}').count();
-        assert_eq!(open, close);
+        let doc = json::parse(&to_json(&sample())).expect("valid JSON");
+        let flush = doc
+            .get("histograms")
+            .and_then(|h| h.get("flush_ns"))
+            .unwrap();
+        for key in ["count", "sum", "min", "max", "mean", "p50", "p90", "p99"] {
+            assert!(flush.get(key).is_some(), "{key}");
+        }
+        assert_eq!(flush.get("count").and_then(Value::as_int), Some(2));
+        assert_eq!(flush.get("sum").and_then(Value::as_int), Some(41_500));
+        assert_eq!(flush.get("mean").and_then(Value::as_f64), Some(20_750.0));
+        let events = doc.get("counters").and_then(|c| c.get("events"));
+        assert_eq!(events.and_then(Value::as_int), Some(42));
+        let trace = doc.get("trace").unwrap();
+        assert_eq!(trace.get("events").and_then(Value::as_int), Some(3));
+        assert_eq!(trace.get("dropped").and_then(Value::as_int), Some(0));
     }
 
     #[test]
     fn chrome_trace_has_paired_events() {
-        let json = chrome_json(&sample());
-        assert!(json.contains("\"traceEvents\""));
-        assert_eq!(json.matches("\"ph\": \"B\"").count(), 1);
-        assert_eq!(json.matches("\"ph\": \"E\"").count(), 1);
-        assert_eq!(json.matches("\"ph\": \"i\"").count(), 1);
-        assert!(json.contains("\"pid\": 1"));
-        let open = json.matches('{').count();
-        let close = json.matches('}').count();
-        assert_eq!(open, close);
+        let doc = json::parse(&chrome_json(&sample())).expect("valid JSON");
+        let events = doc.get("traceEvents").and_then(Value::as_arr).unwrap();
+        let phase = |e: &Value| e.get("ph").and_then(Value::as_str).unwrap().to_owned();
+        let phases: Vec<String> = events.iter().map(phase).collect();
+        assert_eq!(phases, ["B", "i", "E"]);
+        for e in events {
+            assert_eq!(e.get("pid").and_then(Value::as_int), Some(1));
+            assert!(e.get("ts").and_then(Value::as_f64).is_some());
+        }
+        assert_eq!(events[1].get("s").and_then(Value::as_str), Some("t"));
     }
 
     #[test]
     fn json_escaping_handles_specials() {
-        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape_json("\u{1}"), "\\u0001");
+        let name = "a\"b\\c\nd\u{1}e";
+        let t = Telemetry::enabled();
+        t.add(name, 7);
+        drop(t.span(name));
+        let snapshot = t.snapshot();
+        let doc = json::parse(&chrome_json(&snapshot)).expect("valid JSON");
+        let events = doc.get("traceEvents").and_then(Value::as_arr).unwrap();
+        assert_eq!(events.len(), 2);
+        for e in events {
+            assert_eq!(e.get("name").and_then(Value::as_str), Some(name));
+        }
+        let summary = json::parse(&to_json(&snapshot)).expect("valid JSON");
+        let counter = summary.get("counters").and_then(|c| c.get(name));
+        assert_eq!(counter.and_then(Value::as_int), Some(7));
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! A minimal JSON value, writer, and parser.
-//!
-//! The build environment is fully offline, so the wire payloads are encoded and decoded by
-//! hand. Two properties matter for the serving tier and are pinned by tests here:
+//! A minimal JSON value, writer, and parser: the one JSON codec of the workspace. The trace
+//! exports ([`crate::export`]), the serving tier's wire payloads (`dynsld-serve`, which
+//! re-exports this module as `dynsld_serve::json`) and the benchmark reports all go through
+//! it; the workspace has no external dependencies, so it is written by hand. Two properties
+//! matter for the serving tier and are pinned by tests here:
 //!
 //! - **Integers and floats stay distinct.** Ids, epochs, and revisions are [`Value::Int`]
 //!   (`i64`, written without a fraction); weights are [`Value::Float`] and always written
@@ -169,6 +170,7 @@ impl std::error::Error for ParseError {}
 /// Parses one JSON document; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -182,6 +184,7 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -325,10 +328,12 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Advance one full UTF-8 scalar (input is a &str, so boundaries exist).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().unwrap();
+                    // Advance one full UTF-8 scalar: every byte the parser consumes is ASCII
+                    // or a whole scalar, so `pos` is always on a boundary.
+                    let c = self.text[self.pos..]
+                        .chars()
+                        .next()
+                        .expect("not at the end");
                     out.push(c);
                     self.pos += c.len_utf8();
                 }

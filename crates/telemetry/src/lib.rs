@@ -14,7 +14,8 @@
 //! immediately and the end event on drop, on the same thread (the guard is deliberately not
 //! `Send`), so traces are always balanced per thread. A point-in-time
 //! [`TelemetrySnapshot`] can be rendered as a human-readable table, merged-JSON, or a
-//! Chrome trace-event file via [`export`].
+//! Chrome trace-event file via [`export`]. Both JSON forms are written through [`json`], the
+//! workspace's one JSON value, writer and parser (the serving tier's wire payloads use it too).
 //!
 //! # Enabling
 //!
@@ -39,6 +40,7 @@
 
 pub mod export;
 pub mod histogram;
+pub mod json;
 pub mod trace;
 
 pub use histogram::{Histogram, HistogramSnapshot};

@@ -183,8 +183,11 @@ fn main() {
             .check_well_formed()
             .expect("span trace is balanced and monotone");
         std::fs::write(&path, export::chrome_json(&t)).expect("trace file is writable");
+        let summary = format!("{path}.summary.json");
+        std::fs::write(&summary, export::to_json(&t)).expect("summary file is writable");
         println!(
-            "wrote {} trace events from {} threads to {path} (Chrome trace format)",
+            "wrote {} trace events from {} threads to {path} (Chrome trace format), \
+             and their summary to {summary}",
             t.trace.total_events(),
             t.trace.threads.len()
         );

@@ -239,7 +239,7 @@ fn main() {
         let (subscriber, unchanged, patched, refreshed) = handle.join().expect("subscriber");
         let mirror = subscriber.mirror().expect("at least one sync happened");
         assert_eq!(mirror.revision(), published.revision());
-        for (replayed, shard) in mirror.shards().iter().zip(published.shard_snapshots()) {
+        for (replayed, shard) in mirror.shards().zip(published.shard_snapshots()) {
             assert_eq!(replayed, shard.dendrogram(), "subscriber {i} diverged");
         }
         let (a, b) = (mirror.flat_clustering(TAU), published.flat_clustering(TAU));

@@ -5,7 +5,6 @@
 //! service configurations, mixed churn with interleaved vertex growth, and the ring-ageout →
 //! full-snapshot fallback path. The service tracks [`TAUS`] in its deltas.
 
-use dynsld::DendrogramSnapshot;
 use dynsld_engine::{FlushPolicy, ServiceBuilder, ServiceSnapshot, SyncResponse};
 use dynsld_forest::workload::GraphWorkloadBuilder;
 use dynsld_forest::VertexId;
@@ -53,12 +52,7 @@ fn assert_mirror_matches(mirror: &Mirror, published: &ServiceSnapshot, context: 
         assert_eq!(same, swept, "{context}: served pairs at tau={tau}");
     }
     assert_eq!(mirror.epochs(), published.epochs(), "{context}");
-    for (i, (replayed, shard)) in mirror
-        .shards()
-        .iter()
-        .zip(published.shard_snapshots())
-        .enumerate()
-    {
+    for (i, (replayed, shard)) in mirror.shards().zip(published.shard_snapshots()).enumerate() {
         assert_eq!(
             replayed,
             shard.dendrogram(),
@@ -105,11 +99,6 @@ proptest! {
         let SyncResponse::Full(base) = read.sync_from(None) else {
             panic!("a sync without a base revision is always a full snapshot");
         };
-        let mut replayed: Vec<DendrogramSnapshot> = base
-            .shard_snapshots()
-            .iter()
-            .map(|s| s.dendrogram().clone())
-            .collect();
         // Label vectors at r0, advanced below through the relabel records alone.
         let mut labels: Vec<Vec<usize>> =
             TAUS.iter().map(|&tau| base.flat_clustering(tau).labels.clone()).collect();
@@ -138,9 +127,9 @@ proptest! {
         prop_assert_eq!(patch.to_revision, now.revision());
 
         // Replay the raw per-shard exports...
-        patch.apply_to_shards(&mut replayed);
-        for (shard, published) in replayed.iter().zip(now.shard_snapshots()) {
-            prop_assert_eq!(shard, published.dendrogram());
+        let replayed = patch.replay(&base);
+        for (shard, published) in replayed.shard_snapshots().iter().zip(now.shard_snapshots()) {
+            prop_assert_eq!(shard.dendrogram(), published.dendrogram());
         }
         // ...and the tracked-threshold label vectors, through the relabel records alone.
         for delta in &patch.deltas {
@@ -166,12 +155,12 @@ proptest! {
         mirror.apply(&patch).expect("chain is anchored at the mirror's revision");
         assert_mirror_matches(&mirror, &now, "mirror replay");
         // And so does a mirror decoded from the full view's wire payload.
-        let WireMessage::Snapshot(parts) =
+        let WireMessage::Snapshot(decoded) =
             decode_message(&encode_snapshot(&now)).expect("own payloads decode")
         else {
             panic!("a snapshot payload decodes to a snapshot");
         };
-        assert_mirror_matches(&Mirror::from_parts(parts), &now, "wire-decoded mirror");
+        assert_mirror_matches(&decoded, &now, "wire-decoded mirror");
     }
 
     /// A frequently-syncing subscriber rides deltas the whole way and stays bit-identical

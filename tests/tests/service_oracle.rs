@@ -1,8 +1,8 @@
 //! Service-level correctness: a sharded [`ClusterService`] must be *observationally
 //! equivalent* to one [`ClusteringEngine`] fed the same stream — identical component counts,
 //! `same_cluster` answers and cluster sizes at every threshold — because the shard edge sets
-//! partition the graph and the merged snapshot glues per-shard clusterings back together with
-//! a union-find pass. The property tests below drive that equivalence through the handle
+//! partition the graph and the merged snapshot runs one union-find sweep over every shard's
+//! export. The property tests below drive that equivalence through the handle
 //! ingest pipeline over generated mixed insert/delete/re-weight workloads, drawn service
 //! [`Config`]s, and random thresholds. (Bit-level pipeline equivalence lives in
 //! `ingest_pipeline.rs`.)
