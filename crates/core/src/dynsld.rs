@@ -111,6 +111,8 @@ pub enum DynSldError {
     /// An edge between the two vertices already exists (graph layers do not support parallel
     /// edges).
     EdgeAlreadyExists(VertexId, VertexId),
+    /// The edge's weight is NaN or infinite (graph layers admit finite weights only).
+    NonFiniteWeight(VertexId, VertexId),
 }
 
 impl fmt::Display for DynSldError {
@@ -134,6 +136,9 @@ impl fmt::Display for DynSldError {
             }
             DynSldError::EdgeAlreadyExists(u, v) => {
                 write!(f, "an edge between {u} and {v} already exists")
+            }
+            DynSldError::NonFiniteWeight(u, v) => {
+                write!(f, "the weight of ({u}, {v}) is not finite")
             }
         }
     }

@@ -69,18 +69,22 @@ impl Node {
 #[derive(Clone, Debug, Default)]
 pub struct LinkCutTree {
     nodes: Vec<Node>,
+    /// Scratch for [`splay`](Self::splay): the path from a node up to its splay root. Empty
+    /// between calls; kept so that no splay allocates.
+    splay_path: Vec<u32>,
 }
 
 impl LinkCutTree {
     /// Creates an empty structure.
     pub fn new() -> Self {
-        LinkCutTree { nodes: Vec::new() }
+        Self::default()
     }
 
     /// Creates an empty structure with capacity for `n` nodes.
     pub fn with_capacity(n: usize) -> Self {
         LinkCutTree {
             nodes: Vec::with_capacity(n),
+            splay_path: Vec::new(),
         }
     }
 
@@ -238,15 +242,17 @@ impl LinkCutTree {
 
     fn splay(&mut self, x: u32) {
         // Push reversal flags down from the splay root to x before rotating.
-        let mut path = vec![x];
+        let mut path = std::mem::take(&mut self.splay_path);
+        path.push(x);
         let mut cur = x;
         while !self.is_splay_root(cur) {
             cur = self.nodes[cur as usize].parent;
             path.push(cur);
         }
-        for &node in path.iter().rev() {
+        for node in path.drain(..).rev() {
             self.push_down(node);
         }
+        self.splay_path = path;
         while !self.is_splay_root(x) {
             let p = self.nodes[x as usize].parent;
             if !self.is_splay_root(p) {
@@ -330,6 +336,11 @@ impl LinkCutTree {
             !self.connected(child, parent),
             "link would create a cycle in the link-cut tree"
         );
+        self.link_unchecked(child, parent);
+    }
+
+    /// [`link`](Self::link) without its connectivity check.
+    fn link_unchecked(&mut self, child: LctNodeId, parent: LctNodeId) {
         let ci = child as u32;
         self.access(ci);
         debug_assert_eq!(
@@ -344,9 +355,17 @@ impl LinkCutTree {
     }
 
     /// Links the represented edge `{u, v}` regardless of current roots (`evert(u)` then link).
+    ///
+    /// # Panics
+    /// Panics if `u` and `v` are already connected.
     pub fn link_edge(&mut self, u: LctNodeId, v: LctNodeId) {
         self.evert(u);
-        self.link(u, v);
+        // `u` is its tree's root now, so one root query answers `link`'s connectivity check.
+        assert!(
+            self.find_root(v) != u,
+            "link would create a cycle in the link-cut tree"
+        );
+        self.link_unchecked(u, v);
     }
 
     /// Cuts `x` from its parent in the represented tree.
@@ -759,6 +778,13 @@ mod tests {
     fn cut_edge_panics_for_non_adjacent() {
         let mut lct = build_keyed_path(4);
         lct.cut_edge(0, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "would create a cycle")]
+    fn link_edge_panics_on_connected_nodes() {
+        let mut lct = build_keyed_path(4);
+        lct.link_edge(1, 3);
     }
 
     #[test]

@@ -14,6 +14,9 @@
 //!
 //! ¹ rejected if the edge is already applied; ² rejected if it is not.
 //!
+//! An insert or re-weight at a NaN or infinite weight is rejected in every row, as a self-loop
+//! is: the rank order, the cluster thresholds and the wire encoding all need a finite weight.
+//!
 //! Rejections happen at *submit* time against (applied state ∪ pending buffer), so a drained
 //! batch is always valid by construction and the apply path never has to roll back. Draining
 //! yields one homogeneous deletion batch and one homogeneous insertion batch (a pending
@@ -40,6 +43,8 @@ pub enum RejectReason {
     AlreadyPresent,
     /// Delete or re-weight of an edge that is (or will be) absent.
     NotPresent,
+    /// Insert or re-weight at a NaN or infinite weight.
+    NonFiniteWeight,
 }
 
 /// What folding an event into its edge's pending operation does. A pending operation is
@@ -56,13 +61,18 @@ enum Merge {
 }
 
 /// The merge table of the module docs, except the applied-state check of its *(none)* row.
-/// An `Err` is an event that is invalid on every graph state: a self-loop, or an arm that
-/// rejects whatever the applied graph holds.
+/// An `Err` is an event that is invalid on every graph state: a self-loop, an insert or
+/// re-weight at a non-finite weight, or an arm that rejects whatever the applied graph holds.
 fn merge(pending: Option<GraphUpdate>, event: GraphUpdate) -> Result<Merge, RejectReason> {
     use GraphUpdate::{Delete, Insert, Reweight};
     let (a, b) = event.endpoints();
     if a == b {
         return Err(RejectReason::SelfLoop);
+    }
+    if let Insert { weight, .. } | Reweight { weight, .. } = event {
+        if !weight.is_finite() {
+            return Err(RejectReason::NonFiniteWeight);
+        }
     }
     let Some(pending) = pending else {
         return Ok(Merge::Start);
@@ -335,6 +345,38 @@ mod tests {
         assert_eq!(batch.deletions, vec![(v(2), v(3)), (v(4), v(5))]);
         assert_eq!(batch.insertions, vec![(v(0), v(1), 1.0)]);
         assert_eq!(batch.reweights, 0);
+    }
+
+    #[test]
+    fn non_finite_weights_are_rejected_in_every_row() {
+        for w in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let mut c = Coalescer::new();
+            assert_eq!(
+                c.push(ins(0, 1, w), false),
+                Err(RejectReason::NonFiniteWeight)
+            );
+            assert_eq!(
+                c.push(rew(0, 1, w), true),
+                Err(RejectReason::NonFiniteWeight)
+            );
+            c.push(ins(2, 3, 1.0), false).unwrap();
+            c.push(del(4, 5), true).unwrap();
+            c.push(rew(6, 7, 2.0), true).unwrap();
+            for (a, b) in [(2, 3), (4, 5), (6, 7)] {
+                assert_eq!(
+                    c.push(rew(a, b, w), true),
+                    Err(RejectReason::NonFiniteWeight)
+                );
+                assert_eq!(
+                    c.push(ins(a, b, w), true),
+                    Err(RejectReason::NonFiniteWeight)
+                );
+            }
+            assert_eq!(c.events_submitted(), 3, "rejections are not ingested");
+            let batch = c.drain();
+            assert_eq!(batch.insertions, vec![(v(2), v(3), 1.0), (v(6), v(7), 2.0)]);
+            assert_eq!(batch.deletions, vec![(v(4), v(5)), (v(6), v(7))]);
+        }
     }
 
     #[test]

@@ -114,7 +114,8 @@ pub struct FlushReport {
     pub changes: Vec<MsfChange>,
     /// Reserve edges promoted into the MSF by the deletion half.
     pub promoted: Vec<(VertexId, VertexId)>,
-    /// Updates that rode the Theorem-1.5 batch fast paths.
+    /// Updates applied without a per-edge path query (see
+    /// [`BatchOutcome::fast_path`](dynsld_msf::BatchOutcome::fast_path)).
     pub fast_path: usize,
     /// Updates applied through the per-edge fallback.
     pub fallback: usize,
@@ -352,6 +353,7 @@ impl ClusteringEngine {
         );
         phases.publish = publish_start.elapsed();
         let duration = started.elapsed();
+        let work = self.graph.take_work_counters();
         if self.telemetry.is_enabled() {
             self.telemetry.record_duration("engine.flush_ns", duration);
             self.telemetry
@@ -369,13 +371,15 @@ impl ClusteringEngine {
                 .record_duration("engine.publish_ns", phases.publish);
             self.telemetry.add("engine.flushes", 1);
             self.telemetry.add("engine.ops_applied", ops_applied as u64);
+            self.telemetry
+                .add("msf.path_max_queries", work.path_max_queries);
         }
         self.counters.flushes += 1;
         self.counters.ops_applied += ops_applied as u64;
         self.counters.fast_path_ops += fast_path as u64;
         self.counters.fallback_ops += fallback as u64;
         self.counters.edges_promoted += promoted.len() as u64;
-        self.counters.work.merge(&self.graph.take_work_counters());
+        self.counters.work.merge(&work);
         self.counters.total_flush_time += duration;
         self.counters.max_flush_time = self.counters.max_flush_time.max(duration);
 
@@ -436,6 +440,7 @@ impl ClusteringEngine {
             level_promotions: work.level_promotions,
             replacement_searches: work.replacement_searches,
             replacement_candidates: work.replacement_candidates,
+            path_max_queries: work.path_max_queries,
             total_pointer_changes: self.graph.sld().stats().total_pointer_changes,
             total_flush_time: self.counters.total_flush_time,
             max_flush_time: self.counters.max_flush_time,
@@ -495,14 +500,15 @@ mod tests {
                 ins(1, 2, 2.0),
                 ins(3, 4, 3.0),
                 ins(4, 5, 9.0),
-                ins(2, 0, 8.0), // cycle-closing -> fallback
+                ins(2, 0, 8.0), // cycle-closing, heavier than its trees -> stored, no query
             ])
             .unwrap();
         let report = engine.flush().unwrap();
         assert_eq!(report.epoch, 1);
         assert_eq!(report.ops_applied, 5);
-        assert_eq!(report.fast_path, 4);
-        assert_eq!(report.fallback, 1);
+        assert_eq!(report.fast_path, 5);
+        assert_eq!(report.fallback, 0);
+        assert_eq!(engine.metrics().path_max_queries, 0);
         assert!(report.changes.contains(&MsfChange::StoredNonTree));
         let snap = engine.snapshot();
         assert_eq!(snap.epoch(), 1);

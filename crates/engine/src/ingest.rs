@@ -325,9 +325,10 @@ impl IngestQueue {
                 return Ok(());
             }
             // No room, and nothing merged if compaction ran: the event is still the newest
-            // entry, so take it back.
+            // entry, so take it back. (Compared by edge: a NaN weight, which the driver will
+            // reject, is not equal to itself.)
             let taken_back = state.buf.pop_back();
-            debug_assert_eq!(taken_back, Some(event));
+            debug_assert_eq!(taken_back.map(|e| e.endpoints()), Some(event.endpoints()));
             if backpressure == Backpressure::Fail {
                 self.full_rejections.fetch_add(1, Ordering::Relaxed);
                 return Err(IngestError::QueueFull { event });

@@ -30,10 +30,12 @@
 //!   deduplicated per edge — an insert followed by a delete annihilates, repeated re-weights
 //!   collapse to one, delete + insert becomes a re-weight — then split into homogeneous
 //!   deletion/insertion batches routed to the Theorem-1.5 batch fast paths of
-//!   [`dynsld_msf::DynamicGraphClustering`] (with automatic per-edge fallback for
-//!   cycle-closing insertions). The submission queue's `Backpressure::Coalesce` compaction
-//!   runs the same merge table, minus the applied-state check it cannot make: events invalid
-//!   on every graph state, self-loops included, reach the driver and are rejected there.
+//!   [`dynsld_msf::DynamicGraphClustering`] (cycle-closing insertions that outweigh the trees
+//!   they close a cycle in are stored without a query; the rest fall back to the per-edge
+//!   exchange). The submission queue's `Backpressure::Coalesce` compaction runs the same merge
+//!   table, minus the applied-state check it cannot make: events invalid on every graph
+//!   state, self-loops and non-finite weights included, reach the driver and are rejected
+//!   there.
 //! * **Epoch-based snapshot queries** ([`snapshot`]): every flush publishes an immutable,
 //!   cheaply-cloneable [`EngineSnapshot`] tagged with an epoch. Readers — on any thread —
 //!   query flat clusterings, cluster sizes and component counts against *their* snapshot and

@@ -64,10 +64,12 @@ pub struct Metrics {
     pub flushes: u64,
     /// Logical operations applied across all flushes (after coalescing).
     pub ops_applied: u64,
-    /// Updates that rode the Theorem-1.5 batch fast paths (including promoted replacement
-    /// edges).
+    /// Updates applied without a per-edge path query: the Theorem-1.5 batch fast paths
+    /// (including promoted replacement edges) and the cycle-closing insertions stored as
+    /// non-tree edges because they outweigh the trees they close a cycle in.
     pub fast_path_ops: u64,
-    /// Updates applied through the per-edge fallback (cycle-closing insertions).
+    /// Updates applied through the per-edge fallback (cycle-closing insertions lighter than
+    /// some tree they close a cycle in).
     pub fallback_ops: u64,
     /// Reserve edges promoted into the MSF by deletion batches.
     pub edges_promoted: u64,
@@ -88,6 +90,10 @@ pub struct Metrics {
     /// reserve edge per pair of cut pieces; HDT backend: one per successful search). Work
     /// that grows with the pieces a batch cuts, not with the reserve edges it scans.
     pub replacement_candidates: u64,
+    /// Path-maximum queries the insertion batches asked of the link-cut forest: one per
+    /// cycle-closing insertion that fell back to the per-edge exchange. A cycle-closing
+    /// insertion that outweighs every tree it closes a cycle in is stored without one.
+    pub path_max_queries: u64,
     /// Dendrogram parent-pointer changes since construction (sum of the paper's `c` over all
     /// updates), read from [`dynsld::UpdateStats`].
     pub total_pointer_changes: u64,
@@ -183,6 +189,7 @@ impl Metrics {
             out.level_promotions += m.level_promotions;
             out.replacement_searches += m.replacement_searches;
             out.replacement_candidates += m.replacement_candidates;
+            out.path_max_queries += m.path_max_queries;
             out.total_pointer_changes += m.total_pointer_changes;
             out.total_flush_time += m.total_flush_time;
             out.max_flush_time = out.max_flush_time.max(m.max_flush_time);
@@ -343,6 +350,7 @@ mod tests {
             level_promotions: 6 + 3 * k,
             replacement_searches: 40 + k,
             replacement_candidates: 15 + 2 * k,
+            path_max_queries: 5 + 4 * k,
             total_pointer_changes: 1000 + k,
             total_flush_time: Duration::from_millis(100 * (k + 1)),
             max_flush_time: Duration::from_millis(40 + 13 * k),
@@ -394,6 +402,7 @@ mod tests {
         assert_eq!(merged.level_promotions, 6 + 9 + 12);
         assert_eq!(merged.replacement_searches, 40 + 41 + 42);
         assert_eq!(merged.replacement_candidates, 15 + 17 + 19);
+        assert_eq!(merged.path_max_queries, 5 + 9 + 13);
         assert_eq!(merged.total_pointer_changes, 1000 + 1001 + 1002);
         // Total time sums, the slowest single flush is kept — NOT summed.
         assert_eq!(merged.total_flush_time, Duration::from_millis(600));

@@ -7,10 +7,14 @@
 //! edges need replacement edges promoted from the reserve. This module does the routing:
 //!
 //! * [`DynamicGraphClustering::batch_insert_edges`] classifies the batch with a Kruskal-style
-//!   union-find pass over current components (rank order, deterministic): edges that join
-//!   distinct components ride [`DynSld::batch_insert`] in one shot; cycle-closing edges fall
-//!   back to the per-edge insert (one path-maximum query, possible eviction), without
-//!   validating them again.
+//!   union-find pass over current components (rank order, deterministic) into three classes.
+//!   Edges that join distinct components ride [`DynSld::batch_insert`] in one shot. A
+//!   cycle-closing edge that weighs at least every forest edge of the trees its union-find set
+//!   has absorbed (each tree's heaviest edge is its dendrogram root) is stored as a non-tree
+//!   edge without a path query: the cycle property already says the per-edge insert would
+//!   keep it. Only the other cycle-closing edges fall back to the per-edge insert (one
+//!   path-maximum query, possible eviction), without validating them again. On a cold start
+//!   every tree is a single vertex, so no edge falls back.
 //! * [`DynamicGraphClustering::batch_delete_edges`] strips non-tree deletions out of the batch
 //!   (reserve bookkeeping only) and removes all tree edges with one
 //!   [`DynSld::batch_delete_labelled`]. The replacement search — Kruskal over the lightest
@@ -42,10 +46,12 @@ use std::time::{Duration, Instant};
 pub struct BatchOutcome {
     /// How the MSF changed, per input edge, in input order.
     pub changes: Vec<MsfChange>,
-    /// Number of updates that rode the Theorem-1.5 batch fast path (including promoted
-    /// replacement edges on deletion).
+    /// Number of updates applied without a per-edge path query: the Theorem-1.5 batch fast
+    /// path (including promoted replacement edges on deletion) and the cycle-closing
+    /// insertions stored as non-tree edges because they outweigh every tree they close a
+    /// cycle in.
     pub fast_path: usize,
-    /// Number of updates applied through the per-edge fallback.
+    /// Number of updates applied through the per-edge fallback (a path-maximum query each).
     pub fallback: usize,
     /// Reserve edges promoted into the MSF by a deletion batch, in promotion order.
     pub promoted: Vec<(VertexId, VertexId)>,
@@ -71,13 +77,19 @@ pub struct BatchOutcome {
 #[derive(Default)]
 struct LocalComponents {
     index: HashMap<usize, u32>,
+    /// The first vertex seen of each local component, by local index.
+    seeds: Vec<VertexId>,
 }
 
 impl LocalComponents {
     fn local(&mut self, sld: &DynSld, v: VertexId) -> VertexId {
         let repr = sld.component_repr(v);
         let next = self.index.len() as u32;
-        VertexId(*self.index.entry(repr).or_insert(next))
+        let local = *self.index.entry(repr).or_insert(next);
+        if local == next {
+            self.seeds.push(v);
+        }
+        VertexId(local)
     }
 
     fn len(&self) -> usize {
@@ -88,18 +100,23 @@ impl LocalComponents {
 impl DynamicGraphClustering {
     /// Inserts a batch of graph edges and updates the MSF and dendrogram.
     ///
-    /// Edges joining two distinct components (accounting for merges performed by lighter batch
-    /// edges) are applied with one [`DynSld::batch_insert`]; the rest fall back to the per-edge
-    /// path. The resulting MSF equals the one produced by inserting the edges one at a time in
-    /// rank order. The whole batch is validated first — on `Err` nothing was changed.
+    /// A Kruskal pass in rank order over the touched components sorts the batch into three
+    /// classes. Edges joining two distinct components (accounting for merges performed by
+    /// lighter batch edges) are applied with one [`DynSld::batch_insert`]. A cycle-closing
+    /// edge at least as heavy as every forest edge of the trees its union-find set has
+    /// absorbed is stored as a non-tree edge without a path query: its cycle holds only those
+    /// forest edges, lighter batch links and lighter exchanged-in edges, so the per-edge
+    /// insert would keep it too. The rest fall back to the per-edge path, in rank order. The
+    /// resulting MSF equals the one produced by inserting the edges one at a time in rank
+    /// order. The whole batch is validated first — on `Err` nothing was changed.
     pub fn batch_insert_edges(
         &mut self,
         edges: &[(VertexId, VertexId, Weight)],
     ) -> Result<BatchOutcome, DynSldError> {
         // ---- validation (no mutation before this passes) ---------------------------------
         let mut batch_seen = HashSet::new();
-        for &(u, v, _) in edges {
-            self.check_new_edge(u, v)?;
+        for &(u, v, weight) in edges {
+            self.check_new_edge(u, v, weight)?;
             if !batch_seen.insert(pair(u, v)) {
                 return Err(DynSldError::ConflictingBatch(u, v));
             }
@@ -117,7 +134,7 @@ impl DynamicGraphClustering {
             .collect();
         let mut dsu = Dsu::new(comps.len());
         let mut forest_batch: Vec<(VertexId, VertexId, Weight)> = Vec::new();
-        let mut fallback_idx: Vec<usize> = Vec::new();
+        let mut cycle_idx: Vec<usize> = Vec::new();
         let mut changes: Vec<Option<MsfChange>> = vec![None; edges.len()];
         for &i in &order {
             let (a, b) = locals[i];
@@ -125,10 +142,12 @@ impl DynamicGraphClustering {
                 forest_batch.push(edges[i]);
                 changes[i] = Some(MsfChange::Inserted);
             } else {
-                fallback_idx.push(i);
+                cycle_idx.push(i);
             }
         }
-
+        if !cycle_idx.is_empty() {
+            self.store_without_query(edges, &order, &locals, &comps.seeds, &mut changes);
+        }
         let classify_time = classify_start.elapsed();
 
         // ---- fast path: all forest edges in one Theorem-1.5 batch ------------------------
@@ -142,11 +161,16 @@ impl DynamicGraphClustering {
             }
         }
 
-        // ---- fallback: cycle-closing edges, per edge, in rank order ----------------------
-        let fallback = fallback_idx.len();
-        for i in fallback_idx {
+        // ---- cycle-closing edges, in rank order: stored, or per edge ---------------------
+        let mut fallback = 0;
+        for i in cycle_idx {
             let (u, v, w) = edges[i];
-            changes[i] = Some(self.insert_validated(u, v, w));
+            if changes[i].is_some() {
+                self.index_add_nontree(u, v, w);
+            } else {
+                changes[i] = Some(self.insert_validated(u, v, w));
+                fallback += 1;
+            }
         }
 
         Ok(BatchOutcome {
@@ -154,7 +178,7 @@ impl DynamicGraphClustering {
                 .into_iter()
                 .map(|c| c.expect("every batch edge classified"))
                 .collect(),
-            fast_path: forest_batch.len(),
+            fast_path: edges.len() - fallback,
             fallback,
             promoted: Vec::new(),
             classify_time,
@@ -164,6 +188,46 @@ impl DynamicGraphClustering {
             apply_time: apply_start.elapsed(),
             delete_stats: UpdateStats::default(),
         })
+    }
+
+    /// The insertion batch's second Kruskal pass, run when the first left cycle-closing edges:
+    /// each union-find set carries the heaviest forest weight among the trees it has absorbed
+    /// (a tree's heaviest edge is its dendrogram root; a tree without edges carries −∞), and a
+    /// cycle-closing edge that weighs at least its set's bound at its rank is marked
+    /// [`MsfChange::StoredNonTree`] in `changes`.
+    ///
+    /// That is exact, ties included. In rank order the set spans a subtree of the forest the
+    /// per-edge inserts would see, made of the absorbed trees' forest edges, the lighter batch
+    /// links and the lighter edges that earlier exchanges put in. The edge's cycle stays inside
+    /// it, so no cycle edge outweighs the edge and [`DynSld::exchange`] would keep the
+    /// incumbents (its test is `weight >= out_weight`).
+    fn store_without_query(
+        &self,
+        edges: &[(VertexId, VertexId, Weight)],
+        order: &[usize],
+        locals: &[(VertexId, VertexId)],
+        seeds: &[VertexId],
+        changes: &mut [Option<MsfChange>],
+    ) {
+        let (forest, dendrogram) = (self.sld.forest(), self.sld.dendrogram());
+        let mut bound: Vec<Weight> = seeds
+            .iter()
+            .map(|&x| {
+                forest.min_incident(x).map_or(Weight::NEG_INFINITY, |e| {
+                    forest.weight(dendrogram.root_of(e))
+                })
+            })
+            .collect();
+        let mut dsu = Dsu::new(seeds.len());
+        for &i in order {
+            let (a, b) = (dsu.find(locals[i].0), dsu.find(locals[i].1));
+            if a != b {
+                dsu.union(a, b);
+                bound[dsu.find(a).index()] = bound[a.index()].max(bound[b.index()]);
+            } else if edges[i].2 >= bound[a.index()] {
+                changes[i] = Some(MsfChange::StoredNonTree);
+            }
+        }
     }
 
     /// Deletes a batch of graph edges (addressed by endpoints) and updates the MSF and
@@ -331,11 +395,10 @@ pub(crate) fn find_replacements(
             // DSU over the pieces with one union per deleted edge groups them by tree.
             let k = comps.len();
             let mut tree_of_piece = Dsu::new(k);
-            let mut seed = vec![VertexId(0); k]; // a vertex of each piece
-            for (&(u, v), &(lu, lv)) in tree_pairs.iter().zip(&deleted_locals) {
+            for &(lu, lv) in &deleted_locals {
                 tree_of_piece.union(lu, lv);
-                (seed[lu.index()], seed[lv.index()]) = (u, v);
             }
+            let seed = &comps.seeds; // a vertex of each piece
             let mut largest = vec![(0, 0); k]; // per tree root: (size, id) of its largest piece
             for (l, &x) in seed.iter().enumerate() {
                 let root = tree_of_piece.find(VertexId(l as u32)).index();
@@ -519,14 +582,228 @@ mod tests {
             (v(0), v(1), 1.0),
             (v(1), v(2), 2.0),
             (v(3), v(4), 3.0),
-            (v(0), v(2), 10.0), // closes a cycle -> fallback, stored non-tree
+            (v(0), v(2), 10.0), // closes a cycle -> stored non-tree, no path query
         ];
         let outcome = g.batch_insert_edges(&batch).unwrap();
-        assert_eq!(outcome.fast_path, 3);
-        assert_eq!(outcome.fallback, 1);
+        // The cycle-closing edge outweighs its trees (single vertices): stored without a
+        // path query, so it counts on the fast path.
+        assert_eq!(outcome.fast_path, 4);
+        assert_eq!(outcome.fallback, 0);
         assert_eq!(outcome.changes[0], MsfChange::Inserted);
         assert_eq!(outcome.changes[3], MsfChange::StoredNonTree);
+        assert_eq!(g.work_counters().path_max_queries, 0);
         assert_consistent(&g, batch.as_ref());
+    }
+
+    /// Applies `batch` to a clone of `g` with one `batch_insert_edges` and to another clone
+    /// per edge in rank order, asserts that the two agree, and returns the batched clone.
+    ///
+    /// Where weights tie, the two may keep different ones of two tied edges, since the
+    /// dendrogram and the path-maximum query break a weight tie on the edge id, and
+    /// `DynSld::batch_insert` hands out ids in its contraction order where the per-edge path
+    /// hands them out in rank order (ROADMAP, "One total order"). So with `ties` the two must
+    /// agree in each change's kind and evicted weight, the forest's weights and the version;
+    /// without, in changes, graph edges, the dendrogram named by endpoint pairs and the
+    /// version. Either way each dendrogram is the static one of its forest.
+    fn assert_batch_equals_per_edge(
+        g: &DynamicGraphClustering,
+        batch: &[(VertexId, VertexId, Weight)],
+        ties: bool,
+        context: &str,
+    ) -> DynamicGraphClustering {
+        let (mut batched, mut single) = (g.clone(), g.clone());
+        let outcome = batched.batch_insert_edges(batch).unwrap();
+        let mut order: Vec<usize> = (0..batch.len()).collect();
+        order.sort_by_key(|&i| PairRank(batch[i].2, pair(batch[i].0, batch[i].1)));
+        let mut changes = vec![None; batch.len()];
+        for i in order {
+            let (a, b, w) = batch[i];
+            changes[i] = Some(single.insert_edge(a, b, w).unwrap());
+        }
+        let changes: Vec<MsfChange> = changes.into_iter().map(Option::unwrap).collect();
+        assert_eq!(
+            batched.sld().version(),
+            single.sld().version(),
+            "{context}: version"
+        );
+        for g in [&batched, &single] {
+            assert_eq!(
+                g.sld().dendrogram().canonical_parents(),
+                static_sld_kruskal(g.sld().forest()).canonical_parents(),
+                "{context}: dendrogram"
+            );
+        }
+        if ties {
+            let kinds = |g: &DynamicGraphClustering, changes: &[MsfChange]| {
+                let kind = |c: &MsfChange| match *c {
+                    MsfChange::Replaced { evicted: (a, b) } => g.edge_weight(a, b),
+                    _ => None,
+                };
+                let kinds: Vec<_> = changes
+                    .iter()
+                    .map(|c| (std::mem::discriminant(c), kind(c)))
+                    .collect();
+                let mut weights: Vec<Weight> =
+                    g.sld().forest().edges().map(|(_, d)| d.weight).collect();
+                weights.sort_by(f64::total_cmp);
+                (kinds, weights, g.num_graph_edges())
+            };
+            assert_eq!(
+                kinds(&batched, &outcome.changes),
+                kinds(&single, &changes),
+                "{context}: changes"
+            );
+            return batched;
+        }
+        assert_eq!(outcome.changes, changes, "{context}: changes");
+        let sorted = |g: &DynamicGraphClustering| {
+            let mut e = g.graph_edges();
+            e.sort_by_key(|x| pair(x.0, x.1));
+            e
+        };
+        assert_eq!(sorted(&batched), sorted(&single), "{context}: graph edges");
+        let named_parents = |g: &DynamicGraphClustering| {
+            let forest = g.sld().forest();
+            let name = |e| pair(forest.endpoints(e).0, forest.endpoints(e).1);
+            let mut parents: Vec<_> = g
+                .sld()
+                .dendrogram()
+                .canonical_parents()
+                .into_iter()
+                .map(|(e, p)| (name(e), p.map(name)))
+                .collect();
+            parents.sort();
+            parents
+        };
+        assert_eq!(
+            named_parents(&batched),
+            named_parents(&single),
+            "{context}: dendrogram"
+        );
+        batched
+    }
+
+    /// The store-without-query rule is exact, ties included: on cold and warm forests, a
+    /// batch equals per-edge insertion in rank order, on both backends. Even seeds draw few
+    /// distinct weights, so ties sit at the bound; odd seeds draw distinct weights.
+    #[test]
+    fn batch_insert_equals_per_edge_insertion_in_rank_order() {
+        for backend in [crate::ForestBackend::Scan, crate::ForestBackend::Hdt] {
+            for seed in 0..40u64 {
+                let ties = seed % 2 == 0;
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let n = rng.gen_range(4..20usize);
+                let options = dynsld::DynSldOptions {
+                    msf_backend: backend,
+                    ..Default::default()
+                };
+                let mut g = DynamicGraphClustering::with_options(n, options);
+                let mut alive: Vec<(VertexId, VertexId)> = Vec::new();
+                // Round 0 starts cold; later rounds delete some edges, then insert on the
+                // warm forest.
+                for round in 0..5 {
+                    if round > 0 && !alive.is_empty() {
+                        alive.shuffle(&mut rng);
+                        let k = rng.gen_range(0..=alive.len().min(4));
+                        let gone: Vec<_> = alive.drain(..k).collect();
+                        g.batch_delete_edges(&gone).unwrap();
+                    }
+                    let mut batch = Vec::new();
+                    let mut seen = HashSet::new();
+                    for _ in 0..rng.gen_range(1..3 * n) {
+                        let (a, b) = (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32));
+                        let key = pair(v(a), v(b));
+                        if a == b || alive.contains(&key) || !seen.insert(key) {
+                            continue;
+                        }
+                        let w = f64::from(rng.gen_range(0..4u8));
+                        batch.push((v(a), v(b), if ties { w } else { w + rng.gen::<f64>() }));
+                    }
+                    if batch.is_empty() {
+                        continue;
+                    }
+                    let context = format!("{backend:?}, seed {seed}, round {round}");
+                    g = assert_batch_equals_per_edge(&g, &batch, ties, &context);
+                    alive.extend(batch.iter().map(|&(a, b, _)| pair(a, b)));
+                }
+            }
+        }
+    }
+
+    /// The path-maximum count of an insertion batch: none on a cold start, none for a batch
+    /// at least as heavy as the forest it meets (a tie at the bound included), and exactly
+    /// one for a chord lighter than its cycle.
+    #[test]
+    fn batch_insert_asks_a_path_query_only_for_lighter_chords() {
+        // Cold start: a clique on 6 vertices, 10 of its 15 edges close cycles.
+        let mut g = DynamicGraphClustering::new(6);
+        let clique: Vec<_> = (0..6u32)
+            .flat_map(|a| (a + 1..6).map(move |b| (v(a), v(b), f64::from((a * 7 + b) % 5))))
+            .collect();
+        let outcome = g.batch_insert_edges(&clique).unwrap();
+        assert_eq!((outcome.fast_path, outcome.fallback), (15, 0));
+        assert_eq!(g.take_work_counters().path_max_queries, 0);
+        assert_consistent(&g, &clique);
+
+        // Aging: a forest of two paths whose heaviest edge weighs 5, then a batch no lighter
+        // than 5 — chords inside each tree (one at exactly 5), a link between the trees and a
+        // chord across the link.
+        let mut g = DynamicGraphClustering::new(8);
+        let mut alive = vec![
+            (v(0), v(1), 5.0),
+            (v(1), v(2), 2.0),
+            (v(2), v(3), 1.0),
+            (v(4), v(5), 3.0),
+            (v(5), v(6), 4.0),
+            (v(6), v(7), 0.5),
+        ];
+        g.batch_insert_edges(&alive).unwrap();
+        g.take_work_counters();
+        let batch = [
+            (v(0), v(3), 5.0),
+            (v(4), v(7), 6.0),
+            (v(3), v(4), 7.0),
+            (v(0), v(6), 8.0),
+        ];
+        let outcome = g.batch_insert_edges(&batch).unwrap();
+        assert_eq!((outcome.fast_path, outcome.fallback), (4, 0));
+        assert_eq!(g.take_work_counters().path_max_queries, 0);
+        alive.extend(batch);
+        assert_consistent(&g, &alive);
+
+        // One chord lighter than the heaviest edge on its cycle: one query, one exchange.
+        let outcome = g.batch_insert_edges(&[(v(1), v(3), 1.5)]).unwrap();
+        assert_eq!((outcome.fast_path, outcome.fallback), (0, 1));
+        assert_eq!(
+            outcome.changes,
+            vec![MsfChange::Replaced {
+                evicted: (v(1), v(2))
+            }]
+        );
+        assert_eq!(g.take_work_counters().path_max_queries, 1);
+        alive.push((v(1), v(3), 1.5));
+        assert_consistent(&g, &alive);
+    }
+
+    /// A set's bound is the maximum over every tree it absorbed, whichever side of the union
+    /// the heavy tree is on: a chord lighter than the heavier tree's top edge but heavier
+    /// than the lighter tree's must reach the exchange.
+    #[test]
+    fn a_merged_set_is_bounded_by_its_heaviest_tree() {
+        for (w01, w23, evicted) in [(10.0, 1.0, (v(0), v(1))), (1.0, 10.0, (v(2), v(3)))] {
+            let mut g = DynamicGraphClustering::new(4);
+            let mut alive = vec![(v(0), v(1), w01), (v(2), v(3), w23)];
+            g.batch_insert_edges(&alive).unwrap();
+            let batch = [(v(1), v(2), 0.5), (v(0), v(3), 5.0)];
+            let outcome = g.batch_insert_edges(&batch).unwrap();
+            assert_eq!(
+                outcome.changes[1],
+                MsfChange::Replaced { evicted },
+                "weights {w01} and {w23}"
+            );
+            alive.extend(batch);
+            assert_consistent(&g, &alive);
+        }
     }
 
     #[test]

@@ -90,11 +90,12 @@ pub enum MsfChange {
     RemovedAndSplit,
 }
 
-/// Replacement-search work counters, accumulated across updates and drained with
-/// [`DynamicGraphClustering::take_work_counters`]. These are *work* measures, not result
+/// Replacement-search and insertion work counters, accumulated across updates and drained
+/// with [`DynamicGraphClustering::take_work_counters`]. These are *work* measures, not result
 /// measures — both backends produce identical results while reporting very different
-/// counter values. The `baseline` package's `aging_dense` workload compares the two as
-/// `msf.crossing_tests_per_search` and `msf.hdt_crossing_tests_per_search`.
+/// replacement-search counter values. The `baseline` package's `aging_dense` workload
+/// compares the two as `msf.crossing_tests_per_search` and
+/// `msf.hdt_crossing_tests_per_search`.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct WorkCounters {
     /// Replacement candidates subjected to the cut-crossing test — the per-candidate step
@@ -115,6 +116,11 @@ pub struct WorkCounters {
     /// pieces), on the HDT backend one per successful search. A per-edge deletion is a batch
     /// of one, so it adds one when its cut has a replacement.
     pub replacement_candidates: u64,
+    /// Path-maximum queries insertions asked of the link-cut forest: one per cycle-closing
+    /// insertion that reached [`DynSld::exchange`] (per-edge, or a batch's fallback). A batch
+    /// stores its cycle-closing edges that outweigh their trees without one, so a cold-start
+    /// batch asks none.
+    pub path_max_queries: u64,
 }
 
 impl WorkCounters {
@@ -124,6 +130,7 @@ impl WorkCounters {
         self.level_promotions += other.level_promotions;
         self.replacement_searches += other.replacement_searches;
         self.replacement_candidates += other.replacement_candidates;
+        self.path_max_queries += other.path_max_queries;
     }
 }
 
@@ -266,8 +273,8 @@ pub struct DynamicGraphClustering {
     /// [`index_remove_nontree`](Self::index_remove_nontree) and
     /// [`mark_promoted`](Self::mark_promoted).
     pub(crate) nontree_edges: usize,
-    /// Scan-backend work counters and the replacement search's candidate count (the HDT
-    /// index keeps its own; both are drained together).
+    /// Scan-backend work counters, the replacement search's candidate count and the path
+    /// queries of insertions (the HDT index keeps its own; both are drained together).
     pub(crate) counters: WorkCounters,
     /// Scan-backend scratch: which piece of the current replacement search each vertex was
     /// enumerated into.
@@ -498,9 +505,14 @@ impl DynamicGraphClustering {
         }
     }
 
-    /// Validates a graph edge about to be inserted: distinct in-range endpoints, not alive yet
-    /// (parallel edges are not supported).
-    pub(crate) fn check_new_edge(&self, u: VertexId, v: VertexId) -> Result<(), DynSldError> {
+    /// Validates a graph edge about to be inserted: distinct in-range endpoints, a finite
+    /// weight, not alive yet (parallel edges are not supported).
+    pub(crate) fn check_new_edge(
+        &self,
+        u: VertexId,
+        v: VertexId,
+        weight: Weight,
+    ) -> Result<(), DynSldError> {
         if u == v {
             return Err(DynSldError::SelfLoop(u));
         }
@@ -508,6 +520,9 @@ impl DynamicGraphClustering {
             if x.index() >= self.num_vertices() {
                 return Err(DynSldError::VertexOutOfRange(x));
             }
+        }
+        if !weight.is_finite() {
+            return Err(DynSldError::NonFiniteWeight(u, v));
         }
         if self.edge_weight(u, v).is_some() {
             return Err(DynSldError::EdgeAlreadyExists(u, v));
@@ -517,15 +532,15 @@ impl DynamicGraphClustering {
 
     /// Inserts the graph edge `{u, v}` with the given weight and updates the MSF and dendrogram.
     ///
-    /// Returns how the MSF changed. Errors if the edge already exists or the endpoints are
-    /// invalid.
+    /// Returns how the MSF changed. Errors if the edge already exists, the endpoints are
+    /// invalid or the weight is not finite.
     pub fn insert_edge(
         &mut self,
         u: VertexId,
         v: VertexId,
         weight: Weight,
     ) -> Result<MsfChange, DynSldError> {
-        self.check_new_edge(u, v)?;
+        self.check_new_edge(u, v, weight)?;
         Ok(self.insert_validated(u, v, weight))
     }
 
@@ -548,6 +563,9 @@ impl DynamicGraphClustering {
             .sld
             .exchange(u, v, weight)
             .expect("validated endpoints");
+        if !matches!(outcome, CycleExchange::Linked(_)) {
+            self.counters.path_max_queries += 1;
+        }
         match outcome {
             CycleExchange::Linked(_) => {
                 self.index_add_tree(u, v, weight);
@@ -605,13 +623,17 @@ impl DynamicGraphClustering {
         Ok(changes.pop().expect("one change per deleted tree edge"))
     }
 
-    /// Changes the weight of an existing edge (delete + re-insert).
+    /// Changes the weight of an existing edge (delete + re-insert). A non-finite weight is
+    /// rejected before the delete, leaving the graph unchanged.
     pub fn update_weight(
         &mut self,
         u: VertexId,
         v: VertexId,
         weight: Weight,
     ) -> Result<MsfChange, DynSldError> {
+        if !weight.is_finite() {
+            return Err(DynSldError::NonFiniteWeight(u, v));
+        }
         self.delete_edge(u, v)?;
         self.insert_edge(u, v, weight)
     }
@@ -846,6 +868,47 @@ mod tests {
         assert_eq!(work(3, 2), (promoted(1, 4), 1, 3));
         // No tie: `v`'s side {5} is the smaller one, so only its entry 3-5 is read.
         assert_eq!(work(4, 5), (promoted(3, 5), 1, 1));
+    }
+
+    /// A NaN or infinite weight is rejected per edge, in a batch (whatever else the batch
+    /// holds) and as a new weight, and leaves the graph, the dendrogram and the version as
+    /// they were.
+    #[test]
+    fn non_finite_weights_are_rejected_and_change_nothing() {
+        for backend in [ForestBackend::Scan, ForestBackend::Hdt] {
+            let mut g = DynamicGraphClustering::with_options(4, backend_options(backend));
+            g.batch_insert_edges(&[(v(0), v(1), 1.0), (v(1), v(2), 2.0), (v(0), v(2), 3.0)])
+                .unwrap();
+            let state = |g: &DynamicGraphClustering| {
+                let mut edges = g.graph_edges();
+                edges.sort_by_key(|e| (e.0, e.1));
+                (
+                    edges,
+                    g.sld().dendrogram().canonical_parents(),
+                    g.sld().version(),
+                )
+            };
+            let before = state(&g);
+            for w in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+                let err = DynSldError::NonFiniteWeight(v(2), v(3));
+                assert_eq!(
+                    g.insert_edge(v(2), v(3), w),
+                    Err(err.clone()),
+                    "{backend:?} {w}"
+                );
+                assert_eq!(
+                    g.batch_insert_edges(&[(v(0), v(3), 0.5), (v(2), v(3), w)]),
+                    Err(err),
+                    "{backend:?} {w}"
+                );
+                assert_eq!(
+                    g.update_weight(v(0), v(1), w),
+                    Err(DynSldError::NonFiniteWeight(v(0), v(1))),
+                    "{backend:?} {w}"
+                );
+                assert_eq!(state(&g), before, "{backend:?} {w}");
+            }
+        }
     }
 
     #[test]

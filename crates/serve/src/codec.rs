@@ -55,6 +55,9 @@ fn epochs_value(epochs: &[u64]) -> Value {
 }
 
 fn node_value(n: &SnapshotNode) -> Value {
+    // The decoder takes only numbers: a non-finite weight would leave every wire subscriber
+    // unable to sync. Admission rejects them, so no dendrogram record carries one.
+    debug_assert!(n.weight.is_finite(), "non-finite weight on the wire: {n:?}");
     Value::Arr(vec![
         Value::Int(i64::from(n.edge.0)),
         Value::Int(i64::from(n.u.0)),
@@ -103,7 +106,6 @@ pub fn encode_snapshot(snapshot: &ServiceSnapshot) -> String {
     Value::Obj(vec![
         ("kind".into(), Value::Str("snapshot".into())),
         ("revision".into(), Value::Int(snapshot.revision() as i64)),
-        ("epochs".into(), epochs_value(&snapshot.epochs())),
         ("shards".into(), Value::Arr(shards)),
     ])
     .to_json()
@@ -426,6 +428,41 @@ mod tests {
         assert_eq!(decoded.to_epochs, patch.to_epochs);
         assert_eq!(decoded.deltas.len(), 1);
         assert_eq!(*decoded.deltas[0], *patch.deltas[0]);
+    }
+
+    #[test]
+    fn snapshots_carry_each_shard_epoch_once_and_round_trip() {
+        use dynsld_engine::{FlushPolicy, GraphUpdate, ServiceBuilder};
+        let service = ServiceBuilder::new()
+            .vertices(8)
+            .shards(2)
+            .flush_policy(FlushPolicy::EveryNOps(1))
+            .build()
+            .unwrap();
+        let ingest = service.ingest_handle();
+        let mut driver = service.into_driver();
+        for (a, b, weight) in [(0, 1, 1.0), (0, 2, 2.0), (1, 2, 0.5), (5, 6, 3.0)] {
+            let (u, v) = (VertexId(a), VertexId(b));
+            ingest.submit(GraphUpdate::Insert { u, v, weight }).unwrap();
+            driver.pump().unwrap();
+        }
+        let published = driver.service().published();
+        let text = encode_snapshot(&published);
+        // One `epoch` per shard (the spill shard included), and no payload-level epoch array
+        // beside them.
+        let shards = published.epochs().len();
+        assert_eq!(shards, 3);
+        assert_eq!(text.matches("\"epoch").count(), shards, "{text}");
+        let value = parse(&text).unwrap();
+        assert!(value.get("epochs").is_none());
+        let WireMessage::Snapshot(mirror) = decode_message(&text).unwrap() else {
+            panic!("expected Snapshot");
+        };
+        assert_eq!(mirror.revision(), published.revision());
+        assert_eq!(mirror.epochs(), published.epochs());
+        for (decoded, shard) in mirror.shards().zip(published.shard_snapshots()) {
+            assert_eq!(decoded, shard.dendrogram());
+        }
     }
 
     #[test]

@@ -118,8 +118,9 @@ impl Value {
 }
 
 /// Writes a float so it always parses back as a float: `Display` is shortest-round-trip, and
-/// a `.0` suffix is added when the shortest form looks like an integer. Non-finite weights
-/// never reach the wire (dendrogram weights are finite), but map to `null` defensively.
+/// a `.0` suffix is added when the shortest form looks like an integer. A non-finite value
+/// maps to `null`. Dendrogram weights never are one: admission rejects non-finite weights,
+/// and the wire codec asserts it in debug builds.
 fn write_float(x: f64, out: &mut String) {
     if !x.is_finite() {
         out.push_str("null");

@@ -10,11 +10,13 @@
 //! and `Coalesce` absorbs redundant queued events in place.
 
 use dynsld_engine::{
-    Backpressure, BlockPartitioner, ClusteringEngine, FlushPolicy, GraphUpdate, IngestError,
-    ServiceBuilder, ServiceError, ServiceSnapshot,
+    Backpressure, BlockPartitioner, ClusteringEngine, FlushPolicy, FlusherDriver, GraphUpdate,
+    IngestError, IngestHandle, RejectReason, ServiceBuilder, ServiceError, ServiceSnapshot,
 };
 use dynsld_forest::workload::GraphWorkloadBuilder;
 use dynsld_forest::VertexId;
+use dynsld_serve::{DeltaServer, SyncOutcome, WireSubscriber};
+use dynsld_telemetry::Telemetry;
 use dynsld_tests::{assert_bit_identical, configs, drain, feed};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -325,13 +327,32 @@ fn drain_when_parked(
     mode: Backpressure,
     stream: &[GraphUpdate],
 ) -> (Vec<ServiceError>, u64, ServiceSnapshot) {
+    let (ingest, mut driver) = parked_pipeline(mode);
+    let rejected = drain_parked(&ingest, &mut driver, stream);
+    driver.flush().unwrap();
+    let compacted = driver.service().metrics().events_compacted_in_queue;
+    (rejected, compacted, driver.service().published())
+}
+
+/// An 8-vertex service with a two-slot queue, submitting under `mode`.
+fn parked_pipeline(mode: Backpressure) -> (IngestHandle, FlusherDriver) {
     let service = ServiceBuilder::new()
         .vertices(8)
         .queue_capacity(2)
+        .delta_ring(16)
         .build()
         .unwrap();
     let ingest = service.ingest_handle().with_backpressure(mode);
-    let mut driver = service.into_driver();
+    (ingest, service.into_driver())
+}
+
+/// The feeding loop of [`drain_when_parked`]: submits `stream` from a producer thread and
+/// pumps the driver only while the producer is parked. Returns every rejection.
+fn drain_parked(
+    ingest: &IngestHandle,
+    driver: &mut FlusherDriver,
+    stream: &[GraphUpdate],
+) -> Vec<ServiceError> {
     let mut rejected = Vec::new();
     std::thread::scope(|s| {
         let producer = s.spawn(|| {
@@ -353,9 +374,7 @@ fn drain_when_parked(
         producer.join().unwrap();
     });
     rejected.extend(driver.pump().unwrap().rejected);
-    driver.flush().unwrap();
-    let compacted = driver.service().metrics().events_compacted_in_queue;
-    (rejected, compacted, driver.service().published())
+    rejected
 }
 
 /// `Coalesce` compaction runs the coalescer's merge table, so an event that is invalid on
@@ -398,6 +417,83 @@ fn coalesce_compaction_rejects_what_block_rejects() {
         "coalesce vs block",
     );
     assert!(!view.same_cluster(v(2), v(3), f64::INFINITY));
+}
+
+/// A NaN or infinite weight is invalid on every graph state, so `Block` and `Coalesce` reject
+/// the same events, a pending insert or re-weight never folds across one, and the engine
+/// ends as if the events had never been submitted. Nothing non-finite reaches the wire: a
+/// `WireSubscriber` that synced before keeps patching, and a new one decodes the full view.
+#[test]
+fn non_finite_weights_are_rejected_and_wire_subscribers_converge() {
+    let mut stream = vec![ins(0, 1, 1.0), ins(2, 3, 2.0)];
+    for (i, w) in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN]
+        .into_iter()
+        .enumerate()
+    {
+        let a = 4 + i as u32;
+        stream.extend([
+            ins(a, a + 1, w), // rejected: never pending, so the re-weight below is too
+            rew(a, a + 1, 1.0),
+            ins(1, 2, 3.0 + i as f64),
+            rew(1, 2, w), // rejected; the pending insert keeps its weight
+            rew(0, 1, w), // rejected on an applied edge
+            del(1, 2),    // annihilates the pending insert
+        ]);
+    }
+    stream.push(ins(6, 7, 0.5));
+    // The oracle: one engine fed the same stream, rejections ignored.
+    let mut engine = ClusteringEngine::new(8);
+    for &event in &stream {
+        let _ = engine.submit(event);
+    }
+    engine.flush().unwrap();
+    let taus = [0.75, 1.5, 2.5, 4.0, f64::INFINITY];
+    let mut views = Vec::new();
+    for mode in [Backpressure::Block, Backpressure::Coalesce] {
+        let (ingest, mut driver) = parked_pipeline(mode);
+        let read = driver.service().read_handle();
+        let server =
+            DeltaServer::bind("127.0.0.1:0", read.clone(), Telemetry::disabled()).expect("bind");
+        let mut subscriber = WireSubscriber::connect(server.local_addr()).expect("connect");
+        subscriber.sync().expect("initial sync");
+        let rejected = drain_parked(&ingest, &mut driver, &stream);
+        driver.flush().unwrap();
+        let reasons: Vec<(RejectReason, (VertexId, VertexId))> = rejected
+            .iter()
+            .map(|e| match e {
+                ServiceError::Rejected { event, reason, .. } => (*reason, event.endpoints()),
+                other => panic!("{mode:?}: unexpected error {other}"),
+            })
+            .collect();
+        let non_finite = |a: u32, b: u32| (RejectReason::NonFiniteWeight, (v(a), v(b)));
+        let mut expected = Vec::new();
+        for a in 4..7 {
+            expected.extend([
+                non_finite(a, a + 1),
+                (RejectReason::NotPresent, (v(a), v(a + 1))),
+                non_finite(1, 2),
+                non_finite(0, 1),
+            ]);
+        }
+        assert_eq!(reasons, expected, "{mode:?}");
+        let published = driver.service().published();
+        assert_bit_identical(&published, &engine.snapshot(), &taus, &format!("{mode:?}"));
+        let report = subscriber.sync().expect("patch sync");
+        assert!(
+            matches!(report.outcome, SyncOutcome::Patched { .. }),
+            "{mode:?}"
+        );
+        let mut fresh = WireSubscriber::connect(server.local_addr()).expect("connect");
+        fresh.sync().expect("full sync");
+        for mirror in [subscriber.mirror(), fresh.mirror()] {
+            let mirror = mirror.expect("synced");
+            assert_eq!(mirror.revision(), published.revision(), "{mode:?}");
+            assert_bit_identical(mirror, &published, &taus, &format!("{mode:?} mirror"));
+        }
+        server.shutdown();
+        views.push(published);
+    }
+    assert_bit_identical(&views[0], &views[1], &taus, "coalesce vs block");
 }
 
 /// Under the queued path, `FlushPolicy::OnRead` means "every drain publishes": a single pump
