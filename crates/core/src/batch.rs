@@ -79,15 +79,25 @@ impl DynSld {
         }
 
         // ---- group the batch edges by incidence-graph component --------------------------
+        // Groups are numbered in batch order (by their first edge), so the edge ids handed
+        // out below depend on the batch alone.
         self.stats.begin_update();
-        let mut groups: HashMap<u32, Vec<usize>> = HashMap::new();
+        let mut group_of = vec![u32::MAX; comp_index.len()];
+        let mut groups: Vec<Vec<usize>> = Vec::new();
         for (i, &(a, _)) in incidence.iter().enumerate() {
-            groups.entry(dsu.find(VertexId(a)).0).or_default().push(i);
+            let root = dsu.find(VertexId(a)).index();
+            if group_of[root] == u32::MAX {
+                group_of[root] = groups.len() as u32;
+                groups.push(Vec::new());
+            }
+            groups[group_of[root] as usize].push(i);
         }
 
         let mut new_ids = vec![EdgeId(u32::MAX); edges.len()];
-        for group in groups.values() {
-            self.insert_incidence_component(edges, &incidence, group, &mut new_ids);
+        // Degrees by incidence vertex, zero between rounds.
+        let mut degree = vec![0u32; comp_index.len()];
+        for group in &groups {
+            self.insert_incidence_component(edges, &incidence, group, &mut degree, &mut new_ids);
         }
         Ok(new_ids)
     }
@@ -99,34 +109,35 @@ impl DynSld {
         edges: &[(VertexId, VertexId, Weight)],
         incidence: &[(u32, u32)],
         group: &[usize],
+        degree: &mut [u32],
         new_ids: &mut [EdgeId],
     ) {
         let mut remaining: Vec<usize> = group.to_vec();
         while !remaining.is_empty() {
             // Degrees of incidence vertices over the remaining batch edges.
-            let mut degree: HashMap<u32, usize> = HashMap::new();
             for &i in &remaining {
-                *degree.entry(incidence[i].0).or_insert(0) += 1;
-                *degree.entry(incidence[i].1).or_insert(0) += 1;
+                degree[incidence[i].0 as usize] += 1;
+                degree[incidence[i].1 as usize] += 1;
             }
             // This round: every edge with at least one degree-1 endpoint (a leaf of the
             // incidence tree). A tree always has leaves, so progress is guaranteed.
-            let (this_round, rest): (Vec<usize>, Vec<usize>) = remaining
-                .iter()
-                .copied()
-                .partition(|&i| degree[&incidence[i].0] == 1 || degree[&incidence[i].1] == 1);
+            let (this_round, rest): (Vec<usize>, Vec<usize>) =
+                remaining.iter().copied().partition(|&i| {
+                    degree[incidence[i].0 as usize] == 1 || degree[incidence[i].1 as usize] == 1
+                });
+            for &i in &remaining {
+                degree[incidence[i].0 as usize] = 0;
+                degree[incidence[i].1 as usize] = 0;
+            }
             debug_assert!(
                 !this_round.is_empty(),
                 "an incidence tree always has a leaf"
             );
             // Star-Merge: merge each leaf spine into its center. Within a round the merges are
-            // applied in rank order for determinism.
+            // applied in rank order for determinism (weights by `total_cmp`, as `RankKey`
+            // orders them, then batch position).
             let mut round = this_round;
-            round.sort_by(|&a, &b| {
-                let ka = (edges[a].2, a);
-                let kb = (edges[b].2, b);
-                ka.partial_cmp(&kb).expect("weights are not NaN")
-            });
+            round.sort_by(|&a, &b| edges[a].2.total_cmp(&edges[b].2).then(a.cmp(&b)));
             for i in round {
                 let (u, v, w) = edges[i];
                 let (e, e_star_u, e_star_v) = self.register_insert(u, v, w);
@@ -336,6 +347,30 @@ mod tests {
         d.batch_insert(&batch).unwrap();
         assert_matches_static(&d);
         assert_eq!(d.component_size(v(0)), 72);
+    }
+
+    #[test]
+    fn batch_insert_ids_depend_on_the_batch_alone() {
+        // Eight incidence components of one edge each: the ids follow the group order.
+        let batch: Vec<(VertexId, VertexId, Weight)> = (0..8)
+            .map(|i| (v(2 * i), v(2 * i + 1), f64::from(8 - i)))
+            .collect();
+        let ids: HashSet<Vec<EdgeId>> = (0..20)
+            .map(|_| DynSld::new(16).batch_insert(&batch).unwrap())
+            .collect();
+        assert_eq!(ids.len(), 1, "{ids:?}");
+    }
+
+    #[test]
+    fn a_nan_weight_in_a_leaf_round_is_ranked_like_the_static_build() {
+        // A path over three singletons: both edges are leaves of the incidence tree, so they
+        // share the first round and are sorted against each other.
+        for weights in [[f64::NAN, 1.0], [1.0, f64::NAN]] {
+            let mut d = DynSld::new(3);
+            d.batch_insert(&[(v(0), v(1), weights[0]), (v(1), v(2), weights[1])])
+                .unwrap();
+            assert_matches_static(&d);
+        }
     }
 
     #[test]

@@ -2,21 +2,22 @@
 //!
 //! Every time the service publishes a new merged view ([`ServiceSnapshot`]), it can also
 //! compute a [`SnapshotDelta`] — the added / removed / re-parented dendrogram records per
-//! shard, plus the changed cluster labels at any tracked thresholds — and retain it in a
-//! bounded `DeltaRing` inside the shared state. A reader that last saw revision `r` then
-//! syncs with a [`Patch`] (the chain of deltas `r → now`) instead of a full snapshot; only
-//! when `r` has aged out of the ring does it fall back to a full view. This is the read-side
+//! shard, each with the shard's new epoch — and retain it in a bounded `DeltaRing` inside
+//! the shared state. A reader that last saw revision `r` then syncs with a [`Patch`] (the
+//! chain of deltas `r → now`) instead of a full snapshot; only when `r` has aged out of the
+//! ring does it fall back to a full view. This is the read-side
 //! story for many connected subscribers: steady-state traffic is proportional to what
 //! *changed*, not to the graph.
 //!
 //! The wire front end and the subscriber mirror live in the `dynsld-serve` crate; this module
 //! owns the delta representation, its replay ([`Patch::replay`]: a view at `r` plus the chain
 //! `r → now` is the view at `now`) and the in-process sync protocol ([`SyncResponse`]).
+//! A delta carries only what replay reads: a subscriber that wants the cluster labels at a
+//! threshold asks its replica (`Mirror::flat_clustering`) after the sync.
 
 use crate::service::ServiceSnapshot;
 use dynsld::snapshot::{DendrogramSnapshot, RankedNodesBuilder, SnapshotNode};
-use dynsld::FlatClustering;
-use dynsld_forest::{EdgeId, VertexId, Weight};
+use dynsld_forest::EdgeId;
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
@@ -176,62 +177,22 @@ impl ShardDelta {
     }
 }
 
-/// The cluster-label changes at one tracked threshold across one publish step.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ThresholdRelabel {
-    /// The tracked threshold.
-    pub tau: Weight,
-    /// Number of clusters in the *new* view at `tau`.
-    pub num_clusters: usize,
-    /// `(vertex, new label)` for every vertex whose canonical label changed (new vertices
-    /// count as changed), in vertex order.
-    pub changed: Vec<(VertexId, usize)>,
-}
-
-impl ThresholdRelabel {
-    /// Diffs two canonical clusterings at the same threshold.
-    pub fn diff(tau: Weight, old: &FlatClustering, new: &FlatClustering) -> ThresholdRelabel {
-        let changed = new
-            .labels
-            .iter()
-            .enumerate()
-            .filter(|&(i, &label)| old.labels.get(i) != Some(&label))
-            .map(|(i, &label)| (VertexId(i as u32), label))
-            .collect();
-        ThresholdRelabel {
-            tau,
-            num_clusters: new.num_clusters(),
-            changed,
-        }
-    }
-}
-
-/// One publish step of the whole service: per-shard record deltas plus per-threshold label
-/// changes, anchored by the service revisions and epoch vectors on both sides.
+/// One publish step of the whole service: per-shard record deltas, anchored by the service
+/// revisions on both sides.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SnapshotDelta {
     /// The service revision this delta starts from.
     pub from_revision: u64,
     /// The service revision this delta produces (always `from_revision + 1`).
     pub to_revision: u64,
-    /// Epoch vector before the step (routed shards first, spill last).
-    pub from_epochs: Vec<u64>,
-    /// Epoch vector after the step.
-    pub to_epochs: Vec<u64>,
-    /// Per-shard record deltas, in shard order (no-op entries for untouched shards).
+    /// Per-shard record deltas, in shard order (routed shards first, spill last; no-op
+    /// entries for untouched shards). Each carries its shard's epoch after the step.
     pub shards: Vec<ShardDelta>,
-    /// Label changes at each threshold the service was built to track
-    /// (`ServiceBuilder::track_thresholds`); empty when none are tracked.
-    pub relabels: Vec<ThresholdRelabel>,
 }
 
 impl SnapshotDelta {
     /// Computes the delta between two consecutively published service views.
-    pub fn between(
-        old: &ServiceSnapshot,
-        new: &ServiceSnapshot,
-        tracked: &[Weight],
-    ) -> SnapshotDelta {
+    pub fn between(old: &ServiceSnapshot, new: &ServiceSnapshot) -> SnapshotDelta {
         let shards = old
             .shard_snapshots()
             .iter()
@@ -245,19 +206,10 @@ impl SnapshotDelta {
                 )
             })
             .collect();
-        let relabels = tracked
-            .iter()
-            .map(|&tau| {
-                ThresholdRelabel::diff(tau, &old.flat_clustering(tau), &new.flat_clustering(tau))
-            })
-            .collect();
         SnapshotDelta {
             from_revision: old.revision(),
             to_revision: new.revision(),
-            from_epochs: old.epochs(),
-            to_epochs: new.epochs(),
             shards,
-            relabels,
         }
     }
 
@@ -279,8 +231,6 @@ pub struct Patch {
     pub from_revision: u64,
     /// The revision the chain ends at (the service's published revision).
     pub to_revision: u64,
-    /// The epoch vector at `to_revision`.
-    pub to_epochs: Vec<u64>,
     /// The deltas, consecutive by revision (`deltas[i].to_revision ==
     /// deltas[i + 1].from_revision`).
     pub deltas: Vec<Arc<SnapshotDelta>>,
@@ -399,6 +349,7 @@ impl DeltaRing {
 mod tests {
     use super::*;
     use dynsld::{DynSld, RankedNodes};
+    use dynsld_forest::VertexId;
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -575,10 +526,7 @@ mod tests {
             Arc::new(SnapshotDelta {
                 from_revision: from,
                 to_revision: from + 1,
-                from_epochs: vec![from],
-                to_epochs: vec![from + 1],
                 shards: Vec::new(),
-                relabels: Vec::new(),
             })
         };
         ring.push(step(0));
@@ -600,30 +548,8 @@ mod tests {
         ring.push(Arc::new(SnapshotDelta {
             from_revision: 0,
             to_revision: 1,
-            from_epochs: vec![0],
-            to_epochs: vec![1],
             shards: Vec::new(),
-            relabels: Vec::new(),
         }));
         assert!(ring.chain(0, 1).is_none());
-    }
-
-    #[test]
-    fn relabel_diff_marks_new_and_changed_vertices() {
-        let old = FlatClustering {
-            labels: vec![0, 0, 1],
-            clusters: vec![vec![VertexId(0), VertexId(1)], vec![VertexId(2)]],
-        };
-        let new = FlatClustering {
-            labels: vec![0, 1, 1, 2],
-            clusters: vec![
-                vec![VertexId(0)],
-                vec![VertexId(1), VertexId(2)],
-                vec![VertexId(3)],
-            ],
-        };
-        let relabel = ThresholdRelabel::diff(0.5, &old, &new);
-        assert_eq!(relabel.num_clusters, 3);
-        assert_eq!(relabel.changed, vec![(VertexId(1), 1), (VertexId(3), 2)]);
     }
 }

@@ -41,6 +41,11 @@
 //!   query flat clusterings, cluster sizes and component counts against *their* snapshot and
 //!   never observe a half-applied batch; repeated queries at one epoch and threshold hit a
 //!   per-snapshot cache, and merged service views are memoised the same way.
+//! * **Publish-step deltas** ([`delta`]): each publish retains a [`SnapshotDelta`] — per
+//!   shard, the changed dendrogram records and the shard's new epoch — in a bounded ring, so
+//!   [`ReadHandle::sync_from`] answers a lagging reader with a [`Patch`] that
+//!   [`Patch::replay`] turns into the new view bit for bit. A delta carries only what replay
+//!   reads; labels at a threshold are asked of the replayed view.
 //! * **Instrumentation** ([`metrics`]): coalescing effectiveness, fast-path/fallback ratios,
 //!   flush latency, spill routing share, and ingest-queue pressure (enqueued events, in-queue
 //!   compaction, block waits, full rejections), exported as one [`Metrics`] value per shard
@@ -129,7 +134,7 @@ pub mod service;
 pub mod snapshot;
 
 pub use coalesce::{CoalescedBatch, Coalescer, RejectReason};
-pub use delta::{Patch, ShardDelta, SnapshotDelta, SyncResponse, ThresholdRelabel};
+pub use delta::{Patch, ShardDelta, SnapshotDelta, SyncResponse};
 pub use engine::{ClusteringEngine, EngineError, FlushReport};
 pub use faults::{
     CheckpointWriteFault, FaultPlan, FaultSpecError, InjectedFault, WalWriteFault, WireFault,

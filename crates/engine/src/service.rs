@@ -170,7 +170,6 @@ impl ServiceShared {
                     return SyncResponse::Delta(Patch {
                         from_revision: since,
                         to_revision: revision,
-                        to_epochs: snapshot.epochs(),
                         deltas,
                     });
                 }
@@ -215,9 +214,6 @@ pub struct ClusterService {
     backpressure: Backpressure,
     /// The queue + published-view state shared with handles.
     shared: Arc<ServiceShared>,
-    /// Thresholds whose label changes each publish-step delta reports
-    /// ([`ServiceBuilder::track_thresholds`]).
-    tracked_thresholds: Vec<Weight>,
     /// The pipeline-wide telemetry registry (shared with every shard engine and the
     /// submission queue); a no-op unless enabled at build time.
     telemetry: Telemetry,

@@ -60,7 +60,6 @@ pub struct ServiceBuilder {
     backpressure: Backpressure,
     telemetry: Telemetry,
     delta_ring: usize,
-    tracked_thresholds: Vec<Weight>,
     faults: FaultPlan,
     durable_dir: Option<PathBuf>,
     fsync: FsyncPolicy,
@@ -80,7 +79,6 @@ impl Default for ServiceBuilder {
             backpressure: Backpressure::Block,
             telemetry: Telemetry::disabled(),
             delta_ring: 64,
-            tracked_thresholds: Vec::new(),
             faults: FaultPlan::disabled(),
             durable_dir: None,
             fsync: FsyncPolicy::default(),
@@ -198,24 +196,6 @@ impl ServiceBuilder {
         self
     }
 
-    /// Thresholds whose cluster labels each publish-step delta reports
-    /// ([`SnapshotDelta::relabels`]): subscribers watching these cuts learn exactly which
-    /// vertices moved without recomputing the clustering. Each tracked threshold costs one
-    /// merged-clustering evaluation per publish (cached on the published view, so readers at
-    /// the same threshold get it for free). Defaults to none; duplicates are dropped.
-    pub fn track_thresholds(mut self, thresholds: impl IntoIterator<Item = Weight>) -> Self {
-        for tau in thresholds {
-            if !self
-                .tracked_thresholds
-                .iter()
-                .any(|t| t.to_bits() == tau.to_bits())
-            {
-                self.tracked_thresholds.push(tau);
-            }
-        }
-        self
-    }
-
     /// Arms a deterministic [`FaultPlan`] on the built pipeline: the plan is threaded to
     /// every shard engine (`flush_panic` rules; `shard:<s>` indexes engines in shard order,
     /// so on a sharded service the spill shard is `shard:<num_shards>`) and to the
@@ -328,7 +308,6 @@ impl ServiceBuilder {
                 deltas: Mutex::new(DeltaRing::new(self.delta_ring)),
                 serve: ServeCounters::default(),
             }),
-            tracked_thresholds: self.tracked_thresholds,
             telemetry,
             vertices: n,
             options: self.options,

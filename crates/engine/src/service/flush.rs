@@ -93,7 +93,7 @@ impl ClusterService {
         let new = self.merged_view(old.revision() + 1);
         if self.shared.deltas_enabled() {
             let started = Instant::now();
-            let delta = SnapshotDelta::between(&old, &new, &self.tracked_thresholds);
+            let delta = SnapshotDelta::between(&old, &new);
             self.shared.push_delta(Arc::new(delta));
             if self.telemetry.is_enabled() {
                 self.telemetry

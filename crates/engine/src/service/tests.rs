@@ -226,39 +226,6 @@ fn sync_from_falls_back_to_full_when_ring_ages_out() {
 }
 
 #[test]
-fn tracked_thresholds_report_label_changes_in_deltas() {
-    let service = ServiceBuilder::new()
-        .vertices(8)
-        .shards(2)
-        .partitioner(BlockPartitioner { block_size: 4 })
-        .track_thresholds([2.5])
-        .build()
-        .unwrap();
-    let ingest = service.ingest_handle();
-    let read = service.read_handle();
-    let mut driver = FlusherDriver::new(service);
-    ingest.submit(ins(0, 1, 1.0)).unwrap();
-    ingest.submit(ins(1, 4, 2.0)).unwrap(); // cross-shard: lands on the spill shard
-    driver.pump().unwrap();
-    driver.flush().unwrap();
-    let SyncResponse::Delta(patch) = read.sync_from(Some(0)) else {
-        panic!("expected a delta");
-    };
-    let relabels = &patch.deltas[0].relabels;
-    assert_eq!(relabels.len(), 1);
-    assert_eq!(relabels[0].tau, 2.5);
-    // {0,1,4} merged below 2.5: vertices 1 and 4 joined vertex 0's cluster, and every
-    // later vertex's canonical label shifted down — exactly what the published view says.
-    let now = read.snapshot();
-    let fc = now.flat_clustering(2.5);
-    for &(v, label) in &relabels[0].changed {
-        assert_eq!(fc.labels[v.index()], label);
-    }
-    assert_eq!(relabels[0].num_clusters, fc.num_clusters());
-    assert!(!relabels[0].changed.is_empty());
-}
-
-#[test]
 fn builder_validates_every_config_arm() {
     // Valid baseline.
     assert!(ServiceBuilder::new().vertices(4).build().is_ok());

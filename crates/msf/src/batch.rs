@@ -26,8 +26,8 @@
 //!   it labels the unmerge with those pieces and the dendrogram update asks no connectivity
 //!   query; the HDT backend leaves the labels to representative queries. The promoted edges
 //!   then enter through [`DynSld::batch_insert`], because by construction they link distinct
-//!   components and form an incidence forest. That search is the one
-//!   [`DynamicGraphClustering::delete_edge`] runs too, on a batch of one.
+//!   components and form an incidence forest. [`DynamicGraphClustering::delete_edge`] is
+//!   this path on a batch of one.
 //!
 //! Both entry points validate the whole batch before mutating anything, process edges in rank
 //! order (`(weight, endpoint pair)` — fully deterministic), and report per-edge [`MsfChange`]s

@@ -34,11 +34,10 @@
 //!   plus an `O(d)` shift of the list's tail (`d` the endpoint's reserve degree), and finding
 //!   a non-tree edge by its endpoints scans the shorter endpoint list, `O(min degree)`.
 //!   [`DynamicGraphClustering::edge_weight`] pays that for every pair that is not a tree edge,
-//!   and so does the engine's liveness check on every submitted event. Per-edge and
-//!   batch deletion share this one search; a per-edge deletion is a batch of one. A deletion
-//!   batch runs the search before the dendrogram's unmerge
-//!   ([`DynSld::batch_delete_labelled`]), and the pieces it enumerated label that unmerge, so
-//!   the batch asks no connectivity query of the Euler-tour forest.
+//!   and so does the engine's liveness check on every submitted event. A per-edge deletion
+//!   is a deletion batch of one. A deletion batch runs the search before the dendrogram's
+//!   unmerge ([`DynSld::batch_delete_labelled`]), and the pieces it enumerated label that
+//!   unmerge, so the batch asks no connectivity query of the Euler-tour forest.
 //! * [`ForestBackend::Hdt`] keeps an HDT-style level structure (see the `hdt` module):
 //!   edges carry levels, replacement search amortizes candidate examinations over level
 //!   promotions, and only the candidates stored at the levels a cut touches are examined.
@@ -599,28 +598,12 @@ impl DynamicGraphClustering {
         }
     }
 
-    /// Deletes the graph edge `{u, v}` and updates the MSF and dendrogram.
+    /// Deletes the graph edge `{u, v}` and updates the MSF and dendrogram: the batch of one
+    /// ([`batch_delete_edges`](Self::batch_delete_edges)), so on the scan backend a tree
+    /// deletion's unmerge is labelled by its own replacement search and asks no query.
     pub fn delete_edge(&mut self, u: VertexId, v: VertexId) -> Result<MsfChange, DynSldError> {
-        if !self.is_tree_edge(u, v) {
-            let weight = self
-                .nontree_weight(u, v)
-                .ok_or(DynSldError::EdgeNotFound(u, v))?;
-            self.index_remove_nontree(u, v, weight);
-            return Ok(MsfChange::RemovedNonTree);
-        }
-        self.sld.delete(u, v)?;
-        let (promoted, mut changes) = batch::find_replacements(
-            &self.sld,
-            &mut self.index,
-            &mut self.pieces,
-            &mut self.counters,
-            &[(u, v)],
-        );
-        if let Some(&(a, b, w)) = promoted.first() {
-            self.sld.insert(a, b, w)?;
-            self.mark_promoted(&promoted);
-        }
-        Ok(changes.pop().expect("one change per deleted tree edge"))
+        let mut outcome = self.batch_delete_edges(&[(u, v)])?;
+        Ok(outcome.changes.pop().expect("one change per deleted edge"))
     }
 
     /// Changes the weight of an existing edge (delete + re-insert). A non-finite weight is
@@ -1081,6 +1064,21 @@ mod tests {
             scan.sld().dendrogram().canonical_parents(),
             hdt.sld().dendrogram().canonical_parents()
         );
+    }
+
+    #[test]
+    fn a_splitting_tree_deletion_asks_no_tree_query() {
+        // A path: deleting an inner edge splits its tree, with no reserve edge to promote.
+        let mut g = DynamicGraphClustering::with_options(8, backend_options(ForestBackend::Scan));
+        for i in 0..7 {
+            g.insert_edge(v(i), v(i + 1), f64::from(i + 1)).unwrap();
+        }
+        assert_eq!(
+            g.delete_edge(v(3), v(4)).unwrap(),
+            MsfChange::RemovedAndSplit
+        );
+        assert_eq!(g.sld().stats().last_tree_queries, 0);
+        assert_eq!(g.sld().component_size(v(0)), 4);
     }
 
     #[test]

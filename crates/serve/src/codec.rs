@@ -8,7 +8,7 @@
 use crate::json::{parse, Value};
 use crate::Mirror;
 use dynsld::{DendrogramSnapshot, RankedNodes, SnapshotNode};
-use dynsld_engine::{Patch, ServiceSnapshot, ShardDelta, SnapshotDelta, ThresholdRelabel};
+use dynsld_engine::{Patch, ServiceSnapshot, ShardDelta, SnapshotDelta};
 use dynsld_forest::{EdgeId, VertexId};
 use std::sync::Arc;
 
@@ -134,28 +134,6 @@ fn shard_delta_value(shard: &ShardDelta) -> Value {
     ])
 }
 
-fn relabel_value(relabel: &ThresholdRelabel) -> Value {
-    Value::Obj(vec![
-        ("tau".into(), Value::Float(relabel.tau)),
-        (
-            "num_clusters".into(),
-            Value::Int(relabel.num_clusters as i64),
-        ),
-        (
-            "changed".into(),
-            Value::Arr(
-                relabel
-                    .changed
-                    .iter()
-                    .map(|&(v, label)| {
-                        Value::Arr(vec![Value::Int(i64::from(v.0)), Value::Int(label as i64)])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
 fn delta_value(delta: &SnapshotDelta) -> Value {
     Value::Obj(vec![
         (
@@ -163,15 +141,9 @@ fn delta_value(delta: &SnapshotDelta) -> Value {
             Value::Int(delta.from_revision as i64),
         ),
         ("to_revision".into(), Value::Int(delta.to_revision as i64)),
-        ("from_epochs".into(), epochs_value(&delta.from_epochs)),
-        ("to_epochs".into(), epochs_value(&delta.to_epochs)),
         (
             "shards".into(),
             Value::Arr(delta.shards.iter().map(shard_delta_value).collect()),
-        ),
-        (
-            "relabels".into(),
-            Value::Arr(delta.relabels.iter().map(relabel_value).collect()),
         ),
     ])
 }
@@ -185,7 +157,6 @@ pub fn encode_patch(patch: &Patch) -> String {
             Value::Int(patch.from_revision as i64),
         ),
         ("to_revision".into(), Value::Int(patch.to_revision as i64)),
-        ("to_epochs".into(), epochs_value(&patch.to_epochs)),
         (
             "deltas".into(),
             Value::Arr(patch.deltas.iter().map(|d| delta_value(d)).collect()),
@@ -268,45 +239,13 @@ fn decode_shard_delta(value: &Value) -> Result<ShardDelta, CodecError> {
     })
 }
 
-fn decode_relabel(value: &Value) -> Result<ThresholdRelabel, CodecError> {
-    Ok(ThresholdRelabel {
-        tau: value
-            .get("tau")
-            .and_then(Value::as_f64)
-            .ok_or_else(|| bad("missing or invalid field \"tau\""))?,
-        num_clusters: get_usize(value, "num_clusters")?,
-        changed: get_arr(value, "changed")?
-            .iter()
-            .map(|pair| {
-                let pair = pair
-                    .as_arr()
-                    .filter(|p| p.len() == 2)
-                    .ok_or_else(|| bad("a relabel entry must be a pair"))?;
-                Ok((
-                    VertexId(decode_id(&pair[0])?),
-                    pair[1]
-                        .as_int()
-                        .and_then(|n| usize::try_from(n).ok())
-                        .ok_or_else(|| bad("bad label"))?,
-                ))
-            })
-            .collect::<Result<_, CodecError>>()?,
-    })
-}
-
 fn decode_delta(value: &Value) -> Result<SnapshotDelta, CodecError> {
     Ok(SnapshotDelta {
         from_revision: get_u64(value, "from_revision")?,
         to_revision: get_u64(value, "to_revision")?,
-        from_epochs: decode_epochs(value, "from_epochs")?,
-        to_epochs: decode_epochs(value, "to_epochs")?,
         shards: get_arr(value, "shards")?
             .iter()
             .map(decode_shard_delta)
-            .collect::<Result<_, _>>()?,
-        relabels: get_arr(value, "relabels")?
-            .iter()
-            .map(decode_relabel)
             .collect::<Result<_, _>>()?,
     })
 }
@@ -347,7 +286,6 @@ pub fn decode_message(text: &str) -> Result<WireMessage, CodecError> {
         "delta" => Ok(WireMessage::Delta(Patch {
             from_revision: get_u64(&value, "from_revision")?,
             to_revision: get_u64(&value, "to_revision")?,
-            to_epochs: decode_epochs(&value, "to_epochs")?,
             deltas: get_arr(&value, "deltas")?
                 .iter()
                 .map(|d| decode_delta(d).map(Arc::new))
@@ -388,12 +326,9 @@ mod tests {
         let patch = Patch {
             from_revision: 2,
             to_revision: 3,
-            to_epochs: vec![4, 1],
             deltas: vec![Arc::new(SnapshotDelta {
                 from_revision: 2,
                 to_revision: 3,
-                from_epochs: vec![3, 1],
-                to_epochs: vec![4, 1],
                 shards: vec![
                     ShardDelta {
                         epoch: 4,
@@ -412,20 +347,16 @@ mod tests {
                         removed: vec![],
                     },
                 ],
-                relabels: vec![ThresholdRelabel {
-                    tau: 2.5,
-                    num_clusters: 3,
-                    changed: vec![(VertexId(1), 0), (VertexId(4), 2)],
-                }],
             })],
         };
         let text = encode_patch(&patch);
+        // A step carries each shard's epoch once, in its shard delta, and nothing else.
+        assert_eq!(text.matches("\"epoch").count(), 2, "{text}");
         let WireMessage::Delta(decoded) = decode_message(&text).unwrap() else {
             panic!("expected Delta");
         };
         assert_eq!(decoded.from_revision, patch.from_revision);
         assert_eq!(decoded.to_revision, patch.to_revision);
-        assert_eq!(decoded.to_epochs, patch.to_epochs);
         assert_eq!(decoded.deltas.len(), 1);
         assert_eq!(*decoded.deltas[0], *patch.deltas[0]);
     }

@@ -11,15 +11,18 @@
 //! | `GET /v1/snapshot`    | `{"kind":"snapshot",...}` — the full published view          |
 //! | `GET /v1/delta?since=R` | `{"kind":"delta",...}` when `R` is still in the delta ring, else the full snapshot (`X-Sync` header says which) |
 //!
-//! **Cache validators.** Every reply carries `ETag: "<epochs joined by .>"` — the epoch
-//! vector is the identity of a published view — plus an `X-Revision` header. A request
-//! whose `If-None-Match` matches the published ETag gets a `304 Not Modified` with no body,
-//! so a caught-up subscriber polling costs a handful of header bytes.
+//! **Cache validators.** Every reply carries `ETag: "<revision>.<epochs joined by .>"` — the
+//! revision and epoch vector are the identity of a published view — plus an `X-Revision`
+//! header. Both name the view the body encodes: a snapshot's own revision and shard epochs,
+//! a patch's `to_revision` and its last step's shard epochs (the one place a delta carries
+//! an epoch). A request whose `If-None-Match` matches the published ETag gets a
+//! `304 Not Modified` with no body, so a caught-up subscriber polling costs a handful of
+//! header bytes.
 
 use crate::codec::{decode_message, encode_head, encode_patch, encode_snapshot, WireMessage};
 use crate::mirror::{Mirror, MirrorError};
 use crate::{Received, SyncOutcome, SyncReport};
-use dynsld_engine::{FaultPlan, ReadHandle, SyncResponse, WireFault};
+use dynsld_engine::{FaultPlan, ReadHandle, ServiceSnapshot, SyncResponse, WireFault};
 use dynsld_telemetry::Telemetry;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -421,27 +424,35 @@ fn route(request: &Request, read: &ReadHandle) -> Reply {
         _ => return Reply::plain("404 Not Found"),
     }
     let snapshot = read.snapshot();
-    let revision = snapshot.revision();
-    let etag = etag_of(revision, &snapshot.epochs());
+    let etag = etag_of(snapshot.revision(), &snapshot.epochs());
     // Cache validator: a matching ETag answers any endpoint with a no-body 304.
     if request.if_none_match.as_deref() == Some(etag.as_str()) {
         return Reply {
             status: "304 Not Modified",
             etag: Some(etag),
-            revision: Some(revision),
+            revision: Some(snapshot.revision()),
             sync_mode: None,
             body: Vec::new(),
         };
     }
-    let (sync_mode, body) = match request.path.as_str() {
-        "/v1/head" => (None, encode_head(revision, &snapshot.epochs())),
+    // The headers name the view the body encodes: a publish may land between the validator
+    // check above and the `sync_from` below.
+    let full = |view: ServiceSnapshot| {
+        let body = encode_snapshot(&view);
+        (Some("full"), view.revision(), view.epochs(), body)
+    };
+    let (sync_mode, revision, epochs, body) = match request.path.as_str() {
+        "/v1/head" => {
+            let body = encode_head(snapshot.revision(), &snapshot.epochs());
+            (None, snapshot.revision(), snapshot.epochs(), body)
+        }
         "/v1/snapshot" => {
             // Through sync_from (not `snapshot` directly) so the pull counts toward the
             // service's `snapshots_served` metric like every other full reply.
-            let SyncResponse::Full(full) = read.sync_from(None) else {
+            let SyncResponse::Full(view) = read.sync_from(None) else {
                 unreachable!("a sync without a base revision is always a full snapshot");
             };
-            (Some("full"), encode_snapshot(&full))
+            full(view)
         }
         "/v1/delta" => {
             let since = request
@@ -465,16 +476,21 @@ fn route(request: &Request, read: &ReadHandle) -> Reply {
                     let body = encode_patch(&patch);
                     // Delta bytes count toward the service's `delta_bytes_out` metric.
                     read.record_served_bytes(body.len() as u64);
-                    (Some("delta"), body)
+                    let last = patch
+                        .deltas
+                        .last()
+                        .expect("a patch holds at least one step");
+                    let epochs = last.shards.iter().map(|shard| shard.epoch).collect();
+                    (Some("delta"), patch.to_revision, epochs, body)
                 }
-                SyncResponse::Full(full) => (Some("full"), encode_snapshot(&full)),
+                SyncResponse::Full(view) => full(view),
             }
         }
         _ => unreachable!("path matched above"),
     };
     Reply {
         status: "200 OK",
-        etag: Some(etag),
+        etag: Some(etag_of(revision, &epochs)),
         revision: Some(revision),
         sync_mode,
         body: body.into_bytes(),
@@ -912,6 +928,70 @@ mod tests {
             fetch(server.local_addr(), "/nope", None, &WireConfig::default()).map(|r| r.status),
             Ok(404)
         ));
+        server.shutdown();
+    }
+
+    #[test]
+    fn reply_headers_name_the_view_the_body_encodes() {
+        let service = ServiceBuilder::new()
+            .vertices(8)
+            .shards(2)
+            .delta_ring(4)
+            .build()
+            .unwrap();
+        let ingest = service.ingest_handle();
+        let read = service.read_handle();
+        let server = DeltaServer::bind("127.0.0.1:0", read, Telemetry::disabled()).expect("bind");
+        let mut driver = service.into_driver();
+        let stop = Arc::new(AtomicBool::new(false));
+        let flusher = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                // One edge in and out, one publish per event.
+                let (u, v) = (VertexId(0), VertexId(5));
+                for i in 0u32.. {
+                    if stop.load(Ordering::Acquire) {
+                        break;
+                    }
+                    let update = if i % 2 == 0 {
+                        GraphUpdate::Insert { u, v, weight: 1.0 }
+                    } else {
+                        GraphUpdate::Delete { u, v }
+                    };
+                    ingest.submit(update).unwrap();
+                    driver.pump().unwrap();
+                    driver.flush().unwrap();
+                }
+            })
+        };
+        let config = WireConfig::default();
+        let mut since = 0;
+        for round in 0..200 {
+            let path = if round % 2 == 0 {
+                format!("/v1/delta?since={since}")
+            } else {
+                "/v1/snapshot".to_string()
+            };
+            let response = fetch(server.local_addr(), &path, None, &config).unwrap();
+            if response.status == 304 {
+                continue;
+            }
+            let body = std::str::from_utf8(&response.body).unwrap();
+            let (revision, epochs) = match decode_message(body).unwrap() {
+                WireMessage::Snapshot(mirror) => (mirror.revision(), mirror.epochs()),
+                WireMessage::Delta(patch) => {
+                    let last = patch.deltas.last().unwrap();
+                    let epochs = last.shards.iter().map(|shard| shard.epoch).collect();
+                    (patch.to_revision, epochs)
+                }
+                other => panic!("expected a view or a patch, got {other:?}"),
+            };
+            assert_eq!(response.revision, Some(revision), "{path}");
+            assert_eq!(response.etag, Some(etag_of(revision, &epochs)), "{path}");
+            since = revision;
+        }
+        stop.store(true, Ordering::Release);
+        flusher.join().unwrap();
         server.shutdown();
     }
 

@@ -73,7 +73,6 @@ fn restart_smoke() {
             .shards(2)
             .flush_policy(FlushPolicy::EveryNOps(64))
             .delta_ring(64)
-            .track_thresholds([TAU])
             .durable(&dir)
             .build()
             .expect("valid configuration")
@@ -158,7 +157,6 @@ fn main() {
         .stateful_partitioner(GreedyPartitioner::default())
         .flush_policy(FlushPolicy::EveryNOps(256))
         .delta_ring(64)
-        .track_thresholds([TAU])
         .telemetry(telemetry.clone())
         .build()
         .expect("valid configuration");
