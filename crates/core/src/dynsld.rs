@@ -465,6 +465,20 @@ impl DynSld {
         v: VertexId,
         weight: Weight,
     ) -> (EdgeId, Option<EdgeId>, Option<EdgeId>) {
+        let registered = self.register_edge(u, v, weight);
+        self.dendro.add_node(registered.0);
+        registered
+    }
+
+    /// [`register_insert`](Self::register_insert) without the dendrogram node, for a batch
+    /// deletion whose promotions may take the ids of its deleted edges while their nodes
+    /// are still in the dendrogram.
+    pub(crate) fn register_edge(
+        &mut self,
+        u: VertexId,
+        v: VertexId,
+        weight: Weight,
+    ) -> (EdgeId, Option<EdgeId>, Option<EdgeId>) {
         self.version += 1;
         let e = self.forest.insert_edge(u, v, weight);
         self.export.touch(e);
@@ -475,7 +489,6 @@ impl DynSld {
             let lowest = e_star.filter(|&s| self.forest.rank_lt(s, e)).unwrap_or(e);
             self.export.touch_lowest(x, Some(lowest));
         }
-        self.dendro.add_node(e);
         if let Some(spine) = &mut self.spine {
             spine.ensure_node(e, RankKey::new(weight, e));
         }
@@ -509,7 +522,13 @@ impl DynSld {
         self.input_lct.cut_edge(en, un);
         self.input_lct.cut_edge(en, vn);
         self.forest.delete_edge(e);
-        Cut { e, rank, u, e_star }
+        Cut {
+            e,
+            rank,
+            u,
+            v,
+            e_star,
+        }
     }
 
     fn ensure_input_edge_node(&mut self, e: EdgeId, key: RankKey) -> LctNodeId {

@@ -70,6 +70,7 @@ pub mod sides;
 pub mod snapshot;
 pub mod static_sld;
 
+pub use batch::{Labelling, Promotion};
 pub use cartesian::CartesianTree;
 pub use dendrogram::Dendrogram;
 pub use dynsld::{DynSld, DynSldError, DynSldOptions, ForestBackend, UpdateStats, UpdateStrategy};

@@ -23,6 +23,29 @@
 //!   representative round, or — in the graph layer, whose replacement search runs before the
 //!   unmerge and has already enumerated the pieces the cuts left — from that search's pieces,
 //!   in which case no treap query is asked at all.
+//! * **`k` cuts and their promotions** (the graph layer's deletion batch). The replacement
+//!   edges the search accepted join pieces again, and the same pass places them. They form a
+//!   small *piece dendrogram* `P`: one leaf per piece, one node per promotion, built by
+//!   Kruskal in rank order. A promotion outweighs every edge on its old tree path (cycle
+//!   property), so every new cluster lies inside an old one and a node's new spine is its old
+//!   spine, filtered, plus promotion nodes. Each promotion is placed on the old dendrogram
+//!   edge above the highest old ancestor of a cut on its path that ranks below it (one
+//!   rank-ordered walk with path compression over those ancestors, all union nodes). An alive
+//!   union node `y` is tagged with `anc(y)`, the highest node of `P` on its piece's path that
+//!   ranks below `y`, and a promotion with its own node. A node's new parent is then its
+//!   nearest ancestor in that augmented tree whose tag is an ancestor-or-self in `P` of its
+//!   own: the pass keeps `nearest` per tag and, on a miss, reads the tags of `P` above.
+//!   Nothing above a promotion's rank is unzipped, so nothing is zipped again. When the
+//!   promotions join every piece of a split tree again (no cut leaves its class in `P`), the
+//!   clusters above its highest promotion are the old ones, so a walk stops at its first node
+//!   ranking above it: that node keeps its parent, and the spine above it is not labelled at
+//!   all. The argument needs every alive edge on a promotion's old path to rank strictly
+//!   below it; a tied weight could reverse that under the id tie-break. So the tags are
+//!   given while the union is labelled, before the promotions are registered (their weights
+//!   alone order `P`), and a batch in which some alive union node weighs exactly what a
+//!   promotion weighs, or two promotions weigh the same, is unmerged first and gets its
+//!   promotions through the spine merges of [`DynSld::batch_insert`] (the results are the
+//!   same).
 //!
 //! [`UpdateStats::last_tree_queries`](crate::UpdateStats) counts one query per spine node whose
 //! side was decided by its representative (the lookups of the cut endpoints they are compared
@@ -31,12 +54,20 @@
 use crate::dendrogram::Dendrogram;
 use crate::dynsld::DynSld;
 use dynsld_dyntree::RoundTable;
-use dynsld_forest::{EdgeId, Forest, RankKey, VertexId};
+use dynsld_forest::{Dsu, EdgeId, Forest, RankKey, VertexId, Weight};
+use std::cmp::Ordering;
 
 /// Label of a union node whose own edge was deleted by the batch: it stays on no side and
-/// becomes nobody's parent. Equal to no component representative (`u32::MAX` is the Euler-tour
-/// treap's null index) and to no piece id.
-const DEAD: u32 = u32::MAX;
+/// becomes nobody's parent. Equal to no component representative (treap indices are far
+/// below it) and to no piece id.
+const DEAD: u32 = u32::MAX >> 1;
+
+/// Set on the label of an old node that promotions are placed over (labels stay below it).
+const CHAIN: u32 = 1 << 31;
+
+/// No node: ends a child list, and stands for an empty slot of a per-tag table or a root's
+/// parent in `P`.
+const NONE: u32 = u32::MAX;
 
 /// A tree edge that [`DynSld::register_delete`] has removed from the input forest and the
 /// connectivity structures, and whose dendrogram node is still to be unmerged.
@@ -47,6 +78,8 @@ pub(crate) struct Cut {
     pub(crate) rank: RankKey,
     /// The endpoint whose side [`DynSld::cut_sides`] classifies the ancestors of `e` against.
     pub(crate) u: VertexId,
+    /// The other endpoint.
+    pub(crate) v: VertexId,
     /// The characteristic edges `e*_u` and `e*_v`: the minimum-rank remaining edge at each
     /// endpoint, if any.
     pub(crate) e_star: [Option<EdgeId>; 2],
@@ -67,20 +100,42 @@ pub(crate) struct SideScratch {
 /// The labelled union of a batch deletion's spines and the plan of its unmerge.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct UnionScratch {
-    /// Edge id -> label of the union nodes (the cuts' ids while a batch is validated).
-    pub(crate) labels: RoundTable,
+    /// Edge id -> index in the batch of the cuts (written while the batch is validated).
+    pub(crate) cut_index: RoundTable,
+    /// Edge id -> label of the union nodes.
+    labels: RoundTable,
     /// The union nodes without a parent, one per dendrogram tree the batch cuts.
     roots: Vec<EdgeId>,
+    /// The union nodes where a walk stopped because they rank above every promotion of a
+    /// split tree that the promotions join again: nothing at or above them changes, so they
+    /// keep their parents.
+    kept: Vec<EdgeId>,
     /// Edge id -> the union child of the node linked last under it by the labelling walks (as
     /// a raw edge id), the head of its list of union children.
     first_child: RoundTable,
-    /// Edge id of a union node -> the next union child of its parent (`DEAD` ends the list).
+    /// Edge id of a union node -> the next union child of its parent (`NONE` ends the list).
     /// Written when the node is labelled, so read only for union nodes.
     next_sibling: Vec<u32>,
     /// Every label given in this batch, other than [`DEAD`], is below this.
     label_bound: usize,
-    /// Label -> the nearest node carrying it on the root path the plan is at (as a raw edge
-    /// id; [`DEAD`] for none).
+    /// The piece dendrogram of the batch's promotions (its leaves alone without any).
+    pub(crate) pieces: PieceDendrogram,
+    /// Piece -> the tag [`label`](Self::label) gave a node of it last.
+    tag_of: Vec<u32>,
+    /// Per promotion, in rank order: its edge id and the step below it in the augmented
+    /// tree (a lower promotion on the same old dendrogram edge, or the old node the edge
+    /// leaves; `None` above a cut outside the union, which has nothing below it).
+    promotions: Vec<(EdgeId, Option<Step>)>,
+    /// Old node -> the highest promotion placed on the edge to its old parent (by rank-order
+    /// index).
+    chain_top: RoundTable,
+    /// Old node -> an old ancestor that ranks below the promotion placed last, so the next
+    /// placement starts there (path compression for [`place`](Self::place)).
+    jump: RoundTable,
+    /// The nodes a placement walked, to point them at its result.
+    trail: Vec<EdgeId>,
+    /// Tag -> the nearest node carrying it on the root path the plan is at (as a raw edge
+    /// id; [`NONE`] for none). Without promotions a tag is a label.
     nearest: RoundTable,
     /// The plan's depth-first stack.
     stack: Vec<Step>,
@@ -91,10 +146,115 @@ pub(crate) struct UnionScratch {
 /// One step of the plan's depth-first pass over the union.
 #[derive(Copy, Clone, Debug)]
 enum Step {
-    /// Visit a union node, then its union children.
+    /// Enter a union node from above: through the promotions placed over it, if any, else
+    /// as [`Visit`](Self::Visit).
     Enter(EdgeId),
-    /// Leave a subtree whose root carried `label`: `label`'s nearest node reverts to `saved`.
-    Exit { label: u32, saved: u32 },
+    /// Visit a union node, then enter its union children.
+    Visit(EdgeId),
+    /// Visit a union node that keeps its parent, then enter its union children.
+    Keep(EdgeId),
+    /// Visit the promotion with this rank-order index, then the step below it.
+    Promote(u32),
+    /// Leave a subtree whose root carried `tag`: `tag`'s nearest node reverts to `saved`.
+    Exit { tag: u32, saved: u32 },
+}
+
+/// The piece dendrogram `P` of a promoting batch deletion: nodes `0..leaves` are the pieces
+/// (by label), node `leaves + j` is the `j`-th promotion in rank order, and each promotion
+/// joins the two classes of pieces its endpoints' pieces were in.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct PieceDendrogram {
+    leaves: usize,
+    /// Per node, its parent ([`NONE`] for a root).
+    parent: Vec<u32>,
+    /// Per promotion node (from `leaves` on), its rank.
+    rank: Vec<RankKey>,
+    /// Per node, whether it is a root whose class holds every piece of its split tree.
+    rejoined: Vec<bool>,
+}
+
+impl PieceDendrogram {
+    /// `P` over `leaves` pieces and no promotion (`O(1)`: representative labels are large).
+    fn reset(&mut self, leaves: usize) {
+        self.leaves = leaves;
+        self.parent.clear();
+        self.rank.clear();
+        self.rejoined.clear();
+    }
+
+    /// Builds `P` over `leaves` pieces by Kruskal over `promotions`, given in rank order as
+    /// the pieces each joins. They must form a forest over the pieces. `cuts` are the pieces
+    /// each cut separates: a class is a whole split tree iff no cut leaves it.
+    pub(crate) fn build(
+        &mut self,
+        leaves: usize,
+        promotions: impl Iterator<Item = ([u32; 2], RankKey)>,
+        cuts: &[[u32; 2]],
+    ) {
+        self.reset(leaves);
+        self.parent.resize(leaves, NONE);
+        let mut classes = Dsu::new(leaves);
+        // The class of each union-find root, as a node of `P`.
+        let mut top: Vec<u32> = (0..leaves as u32).collect();
+        for (pieces, rank) in promotions {
+            let node = self.parent.len() as u32;
+            let [a, b] = pieces.map(|p| classes.find(VertexId(p)));
+            assert!(
+                classes.union(a, b),
+                "promotions form a forest over the pieces"
+            );
+            self.parent[top[a.index()] as usize] = node;
+            self.parent[top[b.index()] as usize] = node;
+            top[classes.find(a).index()] = node;
+            self.parent.push(NONE);
+            self.rank.push(rank);
+        }
+        // Each node's root: a parent's index is above its children's.
+        let mut root = vec![NONE; self.parent.len()];
+        for x in (0..root.len()).rev() {
+            root[x] = self.parent(x as u32).map_or(x as u32, |p| root[p as usize]);
+        }
+        self.rejoined = (0..root.len()).map(|x| root[x] == x as u32).collect();
+        for &[a, b] in cuts {
+            let (ra, rb) = (root[a as usize], root[b as usize]);
+            if ra != rb {
+                self.rejoined[ra as usize] = false;
+                self.rejoined[rb as usize] = false;
+            }
+        }
+    }
+
+    /// Number of nodes.
+    fn len(&self) -> usize {
+        self.leaves + self.rank.len()
+    }
+
+    /// The parent of node `x`, if any.
+    fn parent(&self, x: u32) -> Option<u32> {
+        self.parent.get(x as usize).copied().filter(|&p| p != NONE)
+    }
+
+    /// `anc`: the highest node on the path from node `x` that ranks below `rank` — from the
+    /// leaf of a piece, the class of that piece just below that rank.
+    fn climb(&self, mut x: u32, rank: RankKey) -> u32 {
+        while let Some(p) = self
+            .parent(x)
+            .filter(|&p| self.rank[p as usize - self.leaves] < rank)
+        {
+            x = p;
+        }
+        x
+    }
+
+    /// Whether node `x` is a root whose class holds every piece of its split tree.
+    fn rejoined(&self, x: u32) -> bool {
+        self.rejoined.get(x as usize).copied().unwrap_or(false)
+    }
+
+    /// Whether node `x` is a promotion that ranks below `rank`.
+    fn below(&self, x: u32, rank: RankKey) -> bool {
+        (x as usize) >= self.leaves && self.rank[x as usize - self.leaves] < rank
+    }
 }
 
 impl UnionScratch {
@@ -105,93 +265,240 @@ impl UnionScratch {
     /// they are connected after the batch. Each labelled node is also linked under its
     /// dendrogram parent (the node its walk reaches next), so the plan walks the union
     /// through these links alone. Returns the number of nodes labelled.
+    ///
+    /// With `promoted` (the weights of the promotions, sorted by `total_cmp`) the piece
+    /// dendrogram is already built, and each alive node is labelled with its tag there
+    /// instead, `anc(y)`: the class of its piece just below its rank. A walk stops at a node
+    /// whose tag is a whole split tree joined again, which keeps its parent. Returns whether
+    /// some alive node weighs exactly what a promotion weighs (one lookup per labelled node).
     pub(crate) fn label(
         &mut self,
         forest: &Forest,
         dendro: &Dendrogram,
         cuts: &[Cut],
         mut label: impl FnMut(usize, VertexId) -> u32,
-    ) -> usize {
+        promoted: &[Weight],
+    ) -> (usize, bool) {
         self.labels.begin_round(forest.edge_id_bound());
         self.first_child.begin_round(forest.edge_id_bound());
         if self.next_sibling.len() < forest.edge_id_bound() {
-            self.next_sibling.resize(forest.edge_id_bound(), DEAD);
+            self.next_sibling.resize(forest.edge_id_bound(), NONE);
         }
+        self.chain_top.begin_round(forest.edge_id_bound());
+        self.jump.begin_round(forest.edge_id_bound());
         self.roots.clear();
+        self.kept.clear();
+        self.promotions.clear();
         self.label_bound = 0;
-        let mut nodes = 0;
+        let (mut nodes, mut tied) = (0, false);
+        // Per piece, the tag given last: a walk climbs, so the next tag of the same piece is
+        // at or above it in `P` unless it ranks too high (a new walk starts lower).
+        let leaves = if promoted.is_empty() {
+            0
+        } else {
+            self.pieces.leaves
+        };
+        self.tag_of.clear();
+        self.tag_of.extend(0..leaves as u32);
         for (c, cut) in cuts.iter().enumerate() {
             for start in cut.e_star.into_iter().flatten() {
-                // Everything above an already labelled node was labelled by the same walk.
+                // Everything above an already labelled node was labelled by the same walk, or
+                // lies above a node that keeps its parent.
                 let mut cur = Some(start);
                 while let Some(f) = cur.filter(|&f| self.labels.get(f.index()).is_none()) {
-                    let l = if forest.contains_edge(f) {
-                        let l = label(c, forest.endpoints(f).0);
-                        assert_ne!(l, DEAD, "component labels are below u32::MAX");
+                    let (l, keep) = if forest.contains_edge(f) {
+                        let edge = forest.edge(f);
+                        let l = label(c, edge.u);
+                        assert!(l < DEAD, "component labels are below u32::MAX / 2");
                         self.label_bound = self.label_bound.max(l as usize + 1);
-                        l
+                        if promoted.is_empty() {
+                            (l, false)
+                        } else {
+                            let (w, rank) = (edge.weight, RankKey::new(edge.weight, f));
+                            tied |= promoted.binary_search_by(|x| x.total_cmp(&w)).is_ok();
+                            let last = self.tag_of[l as usize];
+                            let from = if self.pieces.below(last, rank) {
+                                last
+                            } else {
+                                l
+                            };
+                            let tag = self.pieces.climb(from, rank);
+                            self.tag_of[l as usize] = tag;
+                            (tag, self.pieces.rejoined(tag))
+                        }
                     } else {
-                        DEAD
+                        (DEAD, false)
                     };
                     self.labels.set(f.index(), l);
                     nodes += 1;
-                    cur = dendro.parent(f);
-                    match cur {
-                        Some(p) => {
-                            let head = self.first_child.get(p.index()).unwrap_or(DEAD);
-                            self.next_sibling[f.index()] = head;
-                            self.first_child.set(p.index(), f.0);
-                        }
-                        None => self.roots.push(f),
+                    if keep {
+                        // `f` ranks above every promotion of its tree, which they join
+                        // again: every cluster from here up is the old one.
+                        self.kept.push(f);
+                        break;
                     }
+                    cur = dendro.parent(f);
+                    self.link(f, cur);
                 }
             }
         }
-        nodes
+        if promoted.is_empty() {
+            self.pieces.reset(self.label_bound);
+        }
+        (nodes, tied)
+    }
+
+    /// Links `f` under `parent` in the union's child lists, or makes it a root of the union.
+    fn link(&mut self, f: EdgeId, parent: Option<EdgeId>) {
+        match parent {
+            Some(p) => {
+                let head = self.first_child.get(p.index()).unwrap_or(NONE);
+                self.next_sibling[f.index()] = head;
+                self.first_child.set(p.index(), f.0);
+            }
+            None => self.roots.push(f),
+        }
+    }
+
+    /// Places the next promotion in rank order — edge `id`, weighing `weight` — on the old
+    /// dendrogram: on the edge above `t`, the highest old ancestor-or-self of `anchor` (a cut
+    /// on the promotion's old tree path) that ranks below it. Every old ancestor of a cut up
+    /// to its tree's highest promotion is a union node. A cut of the same weight counts as
+    /// below (it is gone; every alive edge on the path is strictly lighter, or
+    /// [`label`](Self::label) reported a tie). Placements walk with path compression, which
+    /// is exact because their ranks only grow.
+    pub(crate) fn place(
+        &mut self,
+        forest: &Forest,
+        dendro: &Dendrogram,
+        cuts: &[Cut],
+        anchor: EdgeId,
+        id: EdgeId,
+        weight: Weight,
+    ) {
+        let below = |p: EdgeId| {
+            let w = match self.cut_index.get(p.index()) {
+                Some(c) => cuts[c as usize].rank.weight,
+                None => forest.weight(p),
+            };
+            w.total_cmp(&weight) != Ordering::Greater
+        };
+        let mut t = anchor;
+        let jumps = !self.promotions.is_empty();
+        loop {
+            if let Some(to) = self.jump.get(t.index()).filter(|_| jumps) {
+                self.trail.push(t);
+                t = EdgeId(to);
+                continue;
+            }
+            match dendro.parent(t) {
+                Some(p) if below(p) => {
+                    self.trail.push(t);
+                    t = p;
+                }
+                _ => break,
+            }
+        }
+        for x in self.trail.drain(..) {
+            self.jump.set(x.index(), t.0);
+        }
+        let step = match (self.chain_top.get(t.index()), self.labels.get(t.index())) {
+            (Some(j), _) => Some(Step::Promote(j)),
+            (None, Some(label)) => {
+                self.labels.set(t.index(), label | CHAIN);
+                Some(Step::Visit(t))
+            }
+            (None, None) => {
+                // A cut outside the union: its promotions hang below its old parent, a union
+                // node, or start a tree of their own.
+                debug_assert_eq!(t, anchor, "old ancestors of a cut are union nodes");
+                self.link(t, dendro.parent(t));
+                None
+            }
+        };
+        self.chain_top.set(t.index(), self.promotions.len() as u32);
+        self.promotions.push((id, step));
     }
 
     /// Plans the unmerge of the labelled union against the dendrogram it was labelled on: one
-    /// depth-first pass from the union's roots that gives every alive union node its nearest
-    /// ancestor with the same label as new parent, and records it in [`plan`](Self::plan) when
-    /// that differs from the current parent. Returns the number of nodes visited — the union,
-    /// each node once.
+    /// depth-first pass from the union's roots that gives every alive union node, and every
+    /// placed promotion, its nearest ancestor whose tag is an ancestor-or-self of its own in
+    /// `P` as new parent — without promotions, its nearest ancestor with the same label — and
+    /// records it in [`plan`](Self::plan) when that differs from the current parent. Parents
+    /// are planned before their children. Returns the number of nodes visited: the union and
+    /// the promotions, each once.
     pub(crate) fn plan(&mut self, dendro: &Dendrogram) -> usize {
-        self.nearest.begin_round(self.label_bound);
+        self.nearest.begin_round(self.pieces.len());
         self.plan.clear();
         let mut visits = 0;
         self.stack
             .extend(self.roots.iter().map(|&r| Step::Enter(r)));
+        self.stack.extend(self.kept.iter().map(|&r| Step::Keep(r)));
         while let Some(step) = self.stack.pop() {
-            let f = match step {
-                Step::Enter(f) => f,
-                Step::Exit { label, saved } => {
-                    self.nearest.set(label as usize, saved);
+            let step = match step {
+                Step::Exit { tag, saved } => {
+                    self.nearest.set(tag as usize, saved);
                     continue;
                 }
+                Step::Enter(f) => match self.labels.get(f.index()) {
+                    Some(label) if label & CHAIN == 0 => Step::Visit(f),
+                    // Promotions are placed over it; a cut outside the union is linked in
+                    // only for them.
+                    _ => Step::Promote(self.chain_top.get(f.index()).expect("placed promotions")),
+                },
+                step => step,
             };
             visits += 1;
-            let label = self
-                .labels
-                .get(f.index())
-                .expect("the plan visits union nodes");
-            if label != DEAD {
-                let saved = self.nearest.get(label as usize).unwrap_or(DEAD);
-                let parent = (saved != DEAD).then_some(EdgeId(saved));
-                if dendro.parent(f) != parent {
-                    self.plan.push((f, parent));
+            let (node, tag, below) = match step {
+                Step::Visit(f) | Step::Keep(f) => {
+                    let label = (self.labels.get(f.index())).expect("the plan visits union nodes");
+                    let tag = label & !CHAIN;
+                    if tag == DEAD {
+                        self.push_children(f);
+                        continue;
+                    }
+                    (f, tag, None)
                 }
-                self.stack.push(Step::Exit { label, saved });
-                self.nearest.set(label as usize, f.0);
+                Step::Promote(j) => {
+                    let (id, below) = self.promotions[j as usize];
+                    (id, (self.pieces.leaves + j as usize) as u32, below)
+                }
+                Step::Enter(_) | Step::Exit { .. } => unreachable!("resolved above"),
+            };
+            let parent = self.nearest_over(tag);
+            if !matches!(step, Step::Keep(_)) && dendro.parent(node) != parent {
+                self.plan.push((node, parent));
             }
-            // A union node's children outside the union keep it as their parent, and were
-            // never linked under it.
-            let mut child = self.first_child.get(f.index()).unwrap_or(DEAD);
-            while child != DEAD {
-                self.stack.push(Step::Enter(EdgeId(child)));
-                child = self.next_sibling[child as usize];
+            let saved = self.nearest.get(tag as usize).unwrap_or(NONE);
+            self.stack.push(Step::Exit { tag, saved });
+            self.nearest.set(tag as usize, node.0);
+            match step {
+                Step::Promote(_) => self.stack.extend(below),
+                _ => self.push_children(node),
             }
         }
         visits
+    }
+
+    /// Pushes the steps entering the union children of `f`. Its children outside the union
+    /// keep it as their parent, and were never linked under it.
+    fn push_children(&mut self, f: EdgeId) {
+        let mut child = self.first_child.get(f.index()).unwrap_or(NONE);
+        while child != NONE {
+            self.stack.push(Step::Enter(EdgeId(child)));
+            child = self.next_sibling[child as usize];
+        }
+    }
+
+    /// The nearest node on the current root path whose tag is `tag` or an ancestor of it in
+    /// `P`. Tags higher in `P` rank higher, so the first tag found set is the nearest.
+    fn nearest_over(&self, mut tag: u32) -> Option<EdgeId> {
+        loop {
+            match self.nearest.get(tag as usize) {
+                Some(n) if n != NONE => return Some(EdgeId(n)),
+                _ => tag = self.pieces.parent(tag)?,
+            }
+        }
     }
 }
 
@@ -231,9 +538,19 @@ impl DynSld {
 
     /// Labels the union of the current batch's spines (see [`UnionScratch::label`]) with
     /// `label`, which asks no query of the structure.
-    pub(crate) fn label_spines_by(&mut self, label: impl FnMut(usize, VertexId) -> u32) {
+    /// With `promoted` (sorted promotion weights), see [`UnionScratch::label`]: returns
+    /// whether a union node ties a promotion.
+    pub(crate) fn label_spines_by(
+        &mut self,
+        label: impl FnMut(usize, VertexId) -> u32,
+        promoted: &[Weight],
+    ) -> bool {
         let (forest, dendro, sides) = (&self.forest, &self.dendro, &mut self.sides);
-        self.stats.last_union_nodes = sides.union.label(forest, dendro, &sides.cuts, label);
+        let (nodes, tied) = sides
+            .union
+            .label(forest, dendro, &sides.cuts, label, promoted);
+        self.stats.last_union_nodes = nodes;
+        tied
     }
 
     /// Labels the union of the current batch's spines with the representative of each node's
@@ -242,12 +559,16 @@ impl DynSld {
         let sides = &mut self.sides;
         let mut round = self.conn.repr_round(&mut sides.repr);
         let mut queries = 0;
-        let nodes = sides
-            .union
-            .label(&self.forest, &self.dendro, &sides.cuts, |_, x| {
+        let (nodes, _) = sides.union.label(
+            &self.forest,
+            &self.dendro,
+            &sides.cuts,
+            |_, x| {
                 queries += 1;
                 round.repr(x)
-            });
+            },
+            &[],
+        );
         self.stats.last_tree_queries += queries;
         self.stats.last_union_nodes = nodes;
     }

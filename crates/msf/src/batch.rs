@@ -24,10 +24,12 @@
 //!   edge into the largest piece of its tree; every edge it skips is in no MSF (see
 //!   `find_replacements`). It has then enumerated every piece except each tree's largest, so
 //!   it labels the unmerge with those pieces and the dendrogram update asks no connectivity
-//!   query; the HDT backend leaves the labels to representative queries. The promoted edges
-//!   then enter through [`DynSld::batch_insert`], because by construction they link distinct
-//!   components and form an incidence forest. [`DynamicGraphClustering::delete_edge`] is
-//!   this path on a batch of one.
+//!   query. The promoted edges go with the labels: by construction they link distinct
+//!   pieces, form a forest over them and outweigh their old tree paths, so the unmerge places
+//!   them itself, and nothing above a promotion's rank is split and zipped again. The HDT
+//!   backend leaves the labels to representative queries, and its promotions then enter
+//!   through [`DynSld::batch_insert`]. [`DynamicGraphClustering::delete_edge`] is this path
+//!   on a batch of one.
 //!
 //! Both entry points validate the whole batch before mutating anything, process edges in rank
 //! order (`(weight, endpoint pair)` — fully deterministic), and report per-edge [`MsfChange`]s
@@ -36,7 +38,7 @@
 use crate::{
     pair, DynamicGraphClustering, MsfChange, PairRank, PieceMarks, ReplacementIndex, WorkCounters,
 };
-use dynsld::{DynSld, DynSldError, UpdateStats};
+use dynsld::{DynSld, DynSldError, Labelling, Promotion, UpdateStats};
 use dynsld_forest::{Dsu, VertexId, Weight};
 use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
@@ -66,9 +68,10 @@ pub struct BatchOutcome {
     /// Wall time spent mutating the structure: `batch_insert`/`batch_delete`, per-edge
     /// fallbacks, promotions, and reserve bookkeeping.
     pub apply_time: Duration,
-    /// The dendrogram's [`UpdateStats`] read right after a deletion batch's tree edges were
-    /// removed, before any promotion's [`DynSld::batch_insert`] starts its own statistics
-    /// (all zero for an insertion batch or a batch without tree edges).
+    /// The dendrogram's [`UpdateStats`] of a deletion batch's tree edges and, on the scan
+    /// backend, of the promotions the same unmerge placed. On the HDT backend they are read
+    /// before the promotions' [`DynSld::batch_insert`] starts its own statistics. All zero for
+    /// an insertion batch or a batch without tree edges.
     pub delete_stats: UpdateStats,
 }
 
@@ -236,10 +239,10 @@ impl DynamicGraphClustering {
     /// Non-tree deletions touch only the reserve index. All tree deletions are applied with one
     /// [`DynSld::batch_delete_labelled`], inside which the replacement search runs Kruskal over
     /// the lightest reserve edge per pair of pieces (`O(scanned + k²)` work for `k` pieces on
-    /// the scan backend, whose pieces then label the unmerge), and the accepted promotions
-    /// enter through [`DynSld::batch_insert`]. The
-    /// resulting MSF equals per-edge deletion in any order. The whole batch is validated
-    /// first — on `Err` nothing was changed.
+    /// the scan backend, whose pieces then label the unmerge and whose promotions the unmerge
+    /// places); on the HDT backend the accepted promotions enter through
+    /// [`DynSld::batch_insert`] afterwards. The resulting MSF equals per-edge deletion in any
+    /// order. The whole batch is validated first — on `Err` nothing was changed.
     pub fn batch_delete_edges(
         &mut self,
         pairs: &[(VertexId, VertexId)],
@@ -303,28 +306,29 @@ impl DynamicGraphClustering {
             .sld
             .batch_delete_labelled(&tree_pairs, |sld| {
                 let search_start = Instant::now();
-                let found = find_replacements(sld, index, marks, counters, &tree_pairs);
+                let (promoted, changes) =
+                    find_replacements(sld, index, marks, counters, &tree_pairs);
                 let marks: &PieceMarks = marks;
                 let label = |c: usize, x: VertexId| marks.piece(x).unwrap_or(marks.cut_outer[c]);
-                ((found, search_start.elapsed()), scan.then_some(label))
+                let edges: Vec<_> = promoted.iter().map(|p| (p.u, p.v, p.weight)).collect();
+                let labelling = scan.then_some(Labelling { label, promoted });
+                (((edges, changes), search_start.elapsed()), labelling)
             })
             .expect("validated tree edges are alive forest edges");
         let delete_stats = *self.sld.stats();
         for (&i, change) in tree_idx.iter().zip(tree_changes) {
             changes[i] = Some(change);
         }
-        apply_time += delete_start.elapsed().saturating_sub(replacement_time);
-        classify_time += replacement_time;
-
-        // ---- promotions ride the batch fast path -----------------------------------------
-        let promote_start = Instant::now();
         if !promoted.is_empty() {
-            self.sld
-                .batch_insert(&promoted)
-                .expect("accepted promotions link distinct components and form a forest");
+            if !scan {
+                self.sld
+                    .batch_insert(&promoted)
+                    .expect("accepted promotions link distinct components and form a forest");
+            }
             self.mark_promoted(&promoted);
         }
-        apply_time += promote_start.elapsed();
+        apply_time += delete_start.elapsed().saturating_sub(replacement_time);
+        classify_time += replacement_time;
 
         Ok(BatchOutcome {
             changes: changes
@@ -357,8 +361,9 @@ impl DynamicGraphClustering {
 /// Finds the replacements for tree edges just cut from the MSF (already gone from `sld`'s
 /// forest; its dendrogram is not read): Kruskal, in [`PairRank`] order, over the lightest
 /// reserve edge between each pair of pieces the cuts left. Returns the accepted promotions in
-/// order and each deleted edge's [`MsfChange`], in input order. The promotions are not
-/// applied: the caller inserts them into `sld`, then calls
+/// order, each with the pieces it joins (as local ids, which on the scan backend are the
+/// labels `marks` gives), and each deleted edge's [`MsfChange`], in input order. The
+/// promotions are not applied: the caller inserts them into `sld`, then calls
 /// [`mark_promoted`](DynamicGraphClustering::mark_promoted).
 ///
 /// One deleted edge leaves two pieces, and the scan covers the one that is not the largest —
@@ -373,7 +378,7 @@ pub(crate) fn find_replacements(
     marks: &mut PieceMarks,
     counters: &mut WorkCounters,
     tree_pairs: &[(VertexId, VertexId)],
-) -> (Vec<(VertexId, VertexId, Weight)>, Vec<MsfChange>) {
+) -> (Vec<Promotion>, Vec<MsfChange>) {
     // A candidate is `(rank, (piece of one endpoint, piece of the other))`, with pieces as
     // local ids over the post-deletion components of the deleted endpoints.
     let mut comps = LocalComponents::default();
@@ -481,28 +486,55 @@ pub(crate) fn find_replacements(
     counters.replacement_candidates += candidates.len() as u64;
 
     // Accept candidates greedily over the piece DSU (Kruskal never accepts a heavier
-    // parallel edge, so keeping one edge per pair of pieces changes nothing); attribute
-    // each accepted promotion to the deleted edges whose endpoints it (transitively)
-    // reconnects.
-    let mut promoted: Vec<(VertexId, VertexId, Weight)> = Vec::new();
-    let mut changes = vec![MsfChange::RemovedAndSplit; tree_pairs.len()];
-    let mut dsu = Dsu::new(comps.len());
-    let mut pending: Vec<usize> = (0..tree_pairs.len()).collect();
-    for (PairRank(w, (a, b)), (la, lb)) in candidates {
-        if !dsu.union(la, lb) {
+    // parallel edge, so keeping one edge per pair of pieces changes nothing). The accepted
+    // promotions are the nodes of the piece dendrogram, over the pieces as leaves: a node's
+    // index is above its children's, so the lowest common ancestor of a deleted edge's two
+    // pieces — the promotion that first reconnected them — is found by lifting the lower
+    // index until the two meet.
+    let pieces = comps.len();
+    let mut promoted: Vec<Promotion> = Vec::new();
+    let mut dsu = Dsu::new(pieces);
+    let mut top: Vec<u32> = (0..pieces as u32).collect();
+    let mut parent = vec![u32::MAX; pieces];
+    for (PairRank(weight, (u, v)), (la, lb)) in candidates {
+        let (ra, rb) = (dsu.find(la), dsu.find(lb));
+        if !dsu.union(ra, rb) {
             continue;
         }
-        promoted.push((a, b, w));
-        pending.retain(|&j| {
-            let (lu, lv) = deleted_locals[j];
-            if dsu.connected(lu, lv) {
-                changes[j] = MsfChange::RemovedWithReplacement { promoted: (a, b) };
-                false
-            } else {
-                true
-            }
+        let node = parent.len() as u32;
+        parent[top[ra.index()] as usize] = node;
+        parent[top[rb.index()] as usize] = node;
+        parent.push(u32::MAX);
+        top[dsu.find(ra).index()] = node;
+        promoted.push(Promotion {
+            u,
+            v,
+            weight,
+            pieces: [la.0, lb.0],
         });
     }
+    let changes = (deleted_locals.iter())
+        .map(|&(lu, lv)| {
+            let (mut a, mut b) = (lu.0, lv.0);
+            while a != b && a != u32::MAX && b != u32::MAX {
+                if a < b {
+                    a = parent[a as usize];
+                } else {
+                    b = parent[b as usize];
+                }
+            }
+            match a {
+                u32::MAX => MsfChange::RemovedAndSplit,
+                _ if b == u32::MAX => MsfChange::RemovedAndSplit,
+                node => {
+                    let p = promoted[node as usize - pieces];
+                    MsfChange::RemovedWithReplacement {
+                        promoted: (p.u, p.v),
+                    }
+                }
+            }
+        })
+        .collect();
     (promoted, changes)
 }
 
@@ -857,7 +889,33 @@ mod tests {
         .unwrap();
         g.insert_edge(v(0), v(3), 10.0).unwrap(); // reserve
         g.insert_edge(v(2), v(5), 20.0).unwrap(); // reserve
+                                                  // The HDT backend promotes through `DynSld::batch_insert` after the unmerge; the
+                                                  // scan backend's unmerge places the promotions itself, with the same ids.
+        let hdt = dynsld::DynSldOptions {
+            msf_backend: crate::ForestBackend::Hdt,
+            ..Default::default()
+        };
+        let mut two_step = DynamicGraphClustering::with_options(6, hdt);
+        for (a, b, w, _) in g.graph_edges() {
+            two_step.insert_edge(a, b, w).unwrap();
+        }
+        two_step
+            .batch_delete_edges(&[(v(1), v(2)), (v(3), v(4))])
+            .unwrap();
+        let version = g.sld().version();
         let outcome = g.batch_delete_edges(&[(v(1), v(2)), (v(3), v(4))]).unwrap();
+        let s = outcome.delete_stats;
+        assert_eq!(s.last_spine_nodes, s.last_union_nodes + 2, "{s:?}");
+        assert_eq!(g.sld().version(), version + 4);
+        let ids = |g: &DynamicGraphClustering| -> Vec<_> {
+            let forest = g.sld().forest();
+            forest.edges().map(|(e, x)| (e, x.u, x.v)).collect()
+        };
+        assert_eq!(ids(&g), ids(&two_step));
+        assert_eq!(
+            g.sld().dendrogram().canonical_parents(),
+            two_step.sld().dendrogram().canonical_parents()
+        );
         // Both cuts are reconnected by the reserve edges.
         assert_eq!(
             outcome.changes[0],

@@ -37,7 +37,8 @@
 //!   and so does the engine's liveness check on every submitted event. A per-edge deletion
 //!   is a deletion batch of one. A deletion batch runs the search before the dendrogram's
 //!   unmerge ([`DynSld::batch_delete_labelled`]), and the pieces it enumerated label that
-//!   unmerge, so the batch asks no connectivity query of the Euler-tour forest.
+//!   unmerge, so the batch asks no connectivity query of the Euler-tour forest. The same
+//!   unmerge places the replacement edges the search promotes.
 //! * [`ForestBackend::Hdt`] keeps an HDT-style level structure (see the `hdt` module):
 //!   edges carry levels, replacement search amortizes candidate examinations over level
 //!   promotions, and only the candidates stored at the levels a cut touches are examined.
@@ -986,8 +987,9 @@ mod tests {
                         })
                         .collect();
                     let outcome = g.batch_delete_edges(&batch).unwrap();
-                    // The outcome keeps the deletion's statistics even when a promotion's
-                    // batch insert started its own.
+                    // The outcome keeps the deletion's statistics (with the promotions the
+                    // unmerge placed, on the scan backend) even when a promotion's batch
+                    // insert started its own (on the HDT backend).
                     let stats = outcome.delete_stats;
                     let tree_cut = outcome
                         .changes
@@ -996,6 +998,13 @@ mod tests {
                     assert_eq!(stats.last_union_nodes > 0, tree_cut, "step {step}");
                     if backend == ForestBackend::Scan {
                         assert_eq!(stats.last_tree_queries, 0, "step {step}");
+                        // The weights are distinct, so the unmerge places every promotion
+                        // itself: it walks its union and its promotions, and no spine merge.
+                        assert_eq!(
+                            stats.last_spine_nodes,
+                            stats.last_union_nodes + outcome.promoted.len(),
+                            "step {step}"
+                        );
                         if !outcome.promoted.is_empty() {
                             promoting_batches += 1;
                         }

@@ -155,6 +155,9 @@ pub struct DeltaServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept_thread: Option<std::thread::JoinHandle<()>>,
+    /// How many handler threads the accept loop held after its last spawn.
+    #[cfg(test)]
+    retained: Arc<std::sync::atomic::AtomicUsize>,
 }
 
 impl DeltaServer {
@@ -182,8 +185,12 @@ impl DeltaServer {
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let accept_stop = Arc::clone(&stop);
+        #[cfg(test)]
+        let retained = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        #[cfg(test)]
+        let held = Arc::clone(&retained);
         let accept_thread = std::thread::spawn(move || {
-            let mut handlers = Vec::new();
+            let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
             for stream in listener.incoming() {
                 if accept_stop.load(Ordering::Acquire) {
                     break;
@@ -201,6 +208,16 @@ impl DeltaServer {
                 let read = read.clone();
                 let telemetry = telemetry.clone();
                 let options = options.clone();
+                // Reap the handlers that are done, so a long-lived server holds only the
+                // exchanges in flight, not one finished thread per exchange it ever served.
+                let mut i = 0;
+                while i < handlers.len() {
+                    if handlers[i].is_finished() {
+                        let _ = handlers.swap_remove(i).join();
+                    } else {
+                        i += 1;
+                    }
+                }
                 handlers.push(std::thread::spawn(move || {
                     if let Some(WireFault::Delay(pause)) = fault {
                         std::thread::sleep(pause);
@@ -212,6 +229,8 @@ impl DeltaServer {
                     // A torn-down client mid-exchange is the client's problem, not ours.
                     let _ = handle_connection(stream, &read, &telemetry, &options, torn);
                 }));
+                #[cfg(test)]
+                held.store(handlers.len(), Ordering::Release);
             }
             for handler in handlers {
                 let _ = handler.join();
@@ -221,6 +240,8 @@ impl DeltaServer {
             addr,
             stop,
             accept_thread: Some(accept_thread),
+            #[cfg(test)]
+            retained,
         })
     }
 
@@ -1098,6 +1119,28 @@ mod tests {
         let (a, b) = (mirror.flat_clustering(1.5), published.flat_clustering(1.5));
         assert_eq!(a.labels, b.labels);
         assert_eq!(a.clusters, b.clusters);
+        server.shutdown();
+    }
+
+    #[test]
+    fn the_accept_loop_reaps_finished_handlers() {
+        let service = ServiceBuilder::new().vertices(4).build().unwrap();
+        let server = DeltaServer::bind("127.0.0.1:0", service.read_handle(), Telemetry::disabled())
+            .expect("bind");
+        let addr = server.local_addr();
+        let exchanges = 20;
+        for _ in 0..exchanges {
+            assert_eq!(raw_status(addr, b"GET /v1/head HTTP/1.1\r\n\r\n"), 200);
+            // The reply is out; give its handler a moment to return.
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        // Each spawn first joins the handlers that are done: without that, the loop would
+        // hold one handle per exchange served.
+        let held = server.retained.load(Ordering::Acquire);
+        assert!(
+            held <= exchanges / 4,
+            "{held} handlers held after {exchanges} exchanges"
+        );
         server.shutdown();
     }
 
