@@ -184,8 +184,12 @@ impl RankedNodes {
     }
 
     /// The sequence with `edits` applied, plus the number of chunks it had to allocate; all
-    /// other chunks are shared with `self`. The edits are sorted by key, one per key.
-    fn splice(&self, edits: &[Edit]) -> (RankedNodes, usize) {
+    /// other chunks are shared with `self`. The edits are sorted by key, one per key; an edit
+    /// that puts nothing at a key the sequence does not hold changes nothing. The exporter
+    /// splices its dirty set through here, and a subscriber replays a shard delta
+    /// (`ShardDelta::apply_to` in `dynsld-engine`) the same way: either reads the chunks the
+    /// keys land in and the chunk-pointer list, nothing else.
+    pub fn splice(&self, edits: &[Edit]) -> (RankedNodes, usize) {
         if edits.is_empty() {
             return (self.clone(), 0);
         }
@@ -216,10 +220,8 @@ impl RankedNodes {
                 rest = &rest[run..];
                 let replaces = rest.first().is_some_and(|n| n.rank_key() == edit.key);
                 rest = &rest[usize::from(replaces)..];
-                match edit.put {
-                    Some(node) => builder.push(node),
-                    // The exporter took the key from the export being spliced.
-                    None => debug_assert!(replaces, "{:?} is not in the export", edit.key),
+                if let Some(node) = edit.put {
+                    builder.push(node);
                 }
             }
             builder.extend_from_slice(rest);
@@ -232,20 +234,21 @@ impl RankedNodes {
     }
 }
 
-/// One change to a [`RankedNodes`]: the record at `key`, if there is one, goes, and `put`, if
-/// any, takes that place in rank order (`put.rank_key() == key`).
+/// One change to a [`RankedNodes`] ([`RankedNodes::splice`]): the record at `key`, if there is
+/// one, goes, and `put`, if any, takes that place in rank order (`put.rank_key() == key`).
 #[derive(Copy, Clone, Debug)]
-struct Edit {
-    key: RankKey,
-    put: Option<SnapshotNode>,
+pub struct Edit {
+    /// Where the edit lands.
+    pub key: RankKey,
+    /// The record now at `key`; none to remove the record there.
+    pub put: Option<SnapshotNode>,
 }
 
 /// Builds a [`RankedNodes`] front to back from single records and from whole chunks of an
 /// existing sequence, keeping the chunk invariants. The one constructor behind
-/// [`RankedNodes::from_sorted`], the exporter's splice and the replay of a shard delta
-/// (`ShardDelta::apply_to` in `dynsld-engine`, which every `Patch::replay` runs per shard).
+/// [`RankedNodes::from_sorted`] and [`RankedNodes::splice`].
 #[derive(Debug, Default)]
-pub struct RankedNodesBuilder {
+struct RankedNodesBuilder {
     chunks: Vec<Arc<[SnapshotNode]>>,
     len: usize,
     /// Records appended since the last seal, not yet in a chunk.
@@ -258,7 +261,7 @@ pub struct RankedNodesBuilder {
 
 impl RankedNodesBuilder {
     /// An empty builder with room for `chunks` chunk pointers.
-    pub fn with_chunk_capacity(chunks: usize) -> RankedNodesBuilder {
+    fn with_chunk_capacity(chunks: usize) -> RankedNodesBuilder {
         RankedNodesBuilder {
             chunks: Vec::with_capacity(chunks),
             ..RankedNodesBuilder::default()
@@ -266,7 +269,7 @@ impl RankedNodesBuilder {
     }
 
     /// Appends one record (rank above everything appended so far).
-    pub fn push(&mut self, node: SnapshotNode) {
+    fn push(&mut self, node: SnapshotNode) {
         self.pending.push(node);
         if self.pending.len() > CHUNK_MAX {
             self.seal_pending();
@@ -284,7 +287,7 @@ impl RankedNodesBuilder {
     /// Appends a whole chunk of an existing sequence (ranks above everything appended so
     /// far) without copying it — unless the records pushed just before it are too few to
     /// stand as a chunk of their own, in which case the run absorbs it.
-    pub fn share(&mut self, chunk: &Arc<[SnapshotNode]>) {
+    fn share(&mut self, chunk: &Arc<[SnapshotNode]>) {
         let stands_alone = chunk.len() >= CHUNK_MIN;
         if stands_alone && self.pending.len() >= CHUNK_MIN {
             self.seal_pending();
@@ -299,7 +302,7 @@ impl RankedNodesBuilder {
     }
 
     /// The finished sequence.
-    pub fn finish(self) -> RankedNodes {
+    fn finish(self) -> RankedNodes {
         self.finish_counted().0
     }
 
@@ -350,20 +353,16 @@ impl RankedNodesBuilder {
     }
 }
 
-/// Path-compressing find over a flat parent array — the union-find primitive of the sweep
-/// ([`flat_clustering_of`]).
-fn find(parent: &mut [u32], x: u32) -> u32 {
-    let mut root = x;
-    while parent[root as usize] != root {
-        root = parent[root as usize];
+/// Find with path halving over a flat parent array — the union-find primitive of the sweep
+/// ([`flat_clustering_of`]): one pass up, pointing every other node at its grandparent. Roots
+/// never move, so a root stays the smallest vertex of its cluster.
+fn find(parent: &mut [u32], mut x: u32) -> u32 {
+    while parent[x as usize] != x {
+        let grandparent = parent[parent[x as usize] as usize];
+        parent[x as usize] = grandparent;
+        x = grandparent;
     }
-    let mut cur = x;
-    while parent[cur as usize] != root {
-        let next = parent[cur as usize];
-        parent[cur as usize] = root;
-        cur = next;
-    }
-    root
+    x
 }
 
 /// The flat clustering at threshold `tau` of the union of `exports`' forests: every merge of
@@ -404,6 +403,21 @@ pub fn flat_clustering_of<'a>(
         clusters[label].push(VertexId(x));
     }
     FlatClustering { labels, clusters }
+}
+
+/// The number of clusters of [`flat_clustering_of`]`(exports, tau)`, without building it: the
+/// same union-find pass over the merged prefixes, counting the joins (`n - joins` clusters)
+/// instead of labelling the vertices. Allocates the union-find array only.
+pub fn num_clusters_of<'a>(
+    exports: impl IntoIterator<Item = &'a DendrogramSnapshot>,
+    tau: Weight,
+) -> usize {
+    let mut parent = Vec::new();
+    let joins: usize = exports
+        .into_iter()
+        .map(|export| export.merge_up_to(&mut parent, tau))
+        .sum();
+    parent.len() - joins
 }
 
 /// An immutable copy of a [`DynSld`] dendrogram at one structural version.
@@ -479,22 +493,29 @@ impl DendrogramSnapshot {
 
     /// Applies this export's merges of weight `<= tau` to `parent`, a union-find over at least
     /// as many vertices as have been grown into it, growing it to `num_vertices` first. Every
-    /// root stays the smallest vertex of its cluster.
-    fn merge_up_to(&self, parent: &mut Vec<u32>, tau: Weight) {
+    /// root stays the smallest vertex of its cluster. Returns how many merges joined two
+    /// clusters (within one export, every one; across exports, those no other export's
+    /// forest had joined already).
+    fn merge_up_to(&self, parent: &mut Vec<u32>, tau: Weight) -> usize {
         if parent.len() < self.num_vertices {
             parent.extend(parent.len() as u32..self.num_vertices as u32);
         }
+        let mut joins = 0;
         // Nodes are rank-sorted, so the merges below the threshold are a prefix.
-        for node in self.nodes.iter() {
-            if node.weight > tau {
-                break;
+        for chunk in self.nodes.chunks() {
+            for node in chunk.iter() {
+                if node.weight > tau {
+                    return joins;
+                }
+                let a = find(parent, node.u.0);
+                let b = find(parent, node.v.0);
+                // Union by smaller root id keeps the representative canonical (the smallest
+                // vertex of the cluster), which makes labels deterministic.
+                parent[a.max(b) as usize] = a.min(b);
+                joins += usize::from(a != b);
             }
-            let a = find(parent, node.u.0);
-            let b = find(parent, node.v.0);
-            // Union by smaller root id keeps the representative canonical (the smallest
-            // vertex of the cluster), which makes labels deterministic.
-            parent[a.max(b) as usize] = a.min(b);
         }
+        joins
     }
 
     /// The flat clustering at threshold `tau` (all merges of weight `<= tau` applied): the
@@ -1043,6 +1064,8 @@ mod tests {
             for tau in taus.chain(weights) {
                 let swept = flat_clustering_of(refs.iter().copied(), tau);
                 assert_eq!(swept, naive_clustering(&refs, tau), "{sizes:?} at {tau}");
+                let counted = num_clusters_of(refs.iter().copied(), tau);
+                assert_eq!(counted, swept.num_clusters(), "{sizes:?} at {tau}");
                 for one in &refs {
                     assert_eq!(one.flat_clustering(tau), naive_clustering(&[one], tau));
                 }
@@ -1054,6 +1077,7 @@ mod tests {
             );
             let empty = flat_clustering_of([], 1.0);
             assert!(empty.labels.is_empty() && empty.clusters.is_empty());
+            assert_eq!(num_clusters_of([], 1.0), 0);
         }
     }
 

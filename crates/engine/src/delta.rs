@@ -12,21 +12,25 @@
 //! The wire front end and the subscriber mirror live in the `dynsld-serve` crate; this module
 //! owns the delta representation, its replay ([`Patch::replay`]: a view at `r` plus the chain
 //! `r → now` is the view at `now`) and the in-process sync protocol ([`SyncResponse`]).
+//! A delta names every record it adds or drops by rank key, so replaying it is one splice per
+//! shard that reads only the chunks the changed keys land in ([`ShardDelta::apply_to`]).
 //! A delta carries only what replay reads: a subscriber that wants the cluster labels at a
 //! threshold asks its replica (`Mirror::flat_clustering`) after the sync.
 
 use crate::service::ServiceSnapshot;
-use dynsld::snapshot::{DendrogramSnapshot, RankedNodesBuilder, SnapshotNode};
-use dynsld_forest::EdgeId;
-use std::collections::{HashSet, VecDeque};
+use dynsld::snapshot::{DendrogramSnapshot, Edit, SnapshotNode};
+use dynsld_forest::RankKey;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// The difference between two rank-sorted exports of **one shard**.
 ///
 /// `upserts` carries the full record of every edge whose snapshot record changed (inserted,
-/// re-weighted, or re-parented), in rank order; `removed` lists edge ids present in the old
-/// export but absent from the new one. Applying the delta to the old export reproduces the
-/// new one bit for bit, including its `version` ([`Self::apply_to`]).
+/// re-weighted, or re-parented), in rank order; `removed` carries the rank key of every old
+/// record that no new record has (a deleted edge, or the old place of a re-weighted one), in
+/// rank order. Both name their records by rank key, so applying the delta to the old export
+/// is one splice that reproduces the new one bit for bit, including its `version`
+/// ([`Self::apply_to`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct ShardDelta {
     /// The shard's engine epoch after this step.
@@ -39,13 +43,13 @@ pub struct ShardDelta {
     pub num_graph_edges: usize,
     /// Changed records, sorted by rank (`(weight, edge id)` ascending).
     pub upserts: Vec<SnapshotNode>,
-    /// Edge ids removed since the old export (never also present in `upserts`).
-    pub removed: Vec<EdgeId>,
+    /// Rank keys of the old records that are gone, ascending (never the key of an upsert).
+    pub removed: Vec<RankKey>,
 }
 
 impl ShardDelta {
     /// Diffs two rank-sorted exports of the same shard in one merge walk (no sorting, no
-    /// per-record hashing of the unchanged majority).
+    /// hashing).
     ///
     /// Whenever both sides are about to enter the *same chunk allocation* the walk steps over
     /// it without reading it: an incremental export shares every chunk its changes stayed
@@ -59,7 +63,7 @@ impl ShardDelta {
         num_graph_edges: usize,
     ) -> ShardDelta {
         let mut upserts: Vec<SnapshotNode> = Vec::new();
-        let mut removed_candidates: Vec<EdgeId> = Vec::new();
+        let mut removed: Vec<RankKey> = Vec::new();
         let mut old_chunks = old.nodes.chunks().iter().peekable();
         let mut new_chunks = new.nodes.chunks().iter().peekable();
         // The unread rest of the chunk each side is in (empty: on a chunk boundary).
@@ -85,7 +89,7 @@ impl ShardDelta {
                 if a.is_empty() && b.is_empty() {
                     break;
                 }
-                removed_candidates.extend(a.iter().map(|n| n.edge));
+                removed.extend(a.iter().map(SnapshotNode::rank_key));
                 upserts.extend_from_slice(b);
                 (a, b) = (&[], &[]);
                 continue;
@@ -100,10 +104,9 @@ impl ShardDelta {
                         (a, b) = (&a[1..], &b[1..]);
                     }
                     std::cmp::Ordering::Less => {
-                        // `x`'s (weight, edge) pair is gone — deleted, or re-weighted (in
-                        // which case the same id reappears as an upsert and is filtered
-                        // below).
-                        removed_candidates.push(x.edge);
+                        // `x`'s (weight, edge) pair is gone: deleted, or re-weighted (the
+                        // same id is then an upsert at its new key).
+                        removed.push(x.rank_key());
                         a = &a[1..];
                     }
                     std::cmp::Ordering::Greater => {
@@ -113,20 +116,16 @@ impl ShardDelta {
                 }
             }
         }
-        if !removed_candidates.is_empty() {
-            let upserted: HashSet<EdgeId> = upserts.iter().map(|n| n.edge).collect();
-            removed_candidates.retain(|e| !upserted.contains(e));
-        }
         // A delta outlives the publish by the depth of the ring: hold no growth slack.
         upserts.shrink_to_fit();
-        removed_candidates.shrink_to_fit();
+        removed.shrink_to_fit();
         ShardDelta {
             epoch,
             version: new.version,
             num_vertices: new.num_vertices,
             num_graph_edges,
             upserts,
-            removed: removed_candidates,
+            removed,
         }
     }
 
@@ -136,43 +135,29 @@ impl ShardDelta {
     }
 
     /// Replays this delta onto the shard's previous export, reproducing the next export bit
-    /// for bit (rank order, `version`, `num_vertices` included). One linear merge pass — the
-    /// delta names removed records by id, so every base record is looked at — that copies
-    /// only the chunks it changes: a base chunk with no stale record and no upsert landing
-    /// inside it is carried over as the same allocation.
+    /// for bit (rank order, `version`, `num_vertices` included). One
+    /// [`RankedNodes::splice`](dynsld::RankedNodes::splice) of the removed keys and the
+    /// upserts: it reads the chunk-pointer list and the chunks the `k` changed keys land in,
+    /// `O(m / chunk + k * chunk + k log m)`, and every other chunk of the result is the base's
+    /// allocation.
     pub fn apply_to(&self, base: &DendrogramSnapshot) -> DendrogramSnapshot {
-        let nodes = if self.is_noop() {
-            base.nodes.clone()
-        } else {
-            let stale: HashSet<EdgeId> = self
-                .removed
-                .iter()
-                .chain(self.upserts.iter().map(|n| &n.edge))
-                .copied()
-                .collect();
-            let chunks = base.nodes.chunks();
-            let mut out = RankedNodesBuilder::with_chunk_capacity(chunks.len() + 1);
-            let mut fresh = self.upserts.iter().peekable();
-            for chunk in chunks {
-                let last = chunk[chunk.len() - 1].rank_key();
-                let untouched = fresh.peek().is_none_or(|f| f.rank_key() > last)
-                    && !chunk.iter().any(|n| stale.contains(&n.edge));
-                if untouched {
-                    out.share(chunk);
-                    continue;
-                }
-                for node in chunk.iter().filter(|n| !stale.contains(&n.edge)) {
-                    while let Some(f) = fresh.next_if(|f| f.rank_key() < node.rank_key()) {
-                        out.push(*f);
-                    }
-                    out.push(*node);
-                }
+        let mut edits = Vec::with_capacity(self.removed.len() + self.upserts.len());
+        let mut gone = self.removed.iter().peekable();
+        for node in &self.upserts {
+            let key = node.rank_key();
+            while let Some(&old) = gone.next_if(|old| **old < key) {
+                edits.push(Edit {
+                    key: old,
+                    put: None,
+                });
             }
-            for f in fresh {
-                out.push(*f);
-            }
-            out.finish()
-        };
+            edits.push(Edit {
+                key,
+                put: Some(*node),
+            });
+        }
+        edits.extend(gone.map(|&key| Edit { key, put: None }));
+        let (nodes, _) = base.nodes.splice(&edits);
         DendrogramSnapshot::from_records(self.version, self.num_vertices, nodes)
     }
 }
@@ -213,7 +198,8 @@ impl SnapshotDelta {
         }
     }
 
-    /// Total changed records across all shards — the natural "size" of the step.
+    /// Total upserts and removed keys across all shards — the natural "size" of the step (a
+    /// re-weighted record counts twice: its new record and its old key).
     pub fn num_changes(&self) -> usize {
         self.shards
             .iter()
@@ -349,7 +335,7 @@ impl DeltaRing {
 mod tests {
     use super::*;
     use dynsld::{DynSld, RankedNodes};
-    use dynsld_forest::VertexId;
+    use dynsld_forest::{EdgeId, VertexId};
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -379,7 +365,7 @@ mod tests {
     ) -> ShardDelta {
         let (old_nodes, new_nodes) = (old.nodes.to_vec(), new.nodes.to_vec());
         let mut upserts: Vec<SnapshotNode> = Vec::new();
-        let mut removed_candidates: Vec<EdgeId> = Vec::new();
+        let mut removed: Vec<RankKey> = Vec::new();
         let (mut i, mut j) = (0, 0);
         while i < old_nodes.len() && j < new_nodes.len() {
             let (a, b) = (&old_nodes[i], &new_nodes[j]);
@@ -392,7 +378,7 @@ mod tests {
                     j += 1;
                 }
                 std::cmp::Ordering::Less => {
-                    removed_candidates.push(a.edge);
+                    removed.push(a.rank_key());
                     i += 1;
                 }
                 std::cmp::Ordering::Greater => {
@@ -401,13 +387,8 @@ mod tests {
                 }
             }
         }
-        removed_candidates.extend(old_nodes[i..].iter().map(|n| n.edge));
+        removed.extend(old_nodes[i..].iter().map(SnapshotNode::rank_key));
         upserts.extend(new_nodes[j..].iter().copied());
-        let upserted: HashSet<EdgeId> = upserts.iter().map(|n| n.edge).collect();
-        let removed = removed_candidates
-            .into_iter()
-            .filter(|e| !upserted.contains(e))
-            .collect();
         ShardDelta {
             epoch,
             version: new.version,
@@ -441,7 +422,9 @@ mod tests {
             ],
         );
         let delta = ShardDelta::diff(&old, &new, 2, 3);
-        assert_eq!(delta.removed, vec![EdgeId(1)]);
+        // Edge 0's old place and edge 1, in rank order.
+        let removed = vec![RankKey::new(1.0, EdgeId(0)), RankKey::new(3.0, EdgeId(1))];
+        assert_eq!(delta.removed, removed);
         // Upserts ride in the new export's rank order: edge 2 @ 2.0, edge 3 @ 2.5, edge 0 @ 4.0.
         let upserted: Vec<u32> = delta.upserts.iter().map(|n| n.edge.0).collect();
         assert_eq!(upserted, vec![2, 3, 0]);
@@ -454,6 +437,46 @@ mod tests {
         let delta = ShardDelta::diff(&s, &s, 1, 1);
         assert!(delta.is_noop());
         assert_eq!(delta.apply_to(&s), s);
+    }
+
+    /// The replay reads what changed, not the export: on 4 096 records, a delta that
+    /// re-weights one record, re-parents another and removes a third lands on the new export
+    /// and shares every chunk of the base but the (at most) three those keys fall in.
+    #[test]
+    fn keyed_replay_rewrites_only_the_chunks_it_changes() {
+        let n = 4096u32;
+        let records: Vec<SnapshotNode> = (0..n)
+            .map(|i| node(i, i, i + 1, f64::from(i), Some(i + 1).filter(|&p| p < n)))
+            .collect();
+        let base = snap(1, n as usize + 1, records.clone());
+        let mut changed = records;
+        // Re-weighted, staying next to its old place; re-parented; removed.
+        changed[1000].weight = 1000.5;
+        changed[2000].parent = Some(EdgeId(3000));
+        changed.remove(3000);
+        let new = snap(4, n as usize + 1, changed);
+        let delta = ShardDelta::diff(&base, &new, 2, n as usize - 1);
+        assert_eq!(delta.upserts.len(), 2);
+        assert_eq!(
+            delta.removed,
+            vec![
+                RankKey::new(1000.0, EdgeId(1000)),
+                RankKey::new(3000.0, EdgeId(3000))
+            ]
+        );
+        let replayed = delta.apply_to(&base);
+        assert_eq!(replayed, new);
+        let chunks = replayed.nodes.chunks();
+        let shared = chunks
+            .iter()
+            .filter(|c| base.nodes.chunks().iter().any(|b| Arc::ptr_eq(b, c)))
+            .count();
+        assert!(chunks.len() >= 64);
+        assert!(
+            shared + 3 >= chunks.len(),
+            "{shared} of {} chunks shared",
+            chunks.len()
+        );
     }
 
     proptest! {

@@ -7,11 +7,11 @@
 //! wire server's configuration.
 //!
 //! Every injection point is **deterministic**: rules trigger on exact per-site ordinals
-//! (shard *s*'s *n*-th non-empty flush, the server's *c*-th accepted connection, the queue's
+//! (shard *s*'s *n*-th non-empty flush, the server's *c*-th exchange, the queue's
 //! *k*-th fail-fast submit) or on fixed periods, and the only randomised trigger (`prob:`)
 //! draws from a seeded xorshift generator owned by the plan, so a given spec replays the
 //! same fault schedule on every run. Clones of a plan share one set of counters — the
-//! service hands the same plan to every shard and to the wire server, and the connection
+//! service hands the same plan to every shard and to the wire server, and the exchange
 //! ordinal keeps counting across all of them.
 //!
 //! # Spec grammar ([`FaultPlan::parse`])
@@ -24,9 +24,9 @@
 //! | rule | args | effect |
 //! |------|------|--------|
 //! | `flush_panic` | `shard:<s>` (optional: any shard if absent), `flush:<n>` **or** `every:<k>`, `entry` (flag) | panic inside the matching shard's *n*-th (or every *k*-th) non-empty flush. Default mode panics **after** the deletion batch has been applied, leaving the engine torn — the service quarantines it. With `entry`, the panic fires before any buffered work is consumed; the service proves the catch path and retries the flush transparently. |
-//! | `torn_write` | `after:<bytes>`, `conn:<c>` **or** `every:<k>` | the server writes only the first `<bytes>` bytes of the response on the matching connection, then drops it. |
-//! | `drop_conn` | `conn:<c>` **or** `every:<k>` | the server accepts and immediately closes the matching connection without replying. |
-//! | `delay` | `ms:<m>`, `conn:<c>` **or** `every:<k>` | the server sleeps `<m>` ms before replying on the matching connection. |
+//! | `torn_write` | `after:<bytes>`, `conn:<c>` **or** `every:<k>` | the server writes only the first `<bytes>` bytes of the matching exchange's response, then closes its connection. |
+//! | `drop_conn` | `conn:<c>` **or** `every:<k>` | the server closes the matching exchange's connection without replying. |
+//! | `delay` | `ms:<m>`, `conn:<c>` **or** `every:<k>` | the server sleeps `<m>` ms before replying to the matching exchange. |
 //! | `queue_full` | `every:<k>` **or** `prob:<permille>` | a fail-fast submit ([`Backpressure::Fail`](crate::Backpressure::Fail) / `try_submit`) is rejected as queue-full even though capacity remains. |
 //! | `crash` | `after_wal:<n>` **or** `every:<k>` **or** `mid_checkpoint:<n>` | simulated process death of the durability layer: the `<n>`-th (or every `<k>`-th, first match) WAL append completes and then the layer goes dead, or the `<n>`-th checkpoint write lands corrupt and the layer goes dead. A dead layer silently drops every later WAL/checkpoint write while the in-memory service keeps serving — a restart from the durable directory then recovers exactly the durable prefix. |
 //! | `wal_torn` | `at:<n>` **or** `every:<k>` | the matching WAL append is written as a *partial frame* — the on-disk shape of a crash mid-write — and the layer goes dead. The next open truncates the torn tail. |
@@ -34,7 +34,11 @@
 //!
 //! Example: `flush_panic=shard:1,flush:3;torn_write=every:2,after:64;seed=7`.
 //!
-//! Connection ordinals are 1-based and count *accepted* connections in accept order;
+//! Exchange ordinals (the `conn:` rules) are 1-based and count the requests the server
+//! answers, in arrival order, across all its connections — each request draws one
+//! [`FaultPlan::connection_fault`]. A wire subscriber holds one connection across exchanges,
+//! and a drop or torn write closes it, so the retry that follows opens the next one: a rule
+//! hits the same exchange it hit when every exchange had a connection of its own;
 //! flush ordinals are 1-based and count each shard's non-empty flush attempts (retries
 //! after an `entry` panic count as new attempts, so `every:1,entry` quarantines after one
 //! retry — use periods ≥ 2 for a suite that should stay green).
@@ -80,14 +84,14 @@ impl std::fmt::Display for InjectedFault {
     }
 }
 
-/// A wire-level fault decided per accepted connection.
+/// A wire-level fault decided per exchange (one request and its reply).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WireFault {
-    /// Close the connection without replying.
+    /// Close the exchange's connection without replying.
     Drop,
     /// Sleep for the given duration before replying.
     Delay(Duration),
-    /// Write only the first `n` bytes of the response, then drop the connection.
+    /// Write only the first `n` bytes of the response, then close the connection.
     TornWrite(usize),
 }
 
@@ -456,8 +460,8 @@ impl FaultPlan {
         CheckpointWriteFault::Proceed
     }
 
-    /// Wire checkpoint: the fault (if any) for the next accepted connection. Counts one
-    /// connection ordinal per call, shared across every clone of the plan.
+    /// Wire checkpoint: the fault (if any) for the next exchange the server answers. Counts
+    /// one exchange ordinal per call, shared across every clone of the plan.
     pub fn connection_fault(&self) -> Option<WireFault> {
         let inner = self.inner.as_deref()?;
         let ordinal = inner.conn_counter.fetch_add(1, Ordering::Relaxed) + 1;

@@ -18,9 +18,11 @@
 //!
 //! A sharded service serves a [`ServiceSnapshot`]: one [`EngineSnapshot`] per shard. On one
 //! shard it answers exactly as that shard's snapshot does; on several, the union of the
-//! per-shard forests is not a forest, so every threshold query goes through the clustering of
-//! all shards' exports — the same sweep ([`flat_clustering_of`]) run over every export, built
-//! lazily and memoised the same way.
+//! per-shard forests is not a forest, so a threshold query goes through the union-find pass
+//! over all shards' merged prefixes. `num_clusters` and `num_components` only count its joins
+//! ([`num_clusters_of`]) and keep nothing; the other queries read the clustering it labels —
+//! the same sweep ([`flat_clustering_of`]) run over every export, built lazily and memoised
+//! the same way.
 //!
 //! A subscriber's replica is a [`ServiceSnapshot`] too ([`ServiceSnapshot::replica`]), built
 //! from exports that a delta replay ([`crate::Patch::replay`]) or a wire decoder produced. It
@@ -29,7 +31,7 @@
 
 use crate::partition::ShardId;
 use crate::service::ShardHealth;
-use dynsld::snapshot::flat_clustering_of;
+use dynsld::snapshot::{flat_clustering_of, num_clusters_of};
 use dynsld::{DendrogramSnapshot, FlatClustering};
 use dynsld_forest::{VertexId, Weight};
 use std::collections::HashMap;
@@ -53,7 +55,8 @@ pub(crate) struct CacheStats {
 /// 1. a clustering already cached for the threshold answers;
 /// 2. otherwise a view over a single export asks the export
 ///    ([`DendrogramSnapshot::num_clusters`], [`DendrogramSnapshot::threshold_connected`]);
-/// 3. otherwise (several shards) the view builds, caches and reads the clustering.
+/// 3. otherwise (several shards) a count is the joins of one union-find pass
+///    ([`num_clusters_of`]), and any other query builds, caches and reads the clustering.
 ///
 /// `threshold_connected` walks `O(depth)` records, which on a degenerate dendrogram is
 /// `O(m)` — the cost of the sweep. So the cache counts the records its walks read, and a
@@ -118,23 +121,19 @@ impl ThresholdCache {
         )
     }
 
-    /// Number of clusters at `tau` of a view whose only export is `export` (none: a view
-    /// over several shards) and whose `flat_clustering(tau)` is `sweep`.
-    fn num_clusters(
-        &self,
-        export: Option<&DendrogramSnapshot>,
-        tau: Weight,
-        sweep: impl FnOnce() -> Arc<FlatClustering>,
-    ) -> usize {
-        match (self.lookup(tau), export) {
+    /// Number of clusters at `tau` of a view over `exports`: a cached clustering's count, else
+    /// the only export's binary search, else (several shards) the joins of one union-find
+    /// pass over every export's merged prefix. Builds and caches nothing.
+    fn num_clusters(&self, exports: &[&DendrogramSnapshot], tau: Weight) -> usize {
+        match (self.lookup(tau), exports) {
             (Some(hit), _) => hit.num_clusters(),
-            (None, Some(export)) => export.num_clusters(tau),
-            (None, None) => sweep().num_clusters(),
+            (None, [only]) => only.num_clusters(tau),
+            (None, exports) => num_clusters_of(exports.iter().copied(), tau),
         }
     }
 
-    /// Whether `u` and `v` share a cluster at `tau`; parameters as for
-    /// [`num_clusters`](Self::num_clusters).
+    /// Whether `u` and `v` share a cluster at `tau` in a view whose only export is `export`
+    /// (none: a view over several shards) and whose `flat_clustering(tau)` is `sweep`.
     fn same_cluster(
         &self,
         export: Option<&DendrogramSnapshot>,
@@ -259,8 +258,7 @@ impl EngineSnapshot {
     /// Number of clusters at threshold `tau` (see the [module docs](crate::snapshot)).
     pub fn num_clusters(&self, tau: Weight) -> usize {
         let inner = &*self.inner;
-        let sweep = || self.flat_clustering(tau);
-        inner.cache.num_clusters(Some(&inner.dendro), tau, sweep)
+        inner.cache.num_clusters(&[&inner.dendro], tau)
     }
 
     /// The single-linkage merge distance between `u` and `v`, or `None` if disconnected.
@@ -291,7 +289,9 @@ struct ServiceSnapshotInner {
 /// states it was built from, no matter what the service does afterwards. Over one shard it
 /// answers as that shard's [`EngineSnapshot`] does. Over several, flat clusterings are
 /// computed lazily — the first query at a threshold pays one union-find pass over every
-/// shard's export ([`flat_clustering_of`]), repeats hit a per-snapshot cache. Because the
+/// shard's export ([`flat_clustering_of`]), repeats hit a per-snapshot cache — and a cluster
+/// count at a threshold with none cached is the same pass, counting joins and building
+/// nothing ([`num_clusters_of`]). Because the
 /// shard edge sets partition the graph's edges, the merged answers are *exactly* those of a
 /// single engine fed the same stream.
 #[derive(Clone, Debug)]
@@ -434,11 +434,12 @@ impl ServiceSnapshot {
         }
     }
 
-    /// Number of connected components of the full graph (all shards merged).
+    /// Number of connected components of the full graph (all shards merged): the number of
+    /// clusters at `+∞`.
     pub fn num_components(&self) -> usize {
         match self.only_shard() {
             Some(only) => only.num_components(),
-            None => self.flat_clustering(f64::INFINITY).num_clusters(),
+            None => self.num_clusters(f64::INFINITY),
         }
     }
 
@@ -481,7 +482,15 @@ impl ServiceSnapshot {
     pub fn num_clusters(&self, tau: Weight) -> usize {
         match self.only_shard() {
             Some(only) => only.num_clusters(tau),
-            None => self.flat_clustering(tau).num_clusters(),
+            None => {
+                let exports: Vec<&DendrogramSnapshot> = self
+                    .inner
+                    .shards
+                    .iter()
+                    .map(EngineSnapshot::dendrogram)
+                    .collect();
+                self.inner.merged.num_clusters(&exports, tau)
+            }
         }
     }
 }
@@ -574,6 +583,66 @@ mod tests {
         assert!(!snap.same_cluster(v(0), v(63), 40.0));
         assert_eq!(snap.num_clusters(40.0), 23);
         assert_eq!(stats.misses.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn a_cold_count_over_several_shards_builds_no_clustering() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(50);
+        let n = 40u32;
+        for (shards, tied) in [(2, true), (2, false), (3, true), (3, false)] {
+            // Distinct weights are the draw order; tied ones come from three values.
+            let mut drawn = 0u32;
+            let stats = Arc::new(CacheStats::default());
+            let exports: Vec<EngineSnapshot> = (0..shards)
+                .map(|_| {
+                    let mut d = DynSld::new(n as usize);
+                    for _ in 0..n / 2 {
+                        drawn += 1;
+                        let w = if tied {
+                            f64::from(rng.gen_range(1..4u32))
+                        } else {
+                            f64::from(drawn)
+                        };
+                        let _ = d.insert(v(rng.gen_range(0..n)), v(rng.gen_range(0..n)), w);
+                    }
+                    let edges = d.num_edges();
+                    EngineSnapshot::publish(1, d.export_snapshot(), edges, Some(stats.clone()))
+                })
+                .collect();
+            let weights: Vec<f64> = exports
+                .iter()
+                .flat_map(|e| e.dendrogram().nodes.iter().map(|x| x.weight))
+                .collect();
+            let taus = [f64::NEG_INFINITY, f64::INFINITY]
+                .into_iter()
+                .chain(weights);
+            let view = ServiceSnapshot::new(1, exports, Vec::new());
+            let counters = || {
+                (
+                    stats.hits.load(Ordering::Relaxed),
+                    stats.misses.load(Ordering::Relaxed),
+                )
+            };
+            for tau in taus {
+                let before = counters();
+                let counted = view.num_clusters(tau);
+                assert_eq!(counters(), before, "a cold count moved the counters");
+                assert!(view.inner.merged.map.lock().unwrap().is_empty());
+                let built = view.flat_clustering(tau);
+                assert_eq!(counted, built.num_clusters(), "{shards} shards at {tau}");
+                // With the clustering cached, the count reads it.
+                assert_eq!(view.num_clusters(tau), counted);
+                assert_eq!(counters(), (before.0 + 1, before.1 + 1));
+                view.inner.merged.map.lock().unwrap().clear();
+            }
+            let components = view.num_components();
+            assert_eq!(
+                components,
+                view.flat_clustering(f64::INFINITY).num_clusters()
+            );
+        }
     }
 
     #[test]

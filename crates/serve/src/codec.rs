@@ -2,14 +2,15 @@
 //!
 //! Every payload is one JSON object with a `"kind"` discriminator (`"head"`, `"snapshot"`,
 //! or `"delta"`). Dendrogram records travel as 5-tuples `[edge, u, v, weight, parent]` with
-//! `-1` standing in for "no parent" — compact, order-preserving, and float-exact (see
-//! [`crate::json`] for the round-trip guarantees the mirror's bit-identity rests on).
+//! `-1` standing in for "no parent", and a delta's removed records as their rank keys,
+//! `[edge, weight]` pairs — compact, order-preserving, and float-exact (see [`crate::json`]
+//! for the round-trip guarantees the mirror's bit-identity rests on).
 
 use crate::json::{parse, Value};
 use crate::Mirror;
 use dynsld::{DendrogramSnapshot, RankedNodes, SnapshotNode};
 use dynsld_engine::{Patch, ServiceSnapshot, ShardDelta, SnapshotDelta};
-use dynsld_forest::{EdgeId, VertexId};
+use dynsld_forest::{EdgeId, RankKey, VertexId};
 use std::sync::Arc;
 
 /// A decoded wire payload.
@@ -127,7 +128,12 @@ fn shard_delta_value(shard: &ShardDelta) -> Value {
                 shard
                     .removed
                     .iter()
-                    .map(|e| Value::Int(i64::from(e.0)))
+                    .map(|key| {
+                        Value::Arr(vec![
+                            Value::Int(i64::from(key.edge.0)),
+                            Value::Float(key.weight),
+                        ])
+                    })
                     .collect(),
             ),
         ),
@@ -225,17 +231,40 @@ fn decode_nodes(value: &Value, key: &str) -> Result<Vec<SnapshotNode>, CodecErro
     get_arr(value, key)?.iter().map(decode_node).collect()
 }
 
+fn decode_rank_key(value: &Value) -> Result<RankKey, CodecError> {
+    let pair = value
+        .as_arr()
+        .filter(|p| p.len() == 2)
+        .ok_or_else(|| bad("a removed key must be an [edge, weight] pair"))?;
+    let weight = pair[1].as_f64().ok_or_else(|| bad("bad weight"))?;
+    Ok(RankKey::new(weight, EdgeId(decode_id(&pair[0])?)))
+}
+
+/// Decodes one shard delta. Its replay is a splice keyed by rank, so both lists must be
+/// strictly ascending by rank key; a payload that is not is rejected here rather than
+/// spliced into a mirror out of order.
 fn decode_shard_delta(value: &Value) -> Result<ShardDelta, CodecError> {
+    let upserts = decode_nodes(value, "upserts")?;
+    let removed: Vec<RankKey> = get_arr(value, "removed")?
+        .iter()
+        .map(decode_rank_key)
+        .collect::<Result<_, _>>()?;
+    let ascending = upserts
+        .windows(2)
+        .all(|w| w[0].rank_key() < w[1].rank_key())
+        && removed.windows(2).all(|w| w[0] < w[1]);
+    if !ascending {
+        return Err(bad(
+            "delta records must be in strictly ascending rank order",
+        ));
+    }
     Ok(ShardDelta {
         epoch: get_u64(value, "epoch")?,
         version: get_u64(value, "version")?,
         num_vertices: get_usize(value, "num_vertices")?,
         num_graph_edges: get_usize(value, "num_graph_edges")?,
-        upserts: decode_nodes(value, "upserts")?,
-        removed: get_arr(value, "removed")?
-            .iter()
-            .map(|e| decode_id(e).map(EdgeId))
-            .collect::<Result<_, _>>()?,
+        upserts,
+        removed,
     })
 }
 
@@ -336,7 +365,7 @@ mod tests {
                         num_vertices: 6,
                         num_graph_edges: 4,
                         upserts: vec![node(0, 0, 1, 0.1, Some(2)), node(2, 1, 2, 1.0 / 3.0, None)],
-                        removed: vec![EdgeId(5)],
+                        removed: vec![RankKey::new(0.1, EdgeId(5))],
                     },
                     ShardDelta {
                         epoch: 1,
@@ -359,6 +388,46 @@ mod tests {
         assert_eq!(decoded.to_revision, patch.to_revision);
         assert_eq!(decoded.deltas.len(), 1);
         assert_eq!(*decoded.deltas[0], *patch.deltas[0]);
+    }
+
+    #[test]
+    fn removed_keys_round_trip_as_pairs_and_keep_the_sign_of_zero() {
+        let keys = vec![
+            RankKey::new(-0.0, EdgeId(4)),
+            RankKey::new(0.0, EdgeId(3)),
+            RankKey::new(2.5, EdgeId(0)),
+        ];
+        let shard = ShardDelta {
+            epoch: 1,
+            version: 2,
+            num_vertices: 8,
+            num_graph_edges: 0,
+            upserts: vec![],
+            removed: keys.clone(),
+        };
+        let text = shard_delta_value(&shard).to_json();
+        assert!(
+            text.contains("\"removed\":[[4,-0.0],[3,0.0],[0,2.5]]"),
+            "{text}"
+        );
+        let decoded = decode_shard_delta(&parse(&text).unwrap()).unwrap();
+        assert_eq!(decoded.removed, keys);
+        // The two zeros stay apart: bit for bit, and in rank order.
+        assert!(decoded.removed[0].weight.is_sign_negative());
+        assert!(decoded.removed[1].weight.is_sign_positive());
+        assert!(decoded.removed[0] < decoded.removed[1]);
+        // Malformed pairs, and keys out of rank order (the replay splices by rank).
+        let out_of_order = ["[4,0.5]", "[3,0.0]"];
+        for bad_pair in ["[4]", "[4,1.0,2]", "[-1,1.0]", "[4,\"x\"]", "4"]
+            .into_iter()
+            .chain(out_of_order)
+        {
+            let text = text.replace("[4,-0.0]", bad_pair);
+            assert!(
+                decode_shard_delta(&parse(&text).unwrap()).is_err(),
+                "{bad_pair}"
+            );
+        }
     }
 
     #[test]

@@ -2,8 +2,11 @@
 //! matching subscriber client.
 //!
 //! The registry is offline, so the framing is hand-rolled over `std::net` — a deliberately
-//! small HTTP/1.1 subset: `GET` only, `Connection: close` on every exchange, bodies framed
-//! by `Content-Length`. Three endpoints:
+//! small HTTP/1.1 subset: `GET` only, bodies framed by `Content-Length`, and persistent
+//! connections (HTTP/1.1's default): a subscriber sends every exchange over one held
+//! connection, and the server answers requests on a connection until the peer closes it, a
+//! request asks it to close (`Connection: close`, or HTTP/1.0), or it sits idle past the
+//! server's I/O deadline. Three endpoints:
 //!
 //! | endpoint              | reply                                                        |
 //! |-----------------------|--------------------------------------------------------------|
@@ -25,7 +28,7 @@ use crate::{Received, SyncOutcome, SyncReport};
 use dynsld_engine::{FaultPlan, ReadHandle, ServiceSnapshot, SyncResponse, WireFault};
 use dynsld_telemetry::Telemetry;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -125,13 +128,14 @@ fn etag_of(revision: u64, epochs: &[u64]) -> String {
 pub struct ServerOptions {
     /// Read and write deadline per connection. A client that stalls mid-request
     /// (slow-loris) gets a `408 Request Timeout` when this expires instead of pinning a
-    /// handler thread forever. Default: 2 s.
+    /// handler thread forever; a held connection that sends no next request for this long
+    /// is closed without a reply. Default: 2 s.
     pub io_timeout: Duration,
     /// Upper bound on the total request head (request line + headers). Anything larger is
     /// answered `413 Payload Too Large` without buffering the remainder. Default: 32 KiB.
     pub max_request_bytes: usize,
-    /// Deterministic connection-fault injection (dropped connections, delayed replies, torn
-    /// writes) — see [`FaultPlan`]. Disabled by default.
+    /// Deterministic fault injection per exchange (dropped connections, delayed replies,
+    /// torn writes) — see [`FaultPlan`]. Disabled by default.
     pub faults: FaultPlan,
 }
 
@@ -148,9 +152,11 @@ impl Default for ServerOptions {
 /// The delta server: accepts connections on a local socket and answers sync requests from
 /// the service's published state via a [`ReadHandle`].
 ///
-/// One accept thread plus one short-lived thread per connection (every exchange is
-/// `Connection: close`). [`DeltaServer::shutdown`] stops accepting, joins all handlers, and
-/// returns; dropping the server does the same.
+/// One accept thread plus one thread per open connection, which answers that connection's
+/// requests in turn until the peer closes it, a request asks to close, or it sits idle past
+/// [`ServerOptions::io_timeout`]. [`DeltaServer::shutdown`] stops accepting, closes the
+/// connections still held (a subscriber waiting between polls does not delay it), joins all
+/// handlers, and returns; dropping the server does the same.
 pub struct DeltaServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
@@ -163,8 +169,10 @@ pub struct DeltaServer {
 impl DeltaServer {
     /// Binds a listener (e.g. on `"127.0.0.1:0"` for an ephemeral port) and starts serving
     /// `read`'s service with default [`ServerOptions`] (2 s deadlines, 32 KiB request cap,
-    /// no fault injection). `telemetry` records `serve.delta_ns` (time to build each reply)
-    /// and `serve.bytes_out` (body bytes written); pass [`Telemetry::disabled`] to opt out.
+    /// no fault injection). `telemetry` records `serve.delta_ns` (time to build each reply),
+    /// `serve.bytes_out` (body bytes written), and the counters `serve.connections` (accepted
+    /// connections) and `serve.exchanges` (requests read, one fault ordinal each); pass
+    /// [`Telemetry::disabled`] to opt out.
     pub fn bind(
         addr: impl ToSocketAddrs,
         read: ReadHandle,
@@ -190,49 +198,46 @@ impl DeltaServer {
         #[cfg(test)]
         let held = Arc::clone(&retained);
         let accept_thread = std::thread::spawn(move || {
-            let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
+            // Each handler with a second handle on its socket, through which the loop's end
+            // closes a connection the handler is holding open between requests.
+            let mut handlers: Vec<(std::thread::JoinHandle<()>, TcpStream)> = Vec::new();
             for stream in listener.incoming() {
                 if accept_stop.load(Ordering::Acquire) {
                     break;
                 }
                 let Ok(stream) = stream else { continue };
-                // Injected connection faults fire before the handler spawns: a dropped
-                // connection closes without a reply, a delay stalls the whole exchange, a
-                // torn write truncates the response `k` bytes in. All deterministic per the
-                // plan's shared connection ordinal.
-                let fault = options.faults.connection_fault();
-                if matches!(fault, Some(WireFault::Drop)) {
-                    drop(stream);
+                let Ok(closer) = stream.try_clone() else {
                     continue;
-                }
+                };
+                telemetry.add("serve.connections", 1);
                 let read = read.clone();
                 let telemetry = telemetry.clone();
                 let options = options.clone();
                 // Reap the handlers that are done, so a long-lived server holds only the
-                // exchanges in flight, not one finished thread per exchange it ever served.
+                // connections still open, not one finished thread per connection it served.
                 let mut i = 0;
                 while i < handlers.len() {
-                    if handlers[i].is_finished() {
-                        let _ = handlers.swap_remove(i).join();
+                    if handlers[i].0.is_finished() {
+                        let _ = handlers.swap_remove(i).0.join();
                     } else {
                         i += 1;
                     }
                 }
-                handlers.push(std::thread::spawn(move || {
-                    if let Some(WireFault::Delay(pause)) = fault {
-                        std::thread::sleep(pause);
-                    }
-                    let torn = match fault {
-                        Some(WireFault::TornWrite(bytes)) => Some(bytes),
-                        _ => None,
-                    };
+                let handler = std::thread::spawn(move || {
                     // A torn-down client mid-exchange is the client's problem, not ours.
-                    let _ = handle_connection(stream, &read, &telemetry, &options, torn);
-                }));
+                    let _ = serve_connection(&stream, &read, &telemetry, &options);
+                    // The accept loop holds the socket too: end the connection explicitly so
+                    // the peer sees it closed now, not when the handle is reaped.
+                    let _ = stream.shutdown(Shutdown::Both);
+                });
+                handlers.push((handler, closer));
                 #[cfg(test)]
                 held.store(handlers.len(), Ordering::Release);
             }
-            for handler in handlers {
+            for (_, closer) in &handlers {
+                let _ = closer.shutdown(Shutdown::Both);
+            }
+            for (handler, _) in handlers {
                 let _ = handler.join();
             }
         });
@@ -250,7 +255,8 @@ impl DeltaServer {
         self.addr
     }
 
-    /// Stops accepting, joins the accept thread and every in-flight handler.
+    /// Stops accepting, closes every held connection, and joins the accept thread and every
+    /// handler.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
@@ -272,42 +278,70 @@ impl Drop for DeltaServer {
     }
 }
 
-/// One request–response exchange on a fresh connection. Read/write deadlines and the
-/// request-size bound come from [`ServerOptions`]; `torn` truncates the response to its
-/// first `k` bytes (injected fault).
-fn handle_connection(
-    stream: TcpStream,
+/// Answers the requests of one connection in turn. Read/write deadlines and the request-size
+/// bound come from [`ServerOptions`]. Returns when the peer closes, when the connection sits
+/// idle past the deadline (no reply: nothing was asked), after a reply to a request that asked
+/// to close or could not be read in full, and when an injected fault ends the exchange. Each
+/// reply draws one [`FaultPlan::connection_fault`]: a drop closes without replying, a delay
+/// stalls the reply, a torn write sends the first `k` bytes of it and closes.
+fn serve_connection(
+    stream: &TcpStream,
     read: &ReadHandle,
     telemetry: &Telemetry,
     options: &ServerOptions,
-    torn: Option<usize>,
 ) -> std::io::Result<()> {
     stream.set_read_timeout(Some(options.io_timeout))?;
     stream.set_write_timeout(Some(options.io_timeout))?;
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream);
-    let reply = match read_request(&mut reader, options.max_request_bytes) {
-        Ok(None) => return Ok(()), // peer closed without a request (e.g. the shutdown poke)
-        Ok(Some(request)) => {
-            let started = telemetry.is_enabled().then(Instant::now);
-            let reply = route(&request, read);
-            if let Some(started) = started {
-                telemetry.record_duration("serve.delta_ns", started.elapsed());
-                telemetry.add("serve.bytes_out", reply.body.len() as u64);
+    loop {
+        // Between requests: wait for the first byte of the next one. A peer that closes, or
+        // stays silent past the deadline, ends the connection quietly — neither is a stalled
+        // request.
+        match reader.fill_buf() {
+            Ok([]) => return Ok(()),
+            Ok(_) => {}
+            Err(e) if is_timeout(&e) => return Ok(()),
+            Err(e) => return Err(e),
+        }
+        let (reply, close) = match read_request(&mut reader, options.max_request_bytes) {
+            Ok(None) => return Ok(()),
+            Ok(Some(request)) => {
+                let started = telemetry.is_enabled().then(Instant::now);
+                let reply = route(&request, read);
+                if let Some(started) = started {
+                    telemetry.record_duration("serve.delta_ns", started.elapsed());
+                    telemetry.add("serve.bytes_out", reply.body.len() as u64);
+                }
+                (reply, request.close)
             }
-            reply
+            // The request never fully arrived; say why and close. Timeouts (slow-loris, a
+            // stalled peer) count toward the service's wire_timeouts metric.
+            Err(RequestError::Timeout) => {
+                read.record_wire_timeout();
+                (Reply::plain("408 Request Timeout"), true)
+            }
+            Err(RequestError::TooLarge) => (Reply::plain("413 Payload Too Large"), true),
+            Err(RequestError::Malformed) => (Reply::plain("400 Bad Request"), true),
+            Err(RequestError::Io(e)) => return Err(e),
+        };
+        // Counted before the reply goes out, so a client that has its reply sees it counted.
+        telemetry.add("serve.exchanges", 1);
+        let torn = match options.faults.connection_fault() {
+            Some(WireFault::Drop) => return Ok(()),
+            Some(WireFault::Delay(pause)) => {
+                std::thread::sleep(pause);
+                None
+            }
+            Some(WireFault::TornWrite(bytes)) => Some(bytes),
+            None => None,
+        };
+        let mut writer = stream;
+        write_response(&mut writer, &reply, close, torn)?;
+        if close || torn.is_some() {
+            return Ok(());
         }
-        // The request never fully arrived; say why and close. Timeouts (slow-loris, a
-        // stalled peer) count toward the service's wire_timeouts metric.
-        Err(RequestError::Timeout) => {
-            read.record_wire_timeout();
-            Reply::plain("408 Request Timeout")
-        }
-        Err(RequestError::TooLarge) => Reply::plain("413 Payload Too Large"),
-        Err(RequestError::Malformed) => Reply::plain("400 Bad Request"),
-        Err(RequestError::Io(e)) => return Err(e),
-    };
-    let mut stream = reader.into_inner();
-    write_response(&mut stream, &reply, torn)
+    }
 }
 
 struct Request {
@@ -315,6 +349,9 @@ struct Request {
     path: String,
     query: Option<String>,
     if_none_match: Option<String>,
+    /// Whether the client asked to close after the reply (`Connection: close`, or HTTP/1.0,
+    /// whose connections do not persist by default).
+    close: bool,
 }
 
 /// Why a request head could not be read.
@@ -344,7 +381,7 @@ impl From<std::io::Error> for RequestError {
 /// peer; an unterminated line is [`RequestError::TooLarge`] when the bound was hit and
 /// [`RequestError::Malformed`] when the peer closed mid-line.
 fn read_line_bounded(
-    reader: &mut BufReader<TcpStream>,
+    reader: &mut BufReader<&TcpStream>,
     limit: usize,
 ) -> Result<Option<String>, RequestError> {
     let mut buf = Vec::new();
@@ -373,7 +410,7 @@ const MAX_REQUEST_LINE: usize = 8 * 1024;
 /// Reads one request head (request line + headers), bounded by `max_request_bytes` total.
 /// `Ok(None)` on an immediately-closed connection.
 fn read_request(
-    reader: &mut BufReader<TcpStream>,
+    reader: &mut BufReader<&TcpStream>,
     max_request_bytes: usize,
 ) -> Result<Option<Request>, RequestError> {
     let Some(line) = read_line_bounded(reader, MAX_REQUEST_LINE.min(max_request_bytes))? else {
@@ -393,6 +430,7 @@ fn read_request(
         Some((p, q)) => (p.to_string(), Some(q.to_string())),
         None => (target.to_string(), None),
     };
+    let mut close = version == "HTTP/1.0";
     let mut if_none_match = None;
     while let Some(header) = read_line_bounded(reader, budget)? {
         budget = budget.saturating_sub(header.len());
@@ -403,6 +441,10 @@ fn read_request(
         if let Some((name, value)) = header.split_once(':') {
             if name.eq_ignore_ascii_case("if-none-match") {
                 if_none_match = Some(value.trim().to_string());
+            } else if name.eq_ignore_ascii_case("connection") {
+                close |= value
+                    .split(',')
+                    .any(|token| token.trim().eq_ignore_ascii_case("close"));
             }
         } else {
             return Err(RequestError::Malformed);
@@ -413,6 +455,7 @@ fn read_request(
         path,
         query,
         if_none_match,
+        close,
     }))
 }
 
@@ -518,16 +561,22 @@ fn route(request: &Request, read: &ReadHandle) -> Reply {
     }
 }
 
+/// Writes `reply`, saying `Connection: close` when the server closes after it; `torn`
+/// truncates it to its first `k` bytes (injected fault).
 fn write_response(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     reply: &Reply,
+    close: bool,
     torn: Option<usize>,
 ) -> std::io::Result<()> {
     let mut head = format!(
-        "HTTP/1.1 {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n",
+        "HTTP/1.1 {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n",
         reply.status,
         reply.body.len()
     );
+    if close {
+        head.push_str("Connection: close\r\n");
+    }
     if let Some(etag) = &reply.etag {
         head.push_str(&format!("ETag: {etag}\r\n"));
     }
@@ -556,6 +605,8 @@ struct Response {
     etag: Option<String>,
     revision: Option<u64>,
     sync_mode: Option<String>,
+    /// The server said `Connection: close`: it will not read another request here.
+    close: bool,
     body: Vec<u8>,
 }
 
@@ -600,12 +651,8 @@ pub struct WireStats {
     pub timeouts: u64,
 }
 
-fn fetch(
-    addr: SocketAddr,
-    path: &str,
-    if_none_match: Option<&str>,
-    config: &WireConfig,
-) -> Result<Response, WireError> {
+/// Opens a connection to `addr` under `config`'s deadlines.
+fn open(addr: SocketAddr, config: &WireConfig) -> Result<BufReader<TcpStream>, WireError> {
     let stream = TcpStream::connect_timeout(&addr, config.connect_timeout).map_err(|e| {
         if is_timeout(&e) {
             WireError::Timeout {
@@ -617,6 +664,36 @@ fn fetch(
     })?;
     stream.set_read_timeout(Some(config.io_timeout))?;
     stream.set_write_timeout(Some(config.io_timeout))?;
+    stream.set_nodelay(true)?;
+    Ok(BufReader::new(stream))
+}
+
+/// Whether a held connection can carry the next request: the server has not closed it (an
+/// idle timeout, a restart) and has sent nothing that was not asked for. One non-blocking
+/// peek; sends nothing.
+fn reusable(conn: &BufReader<TcpStream>) -> bool {
+    if !conn.buffer().is_empty() {
+        return false;
+    }
+    let stream = conn.get_ref();
+    if stream.set_nonblocking(true).is_err() {
+        return false;
+    }
+    let quiet = matches!(
+        stream.peek(&mut [0u8; 1]),
+        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock
+    );
+    stream.set_nonblocking(false).is_ok() && quiet
+}
+
+/// One request–response exchange on `conn`: a `GET` of `path`, validator-guarded when
+/// `if_none_match` is given.
+fn exchange(
+    conn: &mut BufReader<TcpStream>,
+    addr: SocketAddr,
+    path: &str,
+    if_none_match: Option<&str>,
+) -> Result<Response, WireError> {
     let classify = |operation: &'static str| {
         move |e: std::io::Error| {
             if is_timeout(&e) {
@@ -626,21 +703,17 @@ fn fetch(
             }
         }
     };
-    let mut reader = BufReader::new(stream);
-    let mut request = format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n");
+    let mut request = format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\n");
     if let Some(etag) = if_none_match {
         request.push_str(&format!("If-None-Match: {etag}\r\n"));
     }
     request.push_str("\r\n");
-    reader
-        .get_mut()
+    conn.get_mut()
         .write_all(request.as_bytes())
         .map_err(classify("request"))?;
-    reader.get_mut().flush().map_err(classify("request"))?;
 
     let mut status_line = String::new();
-    reader
-        .read_line(&mut status_line)
+    conn.read_line(&mut status_line)
         .map_err(classify("response"))?;
     let status: u16 = status_line
         .split_whitespace()
@@ -651,13 +724,10 @@ fn fetch(
     let mut etag = None;
     let mut revision = None;
     let mut sync_mode = None;
+    let mut close = false;
     loop {
         let mut header = String::new();
-        if reader
-            .read_line(&mut header)
-            .map_err(classify("response"))?
-            == 0
-        {
+        if conn.read_line(&mut header).map_err(classify("response"))? == 0 {
             return Err(WireError::Protocol("connection closed mid-headers".into()));
         }
         let header = header.trim_end();
@@ -678,15 +748,18 @@ fn fetch(
             revision = value.parse().ok();
         } else if name.eq_ignore_ascii_case("x-sync") {
             sync_mode = Some(value.to_string());
+        } else if name.eq_ignore_ascii_case("connection") {
+            close = value.eq_ignore_ascii_case("close");
         }
     }
     let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).map_err(classify("response"))?;
+    conn.read_exact(&mut body).map_err(classify("response"))?;
     Ok(Response {
         status,
         etag,
         revision,
         sync_mode,
+        close,
         body,
     })
 }
@@ -702,17 +775,25 @@ fn fetch(
 /// covers the gap, full snapshot otherwise. After a server restart, [`reconnect`](Self::reconnect)
 /// repoints the subscriber while *keeping* the mirror, so a ring-covered gap still syncs as
 /// deltas.
+///
+/// Every exchange goes over one held connection. Before reusing it the subscriber checks that
+/// the server has not closed it in the meantime (an idle timeout, a restart), and opens a new
+/// one if so — that is not a failed attempt. A failed exchange drops the connection; the
+/// retry opens a new one.
 pub struct WireSubscriber {
     addr: SocketAddr,
     mirror: Option<Mirror>,
     etag: Option<String>,
     config: WireConfig,
     stats: WireStats,
+    /// The connection held between exchanges: none before the first one, after a failed
+    /// one, after the server said it closes, and after [`reconnect`](Self::reconnect).
+    conn: Option<BufReader<TcpStream>>,
 }
 
 impl WireSubscriber {
     /// Points a subscriber at a server address with default deadlines and retry policy
-    /// ([`WireConfig`]). No connection is held between exchanges.
+    /// ([`WireConfig`]). The connection opens with the first exchange.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<WireSubscriber> {
         Self::connect_with(addr, WireConfig::default())
     }
@@ -731,17 +812,35 @@ impl WireSubscriber {
             etag: None,
             config,
             stats: WireStats::default(),
+            conn: None,
         })
     }
 
     /// Repoints the subscriber at a (re)started server, keeping the local mirror and its
     /// revision anchor: if the new server's delta ring still covers the mirror's revision,
-    /// the next [`sync`](Self::sync) catches up with deltas instead of a full pull.
+    /// the next [`sync`](Self::sync) catches up with deltas instead of a full pull. The held
+    /// connection, if any, is dropped.
     pub fn reconnect(&mut self, addr: impl ToSocketAddrs) -> std::io::Result<()> {
         self.addr = addr.to_socket_addrs()?.next().ok_or_else(|| {
             std::io::Error::new(std::io::ErrorKind::InvalidInput, "no address resolved")
         })?;
+        self.conn = None;
         Ok(())
+    }
+
+    /// One exchange over the held connection (a new one when there is none, or the server
+    /// has closed it). The connection is kept for the next exchange unless this one failed or
+    /// the server said it closes.
+    fn fetch(&mut self, path: &str, if_none_match: Option<&str>) -> Result<Response, WireError> {
+        let mut conn = match self.conn.take() {
+            Some(conn) if reusable(&conn) => conn,
+            _ => open(self.addr, &self.config)?,
+        };
+        let response = exchange(&mut conn, self.addr, path, if_none_match)?;
+        if !response.close {
+            self.conn = Some(conn);
+        }
+        Ok(response)
     }
 
     /// Retry/timeout counters accumulated by this subscriber.
@@ -753,7 +852,7 @@ impl WireSubscriber {
     /// Retries under the same backoff policy as [`sync`](Self::sync).
     pub fn head(&mut self) -> Result<(u64, Vec<u64>), WireError> {
         self.with_retries(|sub| {
-            let response = fetch(sub.addr, "/v1/head", None, &sub.config)?;
+            let response = sub.fetch("/v1/head", None)?;
             match decode_message(
                 std::str::from_utf8(&response.body)
                     .map_err(|_| WireError::Protocol("head body is not UTF-8".into()))?,
@@ -827,7 +926,7 @@ impl WireSubscriber {
                 validator = None;
             }
         }
-        let response = fetch(self.addr, &path, validator.as_deref(), &self.config)?;
+        let response = self.fetch(&path, validator.as_deref())?;
         if response.status == 304 {
             let mirror = self
                 .mirror
@@ -883,6 +982,21 @@ mod tests {
             v: VertexId(b),
             weight: w,
         }
+    }
+
+    /// One exchange on a fresh connection, closed after it.
+    fn fetch(
+        addr: SocketAddr,
+        path: &str,
+        if_none_match: Option<&str>,
+        config: &WireConfig,
+    ) -> Result<Response, WireError> {
+        exchange(&mut open(addr, config)?, addr, path, if_none_match)
+    }
+
+    /// The value of a telemetry counter (0 when never bumped).
+    fn counter(telemetry: &Telemetry, name: &str) -> u64 {
+        telemetry.snapshot().counter(name).unwrap_or(0)
     }
 
     #[test]
@@ -1085,8 +1199,9 @@ mod tests {
         ingest.submit(ins(0, 1, 1.0)).unwrap();
         driver.pump().unwrap();
         driver.flush().unwrap();
-        // Connection 1 is dropped without a reply; connection 2 is torn 20 bytes into the
-        // response head; connection 3 succeeds. One sync() call absorbs all of it.
+        // Exchange 1 is dropped without a reply; exchange 2 is torn 20 bytes into the
+        // response head; exchange 3 succeeds. Each fault closes the connection it hit, and
+        // one sync() call absorbs all of it.
         let server = DeltaServer::bind_with(
             "127.0.0.1:0",
             read.clone(),
@@ -1120,6 +1235,175 @@ mod tests {
         assert_eq!(a.labels, b.labels);
         assert_eq!(a.clusters, b.clusters);
         server.shutdown();
+    }
+
+    #[test]
+    fn a_subscriber_holds_one_connection_across_publishes() {
+        let service = ServiceBuilder::new()
+            .vertices(8)
+            .shards(2)
+            .flush_policy(FlushPolicy::Manual)
+            .delta_ring(16)
+            .build()
+            .unwrap();
+        let ingest = service.ingest_handle();
+        let read = service.read_handle();
+        let telemetry = Telemetry::enabled();
+        let server = DeltaServer::bind("127.0.0.1:0", read.clone(), telemetry.clone()).unwrap();
+        let mut driver = service.into_driver();
+        let mut subscriber = WireSubscriber::connect(server.local_addr()).unwrap();
+        let mut requests = 0;
+        for (a, b, w) in [(0, 1, 1.0), (4, 5, 2.0), (1, 4, 3.0), (6, 7, 0.5)] {
+            assert!(subscriber.sync().is_ok());
+            assert_eq!(subscriber.head().unwrap().0, read.revision());
+            requests += 2;
+            ingest.submit(ins(a, b, w)).unwrap();
+            driver.pump().unwrap();
+            driver.flush().unwrap();
+        }
+        let report = subscriber.sync().unwrap();
+        assert!(matches!(
+            report.outcome,
+            SyncOutcome::Patched { deltas: 1, .. }
+        ));
+        assert!(matches!(
+            subscriber.sync().unwrap().outcome,
+            SyncOutcome::Unchanged
+        ));
+        requests += 2;
+        assert_eq!(subscriber.stats(), WireStats::default());
+        assert_eq!(counter(&telemetry, "serve.connections"), 1);
+        assert_eq!(counter(&telemetry, "serve.exchanges"), requests);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_request_that_asks_to_close_gets_its_reply_then_eof() {
+        let service = ServiceBuilder::new().vertices(4).build().unwrap();
+        let server = DeltaServer::bind("127.0.0.1:0", service.read_handle(), Telemetry::disabled())
+            .expect("bind");
+        for request in [
+            "GET /v1/head HTTP/1.1\r\nConnection: close\r\n\r\n",
+            "GET /v1/head HTTP/1.1\r\nConnection: keep-alive, Close\r\n\r\n",
+            "GET /v1/head HTTP/1.0\r\n\r\n",
+        ] {
+            let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+            // A server that held the connection would leave `read_to_string` waiting here.
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            stream.write_all(request.as_bytes()).unwrap();
+            let mut reply = String::new();
+            stream
+                .read_to_string(&mut reply)
+                .expect("the reply, then EOF");
+            assert!(reply.starts_with("HTTP/1.1 200 OK\r\n"), "{reply}");
+            assert!(reply.contains("\r\nConnection: close\r\n"), "{reply}");
+            assert!(reply.ends_with('}'), "{reply}");
+        }
+        // Without either, two requests on one connection get two replies.
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        stream
+            .write_all(b"GET /v1/head HTTP/1.1\r\n\r\nGET /nope HTTP/1.1\r\n\r\n")
+            .unwrap();
+        let mut reader = BufReader::new(stream);
+        for expected in ["HTTP/1.1 200 OK", "HTTP/1.1 404 Not Found"] {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            assert_eq!(line.trim_end(), expected);
+            let mut length = 0;
+            loop {
+                line.clear();
+                reader.read_line(&mut line).unwrap();
+                assert!(!line.eq_ignore_ascii_case("connection: close\r\n"));
+                match line.trim_end().split_once(": ") {
+                    Some(("Content-Length", n)) => length = n.parse().unwrap(),
+                    None => break,
+                    _ => {}
+                }
+            }
+            reader.read_exact(&mut vec![0; length]).unwrap();
+        }
+        server.shutdown();
+    }
+
+    #[test]
+    fn an_idle_held_connection_closes_quietly() {
+        let service = ServiceBuilder::new().vertices(4).build().unwrap();
+        let telemetry = Telemetry::enabled();
+        let server = DeltaServer::bind_with(
+            "127.0.0.1:0",
+            service.read_handle(),
+            telemetry.clone(),
+            ServerOptions {
+                io_timeout: Duration::from_millis(100),
+                ..ServerOptions::default()
+            },
+        )
+        .expect("bind");
+        let mut conn = open(server.local_addr(), &WireConfig::default()).unwrap();
+        let response = exchange(&mut conn, server.local_addr(), "/v1/head", None).unwrap();
+        assert_eq!((response.status, response.close), (200, false));
+        // Nothing more is asked: past the deadline the server closes, without a reply.
+        let started = Instant::now();
+        let mut rest = Vec::new();
+        conn.read_to_end(&mut rest)
+            .expect("EOF, not a read deadline");
+        assert!(rest.is_empty(), "{:?}", String::from_utf8_lossy(&rest));
+        assert!(started.elapsed() < Duration::from_secs(1));
+        assert_eq!(service.metrics().wire_timeouts, 0);
+        assert_eq!(counter(&telemetry, "serve.exchanges"), 1);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_subscriber_reopens_a_connection_the_server_closed_without_a_retry() {
+        let service = ServiceBuilder::new().vertices(4).build().unwrap();
+        let telemetry = Telemetry::enabled();
+        let server = DeltaServer::bind_with(
+            "127.0.0.1:0",
+            service.read_handle(),
+            telemetry.clone(),
+            ServerOptions {
+                io_timeout: Duration::from_millis(50),
+                ..ServerOptions::default()
+            },
+        )
+        .expect("bind");
+        let mut subscriber = WireSubscriber::connect(server.local_addr()).unwrap();
+        subscriber.sync().unwrap();
+        // The server drops the idle connection; the next sync notices and opens another.
+        std::thread::sleep(Duration::from_millis(250));
+        assert!(matches!(
+            subscriber.sync().unwrap().outcome,
+            SyncOutcome::Unchanged
+        ));
+        assert_eq!(subscriber.stats(), WireStats::default());
+        assert_eq!(counter(&telemetry, "serve.connections"), 2);
+        // `reconnect` lets go of the held connection.
+        subscriber.reconnect(server.local_addr()).unwrap();
+        subscriber.head().unwrap();
+        assert_eq!(counter(&telemetry, "serve.connections"), 3);
+        assert_eq!(subscriber.stats(), WireStats::default());
+        server.shutdown();
+    }
+
+    #[test]
+    fn shutdown_closes_held_connections_at_once() {
+        let service = ServiceBuilder::new().vertices(4).build().unwrap();
+        // The default 2 s deadline: a shutdown that waited for the idle subscriber's
+        // connection to time out would take that long.
+        let server = DeltaServer::bind("127.0.0.1:0", service.read_handle(), Telemetry::disabled())
+            .expect("bind");
+        let mut subscriber = WireSubscriber::connect(server.local_addr()).unwrap();
+        subscriber.sync().unwrap();
+        let started = Instant::now();
+        server.shutdown();
+        let took = started.elapsed();
+        assert!(took < Duration::from_millis(500), "shutdown took {took:?}");
     }
 
     #[test]

@@ -203,3 +203,87 @@ proptest! {
         prop_assert!(metrics.deltas_served > 0 || behind == 0);
     }
 }
+
+/// A multi-shard view counts clusters without labelling them: on 2- and 3-shard services and
+/// on their wire mirrors, with tied and with distinct weights, `num_clusters(τ)` equals the
+/// clustering's count at every τ in {−∞, each record weight, +∞}, `num_components()` equals
+/// the count at +∞, and a count at a threshold with no clustering cached builds none (the
+/// served view's cache counters stay where they were).
+#[test]
+fn cluster_counts_over_several_shards_equal_the_clustering_and_build_nothing() {
+    use dynsld_engine::GraphUpdate;
+    use dynsld_serve::{DeltaServer, WireSubscriber};
+    use dynsld_telemetry::Telemetry;
+    let n = 48u32;
+    for shards in [2, 3] {
+        for tied in [true, false] {
+            let service = ServiceBuilder::new()
+                .vertices(n as usize)
+                .shards(shards)
+                .flush_policy(FlushPolicy::Manual)
+                .delta_ring(16)
+                .build()
+                .unwrap();
+            let ingest = service.ingest_handle();
+            let read = service.read_handle();
+            let server = DeltaServer::bind("127.0.0.1:0", read.clone(), Telemetry::disabled())
+                .expect("bind");
+            let mut wire = WireSubscriber::connect(server.local_addr()).expect("connect");
+            wire.sync().expect("initial pull");
+            let mut driver = service.into_driver();
+            let mut rng = SmallRng::seed_from_u64(shards as u64 * 2 + u64::from(tied));
+            for round in 0..3u32 {
+                for i in 0..n / 2 {
+                    let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                    // Tied: three weights for every record; distinct: one weight each.
+                    let weight = if tied {
+                        f64::from(rng.gen_range(1..4u32))
+                    } else {
+                        f64::from(round * n + i) + 0.5
+                    };
+                    let (u, v) = (VertexId(u), VertexId(v));
+                    let _ = ingest.submit(GraphUpdate::Insert { u, v, weight });
+                }
+                let published = drain(&mut driver);
+                wire.sync().expect("wire sync");
+                let mirror = wire.mirror().expect("synced");
+                assert_eq!(mirror.revision(), published.revision());
+                // Each threshold once: a second ask would find the first one's clustering.
+                let mut taus: Vec<f64> = published
+                    .shard_snapshots()
+                    .iter()
+                    .flat_map(|s| s.dendrogram().nodes.iter().map(|node| node.weight))
+                    .chain([f64::NEG_INFINITY, f64::INFINITY])
+                    .collect();
+                taus.sort_by(f64::total_cmp);
+                taus.dedup();
+                let context = format!("{shards} shards, tied {tied}, round {round}");
+                let counters = |driver: &dynsld_engine::FlusherDriver| {
+                    let m = driver.service().metrics();
+                    (m.snapshot_cache_hits, m.snapshot_cache_misses)
+                };
+                for tau in taus {
+                    let before = counters(&driver);
+                    // Nothing is cached at `tau` on either side yet.
+                    let cold = published.num_clusters(tau);
+                    assert_eq!(counters(&driver), before, "{context} at {tau}");
+                    assert_eq!(mirror.num_clusters(tau), cold, "{context} at {tau}");
+                    let built = published.flat_clustering(tau).num_clusters();
+                    assert_eq!(cold, built, "{context} at {tau}");
+                    assert_eq!(
+                        mirror.flat_clustering(tau).num_clusters(),
+                        built,
+                        "{context} at {tau}"
+                    );
+                    // With the clustering cached, the count reads it: the counters are live.
+                    assert_eq!(published.num_clusters(tau), built, "{context} at {tau}");
+                    assert_eq!(counters(&driver), (before.0 + 1, before.1 + 1), "{context}");
+                }
+                let at_infinity = published.num_clusters(f64::INFINITY);
+                assert_eq!(published.num_components(), at_infinity, "{context}");
+                assert_eq!(mirror.num_components(), at_infinity, "{context}");
+            }
+            server.shutdown();
+        }
+    }
+}
